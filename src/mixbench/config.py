@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -165,24 +166,23 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        detail = str(exc)
-        raise ValidationError(f"cannot parse config {path!r}: {detail}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ValidationError(f"config {path!r} must be a mapping at top level")
-    return from_dict(data)
+    return _parse(text, f"config {path!r}")
 
 
 def loads_config(text: str) -> RunConfig:
-    data = yaml.safe_load(text)
+    """Parse YAML config text; empty text yields the full default run."""
+    return _parse(text, "config")
+
+
+def _parse(text: str, source: str) -> RunConfig:
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"cannot parse {source}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ValidationError("config must be a mapping at top level")
+        raise ValidationError(f"{source} must be a mapping at top level")
     return from_dict(data)
 
 
@@ -198,11 +198,56 @@ def _validate(cfg: RunConfig):
     if fmt not in ("csv", "json"):
         raise ValidationError(f"output format must be csv or json, got {fmt!r}")
     # Building the scenario runs the full coherence/Nyquist validation.
-    build_scenario(cfg)
+    scenario = build_scenario(cfg)
     if "nf" in meas:
         build_nf_setup(cfg)
     if "iip3" in meas:
         iip3_tone_spacing_units(cfg)
+    _validate_sweeps(cfg, scenario)
+
+
+def _sweep_number(cfg: RunConfig, section: str, key: str, kind=float):
+    """The field ``sweeps.<section>.<key>`` as a finite ``kind``."""
+    value = cfg.raw["sweeps"][section][key]
+    try:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValidationError(
+            f"sweeps.{section}.{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
+    """Reject the sweep settings the requested measurements would fail on."""
+    meas = cfg.measurements
+    if "p1db" in meas:
+        start = _sweep_number(cfg, "p1db", "start_dbm")
+        stop = _sweep_number(cfg, "p1db", "stop_dbm")
+        step = _sweep_number(cfg, "p1db", "step_db")
+        if stop <= start:
+            raise ValidationError(
+                f"sweeps.p1db.stop_dbm ({stop!r}) must be above "
+                f"sweeps.p1db.start_dbm ({start!r})")
+        if not 0 < step <= stop - start:
+            raise ValidationError(
+                f"sweeps.p1db.step_db must be > 0 and at most the sweep span "
+                f"{stop - start!r} dB, got {step!r}")
+    if "harmonics" in meas:
+        order = _sweep_number(cfg, "harmonics", "order", int)
+        if order < 1:
+            raise ValidationError(f"sweeps.harmonics.order must be >= 1, got {order!r}")
+        if order * scenario.f_rf >= scenario.grid.nyquist:
+            raise ValidationError(
+                f"sweeps.harmonics.order {order!r} puts the RF tone's harmonic "
+                f"at or above Nyquist")
+    if "transient" in meas:
+        decimation = _sweep_number(cfg, "transient", "decimation", int)
+        if decimation < 1:
+            raise ValidationError(
+                f"sweeps.transient.decimation must be >= 1, got {decimation!r}")
 
 
 def _mixer_from(cfg: RunConfig) -> MixerParams:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -147,14 +148,23 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class TransientResult:
-    """All node waveforms of one simulation, sharing the scenario grid."""
+    """All node waveforms of one simulation, sharing the scenario grid.
+
+    The IF-filtered output is computed when ``v_out_filtered`` is first
+    read, and kept; most measurements read only the unfiltered nodes.
+    """
 
     scenario: Scenario
     v_rf_port: SampledSignal        # stimulus + LO leakage + noise
     i_s: SampledSignal              # transconductor output current
     i_out: SampledSignal            # commutated current
     v_out: SampledSignal            # differential output voltage
-    v_out_filtered: Optional[SampledSignal] = None
+
+    @cached_property
+    def v_out_filtered(self) -> Optional[SampledSignal]:
+        """``v_out`` through the scenario's IF filter; None without a filter."""
+        f = self.scenario.if_filter
+        return apply_if_filter(f, self.v_out) if f is not None else None
 
 
 def analytic_conversion_gain(m: MixerParams) -> float:
@@ -192,7 +202,9 @@ def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
     Pure function of the scenario (the noise generator is seeded from it),
-    so identical scenarios produce identical results.
+    so identical scenarios produce identical results.  The IF filter is not
+    applied here: the result filters ``v_out`` when ``v_out_filtered`` is
+    first read.
     """
     grid = s.grid
     v_lo = synthesize_tone(grid, s.lo_tone)
@@ -214,9 +226,8 @@ def simulate(s: Scenario) -> TransientResult:
     i_out = SampledSignal(grid=grid, samples=i_s.samples * sw.samples, unit="ampere")
     v_out = SampledSignal(grid=grid, samples=s.mixer.load.rd * i_out.samples,
                           unit="volt")
-    v_filt = apply_if_filter(s.if_filter, v_out) if s.if_filter is not None else None
     return TransientResult(scenario=s, v_rf_port=v_rf_port, i_s=i_s,
-                           i_out=i_out, v_out=v_out, v_out_filtered=v_filt)
+                           i_out=i_out, v_out=v_out)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,32 @@ class TestConfigLoading:
         with pytest.raises(ValidationError, match="parse"):
             load_config(write_config(tmp_path, "scenario: [unclosed\n"))
 
+    def test_bad_yaml_text_reports_parse_error(self):
+        with pytest.raises(ValidationError, match="parse"):
+            loads_config("a: [1")
+
+    def test_non_mapping_text_rejected(self):
+        with pytest.raises(ValidationError, match="mapping"):
+            loads_config("- cg\n- power\n")
+
+    @pytest.mark.parametrize("text, field", [
+        ("sweeps:\n  p1db:\n    step_db: 0\n", "sweeps.p1db.step_db"),
+        ("sweeps:\n  p1db:\n    stop_dbm: -40.0\n", "sweeps.p1db.stop_dbm"),
+        ("sweeps:\n  transient:\n    decimation: 0\n", "sweeps.transient.decimation"),
+        ("sweeps:\n  harmonics:\n    order: 0\n", "sweeps.harmonics.order"),
+    ])
+    def test_sweep_setting_run_would_reject(self, tmp_path, capsys, text, field):
+        with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
+            loads_config(text)
+        path = write_config(tmp_path, text)
+        assert main(["validate", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_sweep_setting_of_unrequested_measurement_ignored(self):
+        cfg = loads_config("measurements: [cg]\n"
+                           "sweeps:\n  p1db:\n    step_db: 0\n")
+        assert cfg.measurements == ("cg",)
+
     def test_missing_file_rejected(self):
         with pytest.raises(ValidationError, match="read"):
             load_config("/nonexistent/config.yaml")

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import make_mixer, make_scenario
 
+from mixbench import engine
 from mixbench.engine import (
     FilterSpec,
     ScaledPlan,
@@ -222,6 +223,28 @@ class TestIfFilter:
         expected = butterworth2_response(s.f_if, 8.0)
         assert math.isclose(np.angle(ratio), np.angle(expected), abs_tol=1e-6)
         assert abs(ratio) == pytest.approx(abs(expected), rel=1e-9)
+
+    def test_filter_runs_once_and_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counting_filter(f, v):
+            calls.append(f)
+            return apply_if_filter(f, v)
+
+        monkeypatch.setattr(engine, "apply_if_filter", counting_filter)
+        result = simulate(make_scenario(if_filter_cutoff=8.0))
+        assert calls == []
+        first = result.v_out_filtered
+        assert result.v_out_filtered is first
+        assert calls == [FilterSpec(cutoff=8.0)]
+        direct = apply_if_filter(FilterSpec(cutoff=8.0), result.v_out)
+        assert np.array_equal(first.samples, direct.samples)
+
+    def test_no_filter_reads_none(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "apply_if_filter", lambda f, v: calls.append(f))
+        assert simulate(make_scenario()).v_out_filtered is None
+        assert calls == []
 
     def test_cutoff_above_nyquist_rejected(self):
         s = make_scenario()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixbench import signals
 from mixbench.errors import (
     AliasingError,
     CoherenceError,
@@ -84,6 +85,48 @@ class TestSynthesizeTone:
         grid = make_grid(256.0, 256)
         with pytest.raises(AliasingError):
             synthesize_tone(grid, ToneSpec(frequency=128.0, amplitude=1.0))
+
+
+class TestMemoisedBases:
+    """Cached tone and bin bases must reproduce the direct formula bit for bit."""
+
+    # (num_samples, bin, phase); the two phases per grid share a cache key
+    # when they compare equal (0.0 and -0.0).
+    CASES = [(256, 1, 0.0), (256, 1, -0.0), (256, 17, 0.3), (1024, 100, 1.1),
+             (9216, 76, 0.0), (9216, 72, math.pi * 72 / 9216), (9216, 4, -2.5)]
+
+    @staticmethod
+    def direct_tone(n, k, amplitude, phase):
+        t = np.arange(n)
+        return amplitude * np.cos(2.0 * np.pi * k * t / n + phase)
+
+    @staticmethod
+    def direct_bin(samples, k):
+        n = samples.size
+        c = np.dot(samples, np.exp(-2j * np.pi * k * np.arange(n) / n))
+        return complex(c * (1.0 / n if k == 0 else 2.0 / n))
+
+    def check_all(self):
+        for n, k, phase in self.CASES:
+            grid = make_grid(float(n), n)
+            tone = synthesize_tone(grid, ToneSpec(frequency=float(k), amplitude=0.7,
+                                                  phase=phase))
+            assert np.array_equal(tone.samples, self.direct_tone(n, k, 0.7, phase))
+            rng = np.random.default_rng(n + k)
+            sig = SampledSignal(grid=grid, samples=rng.standard_normal(n))
+            for b in (0, k, k + 1):
+                assert bin_value(sig, float(b)) == self.direct_bin(sig.samples, b)
+
+    def test_bit_identical_to_direct_formula(self):
+        signals._cos_basis.cache_clear()
+        signals._exp_basis.cache_clear()
+        self.check_all()  # computes every basis
+        self.check_all()  # served from the caches
+
+    def test_cached_basis_is_read_only(self):
+        for basis in (signals._cos_basis(256, 3, 0.5), signals._exp_basis(256, 3)):
+            with pytest.raises(ValueError):
+                basis[0] = 0.0
 
 
 class TestDbmConversions:
