@@ -28,7 +28,10 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_nf_setup, build_plan, build_scenario, load_config, measurement_plan
@@ -53,14 +56,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 
 
-def _fmt(value: float) -> str:
-    if value == -math.inf:
-        return "-inf"
-    if value == math.inf:
-        return "inf"
-    return f"{value:.12g}"
-
-
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -81,12 +76,29 @@ def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence],
             fh.write("\n")
     else:
         path = path + ".csv"
+        text = _csv_body(len(header), rows)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            fh.write(text)
     return path
+
+
+def _csv_body(width: int, rows: Sequence[Sequence]) -> str:
+    """CSV lines of ``rows``: floats as ``%.12g``, every other cell as ``str``.
+
+    The whole table is one ``%`` over a repeated line template, so each
+    column must hold only floats or only non-floats.
+    """
+    cells = tuple(chain.from_iterable(rows))
+    if len(cells) != width * len(rows):
+        raise ValueError(f"every row of the table must have {width} cells")
+    formats = []
+    for column in (cells[i::width] for i in range(width)):
+        kinds = {issubclass(t, float) for t in set(map(type, column))}
+        if len(kinds) > 1:
+            raise ValueError("a table column mixes float and non-float cells")
+        formats.append("%.12g" if kinds == {True} else "%s")
+    return (",".join(formats) + "\n") * len(rows) % cells
 
 
 def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
@@ -100,15 +112,14 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
         raise ValidationError(f"decimation must be >= 1, got {decimation}")
     scale = result.scenario.frequency_scale
     grid = result.scenario.grid
-    step = decimation
-    idx = range(0, grid.num_samples, step)
+    times = (np.arange(0, grid.num_samples, decimation)
+             / grid.sample_rate / scale).tolist()
     written = []
     targets = [("transient_vout", result.v_out)]
     if result.v_out_filtered is not None:
         targets.append(("transient_vout_filtered", result.v_out_filtered))
     for name, signal in targets:
-        rows = [(float(n / grid.sample_rate / scale), float(signal.samples[n]))
-                for n in idx]
+        rows = list(zip(times, signal.samples[::decimation].tolist()))
         written.append(_write_table(os.path.join(out_dir, name),
                                     ("time_s", "voltage_v"), rows, fmt))
     return written

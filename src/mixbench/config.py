@@ -26,12 +26,16 @@ from .devices import (
     TransconductorParams,
 )
 from .engine import FilterSpec, MixerParams, ScaledPlan, Scenario
-from .errors import ValidationError
-from .metrics import MeasurementPlan, NoiseFigureSettings
+from .errors import InsufficientBandwidthError, ValidationError
+from .metrics import MeasurementPlan, NoiseFigureSettings, noise_figure_setup, sweep_size
 from .signals import ToneSpec
 
 ALL_MEASUREMENTS = ("cg", "p1db", "iip3", "isolation", "nf",
                     "harmonics", "transient", "power")
+
+# Most samples either grid may hold: 2**23 float64 samples are 67 MB per
+# signal, and a simulation keeps several signals of its grid alive.
+MAX_GRID_SAMPLES = 2 ** 23
 
 # Calibration defaults: 34 mA/V transconductor with a cubic term sized for a
 # -11.5 dBm compression point, 220 ohm loads for 13.55 dB of small-signal
@@ -200,7 +204,7 @@ def _validate(cfg: RunConfig):
     # Building the scenario runs the full coherence/Nyquist validation.
     scenario = build_scenario(cfg)
     if "nf" in meas:
-        build_nf_setup(cfg)
+        _validate_nf(cfg)
     if "iip3" in meas:
         iip3_tone_spacing_units(cfg)
     _validate_sweeps(cfg, scenario)
@@ -235,6 +239,10 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
             raise ValidationError(
                 f"sweeps.p1db.step_db must be > 0 and at most the sweep span "
                 f"{stop - start!r} dB, got {step!r}")
+        try:
+            sweep_size((start, stop), step)
+        except ValidationError as exc:
+            raise ValidationError(f"sweeps.p1db.step_db: {exc}") from exc
     if "harmonics" in meas:
         order = _sweep_number(cfg, "harmonics", "order", int)
         if order < 1:
@@ -250,6 +258,21 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
                 f"sweeps.transient.decimation must be >= 1, got {decimation!r}")
 
 
+def _validate_nf(cfg: RunConfig):
+    """Reject the noise-figure settings the measurement would fail on."""
+    segments = _sweep_number(cfg, "nf", "segments", int)
+    width = _sweep_number(cfg, "nf", "band_width_hz")
+    _sweep_number(cfg, "nf", "probe_power_dbm")
+    scenario, settings = build_nf_setup(cfg)
+    try:
+        noise_figure_setup(scenario, settings)
+    except (ValidationError, InsufficientBandwidthError) as exc:
+        raise ValidationError(
+            f"sweeps.nf.segments {segments!r} and sweeps.nf.band_width_hz "
+            f"{width!r} admit no noise reading on the "
+            f"{scenario.grid.num_samples}-sample NF grid: {exc}") from exc
+
+
 def _mixer_from(cfg: RunConfig) -> MixerParams:
     m = cfg.raw["scenario"]["mixer"]
     return MixerParams(
@@ -262,11 +285,22 @@ def _mixer_from(cfg: RunConfig) -> MixerParams:
     )
 
 
-def _plan_from(cfg: RunConfig, grid_section: Dict[str, Any]) -> ScaledPlan:
+def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
+    """Plan of the grid section at ``grid_path``, capped at MAX_GRID_SAMPLES."""
     sc = cfg.raw["scenario"]
-    return ScaledPlan(f_rf_hz=float(sc["rf_hz"]), f_lo_hz=float(sc["lo_hz"]),
-                      bins_per_unit=int(grid_section["bins_per_unit"]),
-                      samples_per_lo_period=int(grid_section["samples_per_lo_period"]))
+    section = cfg.raw
+    for key in grid_path.split("."):
+        section = section[key]
+    plan = ScaledPlan(f_rf_hz=float(sc["rf_hz"]), f_lo_hz=float(sc["lo_hz"]),
+                      bins_per_unit=int(section["bins_per_unit"]),
+                      samples_per_lo_period=int(section["samples_per_lo_period"]))
+    if plan.num_samples > MAX_GRID_SAMPLES:
+        raise ValidationError(
+            f"{grid_path}.bins_per_unit {plan.bins_per_unit} and "
+            f"{grid_path}.samples_per_lo_period {plan.samples_per_lo_period} "
+            f"give a grid of {plan.num_samples} samples, above the cap of "
+            f"{MAX_GRID_SAMPLES}")
+    return plan
 
 
 def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
@@ -302,7 +336,7 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
 
 
 def build_plan(cfg: RunConfig) -> ScaledPlan:
-    return _plan_from(cfg, cfg.raw["scenario"]["grid"])
+    return _plan_from(cfg, "scenario.grid")
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
@@ -317,7 +351,7 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     on its own, longer grid with the same mixer and frequency plan.
     """
     nf_cfg = cfg.raw["sweeps"]["nf"]
-    plan = _plan_from(cfg, nf_cfg["grid"])
+    plan = _plan_from(cfg, "sweeps.nf.grid")
     scenario = _scenario_on_plan(cfg, plan)
     width = float(nf_cfg["band_width_hz"]) / plan.hz_per_unit
     settings = NoiseFigureSettings(

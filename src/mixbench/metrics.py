@@ -36,11 +36,15 @@ from .signals import (
     amplitude_to_dbm,
     bin_amplitude,
     dbm_to_amplitude,
+    noise_band_bins,
 )
 
 # Below this power a ray is treated as numerically absent.
 MEASUREMENT_FLOOR_DBM = -200.0
 ISOLATION_FLOOR_DB = -200.0
+
+# Most points a compression sweep may take; each point is one simulation.
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,9 @@ class NoiseFigureSettings:
     Band centers default to the scenario's RF (input) and IF (output)
     frequencies.  ``signal_out_frequency`` is where the conversion-gain probe
     ray is read; it defaults to the down-converted IF and must be overridden
-    for a non-translating device (e.g. a pass-through stage).
+    for a non-translating device (e.g. a pass-through stage).  The probe
+    runs on the common period of RF, LO and that read-out ray, not on the
+    full noise record.
     """
 
     input_band_width: float
@@ -117,6 +123,26 @@ def measure_conversion_gain(s: Scenario) -> float:
     return 20.0 * math.log10(amp_out / amp_in)
 
 
+def sweep_size(power_range: Tuple[float, float], step: float) -> int:
+    """Number of points of a compression sweep: ``lo, lo + step, ...`` up to ``hi``.
+
+    Raises ValidationError unless the sweep has 2 to ``MAX_SWEEP_POINTS``
+    points, the least interpolation needs and the most work allowed.
+    """
+    lo_dbm, hi_dbm = power_range
+    if not (hi_dbm > lo_dbm and step > 0):
+        raise ValidationError(f"bad sweep range {power_range!r} step {step!r}")
+    steps = (hi_dbm - lo_dbm) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"sweep range {power_range!r} at step {step!r} takes more than "
+            f"{MAX_SWEEP_POINTS} points")
+    size = int(math.floor(steps)) + 1
+    if size < 2:
+        raise ValidationError("sweep range too narrow for interpolation")
+    return size
+
+
 def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
                  step: float = 0.5) -> P1dBResult:
     """Sweep the RF power and locate the 1 dB gain-compression point.
@@ -132,17 +158,11 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
         raise NoCompressionError(
             f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
     lo_dbm, hi_dbm = power_range
-    if not (hi_dbm > lo_dbm and step > 0):
-        raise ValidationError(f"bad sweep range {power_range!r} step {step!r}")
-
     sweep = []
-    n_steps = int(math.floor((hi_dbm - lo_dbm) / step + 1e-9))
-    for i in range(n_steps + 1):
+    for i in range(sweep_size(power_range, step)):
         p_in = lo_dbm + i * step
         gain = measure_conversion_gain(s.with_rf_power(p_in))
         sweep.append(_sweep_point(p_in, p_in + gain))
-    if len(sweep) < 2:
-        raise ValidationError("sweep range too narrow for interpolation")
 
     ref_gain = sweep[0].gain_db
     threshold = ref_gain - 1.0
@@ -257,16 +277,24 @@ def noise_figure_from_densities(output_density: float, input_density: float,
     return 20.0 * math.log10(output_density / (input_density * g_amp))
 
 
-def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFigureResult:
-    """Noise figure of a scenario with injected input noise.
+# A noise band: (center, width, frequencies masked out of the average).
+NoiseBand = Tuple[float, float, Tuple[float, ...]]
 
-    The input density is estimated at the RF port, the output density at the
-    mixer output, both with stimulus rays masked out of the averaging.  The
-    conversion gain is measured on a noise-free clone carrying a small probe
-    tone, so the same procedure covers any device configuration.
+
+def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
+                       ) -> Tuple[Tuple[NoiseBand, NoiseBand], Scenario, float]:
+    """Noise bands and gain probe of a noise-figure measurement.
+
+    Returns ``(bands, probe, f_signal_out)``.  ``bands`` holds the input
+    and the output band; the output mask covers every mixing product and
+    odd LO harmonic up to the band's top edge.  ``probe`` is a noise-free
+    clone carrying a single probe tone at the RF frequency, on the common
+    period of RF, LO and the read-out ray ``f_signal_out`` (see
+    :meth:`SimGrid.common_period`).
+
+    Everything here is decided before any simulation, so it raises for
+    settings the measurement would fail on without running it.
     """
-    if not s.input_noise_density > 0:
-        raise ValueError("scenario has zero input noise density; nothing to measure")
     in_center = settings.input_band_center if settings.input_band_center is not None \
         else s.f_rf
     out_center = settings.output_band_center if settings.output_band_center is not None \
@@ -274,7 +302,6 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
     f_signal_out = settings.signal_out_frequency if settings.signal_out_frequency \
         is not None else s.f_if
 
-    result = simulate(s)
     stimulus = [t.frequency for t in s.rf_tones] + [s.f_lo]
     out_rays = list(stimulus)
     for f in (t.frequency for t in s.rf_tones):
@@ -283,23 +310,45 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
     while k * s.f_lo <= out_center + settings.output_band_width:
         out_rays.append(k * s.f_lo)
         k += 2
-
-    n_in = _band_noise_stats(result.v_rf_port, in_center,
-                             settings.input_band_width, settings.segments,
-                             mask_frequencies=stimulus)
-    n_out = _band_noise_stats(result.v_out, out_center,
-                              settings.output_band_width, settings.segments,
-                              mask_frequencies=out_rays)
-    if n_in.density <= 0:
-        raise ValueError("input noise density estimate is zero")
+    bands = ((in_center, settings.input_band_width, tuple(stimulus)),
+             (out_center, settings.output_band_width, tuple(out_rays)))
+    for center, width, mask in bands:
+        noise_band_bins(s.grid, center, width, settings.segments, mask)
 
     probe_tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
                           phase=s.rf_tones[0].phase)
-    probe = replace(s, rf_tones=(probe_tone,), input_noise_density=0.0,
+    probe = replace(s, grid=s.grid.common_period((s.f_rf, s.f_lo, f_signal_out)),
+                    rf_tones=(probe_tone,), input_noise_density=0.0,
                     input_noise_band=None)
+    return bands, probe, f_signal_out
+
+
+def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFigureResult:
+    """Noise figure of a scenario with injected input noise.
+
+    The input density is estimated at the RF port, the output density at the
+    mixer output, both with stimulus rays masked out of the averaging, on
+    the scenario's full record.  The conversion gain is measured on a
+    noise-free clone carrying a small probe tone, so the same procedure
+    covers any device configuration.  The probe is noise-free and the model
+    memoryless, so it runs on one common period of RF, LO and the read-out
+    ray rather than on the full record.
+    """
+    if not s.input_noise_density > 0:
+        raise ValueError("scenario has zero input noise density; nothing to measure")
+    bands, probe, f_signal_out = noise_figure_setup(s, settings)
+
+    result = simulate(s)
+    n_in, n_out = (_band_noise_stats(signal, center, width, settings.segments,
+                                     mask_frequencies=mask)
+                   for signal, (center, width, mask)
+                   in zip((result.v_rf_port, result.v_out), bands))
+    if n_in.density <= 0:
+        raise ValueError("input noise density estimate is zero")
+
     probe_result = simulate(probe)
     g_amp = bin_amplitude(probe_result.v_out, f_signal_out).amplitude \
-        / probe_tone.peak_amplitude()
+        / probe.rf_tones[0].peak_amplitude()
     if g_amp <= 0:
         raise WrongStimulusError(
             f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")

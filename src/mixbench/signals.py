@@ -86,6 +86,24 @@ class SimGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.num_samples) / self.sample_rate
 
+    def common_period(self, frequencies: Iterable[float]) -> "SimGrid":
+        """Shortest valid grid at this sample rate with every frequency on a bin.
+
+        Its record spans N/g samples, g being the gcd of N and the bin
+        indices (g lowered to a divisor where N/g would be odd or under 16
+        samples), so it holds the first N/g sample times of this grid.  A
+        memoryless response to tones at ``frequencies`` repeats with that
+        period, and its bin readings on the short grid equal those on the
+        full record.
+        """
+        g = self.num_samples
+        for f in frequencies:
+            g = math.gcd(g, self.bin_index(f, "common period"))
+        period = self.num_samples // g
+        m = next(m for m in range(1, g + 1)
+                 if g % m == 0 and period * m % 2 == 0 and period * m >= 16)
+        return SimGrid(sample_rate=self.sample_rate, num_samples=period * m)
+
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
@@ -279,11 +297,15 @@ class BandNoiseStats(NamedTuple):
     segments: int
 
 
-def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: float,
-                      segments: int,
-                      mask_frequencies: Iterable[float] = ()) -> BandNoiseStats:
-    """Averaged-periodogram band statistics behind :func:`noise_density`."""
-    grid = signal.grid
+def noise_band_bins(grid: SimGrid, band_center: float, band_width: float,
+                    segments: int,
+                    mask_frequencies: Iterable[float] = ()) -> np.ndarray:
+    """Periodogram bins a band estimate on ``grid`` averages over.
+
+    Raises for settings no estimate can use (too few segments, a segment
+    count that does not divide the record, a band outside (0, Nyquist) or
+    one left with under 2 unmasked bins), without touching any samples.
+    """
     if segments < 4:
         raise ValidationError(f"segments must be >= 4, got {segments}")
     if grid.num_samples % segments != 0:
@@ -297,11 +319,7 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
 
     seg_len = grid.num_samples // segments
     seg_res = grid.sample_rate / seg_len
-    chunks = signal.samples.reshape(segments, seg_len)
-    spectra = np.fft.rfft(chunks, axis=1)
-    # One-sided periodogram in V^2/Hz; DC and Nyquist are excluded below.
-    psd = (np.abs(spectra) ** 2) * (2.0 / (grid.sample_rate * seg_len))
-
+    # DC and Nyquist are excluded.
     k_lo = max(1, math.ceil(lo / seg_res - 1e-12))
     k_hi = min(seg_len // 2 - 1, math.floor(hi / seg_res + 1e-12))
     if k_hi < k_lo:
@@ -320,7 +338,20 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
     if used.size < 2:
         raise InsufficientBandwidthError(
             f"fewer than 2 unmasked bins left in band [{lo!r}, {hi!r}]")
+    return used
 
+
+def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: float,
+                      segments: int,
+                      mask_frequencies: Iterable[float] = ()) -> BandNoiseStats:
+    """Averaged-periodogram band statistics behind :func:`noise_density`."""
+    grid = signal.grid
+    used = noise_band_bins(grid, band_center, band_width, segments, mask_frequencies)
+    seg_len = grid.num_samples // segments
+    chunks = signal.samples.reshape(segments, seg_len)
+    spectra = np.fft.rfft(chunks, axis=1)
+    # One-sided periodogram in V^2/Hz.
+    psd = (np.abs(spectra) ** 2) * (2.0 / (grid.sample_rate * seg_len))
     band_psd = psd[:, used]
     mean_power = float(band_psd.mean())
     per_segment = band_psd.mean(axis=1)

@@ -1,11 +1,12 @@
 """Tests for config loading, the CLI harness, and the output bundle."""
 
 import json
+import math
 import os
 
 import pytest
 
-from mixbench.cli import emit_transient, main, render_summary_text
+from mixbench.cli import _write_table, emit_transient, main, render_summary_text
 from mixbench.config import (
     ALL_MEASUREMENTS,
     build_nf_setup,
@@ -85,6 +86,18 @@ class TestConfigLoading:
         ("sweeps:\n  p1db:\n    stop_dbm: -40.0\n", "sweeps.p1db.stop_dbm"),
         ("sweeps:\n  transient:\n    decimation: 0\n", "sweeps.transient.decimation"),
         ("sweeps:\n  harmonics:\n    order: 0\n", "sweeps.harmonics.order"),
+        # Bounded work: ~1e10 sweep points, 230 M- and 58 M-sample grids.
+        ("sweeps:\n  p1db:\n    start_dbm: -1.0e+7\n    step_db: 0.001\n",
+         "sweeps.p1db.step_db"),
+        ("scenario:\n  grid:\n    bins_per_unit: 100000\n",
+         "scenario.grid.bins_per_unit"),
+        ("sweeps:\n  nf:\n    grid:\n      bins_per_unit: 100000\n",
+         "sweeps.nf.grid.bins_per_unit"),
+        # Noise-figure settings the measurement fails on.
+        ("sweeps:\n  nf:\n    segments: 7\n", "sweeps.nf.segments"),
+        ("sweeps:\n  nf:\n    segments: 2\n", "sweeps.nf.segments"),
+        ("sweeps:\n  nf:\n    band_width_hz: 1.0e+3\n", "sweeps.nf.band_width_hz"),
+        ("sweeps:\n  nf:\n    probe_power_dbm: abc\n", "sweeps.nf.probe_power_dbm"),
     ])
     def test_sweep_setting_run_would_reject(self, tmp_path, capsys, text, field):
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
@@ -95,8 +108,15 @@ class TestConfigLoading:
 
     def test_sweep_setting_of_unrequested_measurement_ignored(self):
         cfg = loads_config("measurements: [cg]\n"
-                           "sweeps:\n  p1db:\n    step_db: 0\n")
+                           "sweeps:\n  p1db:\n    step_db: 0\n"
+                           "  nf:\n    segments: 7\n")
         assert cfg.measurements == ("cg",)
+
+    def test_largest_grid_under_the_cap_accepted(self):
+        # 32 samples per LO period x 18 x 14563 bins = 8,388,288 <= 2**23.
+        cfg = loads_config("measurements: [cg]\nscenario:\n  grid:\n"
+                           "    bins_per_unit: 14563\n    samples_per_lo_period: 32\n")
+        assert build_plan(cfg).num_samples == 8388288
 
     def test_missing_file_rejected(self):
         with pytest.raises(ValidationError, match="read"):
@@ -287,6 +307,60 @@ class TestTransientOutput:
         fs_hz = scenario.grid.sample_rate * scenario.frequency_scale
         assert t1 - t0 == pytest.approx(1.0 / fs_hz, rel=1e-9)
         assert t0 == 0.0
+
+
+def per_cell_csv(header, rows):
+    """The per-cell CSV rule the table writer must reproduce byte for byte."""
+    def cell(v):
+        if not isinstance(v, float):
+            return str(v)
+        if v == -math.inf:
+            return "-inf"
+        if v == math.inf:
+            return "inf"
+        return f"{v:.12g}"
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+class TestCsvTables:
+    HEADER = ("index", "value", "label", "flag")
+    VALUES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-5, 1e21, 1e16,
+              0.1 + 0.2, -123.456789012345, 5e-324, 1.7976931348623157e308)
+
+    def test_matches_per_cell_rule(self, tmp_path):
+        rows = [(i * 10 ** i, v, f"ray {i}%s,x", i % 2 == 0)
+                for i, v in enumerate(self.VALUES)]
+        path = _write_table(str(tmp_path / "t"), self.HEADER, rows, "csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == per_cell_csv(self.HEADER, rows)
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        path = _write_table(str(tmp_path / "t"), ("a", "b"), [], "csv")
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (3, 4.0)],        # int among floats
+        [(1.0, "x"), (2.0, 3.5)],      # float among strings
+        [(1.0, 2.0), (3.0,)],          # ragged
+    ])
+    def test_rejects_tables_one_template_cannot_write(self, tmp_path, rows):
+        with pytest.raises(ValueError):
+            _write_table(str(tmp_path / "t"), ("a", "b"), rows, "csv")
+
+    @pytest.mark.parametrize("decimation", [1, 8])
+    def test_transient_tables_match_per_sample_rule(self, tmp_path, decimation):
+        scenario = build_scenario(from_dict({}))
+        result = simulate(scenario)
+        paths = emit_transient(result, str(tmp_path), decimation=decimation)
+        assert len(paths) == 2
+        grid = scenario.grid
+        for path, signal in zip(paths, (result.v_out, result.v_out_filtered)):
+            rows = [(float(n / grid.sample_rate / scenario.frequency_scale),
+                     float(signal.samples[n]))
+                    for n in range(0, grid.num_samples, decimation)]
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == per_cell_csv(("time_s", "voltage_v"), rows)
 
 
 class TestSummaryRendering:

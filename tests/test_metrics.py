@@ -8,16 +8,20 @@ import pytest
 
 from helpers import make_mixer, make_scenario, noise_figure_grid_scenario
 
+from mixbench import metrics
+from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
     TransconductorParams,
     a1db_closed_form,
     aiip3_closed_form,
 )
+from mixbench.engine import simulate
 from mixbench.errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
     NoCompressionError,
     StimulusTooHotError,
+    ValidationError,
     WrongStimulusError,
 )
 from mixbench.metrics import (
@@ -32,10 +36,11 @@ from mixbench.metrics import (
     measure_noise_figure,
     measure_p1db,
     noise_figure_from_densities,
+    noise_figure_setup,
     reference_formula_noise_figure,
     two_tone_variant,
 )
-from mixbench.signals import amplitude_to_dbm
+from mixbench.signals import ToneSpec, amplitude_to_dbm, bin_amplitude
 
 CAL_GM = 0.034
 CAL_A3 = -0.696
@@ -95,6 +100,26 @@ class TestP1dB:
         with pytest.raises(CompressionNotFoundError) as err:
             measure_p1db(calibrated_scenario(), (-40.0, -30.0), 1.0)
         assert len(err.value.sweep) == 11
+
+    @pytest.mark.parametrize("power_range, step", [
+        ((-1.0e7, 0.0), 0.001),        # 1e10 points
+        ((-40.0, 0.0), 1e-300),        # a span/step quotient of inf
+        ((-40.0, -39.9), 0.5),         # 1 point: nothing to interpolate
+    ])
+    def test_sweep_size_checked_before_simulating(self, monkeypatch,
+                                                  power_range, step):
+        def no_simulation(scenario):
+            raise AssertionError("simulated a sweep that cannot be used")
+
+        monkeypatch.setattr(metrics, "simulate", no_simulation)
+        with pytest.raises(ValidationError):
+            measure_p1db(calibrated_scenario(), power_range, step)
+
+    def test_sweep_size_cap(self):
+        cap = metrics.MAX_SWEEP_POINTS
+        assert metrics.sweep_size((0.0, cap - 1.0), 1.0) == cap
+        with pytest.raises(ValidationError, match="points"):
+            metrics.sweep_size((0.0, float(cap)), 1.0)
 
     def test_oracle_equivalence_randomized(self):
         # The swept measurement must track the closed form for any cubic.
@@ -265,6 +290,69 @@ class TestNoiseFigure:
                                        segments=4)
         with pytest.raises(ValueError):
             measure_noise_figure(replace(s, input_noise_density=0.0), settings)
+
+
+def full_record_probe_gain_db(s, settings, f_out):
+    """Probe gain read on the scenario's full record: the reference the
+    common-period probe must reproduce."""
+    tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
+                    phase=s.rf_tones[0].phase)
+    probe = replace(s, rf_tones=(tone,), input_noise_density=0.0,
+                    input_noise_band=None)
+    amp = bin_amplitude(simulate(probe).v_out, f_out).amplitude
+    return 20.0 * math.log10(amp / tone.peak_amplitude())
+
+
+def nf_setup_from_config(**overrides):
+    return build_nf_setup(from_dict({
+        "scenario": overrides,
+        "sweeps": {"nf": {"grid": {"bins_per_unit": 256}}}}))
+
+
+class TestNoiseFigureProbe:
+    def test_probe_runs_on_one_common_period(self, monkeypatch):
+        s, settings = build_nf_setup(from_dict({}))
+        grids = []
+
+        def counting_simulate(scenario):
+            grids.append(scenario.grid.num_samples)
+            return simulate(scenario)
+
+        monkeypatch.setattr(metrics, "simulate", counting_simulate)
+        res = measure_noise_figure(s, settings)
+        # One simulation on the full NF grid (the noisy record), one on the
+        # 576-sample common period of RF, LO and IF (the probe).
+        assert grids == [1179648, 576]
+        monkeypatch.undo()
+        assert res.gain_db == pytest.approx(
+            full_record_probe_gain_db(s, settings, s.f_if), abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["smooth_a2", "phases", "signal_out",
+                                      "lowered_period"])
+    def test_probe_gain_matches_full_record(self, case):
+        if case == "smooth_a2":
+            s, settings = nf_setup_from_config(
+                mixer={"switch_mode": "smooth", "a2": 0.01})
+        elif case == "phases":
+            s, settings = nf_setup_from_config(rf_phase_rad=0.3, lo_phase_rad=0.7)
+        elif case == "signal_out":
+            s, settings = nf_setup_from_config()
+            settings = replace(settings, signal_out_frequency=s.f_rf + s.f_lo)
+        else:
+            # A 2:1:1 plan at 8 samples per LO period: the common period of
+            # 8 samples is lowered to the shortest valid grid, 16 samples.
+            # No DC current: the IF ray shares its bin with the LO.
+            s = make_scenario(mixer=make_mixer(a3=-0.5, v_gs1=0.0), rf_hz=2e9,
+                              lo_hz=1e9, bins_per_unit=64,
+                              samples_per_lo_period=8, noise_density=1e-9)
+            settings = NoiseFigureSettings(input_band_width=32.0,
+                                           output_band_width=32.0, segments=4)
+        _, probe, f_out = noise_figure_setup(s, settings)
+        assert probe.grid.num_samples < s.grid.num_samples
+        assert probe.grid.sample_rate == s.grid.sample_rate
+        res = measure_noise_figure(s, settings)
+        assert res.gain_db == pytest.approx(
+            full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
 
 
 class TestBuildReport:

@@ -50,6 +50,25 @@ class TestSimGrid:
         with pytest.raises(CoherenceError):
             grid.bin_index(3.5)
 
+    @pytest.mark.parametrize("n, freqs, period", [
+        (1179648, (38912.0, 36864.0, 2048.0), 576),  # default NF plan
+        (512, (128.0, 64.0, 64.0), 16),   # N/g = 8 is under 16 samples
+        (64, (8.0, 16.0), 16),            # N/g = 8 doubles to 16
+        (96, (32.0,), 24),                # N/g = 3 is odd: 3 * 8
+        (20 * 16, (3.0,), 320),           # g = 1 keeps the full record
+        (256, (0.0, 64.0), 16),           # DC and one ray: 4 * 4
+    ])
+    def test_common_period(self, n, freqs, period):
+        grid = SimGrid(sample_rate=float(n), num_samples=n)
+        short = grid.common_period(freqs)
+        assert short == SimGrid(sample_rate=float(n), num_samples=period)
+        for f in freqs:
+            short.bin_index(f)
+
+    def test_common_period_needs_coherent_frequencies(self):
+        with pytest.raises(CoherenceError):
+            make_grid().common_period((3.5,))
+
 
 class TestToneSpec:
     def test_zero_frequency_rejected(self):
