@@ -210,9 +210,20 @@ def _validate(cfg: RunConfig):
     _validate_sweeps(cfg, scenario)
 
 
+def _integer(value: Any, path: str) -> int:
+    """``value`` as an int; ValidationError naming ``path`` unless it is a whole number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{path} must be a whole number, got {value!r}")
+
+
 def _sweep_number(cfg: RunConfig, section: str, key: str, kind=float):
     """The field ``sweeps.<section>.<key>`` as a finite ``kind``."""
     value = cfg.raw["sweeps"][section][key]
+    if kind is int:
+        return _integer(value, f"sweeps.{section}.{key}")
     try:
         number = kind(value)
         finite = math.isfinite(number)
@@ -264,6 +275,10 @@ def _validate_nf(cfg: RunConfig):
     width = _sweep_number(cfg, "nf", "band_width_hz")
     _sweep_number(cfg, "nf", "probe_power_dbm")
     scenario, settings = build_nf_setup(cfg)
+    if not scenario.input_noise_density > 0:
+        raise ValidationError(
+            f"scenario.noise.input_density must be > 0 to measure nf, got "
+            f"{scenario.input_noise_density!r}")
     try:
         noise_figure_setup(scenario, settings)
     except (ValidationError, InsufficientBandwidthError) as exc:
@@ -291,9 +306,11 @@ def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
     section = cfg.raw
     for key in grid_path.split("."):
         section = section[key]
-    plan = ScaledPlan(f_rf_hz=float(sc["rf_hz"]), f_lo_hz=float(sc["lo_hz"]),
-                      bins_per_unit=int(section["bins_per_unit"]),
-                      samples_per_lo_period=int(section["samples_per_lo_period"]))
+    plan = ScaledPlan(
+        f_rf_hz=float(sc["rf_hz"]), f_lo_hz=float(sc["lo_hz"]),
+        bins_per_unit=_integer(section["bins_per_unit"], f"{grid_path}.bins_per_unit"),
+        samples_per_lo_period=_integer(section["samples_per_lo_period"],
+                                       f"{grid_path}.samples_per_lo_period"))
     if plan.num_samples > MAX_GRID_SAMPLES:
         raise ValidationError(
             f"{grid_path}.bins_per_unit {plan.bins_per_unit} and "
@@ -357,7 +374,7 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     settings = NoiseFigureSettings(
         input_band_width=width,
         output_band_width=width,
-        segments=int(nf_cfg["segments"]),
+        segments=_sweep_number(cfg, "nf", "segments", int),
         probe_power_dbm=float(nf_cfg["probe_power_dbm"]),
     )
     return scenario, settings

@@ -101,17 +101,26 @@ class LeakageParams:
 def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> SampledSignal:
     """Drain current of the RF device for a voltage waveform at its gate.
 
-    i[n] = gm*v_gs1 + gm*v[n] + a2*v[n]^2 + a3*v[n]^3, in amperes.
+    i[n] = gm*v_gs1 + gm*v[n] + a2*v[n]^2 + a3*v[n]^3, in amperes.  The
+    terms are accumulated in place, in that order, each power term as
+    ``((a * v) * v) * v``.
     """
     if v_rf.unit != "volt":
         raise ValidationError(f"transconductor input must be volts, got {v_rf.unit!r}")
     v = v_rf.samples
-    i = p.gm * p.v_gs1 + p.gm * v
+    i = p.gm * v
+    i += p.gm * p.v_gs1
+    term = None
     if p.a2 != 0.0:
-        i = i + p.a2 * v * v
+        term = np.multiply(v, p.a2)
+        term *= v
+        i += term
     if p.a3 != 0.0:
-        i = i + p.a3 * v * v * v
-    return SampledSignal(grid=v_rf.grid, samples=i, unit="ampere")
+        term = np.multiply(v, p.a3, out=term)
+        term *= v
+        term *= v
+        i += term
+    return SampledSignal._adopt(v_rf.grid, i, "ampere")
 
 
 def switch_waveform(p: SwitchParams, v_lo: SampledSignal) -> SampledSignal:
@@ -122,7 +131,7 @@ def switch_waveform(p: SwitchParams, v_lo: SampledSignal) -> SampledSignal:
         out = np.where(v_lo.samples >= 0.0, 1.0, -1.0)
     else:
         out = np.tanh(v_lo.samples / p.v_sw)
-    return SampledSignal(grid=v_lo.grid, samples=out, unit="dimensionless")
+    return SampledSignal._adopt(v_lo.grid, out, "dimensionless")
 
 
 def dc_power(b: BiasParams) -> float:
@@ -134,7 +143,7 @@ def lo_leakage_at_rf_port(l: LeakageParams, v_lo: SampledSignal) -> SampledSigna
     """LO voltage appearing at the RF port through the coupling path."""
     if v_lo.unit != "volt":
         raise ValidationError(f"leakage input must be volts, got {v_lo.unit!r}")
-    return SampledSignal(grid=v_lo.grid, samples=l.kappa * v_lo.samples, unit="volt")
+    return SampledSignal._adopt(v_lo.grid, l.kappa * v_lo.samples, "volt")
 
 
 def a1db_closed_form(p: TransconductorParams) -> float:

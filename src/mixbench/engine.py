@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,6 +35,7 @@ from .devices import (
     LoadParams,
     SwitchParams,
     TransconductorParams,
+    lo_leakage_at_rf_port,
     switch_waveform,
     transconductor_current,
 )
@@ -195,37 +196,57 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
     freqs = np.arange(spectrum.size) * v.grid.resolution
     spectrum *= butterworth2_response(freqs, f.cutoff)
     out = np.fft.irfft(spectrum, v.grid.num_samples)
-    return SampledSignal(grid=v.grid, samples=out, unit=v.unit)
+    return SampledSignal._adopt(v.grid, out, v.unit)
+
+
+# LO drives kept by :func:`_lo_drive`.  One entry holds two grid-sized
+# arrays: 147 KB on the default 9,216-sample grid, 18.9 MB on the
+# noise-figure grid and 134 MB at config.MAX_GRID_SAMPLES.  A run uses one
+# entry per grid: the main grid, the noise-figure grid and its probe period.
+_LO_DRIVE_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=_LO_DRIVE_CACHE_SIZE)
+def _lo_drive(grid: SimGrid, lo_tone: ToneSpec,
+              switch: SwitchParams) -> Tuple[SampledSignal, SampledSignal]:
+    """The LO voltage on ``grid`` and the switch waveform it drives.
+
+    Both are read-only and depend only on the key, so every simulation on
+    one grid with one LO and one switch shares them.
+    """
+    v_lo = synthesize_tone(grid, lo_tone)
+    return v_lo, switch_waveform(switch, v_lo)
 
 
 def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
     Pure function of the scenario (the noise generator is seeded from it),
-    so identical scenarios produce identical results.  The IF filter is not
-    applied here: the result filters ``v_out`` when ``v_out_filtered`` is
-    first read.
+    so identical scenarios produce identical results.  The LO voltage and
+    the switch waveform come from a memo of at most ``_LO_DRIVE_CACHE_SIZE``
+    (grid, LO tone, switch) entries, each two grid-sized arrays (134 MB at
+    the 2^23-sample grid cap); the LO leak, the noise and every node
+    waveform are computed on each call.  The RF port voltage is summed in
+    place, and each node waveform adopts the array it was computed into.
+    The IF filter is not applied here: the result filters ``v_out`` when
+    ``v_out_filtered`` is first read.
     """
     grid = s.grid
-    v_lo = synthesize_tone(grid, s.lo_tone)
+    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
 
     port = np.zeros(grid.num_samples)
     for tone in s.rf_tones:
-        port = port + synthesize_tone(grid, tone).samples
-    kappa = s.mixer.leakage.kappa
-    if kappa != 0.0:
-        port = port + kappa * v_lo.samples
+        port += synthesize_tone(grid, tone).samples
+    if s.mixer.leakage.kappa != 0.0:
+        port += lo_leakage_at_rf_port(s.mixer.leakage, v_lo).samples
     if s.input_noise_density > 0.0:
-        noise = white_noise(grid, s.input_noise_density, s.noise_seed,
-                            band=s.input_noise_band)
-        port = port + noise.samples
-    v_rf_port = SampledSignal(grid=grid, samples=port, unit="volt")
+        port += white_noise(grid, s.input_noise_density, s.noise_seed,
+                            band=s.input_noise_band).samples
+    v_rf_port = SampledSignal._adopt(grid, port, "volt")
 
     i_s = transconductor_current(s.mixer.transconductor, v_rf_port)
-    sw = switch_waveform(s.mixer.switch, v_lo)
-    i_out = SampledSignal(grid=grid, samples=i_s.samples * sw.samples, unit="ampere")
-    v_out = SampledSignal(grid=grid, samples=s.mixer.load.rd * i_out.samples,
-                          unit="volt")
+    i_out = SampledSignal._adopt(grid, i_s.samples * sw.samples, "ampere")
+    v_out = SampledSignal._adopt(grid, s.mixer.load.rd * i_out.samples, "volt")
     return TransientResult(scenario=s, v_rf_port=v_rf_port, i_s=i_s,
                            i_out=i_out, v_out=v_out)
 

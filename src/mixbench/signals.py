@@ -107,7 +107,14 @@ class SimGrid:
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """A real-valued waveform on a grid, tagged with its physical unit."""
+    """A real-valued waveform on a grid, tagged with its physical unit.
+
+    The samples are a read-only float64 array.  The public constructor
+    copies what the caller passes, so the caller's array stays its own;
+    every signal the package computes instead adopts the fresh array it has
+    just built (:meth:`_adopt`) without a copy.  Both paths check the unit,
+    the shape and that every sample is finite.
+    """
 
     grid: SimGrid
     samples: np.ndarray
@@ -116,18 +123,35 @@ class SampledSignal:
     _UNITS = ("volt", "ampere", "dimensionless")
 
     def __post_init__(self):
-        if self.unit not in self._UNITS:
-            raise ValidationError(f"unknown unit {self.unit!r}")
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.shape != (self.grid.num_samples,):
-            raise ValidationError(
-                f"samples length {arr.shape} does not match grid "
-                f"num_samples {self.grid.num_samples}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("signal contains non-finite samples")
-        arr = arr.copy()
+        arr = np.array(self.samples, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        self._check()
+
+    @classmethod
+    def _adopt(cls, grid: SimGrid, samples: np.ndarray, unit: str) -> "SampledSignal":
+        """Signal owning ``samples``, a float64 array no one else writes to.
+
+        The array is made read-only in place rather than copied.
+        """
+        if samples.dtype != np.float64:
+            raise ValidationError(f"samples must be float64, got {samples.dtype}")
+        signal = object.__new__(cls)
+        for name, value in (("grid", grid), ("samples", samples), ("unit", unit)):
+            object.__setattr__(signal, name, value)
+        samples.setflags(write=False)
+        signal._check()
+        return signal
+
+    def _check(self):
+        if self.unit not in self._UNITS:
+            raise ValidationError(f"unknown unit {self.unit!r}")
+        if self.samples.shape != (self.grid.num_samples,):
+            raise ValidationError(
+                f"samples length {self.samples.shape} does not match grid "
+                f"num_samples {self.grid.num_samples}")
+        if not np.isfinite(self.samples).all():
+            raise ValidationError("signal contains non-finite samples")
 
     def __len__(self) -> int:
         return self.grid.num_samples
@@ -220,7 +244,7 @@ def synthesize_tone(grid: SimGrid, tone: ToneSpec) -> SampledSignal:
         raise AliasingError(tone.frequency, grid.nyquist, "tone")
     k = grid.bin_index(tone.frequency, "tone")
     samples = tone.peak_amplitude() * _cos_basis(grid.num_samples, k, tone.phase)
-    return SampledSignal(grid=grid, samples=samples, unit="volt")
+    return SampledSignal._adopt(grid, samples, "volt")
 
 
 def bin_value(signal: SampledSignal, frequency: float) -> complex:
@@ -230,13 +254,18 @@ def bin_value(signal: SampledSignal, frequency: float) -> complex:
     it is deliberately independent of the FFT paths used elsewhere so the
     two can cross-check each other.  The DC bin returns the record mean.
     """
+    return _bin_value(signal, frequency, _exp_basis)
+
+
+def _bin_value(signal: SampledSignal, frequency: float, exp_basis) -> complex:
+    """:func:`bin_value` against the basis ``exp_basis(N, k)`` returns."""
     grid = signal.grid
     k = grid.bin_index(frequency, "bin readout")
     if frequency >= grid.nyquist:
         raise AliasingError(frequency, grid.nyquist, "bin readout")
     if k < 0:
         raise ValidationError(f"negative frequency {frequency!r}")
-    c = np.dot(signal.samples, _exp_basis(grid.num_samples, k))
+    c = np.dot(signal.samples, exp_basis(grid.num_samples, k))
     scale = 1.0 / grid.num_samples if k == 0 else 2.0 / grid.num_samples
     return complex(c * scale)
 
@@ -249,14 +278,20 @@ def bin_amplitude(signal: SampledSignal, frequency: float) -> SpectrumLine:
 def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tuple[SpectrumLine, ...]:
     """Rays at k * fundamental for k = 1..order.
 
-    All requested harmonics must be below Nyquist.
+    All requested harmonics must be below Nyquist.  Each ray is read once,
+    so its basis is computed without entering the memo that repeated
+    readouts reuse.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if order * fundamental >= signal.grid.nyquist:
         raise AliasingError(order * fundamental, signal.grid.nyquist,
                             f"harmonic {order} of {fundamental!r}")
-    return tuple(bin_amplitude(signal, k * fundamental) for k in range(1, order + 1))
+    return tuple(
+        SpectrumLine.from_amplitude(
+            k * fundamental,
+            abs(_bin_value(signal, k * fundamental, _exp_basis.__wrapped__)))
+        for k in range(1, order + 1))
 
 
 def white_noise(grid: SimGrid, density: float, seed: int,
@@ -271,7 +306,7 @@ def white_noise(grid: SimGrid, density: float, seed: int,
     if density < 0:
         raise ValueError(f"noise density must be >= 0, got {density!r}")
     if density == 0.0:
-        return SampledSignal(grid=grid, samples=np.zeros(grid.num_samples), unit="volt")
+        return SampledSignal._adopt(grid, np.zeros(grid.num_samples), "volt")
     rng = np.random.default_rng(seed)
     sigma = density * math.sqrt(grid.sample_rate / 2.0)
     samples = rng.standard_normal(grid.num_samples) * sigma
@@ -287,7 +322,7 @@ def white_noise(grid: SimGrid, density: float, seed: int,
         keep[0] = False
         spectrum[~keep] = 0.0
         samples = np.fft.irfft(spectrum, grid.num_samples)
-    return SampledSignal(grid=grid, samples=samples, unit="volt")
+    return SampledSignal._adopt(grid, samples, "volt")
 
 
 class BandNoiseStats(NamedTuple):
@@ -349,10 +384,9 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
     used = noise_band_bins(grid, band_center, band_width, segments, mask_frequencies)
     seg_len = grid.num_samples // segments
     chunks = signal.samples.reshape(segments, seg_len)
-    spectra = np.fft.rfft(chunks, axis=1)
+    band = np.fft.rfft(chunks, axis=1)[:, used]
     # One-sided periodogram in V^2/Hz.
-    psd = (np.abs(spectra) ** 2) * (2.0 / (grid.sample_rate * seg_len))
-    band_psd = psd[:, used]
+    band_psd = (np.abs(band) ** 2) * (2.0 / (grid.sample_rate * seg_len))
     mean_power = float(band_psd.mean())
     per_segment = band_psd.mean(axis=1)
     spread = float(per_segment.std(ddof=1) / math.sqrt(segments) / mean_power) \

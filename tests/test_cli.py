@@ -98,6 +98,18 @@ class TestConfigLoading:
         ("sweeps:\n  nf:\n    segments: 2\n", "sweeps.nf.segments"),
         ("sweeps:\n  nf:\n    band_width_hz: 1.0e+3\n", "sweeps.nf.band_width_hz"),
         ("sweeps:\n  nf:\n    probe_power_dbm: abc\n", "sweeps.nf.probe_power_dbm"),
+        # Integer fields: no overflow traceback, no silent truncation.
+        ("scenario:\n  grid:\n    bins_per_unit: .inf\n", "scenario.grid.bins_per_unit"),
+        ("sweeps:\n  nf:\n    grid:\n      bins_per_unit: .inf\n",
+         "sweeps.nf.grid.bins_per_unit"),
+        ("scenario:\n  grid:\n    samples_per_lo_period: 128.5\n",
+         "scenario.grid.samples_per_lo_period"),
+        ("sweeps:\n  nf:\n    segments: 32.9\n", "sweeps.nf.segments"),
+        ("sweeps:\n  harmonics:\n    order: 2.5\n", "sweeps.harmonics.order"),
+        ("sweeps:\n  transient:\n    decimation: 1.5\n", "sweeps.transient.decimation"),
+        ("sweeps:\n  transient:\n    decimation: true\n", "sweeps.transient.decimation"),
+        # The noise figure needs input noise to measure.
+        ("scenario:\n  noise:\n    input_density: 0.0\n", "scenario.noise.input_density"),
     ])
     def test_sweep_setting_run_would_reject(self, tmp_path, capsys, text, field):
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
@@ -108,9 +120,14 @@ class TestConfigLoading:
 
     def test_sweep_setting_of_unrequested_measurement_ignored(self):
         cfg = loads_config("measurements: [cg]\n"
+                           "scenario:\n  noise:\n    input_density: 0.0\n"
                            "sweeps:\n  p1db:\n    step_db: 0\n"
                            "  nf:\n    segments: 7\n")
         assert cfg.measurements == ("cg",)
+
+    def test_whole_float_accepted_as_integer(self):
+        segments = build_nf_setup(loads_config("sweeps:\n  nf:\n    segments: 16.0\n"))[1].segments
+        assert segments == 16 and isinstance(segments, int)
 
     def test_largest_grid_under_the_cap_accepted(self):
         # 32 samples per LO period x 18 x 14563 bins = 8,388,288 <= 2**23.

@@ -1,13 +1,16 @@
 """Tests for the mixer engine: transients, analytic gain, IF filter, grids."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_mixer, make_scenario
 
-from mixbench import engine
+from mixbench import devices, engine
+from mixbench.config import build_nf_setup, from_dict
+from mixbench.devices import SwitchParams
 from mixbench.engine import (
     FilterSpec,
     ScaledPlan,
@@ -19,7 +22,60 @@ from mixbench.engine import (
     simulate,
 )
 from mixbench.errors import AliasingError, CoherenceError, ValidationError
-from mixbench.signals import SimGrid, ToneSpec, bin_amplitude, bin_value, synthesize_tone
+from mixbench.metrics import noise_figure_setup, two_tone_variant
+from mixbench.signals import (
+    SimGrid,
+    ToneSpec,
+    bin_amplitude,
+    bin_value,
+    synthesize_tone,
+    white_noise,
+)
+
+
+def reference_simulate(s):
+    """Node waveforms of ``simulate`` by out-of-place arithmetic.
+
+    Every expression builds a new array, term by term in the order the
+    model is written; tones use the direct cosine formula.
+    """
+    grid = s.grid
+    n = np.arange(grid.num_samples)
+
+    def tone(t):
+        k = grid.bin_index(t.frequency)
+        return t.peak_amplitude() * np.cos(2.0 * np.pi * k * n / grid.num_samples
+                                           + t.phase)
+
+    v_lo = tone(s.lo_tone)
+    port = np.zeros(grid.num_samples)
+    for t in s.rf_tones:
+        port = port + tone(t)
+    kappa = s.mixer.leakage.kappa
+    if kappa != 0.0:
+        port = port + kappa * v_lo
+    if s.input_noise_density > 0.0:
+        port = port + white_noise(grid, s.input_noise_density, s.noise_seed,
+                                  band=s.input_noise_band).samples
+    p = s.mixer.transconductor
+    i_s = p.gm * p.v_gs1 + p.gm * port
+    if p.a2 != 0.0:
+        i_s = i_s + p.a2 * port * port
+    if p.a3 != 0.0:
+        i_s = i_s + p.a3 * port * port * port
+    sw = s.mixer.switch
+    if sw.mode == "ideal_sign":
+        switch = np.where(v_lo >= 0.0, 1.0, -1.0)
+    else:
+        switch = np.tanh(v_lo / sw.v_sw)
+    i_out = i_s * switch
+    v_out = s.mixer.load.rd * i_out
+    return {"v_rf_port": port, "i_s": i_s, "i_out": i_out, "v_out": v_out}
+
+
+def nf_probe_scenario():
+    scenario, settings = build_nf_setup(from_dict({}))
+    return noise_figure_setup(scenario, settings)[1]
 
 
 class TestAnalyticGain:
@@ -174,6 +230,97 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             Scenario(mixer=make_mixer(), grid=plan.grid(), rf_tones=(),
                      lo_tone=ToneSpec(frequency=72.0, amplitude=1.0))
+
+
+class TestInPlaceArithmetic:
+    """``simulate`` sums and scales in place, with the reference's every bit."""
+
+    CASES = {
+        "ideal switch": lambda: make_scenario(
+            mixer=make_mixer(a3=-0.696, kappa=0.01303)),
+        "smooth switch": lambda: make_scenario(
+            mixer=make_mixer(a3=-0.696, kappa=0.01303, switch_mode="smooth")),
+        "a2 and a3": lambda: make_scenario(
+            mixer=make_mixer(a2=0.02, a3=-0.696, kappa=0.01303), rf_power_dbm=-10.0),
+        "kappa 0, a2 only": lambda: make_scenario(
+            mixer=make_mixer(a2=-0.05, kappa=0.0), rf_phase=0.4),
+        "two tones": lambda: two_tone_variant(make_scenario(
+            mixer=make_mixer(a3=-0.696, kappa=0.01303), rf_power_dbm=-15.0), 1.0),
+        "band-limited noise": lambda: make_scenario(
+            mixer=make_mixer(a3=-0.696, kappa=0.01303), noise_density=1e-9,
+            noise_band=(0.0, 200.0), seed=5),
+        "silent tone, white noise": lambda: make_scenario(
+            mixer=make_mixer(v_gs1=0.0), rf_amplitude=0.0, noise_density=1e-9),
+        "NF probe period": nf_probe_scenario,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_match_reference(self, case):
+        s = self.CASES[case]()
+        expected = reference_simulate(s)
+        engine._lo_drive.cache_clear()
+        for result in (simulate(s), simulate(s)):  # LO drive built, then reused
+            for node, samples in expected.items():
+                got = getattr(result, node).samples
+                assert np.array_equal(got, samples), node
+                assert got.tobytes() == samples.tobytes(), node
+
+    def test_nonfinite_intermediate_rejected(self):
+        # The cubic term overflows to -inf at a 1e200 V drive.
+        s = make_scenario(mixer=make_mixer(a3=-0.696), rf_amplitude=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                simulate(s)
+
+    def test_every_node_is_read_only(self):
+        result = simulate(make_scenario(noise_density=1e-9, if_filter_cutoff=8.0))
+        for node in ("v_rf_port", "i_s", "i_out", "v_out", "v_out_filtered"):
+            samples = getattr(result, node).samples
+            assert not samples.flags.writeable, node
+            with pytest.raises(ValueError):
+                samples[0] = 1.0
+
+
+class TestLoDriveMemo:
+    def test_equal_key_returns_the_same_read_only_signals(self):
+        engine._lo_drive.cache_clear()
+        s = make_scenario()
+        v_lo, sw = engine._lo_drive(s.grid, s.lo_tone, s.mixer.switch)
+        again = engine._lo_drive(
+            SimGrid(sample_rate=s.grid.sample_rate, num_samples=s.grid.num_samples),
+            replace(s.lo_tone), SwitchParams())
+        assert again[0] is v_lo and again[1] is sw
+        assert v_lo.unit == "volt" and sw.unit == "dimensionless"
+        assert not v_lo.samples.flags.writeable
+        assert not sw.samples.flags.writeable
+
+    def test_switch_waveform_built_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting_switch(p, v_lo):
+            calls.append(v_lo.grid.num_samples)
+            return devices.switch_waveform(p, v_lo)
+
+        engine._lo_drive.cache_clear()
+        monkeypatch.setattr(engine, "switch_waveform", counting_switch)
+        s = make_scenario()
+        for power in (-40.0, -30.0, -20.0):
+            simulate(s.with_rf_power(power))
+        simulate(two_tone_variant(s, 1.0))
+        simulate(make_scenario(samples_per_lo_period=64))
+        assert calls == [9216, 4608]
+        engine._lo_drive.cache_clear()
+
+    def test_bounded(self):
+        engine._lo_drive.cache_clear()
+        grid = SimGrid(sample_rate=64.0, num_samples=64)
+        for i in range(engine._LO_DRIVE_CACHE_SIZE + 3):
+            engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0, phase=0.1 * i),
+                             SwitchParams())
+        info = engine._lo_drive.cache_info()
+        assert info.maxsize == engine._LO_DRIVE_CACHE_SIZE
+        assert info.currsize == engine._LO_DRIVE_CACHE_SIZE
+        assert info.misses == engine._LO_DRIVE_CACHE_SIZE + 3
 
 
 class TestIfFilter:

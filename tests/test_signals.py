@@ -254,6 +254,16 @@ class TestHarmonicTable:
         for line in lines[1:]:
             assert line.amplitude < 1e-9
 
+    def test_rays_bypass_the_basis_memo(self):
+        grid = make_grid(1024.0, 1024)
+        rng = np.random.default_rng(3)
+        sig = SampledSignal(grid=grid, samples=rng.standard_normal(1024))
+        signals._exp_basis.cache_clear()
+        lines = harmonic_table(sig, 10.0, 6)
+        assert signals._exp_basis.cache_info().currsize == 0
+        for k, line in enumerate(lines, start=1):
+            assert line == bin_amplitude(sig, 10.0 * k)
+
     def test_order_beyond_nyquist_rejected(self):
         grid = make_grid(256.0, 256)
         sig = synthesize_tone(grid, ToneSpec(frequency=30.0, amplitude=1.0))
@@ -333,6 +343,20 @@ class TestWhiteNoise:
                             mask_frequencies=[tone_freq])
         assert est == pytest.approx(1e-9, rel=0.05)
 
+    def test_band_statistics_match_full_periodogram(self):
+        # Squaring only the band columns gives the full periodogram's bits.
+        grid = make_grid(1024.0, 4096)
+        sig = white_noise(grid, 1e-3, seed=11)
+        used = signals.noise_band_bins(grid, 200.0, 100.0, 16, (180.0,))
+        seg_len = grid.num_samples // 16
+        psd = (np.abs(np.fft.rfft(sig.samples.reshape(16, seg_len), axis=1)) ** 2) \
+            * (2.0 / (grid.sample_rate * seg_len))
+        mean_power = float(psd[:, used].mean())
+        stats = signals._band_noise_stats(sig, 200.0, 100.0, 16, (180.0,))
+        assert stats.density == math.sqrt(mean_power)
+        assert stats.relative_spread == float(
+            psd[:, used].mean(axis=1).std(ddof=1) / math.sqrt(16) / mean_power)
+
     def test_segment_divisibility_required(self):
         grid = make_grid(1000.0, 1000)
         sig = SampledSignal(grid=grid, samples=np.zeros(1000))
@@ -379,3 +403,58 @@ class TestSampledSignal:
         sig = SampledSignal(grid=grid, samples=np.zeros(grid.num_samples))
         with pytest.raises(ValueError):
             sig.samples[0] = 1.0
+
+    def test_public_constructor_copies(self):
+        grid = make_grid()
+        mine = np.arange(float(grid.num_samples))
+        sig = SampledSignal(grid=grid, samples=mine)
+        mine[0] = 99.0
+        assert sig.samples[0] == 0.0
+        assert mine.flags.writeable
+        assert sig.samples.dtype == np.float64
+
+    def test_adopt_takes_the_array_without_copying(self):
+        grid = make_grid()
+        fresh = np.ones(grid.num_samples)
+        sig = SampledSignal._adopt(grid, fresh, "ampere")
+        assert sig.samples is fresh and sig.unit == "ampere"
+        assert not fresh.flags.writeable
+
+    @pytest.mark.parametrize("samples, unit", [
+        (np.zeros(10), "volt"),
+        (np.full(256, np.inf), "volt"),
+        (np.zeros(256), "watt"),
+        (np.zeros(256, dtype=np.float32), "volt"),
+    ])
+    def test_adopt_checks_like_the_constructor(self, samples, unit):
+        with pytest.raises(ValidationError):
+            SampledSignal._adopt(make_grid(), samples, unit)
+
+    def test_package_signals_are_read_only(self):
+        from mixbench.devices import (
+            LeakageParams,
+            SwitchParams,
+            TransconductorParams,
+            lo_leakage_at_rf_port,
+            switch_waveform,
+            transconductor_current,
+        )
+        from mixbench.engine import FilterSpec, apply_if_filter
+
+        grid = make_grid()
+        tone = synthesize_tone(grid, ToneSpec(frequency=8.0, amplitude=0.5))
+        built = [
+            tone,
+            white_noise(grid, 0.0, seed=1),
+            white_noise(grid, 1e-3, seed=1),
+            white_noise(grid, 1e-3, seed=1, band=(10.0, 40.0)),
+            transconductor_current(TransconductorParams(gm=0.03, a2=0.1, a3=-0.5), tone),
+            switch_waveform(SwitchParams(), tone),
+            switch_waveform(SwitchParams(mode="smooth"), tone),
+            lo_leakage_at_rf_port(LeakageParams(kappa=0.01), tone),
+            apply_if_filter(FilterSpec(cutoff=20.0), tone),
+        ]
+        for sig in built:
+            assert not sig.samples.flags.writeable
+            with pytest.raises(ValueError):
+                sig.samples[0] = 1.0
