@@ -48,14 +48,11 @@ from .errors import (
 from .metrics import (
     REFERENCE_65NM,
     GainSweepPoint,
-    MeasurementPlan,
-    MetricsReport,
     NoiseFigureResult,
     NoiseFigureSettings,
     P1dBResult,
     ReferenceDesign,
     TwoToneResult,
-    build_report,
     measure_conversion_gain,
     measure_iip3,
     measure_isolation,

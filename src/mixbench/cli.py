@@ -14,10 +14,15 @@ Commands
 Exit codes: 0 success, 1 at least one measurement failed, 2 bad
 configuration, 3 I/O failure.
 
+Every measurement runs through one table, ``REGISTRY``: in
+``config.ALL_MEASUREMENTS`` order it names each measurement, the entry
+that runs it and writes its tables, and its summary.txt row.  One loop runs
+the requested entries and records a failing entry's error in its place.
+
 Outputs contain no timestamps, so identical configs produce byte-identical
-files.  Ray measurements (gain, compression, intercept, isolation,
-harmonics) run on a noise-free copy of the scenario; the configured noise
-only enters the noise-figure and transient outputs.
+files.  Gain, compression, intercept and isolation run on a noise-free copy
+of the scenario; the configured noise enters only the noise-figure,
+harmonic and transient outputs.
 """
 
 from __future__ import annotations
@@ -27,16 +32,25 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_nf_setup, build_plan, build_scenario, load_config, measurement_plan
+from .config import (
+    RunConfig,
+    _number,
+    build_nf_setup,
+    build_plan,
+    build_scenario,
+    iip3_tone_spacing_units,
+    load_config,
+)
 from .devices import dc_power
-from .engine import TransientResult, analytic_conversion_gain, simulate
+from .engine import Scenario, TransientResult, analytic_conversion_gain, simulate
 from .errors import MixbenchError, ValidationError
 from .metrics import (
     REFERENCE_65NM,
@@ -125,138 +139,151 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
     return written
 
 
-def _execute(cfg: RunConfig, out_dir: str) -> Tuple[Dict, List[str]]:
-    """Run every requested measurement; return summary dict and file list."""
-    fmt = cfg.output_format
-    plan = build_plan(cfg)
+@dataclass
+class RunContext:
+    """What every measurement entry reads: config, scenarios and output target.
+
+    ``quiet`` is ``scenario`` without input noise; ray measurements run on
+    it.  ``transient`` simulates ``scenario`` on first read, so harmonics
+    and transient share one simulation.
+    """
+
+    cfg: RunConfig
+    scenario: Scenario
+    quiet: Scenario
+    out_dir: str
+    fmt: str
+
+    @cached_property
+    def transient(self) -> TransientResult:
+        return simulate(self.scenario)
+
+    def write_table(self, name: str, header: Sequence[str], rows: Sequence[Sequence]):
+        _write_table(os.path.join(self.out_dir, name), header, rows, self.fmt)
+
+
+def _cg(run: RunContext) -> Dict:
+    gain = measure_conversion_gain(run.quiet)
+    analytic = analytic_conversion_gain(run.scenario.mixer)
+    ref = REFERENCE_65NM.conversion_gain_db
+    run.write_table("cg", ("measured_gain_db", "analytic_gain_db", "reference_gain_db"),
+                    [(gain, analytic, ref)])
+    return {"value_db": gain, "analytic_db": analytic, "reference_db": ref}
+
+
+def _p1db(run: RunContext) -> Dict:
+    power_range = (_number(run.cfg, "sweeps.p1db.start_dbm"),
+                   _number(run.cfg, "sweeps.p1db.stop_dbm"))
+    res = measure_p1db(run.quiet, power_range, _number(run.cfg, "sweeps.p1db.step_db"))
+    run.write_table("p1db_sweep", ("input_power_dbm", "output_power_dbm", "gain_db"),
+                    [(pt.input_power_dbm, pt.output_power_dbm, pt.gain_db)
+                     for pt in res.sweep])
+    return {"value_dbm": res.p1db_dbm,
+            "small_signal_gain_db": res.small_signal_gain_db,
+            "reference_dbm": REFERENCE_65NM.p1db_dbm}
+
+
+def _iip3(run: RunContext) -> Dict:
+    two = two_tone_variant(run.quiet, iip3_tone_spacing_units(run.cfg))
+    res = measure_iip3(two, _number(run.cfg, "sweeps.iip3.per_tone_dbm"))
+    run.write_table("iip3", ("per_tone_dbm", "p_fund_dbm", "p_im3_dbm", "delta_db",
+                             "iip3_dbm"),
+                    [(res.per_tone_dbm, res.p_fund_dbm, res.p_im3_dbm, res.delta_db,
+                      res.iip3_dbm)])
+    return {"value_dbm": res.iip3_dbm, "delta_db": res.delta_db,
+            "p_fund_dbm": res.p_fund_dbm, "p_im3_dbm": res.p_im3_dbm,
+            "per_tone_dbm": res.per_tone_dbm, "reference_dbm": REFERENCE_65NM.iip3_dbm}
+
+
+def _isolation(run: RunContext) -> Dict:
+    iso = measure_isolation(run.quiet)
+    run.write_table("isolation", ("isolation_db",), [(iso,)])
+    return {"value_db": iso}
+
+
+def _nf(run: RunContext) -> Dict:
+    res = measure_noise_figure(*build_nf_setup(run.cfg))
+    formula = reference_formula_noise_figure()
+    ref = REFERENCE_65NM.noise_figure_db
+    run.write_table("nf", ("nf_db", "input_density_v_rthz", "output_density_v_rthz",
+                           "gain_db", "reference_formula_db"),
+                    [(res.nf_db, res.input_density, res.output_density, res.gain_db,
+                      formula)])
+    out = {"value_db": res.nf_db, "input_density_v_rthz": res.input_density,
+           "output_density_v_rthz": res.output_density, "gain_db": res.gain_db,
+           "reference_db": ref, "reference_formula_db": formula,
+           "reference_gap_db": ref - formula}
+    if res.warning:
+        out["warning"] = res.warning
+    return out
+
+
+def _harmonics(run: RunContext) -> Dict:
+    order = _number(run.cfg, "sweeps.harmonics.order", int)
+    scenario, transient = run.scenario, run.transient
+    tables = {}
+    for name, signal, fundamental in (
+            ("harmonics_rf", transient.v_rf_port, scenario.f_rf),
+            ("harmonics_out", transient.v_out, scenario.f_if)):
+        lines = harmonic_table(signal, fundamental, order)
+        run.write_table(name, ("harmonic", "frequency_hz", "amplitude_v", "power_dbm"),
+                        [(k + 1, scenario.to_hz(line.frequency), line.amplitude,
+                          line.power_dbm) for k, line in enumerate(lines)])
+        tables[name] = {"order": order, "fundamental_hz": scenario.to_hz(fundamental)}
+    return tables
+
+
+def _transient(run: RunContext) -> Dict:
+    decimation = _number(run.cfg, "sweeps.transient.decimation", int)
+    paths = emit_transient(run.transient, run.out_dir, decimation, run.fmt)
+    return {"files": [os.path.basename(p) for p in paths],
+            "rows": math.ceil(run.scenario.grid.num_samples / decimation)}
+
+
+def _power(run: RunContext) -> Dict:
+    p = dc_power(run.scenario.mixer.bias)
+    run.write_table("power", ("power_w", "reference_power_w"),
+                    [(p, REFERENCE_65NM.power_w)])
+    return {"value_w": p, "reference_w": REFERENCE_65NM.power_w}
+
+
+# Every measurement in config.ALL_MEASUREMENTS order: its name, the entry
+# that runs it and returns its summary.json entry, and its summary.txt row
+# (label, value key, unit, reference key), or None for no row.  Entries
+# call the library through this module's globals, which the benchmark's
+# layer trace rebinds, so the table holds no library function.
+REGISTRY = (
+    ("cg", _cg, ("conversion gain", "value_db", "dB", "reference_db")),
+    ("p1db", _p1db, ("1 dB compression", "value_dbm", "dBm", "reference_dbm")),
+    ("iip3", _iip3, ("IIP3", "value_dbm", "dBm", "reference_dbm")),
+    ("isolation", _isolation, ("LO->RF isolation", "value_db", "dB", None)),
+    ("nf", _nf, ("noise figure", "value_db", "dB", "reference_db")),
+    ("harmonics", _harmonics, None),
+    ("transient", _transient, None),
+    ("power", _power, ("DC power", "value_w", "W", "reference_w")),
+)
+
+
+def _measure(cfg: RunConfig, out_dir: str) -> Dict:
+    """Run every requested measurement and return the summary dict.
+
+    A measurement that fails records its error in place of its entry and
+    the others still run.
+    """
     scenario = build_scenario(cfg)
     quiet = replace(scenario, input_noise_density=0.0, input_noise_band=None)
-    mplan = measurement_plan(cfg)
-    ref = REFERENCE_65NM
-
+    run = RunContext(cfg, scenario, quiet, out_dir, cfg.output_format)
     results: Dict[str, Dict] = {}
-    files: List[str] = []
-
-    def record(name, fn):
+    for name, measure, _row in REGISTRY:
+        if name not in cfg.measurements:
+            continue
         try:
-            results[name] = fn()
+            results[name] = measure(run)
         except (MixbenchError, ValueError) as exc:
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
-
-    if "cg" in cfg.measurements:
-        def run_cg():
-            gain = measure_conversion_gain(quiet)
-            analytic = analytic_conversion_gain(scenario.mixer)
-            files.append(_write_table(
-                os.path.join(out_dir, "cg"),
-                ("measured_gain_db", "analytic_gain_db", "reference_gain_db"),
-                [(gain, analytic, ref.conversion_gain_db)], fmt))
-            return {"value_db": gain, "analytic_db": analytic,
-                    "reference_db": ref.conversion_gain_db}
-        record("cg", run_cg)
-
-    if "power" in cfg.measurements:
-        def run_power():
-            p = dc_power(scenario.mixer.bias)
-            files.append(_write_table(
-                os.path.join(out_dir, "power"),
-                ("power_w", "reference_power_w"), [(p, ref.power_w)], fmt))
-            return {"value_w": p, "reference_w": ref.power_w}
-        record("power", run_power)
-
-    if "isolation" in cfg.measurements:
-        def run_isolation():
-            iso = measure_isolation(quiet)
-            files.append(_write_table(
-                os.path.join(out_dir, "isolation"), ("isolation_db",),
-                [(iso,)], fmt))
-            return {"value_db": iso}
-        record("isolation", run_isolation)
-
-    if "p1db" in cfg.measurements:
-        def run_p1db():
-            res = measure_p1db(quiet, mplan.p1db_range, mplan.p1db_step)
-            files.append(_write_table(
-                os.path.join(out_dir, "p1db_sweep"),
-                ("input_power_dbm", "output_power_dbm", "gain_db"),
-                [(pt.input_power_dbm, pt.output_power_dbm, pt.gain_db)
-                 for pt in res.sweep], fmt))
-            return {"value_dbm": res.p1db_dbm,
-                    "small_signal_gain_db": res.small_signal_gain_db,
-                    "reference_dbm": ref.p1db_dbm}
-        record("p1db", run_p1db)
-
-    if "iip3" in cfg.measurements:
-        def run_iip3():
-            two = two_tone_variant(quiet, mplan.iip3_tone_spacing)
-            res = measure_iip3(two, mplan.iip3_per_tone_dbm)
-            files.append(_write_table(
-                os.path.join(out_dir, "iip3"),
-                ("per_tone_dbm", "p_fund_dbm", "p_im3_dbm", "delta_db",
-                 "iip3_dbm"),
-                [(res.per_tone_dbm, res.p_fund_dbm, res.p_im3_dbm,
-                  res.delta_db, res.iip3_dbm)], fmt))
-            return {"value_dbm": res.iip3_dbm, "delta_db": res.delta_db,
-                    "p_fund_dbm": res.p_fund_dbm, "p_im3_dbm": res.p_im3_dbm,
-                    "per_tone_dbm": res.per_tone_dbm,
-                    "reference_dbm": ref.iip3_dbm}
-        record("iip3", run_iip3)
-
-    if "nf" in cfg.measurements:
-        def run_nf():
-            nf_scenario, nf_settings = build_nf_setup(cfg)
-            res = measure_noise_figure(nf_scenario, nf_settings)
-            formula = reference_formula_noise_figure()
-            out = {"value_db": res.nf_db,
-                   "input_density_v_rthz": res.input_density,
-                   "output_density_v_rthz": res.output_density,
-                   "gain_db": res.gain_db,
-                   "reference_db": ref.noise_figure_db,
-                   "reference_formula_db": formula,
-                   "reference_gap_db": ref.noise_figure_db - formula}
-            if res.warning:
-                out["warning"] = res.warning
-            files.append(_write_table(
-                os.path.join(out_dir, "nf"),
-                ("nf_db", "input_density_v_rthz", "output_density_v_rthz",
-                 "gain_db", "reference_formula_db"),
-                [(res.nf_db, res.input_density, res.output_density,
-                  res.gain_db, formula)], fmt))
-            return out
-        record("nf", run_nf)
-
-    if "harmonics" in cfg.measurements or "transient" in cfg.measurements:
-        transient = simulate(scenario)
-
-    if "harmonics" in cfg.measurements:
-        def run_harmonics():
-            order = int(cfg.raw["sweeps"]["harmonics"]["order"])
-            tables = {}
-            for name, signal, fundamental in (
-                    ("harmonics_rf", transient.v_rf_port, scenario.f_rf),
-                    ("harmonics_out", transient.v_out, scenario.f_if)):
-                lines = harmonic_table(signal, fundamental, order)
-                rows = [(k + 1, scenario.to_hz(line.frequency), line.amplitude,
-                         line.power_dbm) for k, line in enumerate(lines)]
-                files.append(_write_table(
-                    os.path.join(out_dir, name),
-                    ("harmonic", "frequency_hz", "amplitude_v", "power_dbm"),
-                    rows, fmt))
-                tables[name] = {"order": order,
-                                "fundamental_hz": scenario.to_hz(fundamental)}
-            return tables
-        record("harmonics", run_harmonics)
-
-    if "transient" in cfg.measurements:
-        def run_transient():
-            decimation = int(cfg.raw["sweeps"]["transient"]["decimation"])
-            paths = emit_transient(transient, out_dir, decimation, fmt)
-            files.extend(paths)
-            return {"files": [os.path.basename(p) for p in paths],
-                    "rows": math.ceil(scenario.grid.num_samples / decimation)}
-        record("transient", run_transient)
-
-    summary = {
+    plan = build_plan(cfg)
+    ref = REFERENCE_65NM
+    return {
         "measurements": results,
         "reference": {
             "technology_um": ref.technology_um,
@@ -268,23 +295,12 @@ def _execute(cfg: RunConfig, out_dir: str) -> Tuple[Dict, List[str]]:
             "power_w": ref.power_w,
         },
         "plan": {
-            "rf_hz": cfg.raw["scenario"]["rf_hz"],
-            "lo_hz": cfg.raw["scenario"]["lo_hz"],
-            "if_hz": cfg.raw["scenario"]["rf_hz"] - cfg.raw["scenario"]["lo_hz"],
+            "rf_hz": plan.f_rf_hz,
+            "lo_hz": plan.f_lo_hz,
+            "if_hz": plan.f_rf_hz - plan.f_lo_hz,
             "internal_ratio": list(plan.ratio),
         },
     }
-    return summary, files
-
-
-_SUMMARY_ROWS = (
-    ("cg", "conversion gain", "value_db", "dB", "reference_db"),
-    ("p1db", "1 dB compression", "value_dbm", "dBm", "reference_dbm"),
-    ("iip3", "IIP3", "value_dbm", "dBm", "reference_dbm"),
-    ("isolation", "LO->RF isolation", "value_db", "dB", None),
-    ("nf", "noise figure", "value_db", "dB", "reference_db"),
-    ("power", "DC power", "value_w", "W", "reference_w"),
-)
 
 
 def render_summary_text(summary: Dict) -> str:
@@ -298,9 +314,10 @@ def render_summary_text(summary: Dict) -> str:
     lines.append(f"{'measurement':<22}{'measured':>16}{'reference':>16}")
     lines.append("-" * 54)
     meas = summary["measurements"]
-    for key, label, value_key, unit, ref_key in _SUMMARY_ROWS:
-        if key not in meas:
+    for key, _entry, row in REGISTRY:
+        if row is None or key not in meas:
             continue
+        label, value_key, unit, ref_key = row
         entry = meas[key]
         if "error" in entry:
             lines.append(f"{label:<22}{'failed':>16}{'':>16}")
@@ -324,9 +341,7 @@ def render_summary_text(summary: Dict) -> str:
         lines.append("")
         lines.append("harmonic tables written for the RF port and the output")
     if "transient" in meas and "error" not in meas["transient"]:
-        entry = meas["transient"]
-        if "error" not in entry:
-            lines.append(f"transient waveforms written ({entry['rows']} rows)")
+        lines.append(f"transient waveforms written ({meas['transient']['rows']} rows)")
     errors = {k: v["error"] for k, v in meas.items() if "error" in v}
     if errors:
         lines.append("")
@@ -380,7 +395,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         os.makedirs(args.out, exist_ok=True)
-        summary, _ = _execute(cfg, args.out)
+        summary = _measure(cfg, args.out)
         _write_outputs(cfg, summary, args.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

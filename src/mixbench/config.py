@@ -27,8 +27,8 @@ from .devices import (
 )
 from .engine import FilterSpec, MixerParams, ScaledPlan, Scenario
 from .errors import InsufficientBandwidthError, ValidationError
-from .metrics import MeasurementPlan, NoiseFigureSettings, noise_figure_setup, sweep_size
-from .signals import ToneSpec
+from .metrics import NoiseFigureSettings, noise_figure_setup, sweep_size
+from .signals import ToneSpec, dbm_to_amplitude
 
 ALL_MEASUREMENTS = ("cg", "p1db", "iip3", "isolation", "nf",
                     "harmonics", "transient", "power")
@@ -139,7 +139,7 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = copy.deepcopy(self.raw)
-        raw["scenario"]["noise"]["seed"] = int(seed)
+        raw["scenario"]["noise"]["seed"] = _noise_seed(seed)
         return RunConfig(raw=raw)
 
     def with_output_format(self, fmt: str) -> "RunConfig":
@@ -198,6 +198,9 @@ def _validate(cfg: RunConfig):
     if unknown:
         raise ValidationError(
             f"unknown measurement(s) {unknown!r}; choose from {ALL_MEASUREMENTS}")
+    repeated = sorted({m for m in meas if meas.count(m) > 1})
+    if repeated:
+        raise ValidationError(f"measurements lists {repeated!r} more than once")
     fmt = cfg.raw["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ValidationError(f"output format must be csv or json, got {fmt!r}")
@@ -207,6 +210,7 @@ def _validate(cfg: RunConfig):
         _validate_nf(cfg)
     if "iip3" in meas:
         iip3_tone_spacing_units(cfg)
+        _power_dbm(cfg, "sweeps.iip3.per_tone_dbm")
     _validate_sweeps(cfg, scenario)
 
 
@@ -219,29 +223,52 @@ def _integer(value: Any, path: str) -> int:
     raise ValidationError(f"{path} must be a whole number, got {value!r}")
 
 
-def _sweep_number(cfg: RunConfig, section: str, key: str, kind=float):
-    """The field ``sweeps.<section>.<key>`` as a finite ``kind``."""
-    value = cfg.raw["sweeps"][section][key]
+def _number(cfg: RunConfig, path: str, kind=float):
+    """The config field at the dotted ``path`` as a finite ``kind`` (float or int).
+
+    Bools, non-finite values and, for int, fractions are rejected with a
+    ValidationError naming ``path``.
+    """
+    value = cfg.raw
+    for key in path.split("."):
+        value = value[key]
     if kind is int:
-        return _integer(value, f"sweeps.{section}.{key}")
+        return _integer(value, path)
     try:
-        number = kind(value)
-        finite = math.isfinite(number)
+        number = float(value)
+        finite = math.isfinite(number) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
-        raise ValidationError(
-            f"sweeps.{section}.{key} must be a finite number, got {value!r}")
+        raise ValidationError(f"{path} must be a finite number, got {value!r}")
     return number
+
+
+def _power_dbm(cfg: RunConfig, path: str) -> float:
+    """The RF power at ``path`` in dBm; its peak voltage must be a finite float."""
+    power = _number(cfg, path)
+    try:
+        dbm_to_amplitude(power)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return power
+
+
+def _noise_seed(value: Any) -> int:
+    """``value`` as a noise seed: a non-negative whole number."""
+    seed = _integer(value, "scenario.noise.seed")
+    if seed < 0:
+        raise ValidationError(f"scenario.noise.seed must be >= 0, got {seed!r}")
+    return seed
 
 
 def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
     """Reject the sweep settings the requested measurements would fail on."""
     meas = cfg.measurements
     if "p1db" in meas:
-        start = _sweep_number(cfg, "p1db", "start_dbm")
-        stop = _sweep_number(cfg, "p1db", "stop_dbm")
-        step = _sweep_number(cfg, "p1db", "step_db")
+        start = _number(cfg, "sweeps.p1db.start_dbm")
+        stop = _number(cfg, "sweeps.p1db.stop_dbm")
+        step = _number(cfg, "sweeps.p1db.step_db")
         if stop <= start:
             raise ValidationError(
                 f"sweeps.p1db.stop_dbm ({stop!r}) must be above "
@@ -255,7 +282,7 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
         except ValidationError as exc:
             raise ValidationError(f"sweeps.p1db.step_db: {exc}") from exc
     if "harmonics" in meas:
-        order = _sweep_number(cfg, "harmonics", "order", int)
+        order = _number(cfg, "sweeps.harmonics.order", int)
         if order < 1:
             raise ValidationError(f"sweeps.harmonics.order must be >= 1, got {order!r}")
         if order * scenario.f_rf >= scenario.grid.nyquist:
@@ -263,7 +290,7 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
                 f"sweeps.harmonics.order {order!r} puts the RF tone's harmonic "
                 f"at or above Nyquist")
     if "transient" in meas:
-        decimation = _sweep_number(cfg, "transient", "decimation", int)
+        decimation = _number(cfg, "sweeps.transient.decimation", int)
         if decimation < 1:
             raise ValidationError(
                 f"sweeps.transient.decimation must be >= 1, got {decimation!r}")
@@ -271,9 +298,6 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
 
 def _validate_nf(cfg: RunConfig):
     """Reject the noise-figure settings the measurement would fail on."""
-    segments = _sweep_number(cfg, "nf", "segments", int)
-    width = _sweep_number(cfg, "nf", "band_width_hz")
-    _sweep_number(cfg, "nf", "probe_power_dbm")
     scenario, settings = build_nf_setup(cfg)
     if not scenario.input_noise_density > 0:
         raise ValidationError(
@@ -283,34 +307,32 @@ def _validate_nf(cfg: RunConfig):
         noise_figure_setup(scenario, settings)
     except (ValidationError, InsufficientBandwidthError) as exc:
         raise ValidationError(
-            f"sweeps.nf.segments {segments!r} and sweeps.nf.band_width_hz "
-            f"{width!r} admit no noise reading on the "
-            f"{scenario.grid.num_samples}-sample NF grid: {exc}") from exc
+            f"sweeps.nf.segments {settings.segments!r} and sweeps.nf.band_width_hz "
+            f"{cfg.raw['sweeps']['nf']['band_width_hz']!r} admit no noise reading "
+            f"on the {scenario.grid.num_samples}-sample NF grid: {exc}") from exc
 
 
 def _mixer_from(cfg: RunConfig) -> MixerParams:
-    m = cfg.raw["scenario"]["mixer"]
+    def number(key: str) -> float:
+        return _number(cfg, f"scenario.mixer.{key}")
+
     return MixerParams(
-        transconductor=TransconductorParams(gm=float(m["gm"]), v_gs1=float(m["v_gs1"]),
-                                            a2=float(m["a2"]), a3=float(m["a3"])),
-        switch=SwitchParams(mode=m["switch_mode"], v_sw=float(m["switch_v_sw"])),
-        load=LoadParams(rd=float(m["rd"])),
-        bias=BiasParams(vdd=float(m["vdd"]), i_bias=float(m["i_bias"])),
-        leakage=LeakageParams(kappa=float(m["kappa"])),
+        transconductor=TransconductorParams(gm=number("gm"), v_gs1=number("v_gs1"),
+                                            a2=number("a2"), a3=number("a3")),
+        switch=SwitchParams(mode=cfg.raw["scenario"]["mixer"]["switch_mode"],
+                            v_sw=number("switch_v_sw")),
+        load=LoadParams(rd=number("rd")),
+        bias=BiasParams(vdd=number("vdd"), i_bias=number("i_bias")),
+        leakage=LeakageParams(kappa=number("kappa")),
     )
 
 
 def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
     """Plan of the grid section at ``grid_path``, capped at MAX_GRID_SAMPLES."""
-    sc = cfg.raw["scenario"]
-    section = cfg.raw
-    for key in grid_path.split("."):
-        section = section[key]
     plan = ScaledPlan(
-        f_rf_hz=float(sc["rf_hz"]), f_lo_hz=float(sc["lo_hz"]),
-        bins_per_unit=_integer(section["bins_per_unit"], f"{grid_path}.bins_per_unit"),
-        samples_per_lo_period=_integer(section["samples_per_lo_period"],
-                                       f"{grid_path}.samples_per_lo_period"))
+        f_rf_hz=_number(cfg, "scenario.rf_hz"), f_lo_hz=_number(cfg, "scenario.lo_hz"),
+        bins_per_unit=_number(cfg, f"{grid_path}.bins_per_unit", int),
+        samples_per_lo_period=_number(cfg, f"{grid_path}.samples_per_lo_period", int))
     if plan.num_samples > MAX_GRID_SAMPLES:
         raise ValidationError(
             f"{grid_path}.bins_per_unit {plan.bins_per_unit} and "
@@ -323,29 +345,29 @@ def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
 def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
     sc = cfg.raw["scenario"]
     rf_tone = ToneSpec(frequency=float(plan.rf_bin),
-                       power_dbm=float(sc["rf_power_dbm"]),
-                       phase=float(sc["rf_phase_rad"]))
-    lo_phase = sc["lo_phase_rad"]
+                       power_dbm=_power_dbm(cfg, "scenario.rf_power_dbm"),
+                       phase=_number(cfg, "scenario.rf_phase_rad"))
     lo_tone = ToneSpec(frequency=float(plan.lo_bin),
-                       amplitude=float(sc["lo_amplitude_v"]),
-                       phase=float(lo_phase) if lo_phase is not None
+                       amplitude=_number(cfg, "scenario.lo_amplitude_v"),
+                       phase=_number(cfg, "scenario.lo_phase_rad")
+                       if sc["lo_phase_rad"] is not None
                        else plan.lo_half_sample_phase())
-    noise = sc["noise"]
     band = None
-    if noise["bandwidth_hz"] is not None:
-        band = (0.0, float(noise["bandwidth_hz"]) / plan.hz_per_unit)
+    if sc["noise"]["bandwidth_hz"] is not None:
+        band = (0.0, _number(cfg, "scenario.noise.bandwidth_hz") / plan.hz_per_unit)
     if_filter = None
     filt = sc["if_filter"]
     if filt["enabled"]:
-        if_filter = FilterSpec(kind=filt["kind"],
-                               cutoff=float(filt["cutoff_hz"]) / plan.hz_per_unit)
+        if_filter = FilterSpec(
+            kind=filt["kind"],
+            cutoff=_number(cfg, "scenario.if_filter.cutoff_hz") / plan.hz_per_unit)
     return Scenario(
         mixer=_mixer_from(cfg),
         grid=plan.grid(),
         rf_tones=(rf_tone,),
         lo_tone=lo_tone,
-        noise_seed=int(noise["seed"]),
-        input_noise_density=float(noise["input_density"]),
+        noise_seed=_noise_seed(sc["noise"]["seed"]),
+        input_noise_density=_number(cfg, "scenario.noise.input_density"),
         input_noise_band=band,
         if_filter=if_filter,
         frequency_scale=plan.hz_per_unit,
@@ -367,38 +389,19 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     The noise measurement needs many periodogram bins per band, so it runs
     on its own, longer grid with the same mixer and frequency plan.
     """
-    nf_cfg = cfg.raw["sweeps"]["nf"]
     plan = _plan_from(cfg, "sweeps.nf.grid")
     scenario = _scenario_on_plan(cfg, plan)
-    width = float(nf_cfg["band_width_hz"]) / plan.hz_per_unit
+    width = _number(cfg, "sweeps.nf.band_width_hz") / plan.hz_per_unit
     settings = NoiseFigureSettings(
         input_band_width=width,
         output_band_width=width,
-        segments=_sweep_number(cfg, "nf", "segments", int),
-        probe_power_dbm=float(nf_cfg["probe_power_dbm"]),
+        segments=_number(cfg, "sweeps.nf.segments", int),
+        probe_power_dbm=_power_dbm(cfg, "sweeps.nf.probe_power_dbm"),
     )
     return scenario, settings
 
 
 def iip3_tone_spacing_units(cfg: RunConfig) -> float:
-    plan = build_plan(cfg)
-    spacing_hz = float(cfg.raw["sweeps"]["iip3"]["tone_spacing_hz"])
-    return plan.to_internal(spacing_hz, "IIP3 tone spacing")
-
-
-def measurement_plan(cfg: RunConfig) -> MeasurementPlan:
-    """Translate the config's sweep sections into a MeasurementPlan."""
-    sw = cfg.raw["sweeps"]
-    nf_settings = None
-    if "nf" in cfg.measurements:
-        _, nf_settings = build_nf_setup(cfg)
-    core = tuple(m for m in cfg.measurements if m in MeasurementPlan.KNOWN)
-    return MeasurementPlan(
-        measurements=core if core else ("cg",),
-        p1db_range=(float(sw["p1db"]["start_dbm"]), float(sw["p1db"]["stop_dbm"])),
-        p1db_step=float(sw["p1db"]["step_db"]),
-        iip3_per_tone_dbm=float(sw["iip3"]["per_tone_dbm"]),
-        iip3_tone_spacing=iip3_tone_spacing_units(cfg) if "iip3" in cfg.measurements
-        else None,
-        nf_settings=nf_settings,
-    )
+    """The IIP3 tone spacing in internal grid units; it must fall on a bin."""
+    spacing_hz = _number(cfg, "sweeps.iip3.tone_spacing_hz")
+    return build_plan(cfg).to_internal(spacing_hz, "sweeps.iip3.tone_spacing_hz")

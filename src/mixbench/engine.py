@@ -270,6 +270,10 @@ def plan_ratio(f_rf_hz: float, f_lo_hz: float,
     f_if_hz = f_rf_hz - f_lo_hz
     frac = Fraction(f_rf_hz / f_if_hz).limit_denominator(max_denominator)
     n_rf, d = frac.numerator, frac.denominator
+    if n_rf <= d:
+        raise ValidationError(
+            f"f_lo={f_lo_hz!r} Hz is too small against f_rf={f_rf_hz!r} Hz to "
+            f"fall on a grid bin")
     if abs(n_rf / d - f_rf_hz / f_if_hz) > 1e-9 * (f_rf_hz / f_if_hz):
         raise ValidationError(
             f"RF/IF ratio {f_rf_hz / f_if_hz!r} has no small integer form; "
@@ -337,9 +341,8 @@ class ScaledPlan:
     def to_internal(self, f_hz: float, context: str = "") -> float:
         """Convert a physical frequency to internal grid units (exact bins)."""
         units = f_hz / self.hz_per_unit
-        k = round(units)
-        if abs(units - k) > 1e-9 * max(1.0, abs(units)):
+        if not math.isfinite(units) or abs(units - round(units)) > 1e-9 * max(1.0, abs(units)):
             raise ValidationError(
                 f"frequency {f_hz!r} Hz does not fall on the scaled grid"
                 + (f" ({context})" if context else ""))
-        return float(k)
+        return float(round(units))

@@ -16,15 +16,13 @@ spectrum analyzer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
-from .devices import dc_power
 from .engine import Scenario, simulate
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
-    MixbenchError,
     NoCompressionError,
     StimulusTooHotError,
     ValidationError,
@@ -35,7 +33,6 @@ from .signals import (
     _band_noise_stats,
     amplitude_to_dbm,
     bin_amplitude,
-    dbm_to_amplitude,
     noise_band_bins,
 )
 
@@ -366,7 +363,7 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
 
 
 # ---------------------------------------------------------------------------
-# Report assembly
+# Reference design
 
 
 @dataclass(frozen=True)
@@ -395,108 +392,3 @@ def reference_formula_noise_figure(ref: ReferenceDesign = REFERENCE_65NM) -> flo
     return noise_figure_from_densities(ref.output_noise_density,
                                        ref.input_noise_density,
                                        ref.simulated_gain_db)
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Which measurements to run and with what sweep settings."""
-
-    measurements: Tuple[str, ...] = ("cg", "p1db", "iip3", "isolation", "nf", "power")
-    p1db_range: Tuple[float, float] = (-40.0, 0.0)
-    p1db_step: float = 0.5
-    iip3_per_tone_dbm: float = -40.0
-    iip3_tone_spacing: Optional[float] = None
-    nf_settings: Optional[NoiseFigureSettings] = None
-
-    KNOWN = ("cg", "p1db", "iip3", "isolation", "nf", "power")
-
-    def __post_init__(self):
-        unknown = [m for m in self.measurements if m not in self.KNOWN]
-        if unknown:
-            raise ValidationError(f"unknown measurements {unknown!r}")
-        if not self.measurements:
-            raise ValidationError("at least one measurement must be requested")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Measured figures of merit beside the reference design values.
-
-    A field is None when its measurement was not requested or failed; the
-    failure reason is then recorded in ``errors`` under the measurement name.
-    """
-
-    conversion_gain_db: Optional[float] = None
-    p1db_dbm: Optional[float] = None
-    iip3_dbm: Optional[float] = None
-    isolation_db: Optional[float] = None
-    noise_figure_db: Optional[float] = None
-    power_w: Optional[float] = None
-    analytic_gain_db: Optional[float] = None
-    errors: Dict[str, str] = field(default_factory=dict)
-    details: Dict[str, object] = field(default_factory=dict)
-    reference: ReferenceDesign = REFERENCE_65NM
-
-
-def build_report(s: Scenario, plan: MeasurementPlan,
-                 nf_scenario: Optional[Scenario] = None) -> MetricsReport:
-    """Run the selected measurements, recording per-field failures.
-
-    One failing measurement never aborts the others.  ``nf_scenario`` lets
-    the caller supply a dedicated (typically longer) record for the noise
-    measurement; it defaults to the main scenario.
-    """
-    from .engine import analytic_conversion_gain
-
-    values: Dict[str, Optional[float]] = {}
-    errors: Dict[str, str] = {}
-    details: Dict[str, object] = {}
-
-    def attempt(name, fn):
-        try:
-            return fn()
-        except (MixbenchError, ValueError) as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
-            return None
-
-    if "cg" in plan.measurements:
-        values["cg"] = attempt("cg", lambda: measure_conversion_gain(s))
-    if "p1db" in plan.measurements:
-        res = attempt("p1db", lambda: measure_p1db(s, plan.p1db_range, plan.p1db_step))
-        if res is not None:
-            values["p1db"] = res.p1db_dbm
-            details["p1db"] = res
-    if "iip3" in plan.measurements:
-        def run_iip3():
-            two = two_tone_variant(s, plan.iip3_tone_spacing)
-            return measure_iip3(two, plan.iip3_per_tone_dbm)
-        res = attempt("iip3", run_iip3)
-        if res is not None:
-            values["iip3"] = res.iip3_dbm
-            details["iip3"] = res
-    if "isolation" in plan.measurements:
-        values["isolation"] = attempt("isolation", lambda: measure_isolation(s))
-    if "nf" in plan.measurements:
-        def run_nf():
-            if plan.nf_settings is None:
-                raise ValidationError("noise figure requested without nf_settings")
-            return measure_noise_figure(nf_scenario if nf_scenario is not None else s,
-                                        plan.nf_settings)
-        res = attempt("nf", run_nf)
-        if res is not None:
-            values["nf"] = res.nf_db
-            details["nf"] = res
-    if "power" in plan.measurements:
-        values["power"] = attempt("power", lambda: dc_power(s.mixer.bias))
-
-    return MetricsReport(
-        conversion_gain_db=values.get("cg"),
-        p1db_dbm=values.get("p1db"),
-        iip3_dbm=values.get("iip3"),
-        isolation_db=values.get("isolation"),
-        noise_figure_db=values.get("nf"),
-        power_w=values.get("power"),
-        analytic_gain_db=analytic_conversion_gain(s.mixer),
-        errors=errors,
-        details=details,
-    )

@@ -212,9 +212,19 @@ def amplitude_to_dbm(amplitude: float) -> float:
 
 
 def dbm_to_amplitude(power_dbm: float) -> float:
-    """Power in dBm into the 50 ohm reference -> peak voltage."""
-    power_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
-    return math.sqrt(2.0 * power_w * REFERENCE_IMPEDANCE_OHMS)
+    """Power in dBm into the 50 ohm reference -> peak voltage.
+
+    Raises ValidationError for a power whose peak voltage is not a finite
+    float (NaN, or above about 3,080 dBm).
+    """
+    try:
+        power_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
+    except OverflowError:
+        power_w = math.inf
+    amplitude = math.sqrt(2.0 * power_w * REFERENCE_IMPEDANCE_OHMS)
+    if not math.isfinite(amplitude):
+        raise ValidationError(f"{power_dbm!r} dBm has no finite peak voltage")
+    return amplitude
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

@@ -16,6 +16,7 @@ import pytest
 
 from helpers import make_mixer, make_scenario, noise_figure_grid_scenario
 
+from mixbench.config import ALL_MEASUREMENTS
 from mixbench.devices import (
     BiasParams,
     SwitchParams,
@@ -229,6 +230,15 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         b = (outs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical invocations"
     summary = json.loads((outs[0] / "summary.json").read_text())
-    assert summary["measurements"]["cg"]["value_db"] is not None
+    measured = summary["measurements"]
+    assert sorted(measured) == sorted(ALL_MEASUREMENTS)
+    assert not [name for name, entry in measured.items() if "error" in entry]
+    assert measured["cg"]["value_db"] == pytest.approx(13.5, abs=0.2)
+    assert measured["cg"]["analytic_db"] == pytest.approx(13.5556, abs=1e-3)
+    assert measured["p1db"]["value_dbm"] == pytest.approx(-11.5, abs=0.2)
+    assert measured["iip3"]["value_dbm"] == pytest.approx(-1.86, abs=0.2)
+    assert measured["isolation"]["value_db"] == pytest.approx(-37.70, abs=0.01)
+    assert measured["nf"]["value_db"] is not None
+    assert measured["power"]["value_w"] == pytest.approx(2.0e-3, rel=1e-3)
     report(10, f"two identical CLI runs produced byte-identical outputs "
                f"({len(names)} files)")

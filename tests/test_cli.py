@@ -3,19 +3,24 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixbench.cli import _write_table, emit_transient, main, render_summary_text
+from mixbench.cli import REGISTRY, _write_table, emit_transient, main, render_summary_text
 from mixbench.config import (
     ALL_MEASUREMENTS,
+    DEFAULTS,
     build_nf_setup,
     build_plan,
     build_scenario,
     from_dict,
+    iip3_tone_spacing_units,
     load_config,
     loads_config,
-    measurement_plan,
 )
 from mixbench.engine import simulate
 from mixbench.errors import ValidationError
@@ -110,6 +115,26 @@ class TestConfigLoading:
         ("sweeps:\n  transient:\n    decimation: true\n", "sweeps.transient.decimation"),
         # The noise figure needs input noise to measure.
         ("scenario:\n  noise:\n    input_density: 0.0\n", "scenario.noise.input_density"),
+        # RF powers must be finite numbers with a finite peak voltage.
+        ("sweeps:\n  iip3:\n    per_tone_dbm: abc\n", "sweeps.iip3.per_tone_dbm"),
+        ("sweeps:\n  iip3:\n    per_tone_dbm: .inf\n", "sweeps.iip3.per_tone_dbm"),
+        ("sweeps:\n  iip3:\n    per_tone_dbm: 1.0e+6\n", "sweeps.iip3.per_tone_dbm"),
+        ("scenario:\n  rf_power_dbm: 1.0e+6\n", "scenario.rf_power_dbm"),
+        ("scenario:\n  rf_power_dbm: .nan\n", "scenario.rf_power_dbm"),
+        ("sweeps:\n  nf:\n    probe_power_dbm: 1.0e+6\n", "sweeps.nf.probe_power_dbm"),
+        # The noise seed is a non-negative whole number.
+        ("scenario:\n  noise:\n    seed: -1\n", "scenario.noise.seed"),
+        ("scenario:\n  noise:\n    seed: 1.5e3\n", "scenario.noise.seed"),
+        # Scenario numbers: no traceback, no bool read as a number.
+        ("scenario:\n  mixer:\n    rd: abc\n", "scenario.mixer.rd"),
+        ("scenario:\n  mixer:\n    rd: true\n", "scenario.mixer.rd"),
+        ("scenario:\n  lo_phase_rad: abc\n", "scenario.lo_phase_rad"),
+        # Each measurement runs once.
+        ("measurements: [cg, cg]\n", "measurements"),
+        # A spacing too large for a float in grid units (0.25 Hz per unit).
+        ("measurements: [iip3]\n"
+         "scenario:\n  rf_hz: 2.0\n  lo_hz: 1.0\n  if_filter:\n    enabled: false\n"
+         "sweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+308\n", "sweeps.iip3.tone_spacing_hz"),
     ])
     def test_sweep_setting_run_would_reject(self, tmp_path, capsys, text, field):
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
@@ -151,6 +176,8 @@ class TestConfigLoading:
         cfg = from_dict({})
         assert cfg.with_seed(9).seed == 9
         assert cfg.seed == 1729  # original untouched
+        with pytest.raises(ValidationError, match=r"scenario\.noise\.seed"):
+            cfg.with_seed(-1)
 
     def test_nf_setup_uses_long_grid(self):
         cfg = from_dict({})
@@ -159,11 +186,8 @@ class TestConfigLoading:
         assert settings.segments == 32
         assert scenario.grid.num_samples % settings.segments == 0
 
-    def test_measurement_plan_translation(self):
-        cfg = from_dict({})
-        plan = measurement_plan(cfg)
-        assert plan.p1db_range == (-40.0, 0.0)
-        assert plan.iip3_tone_spacing == 1.0  # 25 MHz on the default grid
+    def test_iip3_tone_spacing_translation(self):
+        assert iip3_tone_spacing_units(from_dict({})) == 1.0  # 25 MHz on the default grid
 
 
 class TestCliRun:
@@ -193,7 +217,12 @@ class TestCliRun:
         assert cg["value_db"] == pytest.approx(13.48, abs=0.1)
         power = summary["measurements"]["power"]
         assert power["value_w"] == pytest.approx(2.0e-3, rel=1e-3)
-        assert summary["reference"]["conversion_gain_db"] == 12.42
+        reference = summary["reference"]
+        assert reference["conversion_gain_db"] == 12.42
+        assert reference["noise_figure_db"] == 8.92
+        assert reference["p1db_dbm"] == -11.5
+        assert reference["iip3_dbm"] == 6.0
+        assert reference["power_w"] == 2.0e-3
         assert (out / "cg.csv").exists()
         assert (out / "power.csv").exists()
         text = capsys.readouterr().out
@@ -212,14 +241,66 @@ class TestCliRun:
 
     def test_partial_failure_exit_code(self, tmp_path):
         path = write_config(tmp_path, (
-            "measurements: [cg, p1db]\n"
+            "measurements: [cg, p1db, iip3, isolation, power]\n"
             "scenario:\n  mixer:\n    a3: 0.0\n"))
         out = tmp_path / "out"
         assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
+        measured = json.loads((out / "summary.json").read_text())["measurements"]
+        assert "NoCompression" in measured["p1db"]["error"]
+        assert "ImmeasurableIM3" in measured["iip3"]["error"]
+        assert "value_db" in measured["cg"]
+        assert "value_db" in measured["isolation"]
+        assert "value_w" in measured["power"]
+
+    def test_unrequested_sweep_section_is_not_read(self, tmp_path):
+        path = write_config(tmp_path, (
+            "measurements: [cg]\n"
+            "sweeps:\n  p1db:\n    start_dbm: abc\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("validate", "--config", path) == 0
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert "error" in summary["measurements"]["p1db"]
-        assert "NoCompression" in summary["measurements"]["p1db"]["error"]
         assert "value_db" in summary["measurements"]["cg"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_shared_simulation_failure_fails_its_measurements(self, tmp_path):
+        # 3000 dBm has a finite peak voltage, but its cube overflows.
+        path = write_config(tmp_path, (
+            "measurements: [harmonics, transient, power]\n"
+            "scenario:\n  rf_power_dbm: 3000\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
+        measured = json.loads((out / "summary.json").read_text())["measurements"]
+        assert "non-finite" in measured["harmonics"]["error"]
+        assert "non-finite" in measured["transient"]["error"]
+        assert "value_w" in measured["power"]
+
+    def test_sweep_point_without_finite_amplitude_fails_its_measurement(self, tmp_path):
+        path = write_config(tmp_path, (
+            "measurements: [p1db, power]\n"
+            "sweeps:\n  p1db:\n    start_dbm: 3090\n    stop_dbm: 3100\n"
+            "    step_db: 5\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
+        measured = json.loads((out / "summary.json").read_text())["measurements"]
+        assert "finite peak voltage" in measured["p1db"]["error"]
+        assert "value_w" in measured["power"]
+
+    def test_run_seed_override_must_be_non_negative(self, tmp_path, capsys):
+        path = write_config(tmp_path, "measurements: [power]\n")
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out),
+                            "--seed", "-1") == 2
+        assert "scenario.noise.seed" in capsys.readouterr().err
+
+    def test_frequency_read_as_yaml_string_runs(self, tmp_path):
+        # PyYAML reads 1.9e9 (no exponent sign) as the string '1.9e9'.
+        path = write_config(tmp_path, "measurements: [power]\n"
+                                      "scenario:\n  rf_hz: 1.9e9\n")
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
+        plan = json.loads((out / "summary.json").read_text())["plan"]
+        assert plan["rf_hz"] == 1.9e9 and plan["if_hz"] == 1.0e8
 
     def test_run_is_deterministic(self, tmp_path):
         path = write_config(
@@ -274,6 +355,50 @@ class TestCliRun:
         assert meta["internal_grid"]["rf_bin"] == 76
         cfg = load_config(str(out / "effective_config.yaml"))
         assert cfg.parameter_hash() == meta["parameter_sha256"]
+
+
+def test_registry_runs_every_measurement_in_config_order():
+    assert tuple(name for name, _entry, _row in REGISTRY) == ALL_MEASUREMENTS
+
+
+def _leaf_paths(tree, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        elif key != "measurements":
+            yield prefix + (key,)
+
+
+CHEAP_MEASUREMENTS = ["cg", "power", "isolation", "harmonics", "transient"]
+ODD_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 16, 0.5, 2.5e7, 1.9e9]),           # numbers
+    st.booleans(),
+    st.text(max_size=6),
+    st.just(math.inf),
+    st.just(math.nan),
+    st.sampled_from([-1, -0.5, -40.0, -1.0e9]),                      # negatives
+)
+
+
+@given(measurements=st.lists(st.sampled_from(CHEAP_MEASUREMENTS), min_size=1,
+                             unique=True),
+       fields=st.lists(st.tuples(st.sampled_from(list(_leaf_paths(DEFAULTS))),
+                                 ODD_VALUES), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields):
+    config = {"measurements": measurements}
+    for path, value in fields:
+        section = config
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(config, fh)
+        assert main(["validate", "--config", path]) in (0, 2)
+        assert main(["run", "--config", path, "--out", os.path.join(tmp, "out")]) \
+            in (0, 1, 2, 3)
 
 
 class TestTransientOutput:

@@ -26,10 +26,8 @@ from mixbench.errors import (
 )
 from mixbench.metrics import (
     ISOLATION_FLOOR_DB,
-    MeasurementPlan,
     NoiseFigureSettings,
     REFERENCE_65NM,
-    build_report,
     measure_conversion_gain,
     measure_iip3,
     measure_isolation,
@@ -353,43 +351,3 @@ class TestNoiseFigureProbe:
         res = measure_noise_figure(s, settings)
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
-
-
-class TestBuildReport:
-    def test_full_default_report(self):
-        s = calibrated_scenario(kappa=0.01303)
-        mixer = s.mixer
-        nf_scenario, nf_settings = noise_figure_grid_scenario(
-            make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303), noise_density=0.383e-9)
-        plan = MeasurementPlan(nf_settings=nf_settings, iip3_tone_spacing=1.0)
-        report = build_report(s, plan, nf_scenario=nf_scenario)
-        assert not report.errors
-        assert report.conversion_gain_db == pytest.approx(13.5, abs=0.2)
-        assert report.p1db_dbm == pytest.approx(-11.5, abs=0.2)
-        assert report.iip3_dbm == pytest.approx(-1.86, abs=0.2)
-        assert report.isolation_db == pytest.approx(-37.70, abs=0.01)
-        assert report.noise_figure_db is not None
-        assert report.power_w == pytest.approx(2.0e-3, rel=1e-3)
-        assert report.analytic_gain_db == pytest.approx(13.5556, abs=1e-3)
-
-    def test_reference_block_is_fixed(self):
-        report = build_report(calibrated_scenario(),
-                              MeasurementPlan(measurements=("cg",)))
-        assert report.reference.conversion_gain_db == 12.42
-        assert report.reference.noise_figure_db == 8.92
-        assert report.reference.p1db_dbm == -11.5
-        assert report.reference.iip3_dbm == 6.0
-        assert report.reference.power_w == 2.0e-3
-
-    def test_partial_failure_keeps_other_fields(self):
-        s = calibrated_scenario(a3=0.0, kappa=0.01303)
-        plan = MeasurementPlan(measurements=("cg", "p1db", "iip3", "isolation",
-                                             "power"), iip3_tone_spacing=1.0)
-        report = build_report(s, plan)
-        assert "p1db" in report.errors
-        assert "iip3" in report.errors
-        assert report.p1db_dbm is None
-        assert report.iip3_dbm is None
-        assert report.conversion_gain_db is not None
-        assert report.isolation_db is not None
-        assert report.power_w is not None

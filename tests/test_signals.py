@@ -157,6 +157,11 @@ class TestDbmConversions:
         # 0.0841 V peak is the -11.5 dBm drive level.
         assert amplitude_to_dbm(0.0841) == pytest.approx(-11.5, abs=0.01)
 
+    @pytest.mark.parametrize("power_dbm", [1.0e6, 3083.0, math.inf, math.nan])
+    def test_power_without_finite_amplitude_rejected(self, power_dbm):
+        with pytest.raises(ValidationError, match="finite peak voltage"):
+            dbm_to_amplitude(power_dbm)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             amplitude_to_dbm(0.0)
