@@ -244,6 +244,14 @@ def _number(cfg: RunConfig, path: str, kind=float):
     return number
 
 
+def _positive(cfg: RunConfig, path: str, kind=float):
+    """The config field at ``path`` read by :func:`_number`; it must be > 0."""
+    value = _number(cfg, path, kind)
+    if not value > 0:
+        raise ValidationError(f"{path} must be > 0, got {value!r}")
+    return value
+
+
 def _power_dbm(cfg: RunConfig, path: str) -> float:
     """The RF power at ``path`` in dBm; its peak voltage must be a finite float."""
     power = _number(cfg, path)
@@ -282,18 +290,13 @@ def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
         except ValidationError as exc:
             raise ValidationError(f"sweeps.p1db.step_db: {exc}") from exc
     if "harmonics" in meas:
-        order = _number(cfg, "sweeps.harmonics.order", int)
-        if order < 1:
-            raise ValidationError(f"sweeps.harmonics.order must be >= 1, got {order!r}")
+        order = _positive(cfg, "sweeps.harmonics.order", int)
         if order * scenario.f_rf >= scenario.grid.nyquist:
             raise ValidationError(
                 f"sweeps.harmonics.order {order!r} puts the RF tone's harmonic "
                 f"at or above Nyquist")
     if "transient" in meas:
-        decimation = _number(cfg, "sweeps.transient.decimation", int)
-        if decimation < 1:
-            raise ValidationError(
-                f"sweeps.transient.decimation must be >= 1, got {decimation!r}")
+        _positive(cfg, "sweeps.transient.decimation", int)
 
 
 def _validate_nf(cfg: RunConfig):
@@ -354,9 +357,12 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
                        else plan.lo_half_sample_phase())
     band = None
     if sc["noise"]["bandwidth_hz"] is not None:
-        band = (0.0, _number(cfg, "scenario.noise.bandwidth_hz") / plan.hz_per_unit)
+        band = (0.0, _positive(cfg, "scenario.noise.bandwidth_hz") / plan.hz_per_unit)
     if_filter = None
     filt = sc["if_filter"]
+    if not isinstance(filt["enabled"], bool):
+        raise ValidationError(
+            f"scenario.if_filter.enabled must be true or false, got {filt['enabled']!r}")
     if filt["enabled"]:
         if_filter = FilterSpec(
             kind=filt["kind"],
@@ -402,6 +408,6 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
 
 
 def iip3_tone_spacing_units(cfg: RunConfig) -> float:
-    """The IIP3 tone spacing in internal grid units; it must fall on a bin."""
-    spacing_hz = _number(cfg, "sweeps.iip3.tone_spacing_hz")
+    """The IIP3 tone spacing in internal grid units; it must be > 0 and fall on a bin."""
+    spacing_hz = _positive(cfg, "sweeps.iip3.tone_spacing_hz")
     return build_plan(cfg).to_internal(spacing_hz, "sweeps.iip3.tone_spacing_hz")

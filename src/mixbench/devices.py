@@ -107,7 +107,11 @@ def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> Samp
     """
     if v_rf.unit != "volt":
         raise ValidationError(f"transconductor input must be volts, got {v_rf.unit!r}")
-    v = v_rf.samples
+    return SampledSignal._adopt(v_rf.grid, _transconductor(p, v_rf.samples), "ampere")
+
+
+def _transconductor(p: TransconductorParams, v: np.ndarray) -> np.ndarray:
+    """A fresh array of the drain current for gate voltages ``v``, unchecked."""
     i = p.gm * v
     i += p.gm * p.v_gs1
     term = None
@@ -120,7 +124,7 @@ def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> Samp
         term *= v
         term *= v
         i += term
-    return SampledSignal._adopt(v_rf.grid, i, "ampere")
+    return i
 
 
 def switch_waveform(p: SwitchParams, v_lo: SampledSignal) -> SampledSignal:
@@ -143,7 +147,12 @@ def lo_leakage_at_rf_port(l: LeakageParams, v_lo: SampledSignal) -> SampledSigna
     """LO voltage appearing at the RF port through the coupling path."""
     if v_lo.unit != "volt":
         raise ValidationError(f"leakage input must be volts, got {v_lo.unit!r}")
-    return SampledSignal._adopt(v_lo.grid, l.kappa * v_lo.samples, "volt")
+    return SampledSignal._adopt(v_lo.grid, _lo_leak(l, v_lo.samples), "volt")
+
+
+def _lo_leak(l: LeakageParams, v_lo: np.ndarray) -> np.ndarray:
+    """A fresh array of the leaked LO voltage for LO samples ``v_lo``."""
+    return l.kappa * v_lo
 
 
 def a1db_closed_form(p: TransconductorParams) -> float:

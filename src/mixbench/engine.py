@@ -22,7 +22,7 @@ Two grid choices keep the switching spectrum exact:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Tuple
@@ -35,15 +35,17 @@ from .devices import (
     LoadParams,
     SwitchParams,
     TransconductorParams,
-    lo_leakage_at_rf_port,
+    _lo_leak,
+    _transconductor,
     switch_waveform,
-    transconductor_current,
 )
 from .errors import AliasingError, ValidationError
 from .signals import (
     SampledSignal,
     SimGrid,
     ToneSpec,
+    _tone_samples,
+    check_noise_band,
     synthesize_tone,
     white_noise,
 )
@@ -115,6 +117,8 @@ class Scenario:
         if self.input_noise_density < 0:
             raise ValidationError(
                 f"input_noise_density must be >= 0, got {self.input_noise_density!r}")
+        if self.input_noise_band is not None:
+            check_noise_band(self.grid, self.input_noise_band)
         if self.if_filter is not None and self.if_filter.cutoff >= self.grid.nyquist:
             raise AliasingError(self.if_filter.cutoff, self.grid.nyquist, "IF filter cutoff")
         if not self.frequency_scale > 0:
@@ -142,24 +146,42 @@ class Scenario:
         return internal * self.frequency_scale
 
     def with_rf_power(self, power_dbm: float) -> "Scenario":
-        """Copy with every RF tone set to the given power."""
+        """Copy with every RF tone set to the given power.
+
+        It skips :meth:`validate`, which no power enters; a power with no
+        finite peak voltage fails in :func:`simulate`.
+        """
         tones = tuple(t.with_power(power_dbm) for t in self.rf_tones)
-        return replace(self, rf_tones=tones)
+        copied = object.__new__(type(self))
+        copied.__dict__.update(self.__dict__, rf_tones=tones)
+        return copied
+
+
+def _node(samples: str, unit: str) -> cached_property:
+    """A :class:`TransientResult` node: the array ``samples``, adopted when first read."""
+    return cached_property(lambda self: SampledSignal._adopt(
+        self.scenario.grid, getattr(self, samples), unit))
 
 
 @dataclass(frozen=True, eq=False)
 class TransientResult:
     """All node waveforms of one simulation, sharing the scenario grid.
 
-    The IF-filtered output is computed when ``v_out_filtered`` is first
-    read, and kept; most measurements read only the unfiltered nodes.
+    :func:`simulate` builds and checks ``v_out``.  The other nodes hold
+    read-only arrays and become signals when first read, and are kept; the
+    IF filter likewise runs when ``v_out_filtered`` is first read.  A sweep
+    point reads only ``v_out``.
     """
 
     scenario: Scenario
-    v_rf_port: SampledSignal        # stimulus + LO leakage + noise
-    i_s: SampledSignal              # transconductor output current
-    i_out: SampledSignal            # commutated current
     v_out: SampledSignal            # differential output voltage
+    _v_rf_port: np.ndarray          # stimulus + LO leakage + noise
+    _i_s: np.ndarray                # transconductor output current
+    _i_out: np.ndarray              # commutated current
+
+    v_rf_port = _node("_v_rf_port", "volt")
+    i_s = _node("_i_s", "ampere")
+    i_out = _node("_i_out", "ampere")
 
     @cached_property
     def v_out_filtered(self) -> Optional[SampledSignal]:
@@ -225,30 +247,31 @@ def simulate(s: Scenario) -> TransientResult:
     so identical scenarios produce identical results.  The LO voltage and
     the switch waveform come from a memo of at most ``_LO_DRIVE_CACHE_SIZE``
     (grid, LO tone, switch) entries, each two grid-sized arrays (134 MB at
-    the 2^23-sample grid cap); the LO leak, the noise and every node
-    waveform are computed on each call.  The RF port voltage is summed in
-    place, and each node waveform adopts the array it was computed into.
-    The IF filter is not applied here: the result filters ``v_out`` when
-    ``v_out_filtered`` is first read.
+    the 2^23-sample grid cap); the rest is computed on each call, on plain
+    arrays, the RF port voltage summed in place.  Only ``v_out`` is checked
+    for non-finite samples: the LO drive and the noise are checked signals,
+    ``rd`` is finite and > 0, and inf and NaN survive every later sum and
+    product (inf times a zero switch sample gives NaN).
     """
     grid = s.grid
     v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
 
     port = np.zeros(grid.num_samples)
     for tone in s.rf_tones:
-        port += synthesize_tone(grid, tone).samples
+        port += _tone_samples(grid, tone)
     if s.mixer.leakage.kappa != 0.0:
-        port += lo_leakage_at_rf_port(s.mixer.leakage, v_lo).samples
+        port += _lo_leak(s.mixer.leakage, v_lo.samples)
     if s.input_noise_density > 0.0:
         port += white_noise(grid, s.input_noise_density, s.noise_seed,
                             band=s.input_noise_band).samples
-    v_rf_port = SampledSignal._adopt(grid, port, "volt")
 
-    i_s = transconductor_current(s.mixer.transconductor, v_rf_port)
-    i_out = SampledSignal._adopt(grid, i_s.samples * sw.samples, "ampere")
-    v_out = SampledSignal._adopt(grid, s.mixer.load.rd * i_out.samples, "volt")
-    return TransientResult(scenario=s, v_rf_port=v_rf_port, i_s=i_s,
-                           i_out=i_out, v_out=v_out)
+    i_s = _transconductor(s.mixer.transconductor, port)
+    i_out = i_s * sw.samples
+    v_out = SampledSignal._adopt(grid, s.mixer.load.rd * i_out, "volt")
+    for node in (port, i_s, i_out):
+        node.setflags(write=False)
+    return TransientResult(scenario=s, v_out=v_out, _v_rf_port=port, _i_s=i_s,
+                           _i_out=i_out)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,9 @@ class SampledSignal:
     copies what the caller passes, so the caller's array stays its own;
     every signal the package computes instead adopts the fresh array it has
     just built (:meth:`_adopt`) without a copy.  Both paths check the unit,
-    the shape and that every sample is finite.
+    the shape and that every sample is finite.  ``simulate`` computes on
+    plain arrays and builds only its output voltage this way; its other
+    nodes are adopted when first read.
     """
 
     grid: SimGrid
@@ -245,16 +247,20 @@ def _exp_basis(num_samples: int, k: int) -> np.ndarray:
     return basis
 
 
+def _tone_samples(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
+    """A fresh array of ``A cos(2 pi f t + phi)`` on the grid, unchecked for finiteness."""
+    if tone.frequency >= grid.nyquist:
+        raise AliasingError(tone.frequency, grid.nyquist, "tone")
+    k = grid.bin_index(tone.frequency, "tone")
+    return tone.peak_amplitude() * _cos_basis(grid.num_samples, k, tone.phase)
+
+
 def synthesize_tone(grid: SimGrid, tone: ToneSpec) -> SampledSignal:
     """Sample ``A cos(2 pi f t + phi)`` on the grid.
 
     The tone must be coherent with the grid and strictly below Nyquist.
     """
-    if tone.frequency >= grid.nyquist:
-        raise AliasingError(tone.frequency, grid.nyquist, "tone")
-    k = grid.bin_index(tone.frequency, "tone")
-    samples = tone.peak_amplitude() * _cos_basis(grid.num_samples, k, tone.phase)
-    return SampledSignal._adopt(grid, samples, "volt")
+    return SampledSignal._adopt(grid, _tone_samples(grid, tone), "volt")
 
 
 def bin_value(signal: SampledSignal, frequency: float) -> complex:
@@ -304,6 +310,15 @@ def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tup
         for k in range(1, order + 1))
 
 
+def check_noise_band(grid: SimGrid, band: Tuple[float, float]):
+    """Raise unless ``band`` is a noise band on ``grid``: 0 <= lo < hi <= Nyquist."""
+    lo, hi = band
+    if not (0 <= lo < hi):
+        raise ValidationError(f"bad noise band {band!r}")
+    if hi > grid.nyquist:
+        raise AliasingError(hi, grid.nyquist, "noise band")
+
+
 def white_noise(grid: SimGrid, density: float, seed: int,
                 band: Optional[Tuple[float, float]] = None) -> SampledSignal:
     """Seeded Gaussian noise with one-sided density ``density`` V/sqrt(Hz).
@@ -321,11 +336,8 @@ def white_noise(grid: SimGrid, density: float, seed: int,
     sigma = density * math.sqrt(grid.sample_rate / 2.0)
     samples = rng.standard_normal(grid.num_samples) * sigma
     if band is not None:
+        check_noise_band(grid, band)
         lo, hi = band
-        if not (0 <= lo < hi):
-            raise ValidationError(f"bad noise band {band!r}")
-        if hi > grid.nyquist:
-            raise AliasingError(hi, grid.nyquist, "noise band")
         spectrum = np.fft.rfft(samples)
         freqs = np.arange(spectrum.size) * grid.resolution
         keep = (freqs >= lo) & (freqs <= hi)

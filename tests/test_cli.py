@@ -143,6 +143,35 @@ class TestConfigLoading:
         assert main(["validate", "--config", path]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        # A band white_noise rejects: not positive, or past the grid's Nyquist.
+        ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: -1.0e+6\n",
+         "scenario.noise.bandwidth_hz"),
+        ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 0\n",
+         "scenario.noise.bandwidth_hz"),
+        ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 1.0e+30\n",
+         "noise band"),
+        # Past the 28.8 GHz Nyquist of the NF grid, below the main grid's.
+        ("measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 5.0e+10\n",
+         "noise band"),
+        ("measurements: [iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: -2.5e+7\n",
+         "sweeps.iip3.tone_spacing_hz"),
+        ("scenario:\n  if_filter:\n    enabled: abc\n", "scenario.if_filter.enabled"),
+        ("scenario:\n  if_filter:\n    enabled: 1\n", "scenario.if_filter.enabled"),
+    ])
+    def test_setting_run_fails_on_is_rejected(self, tmp_path, capsys, text, named):
+        with pytest.raises(ValidationError, match=named.replace(".", r"\.")):
+            loads_config(text)
+        assert main(["validate", "--config", write_config(tmp_path, text)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_noise_band_and_filter_switch_accepted(self):
+        scenario = build_scenario(loads_config(
+            "scenario:\n  noise:\n    bandwidth_hz: 5.0e+9\n"
+            "  if_filter:\n    enabled: false\n"))
+        assert scenario.input_noise_band == (0.0, 200.0)
+        assert scenario.if_filter is None
+
     def test_sweep_setting_of_unrequested_measurement_ignored(self):
         cfg = loads_config("measurements: [cg]\n"
                            "scenario:\n  noise:\n    input_density: 0.0\n"

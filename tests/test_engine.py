@@ -24,6 +24,7 @@ from mixbench.engine import (
 from mixbench.errors import AliasingError, CoherenceError, ValidationError
 from mixbench.metrics import noise_figure_setup, two_tone_variant
 from mixbench.signals import (
+    SampledSignal,
     SimGrid,
     ToneSpec,
     bin_amplitude,
@@ -279,6 +280,93 @@ class TestInPlaceArithmetic:
             assert not samples.flags.writeable, node
             with pytest.raises(ValueError):
                 samples[0] = 1.0
+
+
+class TestCheckOnce:
+    """``simulate`` checks ``v_out`` alone; the other nodes wait to be read."""
+
+    @staticmethod
+    def count_adoptions(monkeypatch):
+        calls = []
+        adopt = SampledSignal._adopt
+
+        def counting(cls, grid, samples, unit):
+            calls.append(unit)
+            return adopt(grid, samples, unit)
+
+        monkeypatch.setattr(SampledSignal, "_adopt", classmethod(counting))
+        return calls
+
+    def test_quiet_simulation_adopts_only_v_out(self, monkeypatch):
+        s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303))
+        simulate(s)  # fills the LO drive memo
+        calls = self.count_adoptions(monkeypatch)
+        result = simulate(s)
+        assert result.v_out.unit == "volt"
+        assert calls == ["volt"]
+
+    @pytest.mark.parametrize("switch_mode, lo_amplitude", [
+        ("ideal_sign", 1.0),
+        ("smooth", 0.0),  # every switch sample is 0: inf * 0 gives NaN
+    ])
+    def test_overflowing_port_sum_rejected(self, switch_mode, lo_amplitude):
+        base = make_scenario(mixer=make_mixer(switch_mode=switch_mode),
+                             lo_amplitude=lo_amplitude)
+        f = base.f_rf
+        # Both tones peak at n = 0, where their sum is 2e308 = inf.
+        s = replace(base, rf_tones=(ToneSpec(frequency=f, amplitude=1e308),
+                                    ToneSpec(frequency=f + 1.0, amplitude=1e308)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                simulate(s)
+
+    def test_with_rf_power_equals_replace_without_revalidating(self, monkeypatch):
+        s = make_scenario(noise_density=1e-9, noise_band=(0.0, 200.0),
+                          if_filter_cutoff=8.0)
+        expected = replace(s, rf_tones=(s.rf_tones[0].with_power(-12.5),))
+        monkeypatch.setattr(Scenario, "validate", lambda self: pytest.fail("validated"))
+        copied = s.with_rf_power(-12.5)
+        assert copied == expected and hash(copied) == hash(expected)
+        assert copied.rf_tones[0].power_dbm == -12.5
+        assert s.rf_tones[0].power_dbm == -30.0
+
+    def test_power_without_finite_amplitude_fails_at_simulate(self):
+        s = make_scenario().with_rf_power(3100.0)
+        with pytest.raises(ValidationError, match="finite peak voltage"):
+            simulate(s)
+
+    def test_lazy_nodes_adopted_once_read_only_and_exact(self, monkeypatch):
+        s = make_scenario(mixer=make_mixer(a2=0.02, a3=-0.696, kappa=0.01303),
+                          noise_density=1e-9, rf_power_dbm=-10.0)
+        expected = reference_simulate(s)
+        result = simulate(s)
+        calls = self.count_adoptions(monkeypatch)
+        for node, unit in (("v_rf_port", "volt"), ("i_s", "ampere"),
+                           ("i_out", "ampere")):
+            assert node not in vars(result), node
+            signal = getattr(result, node)
+            assert getattr(result, node) is signal
+            assert calls.pop() == unit and not calls, node
+            assert signal.unit == unit and signal.grid == s.grid
+            assert not signal.samples.flags.writeable, node
+            with pytest.raises(ValueError):
+                signal.samples[0] = 1.0
+            assert signal.samples.tobytes() == expected[node].tobytes(), node
+
+
+class TestNoiseBand:
+    @pytest.mark.parametrize("band, error", [
+        ((-1.0, 200.0), ValidationError),
+        ((200.0, 200.0), ValidationError),
+        ((0.0, 4608.5), AliasingError),
+    ])
+    def test_band_white_noise_would_reject_is_rejected(self, band, error):
+        with pytest.raises(error, match="noise band"):
+            make_scenario(noise_density=1e-9, noise_band=band)
+
+    def test_band_up_to_nyquist_accepted(self):
+        s = make_scenario(noise_density=1e-9, noise_band=(0.0, 4608.0))
+        assert simulate(s).v_rf_port.unit == "volt"
 
 
 class TestLoDriveMemo:
