@@ -14,10 +14,12 @@ Commands
 Exit codes: 0 success, 1 at least one measurement failed, 2 bad
 configuration, 3 I/O failure.
 
-Every measurement runs through one table, ``REGISTRY``: in
-``config.ALL_MEASUREMENTS`` order it names each measurement, the entry
-that runs it and writes its tables, and its summary.txt row.  One loop runs
-the requested entries and records a failing entry's error in its place.
+Every measurement runs through one table, ``REGISTRY``, in two steps:
+``prepare`` reads and checks every config field it uses and builds all it
+needs without simulating, and ``measure`` simulates, reads and writes.
+``validate`` and ``run`` (before it writes anything) both call
+:func:`prepare`, so they reject the same configs with exit 2; a failure
+that depends on simulated values fails only its own measurement.
 
 Outputs contain no timestamps, so identical configs produce byte-identical
 files.  Gain, compression, intercept and isolation run on a noise-free copy
@@ -35,34 +37,36 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .config import (
     RunConfig,
-    _number,
     build_nf_setup,
-    build_plan,
     build_scenario,
-    iip3_tone_spacing_units,
     load_config,
+    naming,
 )
 from .devices import dc_power
 from .engine import Scenario, TransientResult, analytic_conversion_gain, simulate
 from .errors import MixbenchError, ValidationError
 from .metrics import (
     REFERENCE_65NM,
+    NoiseFigureSettings,
     measure_conversion_gain,
     measure_iip3,
     measure_isolation,
     measure_noise_figure,
     measure_p1db,
+    noise_figure_setup,
     reference_formula_noise_figure,
+    sweep_size,
+    two_tone_rays,
     two_tone_variant,
 )
-from .signals import harmonic_table
+from .signals import check_harmonic_order, harmonic_table
 
 EXIT_OK = 0
 EXIT_MEASUREMENT_FAILED = 1
@@ -80,20 +84,24 @@ def _json_safe(value):
     return value
 
 
+def _write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence],
                  fmt: str) -> str:
     if fmt == "json":
         path = path + ".json"
-        payload = [dict(zip(header, map(_json_safe, row))) for row in rows]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(path, _json_text([dict(zip(header, map(_json_safe, row)))
+                                      for row in rows]))
     else:
         path = path + ".csv"
-        text = _csv_body(len(header), rows)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(text)
+        _write_text(path, ",".join(header) + "\n" + _csv_body(len(header), rows))
     return path
 
 
@@ -141,28 +149,31 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
 
 @dataclass
 class RunContext:
-    """What every measurement entry reads: config, scenarios and output target.
+    """What every registry step reads: config, main scenario and output target.
 
     ``quiet`` is ``scenario`` without input noise; ray measurements run on
     it.  ``transient`` simulates ``scenario`` on first read, so harmonics
-    and transient share one simulation.
+    and transient share one simulation.  ``out_dir`` is None when the run
+    is only validated.
     """
 
     cfg: RunConfig
     scenario: Scenario
-    quiet: Scenario
-    out_dir: str
-    fmt: str
+    out_dir: Optional[str] = None
+
+    @cached_property
+    def quiet(self) -> Scenario:
+        return replace(self.scenario, input_noise_density=0.0, input_noise_band=None)
 
     @cached_property
     def transient(self) -> TransientResult:
         return simulate(self.scenario)
 
     def write_table(self, name: str, header: Sequence[str], rows: Sequence[Sequence]):
-        _write_table(os.path.join(self.out_dir, name), header, rows, self.fmt)
+        _write_table(os.path.join(self.out_dir, name), header, rows, self.cfg.output_format)
 
 
-def _cg(run: RunContext) -> Dict:
+def _cg(run: RunContext, _inputs: None) -> Dict:
     gain = measure_conversion_gain(run.quiet)
     analytic = analytic_conversion_gain(run.scenario.mixer)
     ref = REFERENCE_65NM.conversion_gain_db
@@ -171,10 +182,16 @@ def _cg(run: RunContext) -> Dict:
     return {"value_db": gain, "analytic_db": analytic, "reference_db": ref}
 
 
-def _p1db(run: RunContext) -> Dict:
-    power_range = (_number(run.cfg, "sweeps.p1db.start_dbm"),
-                   _number(run.cfg, "sweeps.p1db.stop_dbm"))
-    res = measure_p1db(run.quiet, power_range, _number(run.cfg, "sweeps.p1db.step_db"))
+def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
+    start, stop, step = (run.cfg.number(f"sweeps.p1db.{key}")
+                         for key in ("start_dbm", "stop_dbm", "step_db"))
+    with naming("sweeps.p1db.start_dbm, sweeps.p1db.stop_dbm and sweeps.p1db.step_db"):
+        sweep_size((start, stop), step)
+    return (start, stop), step
+
+
+def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
+    res = measure_p1db(run.quiet, *inputs)
     run.write_table("p1db_sweep", ("input_power_dbm", "output_power_dbm", "gain_db"),
                     [(pt.input_power_dbm, pt.output_power_dbm, pt.gain_db)
                      for pt in res.sweep])
@@ -183,9 +200,17 @@ def _p1db(run: RunContext) -> Dict:
             "reference_dbm": REFERENCE_65NM.p1db_dbm}
 
 
-def _iip3(run: RunContext) -> Dict:
-    two = two_tone_variant(run.quiet, iip3_tone_spacing_units(run.cfg))
-    res = measure_iip3(two, _number(run.cfg, "sweeps.iip3.per_tone_dbm"))
+def _iip3_inputs(run: RunContext) -> Tuple[Scenario, float]:
+    field = "sweeps.iip3.tone_spacing_hz"
+    spacing = run.cfg.plan.to_internal(run.cfg.number(field, above=0), field)
+    with naming(field):
+        two = two_tone_variant(run.quiet, spacing)
+        two_tone_rays(two)
+    return two, run.cfg.power_dbm("sweeps.iip3.per_tone_dbm")
+
+
+def _iip3(run: RunContext, inputs: Tuple[Scenario, float]) -> Dict:
+    res = measure_iip3(*inputs)
     run.write_table("iip3", ("per_tone_dbm", "p_fund_dbm", "p_im3_dbm", "delta_db",
                              "iip3_dbm"),
                     [(res.per_tone_dbm, res.p_fund_dbm, res.p_im3_dbm, res.delta_db,
@@ -195,14 +220,22 @@ def _iip3(run: RunContext) -> Dict:
             "per_tone_dbm": res.per_tone_dbm, "reference_dbm": REFERENCE_65NM.iip3_dbm}
 
 
-def _isolation(run: RunContext) -> Dict:
+def _isolation(run: RunContext, _inputs: None) -> Dict:
     iso = measure_isolation(run.quiet)
     run.write_table("isolation", ("isolation_db",), [(iso,)])
     return {"value_db": iso}
 
 
-def _nf(run: RunContext) -> Dict:
-    res = measure_noise_figure(*build_nf_setup(run.cfg))
+def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings]:
+    scenario, settings = build_nf_setup(run.cfg)
+    with naming("scenario.noise.input_density, sweeps.nf.segments and "
+                "sweeps.nf.band_width_hz"):
+        noise_figure_setup(scenario, settings)
+    return scenario, settings
+
+
+def _nf(run: RunContext, inputs: Tuple[Scenario, NoiseFigureSettings]) -> Dict:
+    res = measure_noise_figure(*inputs)
     formula = reference_formula_noise_figure()
     ref = REFERENCE_65NM.noise_figure_db
     run.write_table("nf", ("nf_db", "input_density_v_rthz", "output_density_v_rthz",
@@ -218,8 +251,14 @@ def _nf(run: RunContext) -> Dict:
     return out
 
 
-def _harmonics(run: RunContext) -> Dict:
-    order = _number(run.cfg, "sweeps.harmonics.order", int)
+def _harmonics_inputs(run: RunContext) -> int:
+    order = run.cfg.number("sweeps.harmonics.order", int)
+    with naming("sweeps.harmonics.order"):  # f_rf is the higher fundamental
+        check_harmonic_order(run.scenario.grid, run.scenario.f_rf, order)
+    return order
+
+
+def _harmonics(run: RunContext, order: int) -> Dict:
     scenario, transient = run.scenario, run.transient
     tables = {}
     for name, signal, fundamental in (
@@ -233,55 +272,70 @@ def _harmonics(run: RunContext) -> Dict:
     return tables
 
 
-def _transient(run: RunContext) -> Dict:
-    decimation = _number(run.cfg, "sweeps.transient.decimation", int)
-    paths = emit_transient(run.transient, run.out_dir, decimation, run.fmt)
+def _transient_inputs(run: RunContext) -> int:
+    return run.cfg.number("sweeps.transient.decimation", int, above=0)
+
+
+def _transient(run: RunContext, decimation: int) -> Dict:
+    paths = emit_transient(run.transient, run.out_dir, decimation, run.cfg.output_format)
     return {"files": [os.path.basename(p) for p in paths],
-            "rows": math.ceil(run.scenario.grid.num_samples / decimation)}
+            "rows": len(range(0, run.scenario.grid.num_samples, decimation))}
 
 
-def _power(run: RunContext) -> Dict:
+def _power(run: RunContext, _inputs: None) -> Dict:
     p = dc_power(run.scenario.mixer.bias)
     run.write_table("power", ("power_w", "reference_power_w"),
                     [(p, REFERENCE_65NM.power_w)])
     return {"value_w": p, "reference_w": REFERENCE_65NM.power_w}
 
 
-# Every measurement in config.ALL_MEASUREMENTS order: its name, the entry
-# that runs it and returns its summary.json entry, and its summary.txt row
-# (label, value key, unit, reference key), or None for no row.  Entries
-# call the library through this module's globals, which the benchmark's
-# layer trace rebinds, so the table holds no library function.
+# Every measurement in config.ALL_MEASUREMENTS order: its name; its prepare
+# step, which checks the config and returns the measure step's inputs
+# without simulating (None: no inputs); its measure step, which simulates,
+# writes tables and returns the summary.json entry; and its summary.txt row
+# (label, value key, unit, reference key), or None for no row.  Steps call
+# the library through this module's globals, which the benchmark's layer
+# trace rebinds, so the table holds no library function.
 REGISTRY = (
-    ("cg", _cg, ("conversion gain", "value_db", "dB", "reference_db")),
-    ("p1db", _p1db, ("1 dB compression", "value_dbm", "dBm", "reference_dbm")),
-    ("iip3", _iip3, ("IIP3", "value_dbm", "dBm", "reference_dbm")),
-    ("isolation", _isolation, ("LO->RF isolation", "value_db", "dB", None)),
-    ("nf", _nf, ("noise figure", "value_db", "dB", "reference_db")),
-    ("harmonics", _harmonics, None),
-    ("transient", _transient, None),
-    ("power", _power, ("DC power", "value_w", "W", "reference_w")),
+    ("cg", None, _cg, ("conversion gain", "value_db", "dB", "reference_db")),
+    ("p1db", _p1db_inputs, _p1db,
+     ("1 dB compression", "value_dbm", "dBm", "reference_dbm")),
+    ("iip3", _iip3_inputs, _iip3, ("IIP3", "value_dbm", "dBm", "reference_dbm")),
+    ("isolation", None, _isolation, ("LO->RF isolation", "value_db", "dB", None)),
+    ("nf", _nf_inputs, _nf, ("noise figure", "value_db", "dB", "reference_db")),
+    ("harmonics", _harmonics_inputs, _harmonics, None),
+    ("transient", _transient_inputs, _transient, None),
+    ("power", None, _power, ("DC power", "value_w", "W", "reference_w")),
 )
 
 
-def _measure(cfg: RunConfig, out_dir: str) -> Dict:
-    """Run every requested measurement and return the summary dict.
+def prepare(cfg: RunConfig, out_dir: Optional[str] = None
+            ) -> Tuple[RunContext, Dict[str, Any]]:
+    """The run's context and each requested entry's inputs, without simulating.
+
+    Raises a ValidationError naming the field for any config ``run`` rejects.
+    """
+    run = RunContext(cfg, build_scenario(cfg), out_dir)
+    return run, {name: prepare_entry(run) if prepare_entry else None
+                 for name, prepare_entry, _measure, _row in REGISTRY
+                 if name in cfg.measurements}
+
+
+def _measure(run: RunContext, inputs: Dict[str, Any]) -> Dict:
+    """Run every prepared measurement and return the summary dict.
 
     A measurement that fails records its error in place of its entry and
     the others still run.
     """
-    scenario = build_scenario(cfg)
-    quiet = replace(scenario, input_noise_density=0.0, input_noise_band=None)
-    run = RunContext(cfg, scenario, quiet, out_dir, cfg.output_format)
     results: Dict[str, Dict] = {}
-    for name, measure, _row in REGISTRY:
-        if name not in cfg.measurements:
+    for name, _prepare, measure, _row in REGISTRY:
+        if name not in inputs:
             continue
         try:
-            results[name] = measure(run)
+            results[name] = measure(run, inputs[name])
         except (MixbenchError, ValueError) as exc:
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
-    plan = build_plan(cfg)
+    plan = run.cfg.plan
     ref = REFERENCE_65NM
     return {
         "measurements": results,
@@ -314,7 +368,7 @@ def render_summary_text(summary: Dict) -> str:
     lines.append(f"{'measurement':<22}{'measured':>16}{'reference':>16}")
     lines.append("-" * 54)
     meas = summary["measurements"]
-    for key, _entry, row in REGISTRY:
+    for key, _prepare, _measure, row in REGISTRY:
         if row is None or key not in meas:
             continue
         label, value_key, unit, ref_key = row
@@ -353,14 +407,7 @@ def render_summary_text(summary: Dict) -> str:
 
 
 def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str):
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(render_summary_text(summary))
-    plan = build_plan(cfg)
+    plan = cfg.plan
     metadata = {
         "tool": "mixbench",
         "version": __version__,
@@ -374,13 +421,11 @@ def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str):
             "hz_per_unit": plan.hz_per_unit,
         },
     }
-    with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "effective_config.yaml"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.effective_yaml())
+    for name, text in (("summary.json", _json_text(_json_safe(summary))),
+                       ("summary.txt", render_summary_text(summary)),
+                       ("metadata.json", _json_text(metadata)),
+                       ("effective_config.yaml", cfg.effective_yaml())):
+        _write_text(os.path.join(out_dir, name), text)
 
 
 def cmd_run(args) -> int:
@@ -390,12 +435,13 @@ def cmd_run(args) -> int:
             cfg = cfg.with_seed(args.seed)
         if args.format is not None:
             cfg = cfg.with_output_format(args.format)
+        run, inputs = prepare(cfg, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         os.makedirs(args.out, exist_ok=True)
-        summary = _measure(cfg, args.out)
+        summary = _measure(run, inputs)
         _write_outputs(cfg, summary, args.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
@@ -415,9 +461,7 @@ def cmd_report(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
         text = render_summary_text(summary)
-        with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(text)
+        _write_text(os.path.join(args.out, "summary.txt"), text)
     except (OSError, ValueError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
@@ -428,6 +472,7 @@ def cmd_report(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
+        prepare(cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

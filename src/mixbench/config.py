@@ -5,6 +5,10 @@ Frequencies are given in Hz exactly as a user thinks about the design
 (1.9 GHz RF, 1.8 GHz LO); the scaled internal grid is derived automatically
 and reported in the run metadata.  Every omitted field falls back to the
 built-in 65 nm calibration defaults, so an empty file is a complete run.
+
+Loading checks only the tree's structure.  Each field is read, and checked,
+by the builder that uses it; ``cli.prepare`` calls those builders for every
+requested measurement before anything is simulated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import copy
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 import yaml
@@ -25,9 +31,9 @@ from .devices import (
     SwitchParams,
     TransconductorParams,
 )
-from .engine import FilterSpec, MixerParams, ScaledPlan, Scenario
-from .errors import InsufficientBandwidthError, ValidationError
-from .metrics import NoiseFigureSettings, noise_figure_setup, sweep_size
+from .engine import FilterSpec, MixerParams, ScaledPlan, Scenario, plan_ratio
+from .errors import MixbenchError, ValidationError
+from .metrics import NoiseFigureSettings
 from .signals import ToneSpec, dbm_to_amplitude
 
 ALL_MEASUREMENTS = ("cg", "p1db", "iip3", "isolation", "nf",
@@ -95,6 +101,29 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 
+def _at(tree: Dict[str, Any], path: str) -> Any:
+    for key in path.split("."):
+        tree = tree[key]
+    return tree
+
+
+def _like(default: Any, value: Any) -> Any:
+    """``value`` as its default's number type (null: float) where it reads as one.
+
+    So ``1900000000``, ``1.9e9`` (a string to PyYAML) and ``1.9e+9`` give one
+    ``parameter_sha256``; an int field keeps the string ``'1.5e3'``, and rejects it.
+    """
+    kind = float if default is None else type(default)
+    if kind is float and type(value) in (int, str):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):  # not a number, or an int past float range
+            return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    return value
+
+
 def _merge(defaults: Any, override: Any, path: str) -> Any:
     """Field-wise merge of a user mapping onto the defaults tree.
 
@@ -116,12 +145,24 @@ def _merge(defaults: Any, override: Any, path: str) -> Any:
             raise ValidationError(
                 f"unknown config key(s) {sorted(unknown)!r} under {where}")
         return merged
-    return copy.deepcopy(override)
+    return _like(defaults, copy.deepcopy(override))
+
+
+@contextmanager
+def naming(path: str):
+    """Re-raise what the block rejects as a ValidationError naming the field ``path``.
+
+    The block decides from config values only, never from simulated ones.
+    """
+    try:
+        yield
+    except (MixbenchError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully merged, validated run description."""
+    """Defaults-merged run description; :meth:`number` reads and checks a field."""
 
     raw: Dict[str, Any]
 
@@ -139,7 +180,7 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = copy.deepcopy(self.raw)
-        raw["scenario"]["noise"]["seed"] = _noise_seed(seed)
+        raw["scenario"]["noise"]["seed"] = seed
         return RunConfig(raw=raw)
 
     def with_output_format(self, fmt: str) -> "RunConfig":
@@ -154,12 +195,57 @@ class RunConfig:
     def effective_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=False)
 
+    def number(self, path: str, kind=float, *, above: Optional[float] = None,
+               at_least: Optional[float] = None):
+        """The field at the dotted ``path`` as a finite ``kind`` (float or int).
+
+        A bool, a non-finite value, a fraction for int, or a value not
+        ``above`` or ``at_least`` a given bound raises a ValidationError
+        naming ``path``.  A field with a null default may be None.
+        """
+        value = _at(self.raw, path)
+        if value is None and _at(DEFAULTS, path) is None:
+            return None
+        # Merging already stored each number as its field's type (see _like).
+        if kind is int and type(value) is not int:
+            raise ValidationError(f"{path} must be a whole number, got {value!r}")
+        if kind is float and not (type(value) is float and math.isfinite(value)):
+            raise ValidationError(f"{path} must be a finite number, got {value!r}")
+        if above is not None and not value > above:
+            raise ValidationError(f"{path} must be > {above}, got {value!r}")
+        if at_least is not None and not value >= at_least:
+            raise ValidationError(f"{path} must be >= {at_least}, got {value!r}")
+        return value
+
+    def power_dbm(self, path: str) -> float:
+        """The RF power at ``path`` in dBm; its peak voltage must be a finite float."""
+        power = self.number(path)
+        with naming(path):
+            dbm_to_amplitude(power)
+        return power
+
+    @cached_property
+    def plan(self) -> ScaledPlan:
+        """Plan of the main grid, built on first read."""
+        return _plan_from(self, "scenario.grid")
+
 
 def from_dict(data: Optional[Dict[str, Any]]) -> RunConfig:
-    """Merge a (possibly empty) user mapping onto the defaults and validate."""
-    merged = _merge(DEFAULTS, data or {}, "")
-    cfg = RunConfig(raw=merged)
-    _validate(cfg)
+    """Merge a user mapping onto the defaults; check the measurements and format."""
+    cfg = RunConfig(raw=_merge(DEFAULTS, data or {}, ""))
+    meas = cfg.raw["measurements"]
+    if not isinstance(meas, (list, tuple)) or not meas:
+        raise ValidationError("measurements must be a non-empty list")
+    unknown = [m for m in meas if m not in ALL_MEASUREMENTS]
+    if unknown:
+        raise ValidationError(
+            f"unknown measurement(s) {unknown!r}; choose from {ALL_MEASUREMENTS}")
+    repeated = sorted({m for m in meas if meas.count(m) > 1})
+    if repeated:
+        raise ValidationError(f"measurements lists {repeated!r} more than once")
+    fmt = cfg.output_format
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"output format must be csv or json, got {fmt!r}")
     return cfg
 
 
@@ -190,134 +276,9 @@ def _parse(text: str, source: str) -> RunConfig:
     return from_dict(data)
 
 
-def _validate(cfg: RunConfig):
-    meas = cfg.raw["measurements"]
-    if not isinstance(meas, (list, tuple)) or not meas:
-        raise ValidationError("measurements must be a non-empty list")
-    unknown = [m for m in meas if m not in ALL_MEASUREMENTS]
-    if unknown:
-        raise ValidationError(
-            f"unknown measurement(s) {unknown!r}; choose from {ALL_MEASUREMENTS}")
-    repeated = sorted({m for m in meas if meas.count(m) > 1})
-    if repeated:
-        raise ValidationError(f"measurements lists {repeated!r} more than once")
-    fmt = cfg.raw["output"]["format"]
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"output format must be csv or json, got {fmt!r}")
-    # Building the scenario runs the full coherence/Nyquist validation.
-    scenario = build_scenario(cfg)
-    if "nf" in meas:
-        _validate_nf(cfg)
-    if "iip3" in meas:
-        iip3_tone_spacing_units(cfg)
-        _power_dbm(cfg, "sweeps.iip3.per_tone_dbm")
-    _validate_sweeps(cfg, scenario)
-
-
-def _integer(value: Any, path: str) -> int:
-    """``value`` as an int; ValidationError naming ``path`` unless it is a whole number."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValidationError(f"{path} must be a whole number, got {value!r}")
-
-
-def _number(cfg: RunConfig, path: str, kind=float):
-    """The config field at the dotted ``path`` as a finite ``kind`` (float or int).
-
-    Bools, non-finite values and, for int, fractions are rejected with a
-    ValidationError naming ``path``.
-    """
-    value = cfg.raw
-    for key in path.split("."):
-        value = value[key]
-    if kind is int:
-        return _integer(value, path)
-    try:
-        number = float(value)
-        finite = math.isfinite(number) and not isinstance(value, bool)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValidationError(f"{path} must be a finite number, got {value!r}")
-    return number
-
-
-def _positive(cfg: RunConfig, path: str, kind=float):
-    """The config field at ``path`` read by :func:`_number`; it must be > 0."""
-    value = _number(cfg, path, kind)
-    if not value > 0:
-        raise ValidationError(f"{path} must be > 0, got {value!r}")
-    return value
-
-
-def _power_dbm(cfg: RunConfig, path: str) -> float:
-    """The RF power at ``path`` in dBm; its peak voltage must be a finite float."""
-    power = _number(cfg, path)
-    try:
-        dbm_to_amplitude(power)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    return power
-
-
-def _noise_seed(value: Any) -> int:
-    """``value`` as a noise seed: a non-negative whole number."""
-    seed = _integer(value, "scenario.noise.seed")
-    if seed < 0:
-        raise ValidationError(f"scenario.noise.seed must be >= 0, got {seed!r}")
-    return seed
-
-
-def _validate_sweeps(cfg: RunConfig, scenario: Scenario):
-    """Reject the sweep settings the requested measurements would fail on."""
-    meas = cfg.measurements
-    if "p1db" in meas:
-        start = _number(cfg, "sweeps.p1db.start_dbm")
-        stop = _number(cfg, "sweeps.p1db.stop_dbm")
-        step = _number(cfg, "sweeps.p1db.step_db")
-        if stop <= start:
-            raise ValidationError(
-                f"sweeps.p1db.stop_dbm ({stop!r}) must be above "
-                f"sweeps.p1db.start_dbm ({start!r})")
-        if not 0 < step <= stop - start:
-            raise ValidationError(
-                f"sweeps.p1db.step_db must be > 0 and at most the sweep span "
-                f"{stop - start!r} dB, got {step!r}")
-        try:
-            sweep_size((start, stop), step)
-        except ValidationError as exc:
-            raise ValidationError(f"sweeps.p1db.step_db: {exc}") from exc
-    if "harmonics" in meas:
-        order = _positive(cfg, "sweeps.harmonics.order", int)
-        if order * scenario.f_rf >= scenario.grid.nyquist:
-            raise ValidationError(
-                f"sweeps.harmonics.order {order!r} puts the RF tone's harmonic "
-                f"at or above Nyquist")
-    if "transient" in meas:
-        _positive(cfg, "sweeps.transient.decimation", int)
-
-
-def _validate_nf(cfg: RunConfig):
-    """Reject the noise-figure settings the measurement would fail on."""
-    scenario, settings = build_nf_setup(cfg)
-    if not scenario.input_noise_density > 0:
-        raise ValidationError(
-            f"scenario.noise.input_density must be > 0 to measure nf, got "
-            f"{scenario.input_noise_density!r}")
-    try:
-        noise_figure_setup(scenario, settings)
-    except (ValidationError, InsufficientBandwidthError) as exc:
-        raise ValidationError(
-            f"sweeps.nf.segments {settings.segments!r} and sweeps.nf.band_width_hz "
-            f"{cfg.raw['sweeps']['nf']['band_width_hz']!r} admit no noise reading "
-            f"on the {scenario.grid.num_samples}-sample NF grid: {exc}") from exc
-
-
 def _mixer_from(cfg: RunConfig) -> MixerParams:
     def number(key: str) -> float:
-        return _number(cfg, f"scenario.mixer.{key}")
+        return cfg.number(f"scenario.mixer.{key}")
 
     return MixerParams(
         transconductor=TransconductorParams(gm=number("gm"), v_gs1=number("v_gs1"),
@@ -332,10 +293,13 @@ def _mixer_from(cfg: RunConfig) -> MixerParams:
 
 def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
     """Plan of the grid section at ``grid_path``, capped at MAX_GRID_SAMPLES."""
+    f_rf_hz, f_lo_hz = cfg.number("scenario.rf_hz"), cfg.number("scenario.lo_hz")
+    with naming("scenario.rf_hz and scenario.lo_hz"):
+        plan_ratio(f_rf_hz, f_lo_hz)
     plan = ScaledPlan(
-        f_rf_hz=_number(cfg, "scenario.rf_hz"), f_lo_hz=_number(cfg, "scenario.lo_hz"),
-        bins_per_unit=_number(cfg, f"{grid_path}.bins_per_unit", int),
-        samples_per_lo_period=_number(cfg, f"{grid_path}.samples_per_lo_period", int))
+        f_rf_hz=f_rf_hz, f_lo_hz=f_lo_hz,
+        bins_per_unit=cfg.number(f"{grid_path}.bins_per_unit", int),
+        samples_per_lo_period=cfg.number(f"{grid_path}.samples_per_lo_period", int))
     if plan.num_samples > MAX_GRID_SAMPLES:
         raise ValidationError(
             f"{grid_path}.bins_per_unit {plan.bins_per_unit} and "
@@ -346,47 +310,39 @@ def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
 
 
 def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
-    sc = cfg.raw["scenario"]
+    lo_phase = cfg.number("scenario.lo_phase_rad")
     rf_tone = ToneSpec(frequency=float(plan.rf_bin),
-                       power_dbm=_power_dbm(cfg, "scenario.rf_power_dbm"),
-                       phase=_number(cfg, "scenario.rf_phase_rad"))
+                       power_dbm=cfg.power_dbm("scenario.rf_power_dbm"),
+                       phase=cfg.number("scenario.rf_phase_rad"))
     lo_tone = ToneSpec(frequency=float(plan.lo_bin),
-                       amplitude=_number(cfg, "scenario.lo_amplitude_v"),
-                       phase=_number(cfg, "scenario.lo_phase_rad")
-                       if sc["lo_phase_rad"] is not None
-                       else plan.lo_half_sample_phase())
-    band = None
-    if sc["noise"]["bandwidth_hz"] is not None:
-        band = (0.0, _positive(cfg, "scenario.noise.bandwidth_hz") / plan.hz_per_unit)
-    if_filter = None
-    filt = sc["if_filter"]
+                       amplitude=cfg.number("scenario.lo_amplitude_v"),
+                       phase=plan.lo_half_sample_phase() if lo_phase is None else lo_phase)
+    band = cfg.number("scenario.noise.bandwidth_hz", above=0)
+    filt = cfg.raw["scenario"]["if_filter"]
     if not isinstance(filt["enabled"], bool):
         raise ValidationError(
             f"scenario.if_filter.enabled must be true or false, got {filt['enabled']!r}")
+    if_filter = None
     if filt["enabled"]:
         if_filter = FilterSpec(
             kind=filt["kind"],
-            cutoff=_number(cfg, "scenario.if_filter.cutoff_hz") / plan.hz_per_unit)
+            cutoff=cfg.number("scenario.if_filter.cutoff_hz") / plan.hz_per_unit)
     return Scenario(
         mixer=_mixer_from(cfg),
         grid=plan.grid(),
         rf_tones=(rf_tone,),
         lo_tone=lo_tone,
-        noise_seed=_noise_seed(sc["noise"]["seed"]),
-        input_noise_density=_number(cfg, "scenario.noise.input_density"),
-        input_noise_band=band,
+        noise_seed=cfg.number("scenario.noise.seed", int, at_least=0),
+        input_noise_density=cfg.number("scenario.noise.input_density", at_least=0),
+        input_noise_band=None if band is None else (0.0, band / plan.hz_per_unit),
         if_filter=if_filter,
         frequency_scale=plan.hz_per_unit,
     )
 
 
-def build_plan(cfg: RunConfig) -> ScaledPlan:
-    return _plan_from(cfg, "scenario.grid")
-
-
 def build_scenario(cfg: RunConfig) -> Scenario:
     """Main scenario on the metrics grid."""
-    return _scenario_on_plan(cfg, build_plan(cfg))
+    return _scenario_on_plan(cfg, cfg.plan)
 
 
 def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
@@ -397,17 +353,12 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     """
     plan = _plan_from(cfg, "sweeps.nf.grid")
     scenario = _scenario_on_plan(cfg, plan)
-    width = _number(cfg, "sweeps.nf.band_width_hz") / plan.hz_per_unit
+    width = cfg.number("sweeps.nf.band_width_hz") / plan.hz_per_unit
     settings = NoiseFigureSettings(
         input_band_width=width,
         output_band_width=width,
-        segments=_number(cfg, "sweeps.nf.segments", int),
-        probe_power_dbm=_power_dbm(cfg, "sweeps.nf.probe_power_dbm"),
+        segments=cfg.number("sweeps.nf.segments", int),
+        probe_power_dbm=cfg.power_dbm("sweeps.nf.probe_power_dbm"),
     )
     return scenario, settings
 
-
-def iip3_tone_spacing_units(cfg: RunConfig) -> float:
-    """The IIP3 tone spacing in internal grid units; it must be > 0 and fall on a bin."""
-    spacing_hz = _positive(cfg, "sweeps.iip3.tone_spacing_hz")
-    return build_plan(cfg).to_internal(spacing_hz, "sweeps.iip3.tone_spacing_hz")

@@ -289,7 +289,8 @@ def plan_ratio(f_rf_hz: float, f_lo_hz: float,
     """
     if not (f_rf_hz > f_lo_hz > 0):
         raise ValidationError(
-            f"need f_rf > f_lo > 0, got rf={f_rf_hz!r}, lo={f_lo_hz!r}")
+            f"need f_rf > f_lo > 0 (a high-side LO is not supported), "
+            f"got rf={f_rf_hz!r}, lo={f_lo_hz!r}")
     f_if_hz = f_rf_hz - f_lo_hz
     frac = Fraction(f_rf_hz / f_if_hz).limit_denominator(max_denominator)
     n_rf, d = frac.numerator, frac.denominator

@@ -194,6 +194,22 @@ def two_tone_variant(s: Scenario, tone_spacing: Optional[float] = None) -> Scena
     return replace(s, rf_tones=(base, second))
 
 
+def two_tone_rays(s: Scenario) -> Tuple[float, float, float]:
+    """Fundamental and IM3 output rays of two distinct tones; each on a bin in (0, Nyquist)."""
+    if len(s.rf_tones) != 2:
+        raise WrongStimulusError(
+            f"IIP3 needs a two-tone scenario, got {len(s.rf_tones)} tones")
+    f1, f2 = sorted(t.frequency for t in s.rf_tones)
+    if f1 == f2:
+        raise WrongStimulusError("the two RF tones must differ in frequency")
+    rays = (abs(f1 - s.f_lo), abs(2.0 * f1 - f2 - s.f_lo), abs(2.0 * f2 - f1 - s.f_lo))
+    for label, f in zip(("fundamental ray", "IM3 ray", "mirror IM3 ray"), rays):
+        s.grid.bin_index(f, label)
+        if not 0 < f < s.grid.nyquist:
+            raise ValidationError(f"{label} at {f!r} is not representable")
+    return rays
+
+
 def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     """Two-tone intercept: drive both tones equally and read the IM3 rays.
 
@@ -201,31 +217,11 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     symmetric cubic).  A companion run 20 dB colder guards against running
     the intercept measurement inside compression.
     """
-    if len(s.rf_tones) != 2:
-        raise WrongStimulusError(
-            f"IIP3 needs a two-tone scenario, got {len(s.rf_tones)} tones")
-    f1, f2 = sorted(t.frequency for t in s.rf_tones)
-    if f1 == f2:
-        raise WrongStimulusError("the two RF tones must differ in frequency")
-    f_lo = s.f_lo
-    f_fund = abs(f1 - f_lo)
-    f_im3_low = abs(2.0 * f1 - f2 - f_lo)
-    f_im3_high = abs(2.0 * f2 - f1 - f_lo)
-    grid = s.grid
-    for label, f in (("fundamental ray", f_fund),
-                     ("IM3 ray", f_im3_low), ("mirror IM3 ray", f_im3_high)):
-        grid.bin_index(f, label)
-        if not 0 < f < grid.nyquist:
-            raise ValidationError(f"{label} at {f!r} is not representable")
+    f_fund, f_im3_low, f_im3_high = two_tone_rays(s)
 
     hot = simulate(s.with_rf_power(per_tone_power_dbm))
-    amp_fund = bin_amplitude(hot.v_out, f_fund).amplitude
-    amp_im3 = bin_amplitude(hot.v_out, f_im3_low).amplitude
-    amp_mirror = bin_amplitude(hot.v_out, f_im3_high).amplitude
-
-    p_fund = amplitude_to_dbm(amp_fund) if amp_fund > 0 else -math.inf
-    p_im3 = amplitude_to_dbm(amp_im3) if amp_im3 > 0 else -math.inf
-    p_mirror = amplitude_to_dbm(amp_mirror) if amp_mirror > 0 else -math.inf
+    p_fund, p_im3, p_mirror = (bin_amplitude(hot.v_out, f).power_dbm
+                               for f in (f_fund, f_im3_low, f_im3_high))
     p_im3_used = max(p_im3, p_mirror)
     if p_im3_used < MEASUREMENT_FLOOR_DBM:
         raise ImmeasurableIM3Error(
@@ -292,6 +288,8 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     Everything here is decided before any simulation, so it raises for
     settings the measurement would fail on without running it.
     """
+    if not s.input_noise_density > 0:
+        raise ValueError("scenario has zero input noise density; nothing to measure")
     in_center = settings.input_band_center if settings.input_band_center is not None \
         else s.f_rf
     out_center = settings.output_band_center if settings.output_band_center is not None \
@@ -331,8 +329,6 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
     memoryless, so it runs on one common period of RF, LO and the read-out
     ray rather than on the full record.
     """
-    if not s.input_noise_density > 0:
-        raise ValueError("scenario has zero input noise density; nothing to measure")
     bands, probe, f_signal_out = noise_figure_setup(s, settings)
 
     result = simulate(s)

@@ -298,16 +298,21 @@ def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tup
     so its basis is computed without entering the memo that repeated
     readouts reuse.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if order * fundamental >= signal.grid.nyquist:
-        raise AliasingError(order * fundamental, signal.grid.nyquist,
-                            f"harmonic {order} of {fundamental!r}")
+    check_harmonic_order(signal.grid, fundamental, order)
     return tuple(
         SpectrumLine.from_amplitude(
             k * fundamental,
             abs(_bin_value(signal, k * fundamental, _exp_basis.__wrapped__)))
         for k in range(1, order + 1))
+
+
+def check_harmonic_order(grid: SimGrid, fundamental: float, order: int):
+    """Raise unless ``order`` >= 1 and ``order * fundamental`` lies below Nyquist."""
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
+    if order * fundamental >= grid.nyquist:
+        raise AliasingError(order * fundamental, grid.nyquist,
+                            f"harmonic {order} of {fundamental!r}")
 
 
 def check_noise_band(grid: SimGrid, band: Tuple[float, float]):

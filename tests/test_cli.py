@@ -10,15 +10,20 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbench.cli import REGISTRY, _write_table, emit_transient, main, render_summary_text
+from mixbench.cli import (
+    REGISTRY,
+    _write_table,
+    emit_transient,
+    main,
+    prepare,
+    render_summary_text,
+)
 from mixbench.config import (
     ALL_MEASUREMENTS,
     DEFAULTS,
     build_nf_setup,
-    build_plan,
     build_scenario,
     from_dict,
-    iip3_tone_spacing_units,
     load_config,
     loads_config,
 )
@@ -60,11 +65,11 @@ class TestConfigLoading:
 
     def test_incoherent_tone_spacing_rejected(self):
         with pytest.raises(ValidationError, match="spacing"):
-            loads_config("sweeps:\n  iip3:\n    tone_spacing_hz: 3.3e7\n")
+            prepare(loads_config("sweeps:\n  iip3:\n    tone_spacing_hz: 3.3e7\n"))
 
     def test_incommensurate_plan_rejected(self):
         with pytest.raises(ValidationError):
-            loads_config("scenario:\n  lo_hz: 1.83559e9\n")
+            prepare(loads_config("scenario:\n  lo_hz: 1.83559e9\n"))
 
     def test_empty_measurement_list_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -138,7 +143,7 @@ class TestConfigLoading:
     ])
     def test_sweep_setting_run_would_reject(self, tmp_path, capsys, text, field):
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
-            loads_config(text)
+            prepare(loads_config(text))
         path = write_config(tmp_path, text)
         assert main(["validate", "--config", path]) == 2
         assert field in capsys.readouterr().err
@@ -158,10 +163,20 @@ class TestConfigLoading:
          "sweeps.iip3.tone_spacing_hz"),
         ("scenario:\n  if_filter:\n    enabled: abc\n", "scenario.if_filter.enabled"),
         ("scenario:\n  if_filter:\n    enabled: 1\n", "scenario.if_filter.enabled"),
+        # 100 MHz spacing puts the lower IM3 product at DC on the default plan.
+        ("measurements: [iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
+         "sweeps.iip3.tone_spacing_hz"),
+        # A high-side LO is rejected, naming both frequencies.
+        ("scenario:\n  lo_hz: 2.0e+9\n", "scenario.rf_hz and scenario.lo_hz"),
+        ("measurements: [cg]\nscenario:\n  noise:\n    input_density: -1\n",
+         "scenario.noise.input_density"),
+        # An order past the float range, times the RF frequency, overflows.
+        ("measurements: [harmonics]\nsweeps:\n  harmonics:\n    order: 1" + "0" * 400
+         + "\n", "sweeps.harmonics.order"),
     ])
     def test_setting_run_fails_on_is_rejected(self, tmp_path, capsys, text, named):
         with pytest.raises(ValidationError, match=named.replace(".", r"\.")):
-            loads_config(text)
+            prepare(loads_config(text))
         assert main(["validate", "--config", write_config(tmp_path, text)]) == 2
         assert named in capsys.readouterr().err
 
@@ -178,6 +193,7 @@ class TestConfigLoading:
                            "sweeps:\n  p1db:\n    step_db: 0\n"
                            "  nf:\n    segments: 7\n")
         assert cfg.measurements == ("cg",)
+        assert list(prepare(cfg)[1]) == ["cg"]
 
     def test_whole_float_accepted_as_integer(self):
         segments = build_nf_setup(loads_config("sweeps:\n  nf:\n    segments: 16.0\n"))[1].segments
@@ -187,7 +203,7 @@ class TestConfigLoading:
         # 32 samples per LO period x 18 x 14563 bins = 8,388,288 <= 2**23.
         cfg = loads_config("measurements: [cg]\nscenario:\n  grid:\n"
                            "    bins_per_unit: 14563\n    samples_per_lo_period: 32\n")
-        assert build_plan(cfg).num_samples == 8388288
+        assert cfg.plan.num_samples == 8388288
 
     def test_missing_file_rejected(self):
         with pytest.raises(ValidationError, match="read"):
@@ -206,7 +222,7 @@ class TestConfigLoading:
         assert cfg.with_seed(9).seed == 9
         assert cfg.seed == 1729  # original untouched
         with pytest.raises(ValidationError, match=r"scenario\.noise\.seed"):
-            cfg.with_seed(-1)
+            prepare(cfg.with_seed(-1))
 
     def test_nf_setup_uses_long_grid(self):
         cfg = from_dict({})
@@ -216,7 +232,10 @@ class TestConfigLoading:
         assert scenario.grid.num_samples % settings.segments == 0
 
     def test_iip3_tone_spacing_translation(self):
-        assert iip3_tone_spacing_units(from_dict({})) == 1.0  # 25 MHz on the default grid
+        two, per_tone = prepare(from_dict({}))[1]["iip3"]
+        low, high = (tone.frequency for tone in two.rf_tones)
+        assert high - low == 1.0  # 25 MHz on the default grid
+        assert per_tone == -40.0
 
 
 class TestCliRun:
@@ -231,10 +250,15 @@ class TestCliRun:
         path = write_config(tmp_path, "scenario:\n  mixer:\n    gm: -3\n")
         assert self.run_cli("validate", "--config", path) == 2
 
-    def test_run_bad_config_exits_2(self, tmp_path):
-        path = write_config(tmp_path, "measurements: [nothing]\n")
+    @pytest.mark.parametrize("text", [
+        "measurements: [nothing]\n",
+        "measurements: [cg, iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
+    ])
+    def test_run_bad_config_exits_2(self, tmp_path, text):
+        path = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert self.run_cli("run", "--config", path, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_run_cg_and_power(self, tmp_path, capsys):
         path = write_config(tmp_path, "measurements: [cg, power]\n")
@@ -315,6 +339,16 @@ class TestCliRun:
         assert "finite peak voltage" in measured["p1db"]["error"]
         assert "value_w" in measured["power"]
 
+    def test_transient_row_count_matches_the_table(self, tmp_path):
+        # A decimation past the float range still keeps sample 0.
+        path = write_config(tmp_path, "measurements: [transient]\nsweeps:\n  transient:\n"
+                                      "    decimation: 1" + "0" * 400 + "\n")
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
+        rows = json.loads((out / "summary.json").read_text())["measurements"]["transient"]
+        lines = (out / "transient_vout.csv").read_text().splitlines()
+        assert rows["rows"] == len(lines) - 1 == 1
+
     def test_run_seed_override_must_be_non_negative(self, tmp_path, capsys):
         path = write_config(tmp_path, "measurements: [power]\n")
         out = tmp_path / "out"
@@ -330,6 +364,13 @@ class TestCliRun:
         assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
         plan = json.loads((out / "summary.json").read_text())["plan"]
         assert plan["rf_hz"] == 1.9e9 and plan["if_hz"] == 1.0e8
+        # The same plan written three ways is one config with one hash.
+        hashes = set()
+        for rf in ("1.9e9", "1900000000", "1.9e+9"):
+            path = write_config(tmp_path, f"measurements: [power]\nscenario:\n  rf_hz: {rf}\n")
+            assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
+            hashes.add(json.loads((out / "metadata.json").read_text())["parameter_sha256"])
+        assert hashes == {loads_config("measurements: [power]\n").parameter_hash()}
 
     def test_run_is_deterministic(self, tmp_path):
         path = write_config(
@@ -387,7 +428,7 @@ class TestCliRun:
 
 
 def test_registry_runs_every_measurement_in_config_order():
-    assert tuple(name for name, _entry, _row in REGISTRY) == ALL_MEASUREMENTS
+    assert tuple(name for name, _prepare, _measure, _row in REGISTRY) == ALL_MEASUREMENTS
 
 
 def _leaf_paths(tree, prefix=()):
@@ -409,7 +450,7 @@ ODD_VALUES = st.one_of(
 )
 
 
-@given(measurements=st.lists(st.sampled_from(CHEAP_MEASUREMENTS), min_size=1,
+@given(measurements=st.lists(st.sampled_from(ALL_MEASUREMENTS), min_size=1,
                              unique=True),
        fields=st.lists(st.tuples(st.sampled_from(list(_leaf_paths(DEFAULTS))),
                                  ODD_VALUES), min_size=1, max_size=3))
@@ -425,9 +466,13 @@ def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields
         path = os.path.join(tmp, "config.yaml")
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(config, fh)
-        assert main(["validate", "--config", path]) in (0, 2)
-        assert main(["run", "--config", path, "--out", os.path.join(tmp, "out")]) \
-            in (0, 1, 2, 3)
+        validated = main(["validate", "--config", path])
+        assert validated in (0, 2)
+        # Validating never simulates; running is kept to the cheap measurements.
+        if set(measurements) <= set(CHEAP_MEASUREMENTS):
+            ran = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+            assert ran in (0, 1, 2, 3)
+            assert (ran == 2) == (validated == 2)
 
 
 class TestTransientOutput:
