@@ -226,16 +226,16 @@ def _isolation(run: RunContext, _inputs: None) -> Dict:
     return {"value_db": iso}
 
 
-def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings]:
+def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings, Tuple]:
     scenario, settings = build_nf_setup(run.cfg)
     with naming("scenario.noise.input_density, sweeps.nf.segments and "
                 "sweeps.nf.band_width_hz"):
-        noise_figure_setup(scenario, settings)
-    return scenario, settings
+        return scenario, settings, noise_figure_setup(scenario, settings)
 
 
-def _nf(run: RunContext, inputs: Tuple[Scenario, NoiseFigureSettings]) -> Dict:
-    res = measure_noise_figure(*inputs)
+def _nf(run: RunContext, inputs: Tuple[Scenario, NoiseFigureSettings, Tuple]) -> Dict:
+    scenario, settings, setup = inputs
+    res = measure_noise_figure(scenario, settings, _setup=setup)
     formula = reference_formula_noise_figure()
     ref = REFERENCE_65NM.noise_figure_db
     run.write_table("nf", ("nf_db", "input_density_v_rthz", "output_density_v_rthz",

@@ -223,8 +223,8 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
 
 # LO drives kept by :func:`_lo_drive`.  One entry holds two grid-sized
 # arrays: 147 KB on the default 9,216-sample grid, 18.9 MB on the
-# noise-figure grid and 134 MB at config.MAX_GRID_SAMPLES.  A run uses one
-# entry per grid: the main grid, the noise-figure grid and its probe period.
+# noise-figure grid and 134 MB at config.MAX_GRID_SAMPLES.  A default run uses
+# all four: the main grid and its period, the noise-figure grid and its period.
 _LO_DRIVE_CACHE_SIZE = 4
 
 
@@ -328,9 +328,9 @@ class ScaledPlan:
         if p < 8 or p % 4 != 0:
             raise ValidationError(
                 f"samples_per_lo_period must be a multiple of 4 and >= 8, got {p}")
-        plan_ratio(self.f_rf_hz, self.f_lo_hz)  # validates commensurability
+        self.ratio  # validates commensurability
 
-    @property
+    @cached_property
     def ratio(self) -> Tuple[int, int, int]:
         return plan_ratio(self.f_rf_hz, self.f_lo_hz)
 

@@ -11,6 +11,10 @@ spectrum analyzer:
 * isolation is the LO ray observed at the RF port over the injected LO;
 * noise figure is the power-ratio reading of output versus input noise
   density across the measured conversion gain.
+
+The model is memoryless, so every noise-free simulation here runs on the
+common period of its tones, its LO and the rays it reads; its bin readings
+equal those on the full record to the last bits.  Noisy records keep theirs.
 """
 
 from __future__ import annotations
@@ -82,9 +86,7 @@ class NoiseFigureSettings:
     Band centers default to the scenario's RF (input) and IF (output)
     frequencies.  ``signal_out_frequency`` is where the conversion-gain probe
     ray is read; it defaults to the down-converted IF and must be overridden
-    for a non-translating device (e.g. a pass-through stage).  The probe
-    runs on the common period of RF, LO and that read-out ray, not on the
-    full noise record.
+    for a non-translating device (e.g. a pass-through stage).
     """
 
     input_band_width: float
@@ -105,15 +107,23 @@ class NoiseFigureResult:
     warning: Optional[str] = None
 
 
+def _on_common_period(s: Scenario, *rays: float) -> Scenario:
+    """``s``, if noise-free, on the common period of its tones, LO and ``rays``."""
+    if s.input_noise_density > 0:
+        return s
+    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
+    return s if grid == s.grid else replace(s, grid=grid)
+
+
 def measure_conversion_gain(s: Scenario) -> float:
-    """Conversion gain in dB of a single-tone scenario, read at the IF bin."""
+    """Conversion gain in dB of a single-tone scenario, read at the IF bin of its period."""
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
     amp_in = s.rf_tones[0].peak_amplitude()
     if amp_in <= 0:
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
-    result = simulate(s)
+    result = simulate(_on_common_period(s, s.f_if))
     amp_out = bin_amplitude(result.v_out, s.f_if).amplitude
     if amp_out <= 0:
         return -math.inf
@@ -147,6 +157,7 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     The small-signal reference is the gain measured at the lowest sweep
     power, so the procedure works for any device model, and the crossing is
     interpolated linearly in (input dBm, gain dB) between bracketing points.
+    The sweep moves a noise-free scenario onto its common period once.
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
@@ -155,6 +166,7 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
         raise NoCompressionError(
             f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
     lo_dbm, hi_dbm = power_range
+    s = _on_common_period(s, s.f_if)
     sweep = []
     for i in range(sweep_size(power_range, step)):
         p_in = lo_dbm + i * step
@@ -215,9 +227,11 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
 
     The reported IM3 is the larger of the two mirror products (equal for a
     symmetric cubic).  A companion run 20 dB colder guards against running
-    the intercept measurement inside compression.
+    the intercept measurement inside compression.  At a tone spacing whose
+    bin is coprime to the grid, the common period is the full grid.
     """
     f_fund, f_im3_low, f_im3_high = two_tone_rays(s)
+    s = _on_common_period(s, f_fund, f_im3_low, f_im3_high)
 
     hot = simulate(s.with_rf_power(per_tone_power_dbm))
     p_fund, p_im3, p_mirror = (bin_amplitude(hot.v_out, f).power_dbm
@@ -245,11 +259,11 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
 
 
 def measure_isolation(s: Scenario) -> float:
-    """LO-to-RF isolation in dB: LO ray power at the RF port over injected LO."""
+    """LO-to-RF isolation in dB: LO ray at the RF port over injected LO, on the period."""
     a_lo = s.lo_tone.peak_amplitude()
     if a_lo <= 0:
         raise WrongStimulusError("isolation needs an active LO tone")
-    result = simulate(s)
+    result = simulate(_on_common_period(s, s.f_lo))
     a_leak = bin_amplitude(result.v_rf_port, s.f_lo).amplitude
     ratio = a_leak / a_lo
     if 20.0 * math.log10(max(ratio, 1e-300)) <= ISOLATION_FLOOR_DB:
@@ -282,8 +296,7 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     and the output band; the output mask covers every mixing product and
     odd LO harmonic up to the band's top edge.  ``probe`` is a noise-free
     clone carrying a single probe tone at the RF frequency, on the common
-    period of RF, LO and the read-out ray ``f_signal_out`` (see
-    :meth:`SimGrid.common_period`).
+    period of RF, LO and the read-out ray ``f_signal_out``.
 
     Everything here is decided before any simulation, so it raises for
     settings the measurement would fail on without running it.
@@ -312,24 +325,23 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
 
     probe_tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
                           phase=s.rf_tones[0].phase)
-    probe = replace(s, grid=s.grid.common_period((s.f_rf, s.f_lo, f_signal_out)),
-                    rf_tones=(probe_tone,), input_noise_density=0.0,
+    quiet = replace(s, rf_tones=(probe_tone,), input_noise_density=0.0,
                     input_noise_band=None)
-    return bands, probe, f_signal_out
+    return bands, _on_common_period(quiet, f_signal_out), f_signal_out
 
 
-def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFigureResult:
+def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
+                         _setup: Optional[Tuple] = None) -> NoiseFigureResult:
     """Noise figure of a scenario with injected input noise.
 
     The input density is estimated at the RF port, the output density at the
     mixer output, both with stimulus rays masked out of the averaging, on
     the scenario's full record.  The conversion gain is measured on a
     noise-free clone carrying a small probe tone, so the same procedure
-    covers any device configuration.  The probe is noise-free and the model
-    memoryless, so it runs on one common period of RF, LO and the read-out
-    ray rather than on the full record.
+    covers any device configuration.  ``_setup`` is the result of
+    :func:`noise_figure_setup` when the caller has built it already.
     """
-    bands, probe, f_signal_out = noise_figure_setup(s, settings)
+    bands, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
 
     result = simulate(s)
     n_in, n_out = (_band_noise_stats(signal, center, width, settings.segments,

@@ -86,7 +86,8 @@ class SimGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.num_samples) / self.sample_rate
 
-    def common_period(self, frequencies: Iterable[float]) -> "SimGrid":
+    @lru_cache(maxsize=16)
+    def common_period(self, frequencies: Tuple[float, ...]) -> "SimGrid":
         """Shortest valid grid at this sample rate with every frequency on a bin.
 
         Its record spans N/g samples, g being the gcd of N and the bin
@@ -94,7 +95,7 @@ class SimGrid:
         samples), so it holds the first N/g sample times of this grid.  A
         memoryless response to tones at ``frequencies`` repeats with that
         period, and its bin readings on the short grid equal those on the
-        full record.
+        full record.  Memoised: every compression-sweep point asks for one.
         """
         g = self.num_samples
         for f in frequencies:

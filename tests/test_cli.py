@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixbench import cli, engine, metrics, signals
 from mixbench.cli import (
     REGISTRY,
     _write_table,
@@ -473,6 +474,45 @@ def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields
             ran = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
             assert ran in (0, 1, 2, 3)
             assert (ran == 2) == (validated == 2)
+
+
+class TestDefaultRunWork:
+    def test_each_measurement_simulates_on_its_grid(self, tmp_path, monkeypatch):
+        grids = []
+
+        def recording(scenario):
+            grids.append(scenario.grid.num_samples)
+            return simulate(scenario)
+
+        monkeypatch.setattr(metrics, "simulate", recording)
+        assert main(["run", "--config", write_config(tmp_path, ""),
+                     "--out", str(tmp_path / "out")]) == 0
+        # cg and 81 p1db points on the 2,304-sample period; iip3 hot and cold
+        # on the full grid (a 1-unit tone spacing has no shorter period);
+        # isolation; the NF noise record and its 576-sample probe.
+        assert grids == [2304] * 82 + [9216] * 2 + [2304] + [1179648, 576]
+
+    def test_second_run_misses_no_memo(self, tmp_path):
+        memos = (engine._lo_drive, signals._cos_basis, signals._exp_basis)
+        config = write_config(tmp_path, "")
+        assert main(["run", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        misses = [memo.cache_info().misses for memo in memos]
+        assert main(["run", "--config", config, "--out", str(tmp_path / "b")]) == 0
+        assert [memo.cache_info().misses for memo in memos] == misses
+
+    def test_nf_setup_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        setup = metrics.noise_figure_setup
+
+        def counting_setup(*args):
+            calls.append(args)
+            return setup(*args)
+
+        monkeypatch.setattr(cli, "noise_figure_setup", counting_setup)
+        monkeypatch.setattr(metrics, "noise_figure_setup", counting_setup)
+        assert main(["run", "--config", write_config(tmp_path, "measurements: [nf]\n"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestTransientOutput:

@@ -110,6 +110,21 @@ class TestPlan:
         grid = plan.grid()
         assert grid.resolution == 1.0
 
+    def test_ratio_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_ratio(*args):
+            calls.append(args)
+            return plan_ratio(*args)
+
+        monkeypatch.setattr(engine, "plan_ratio", counting_ratio)
+        plan = ScaledPlan(1.9e9, 1.8e9)
+        for _ in range(3):
+            assert (plan.rf_bin, plan.lo_bin, plan.if_bin, plan.num_samples) \
+                == (76, 72, 4, 9216)
+            assert plan.hz_per_unit == 2.5e7 and plan.grid().num_samples == 9216
+        assert calls == [(1.9e9, 1.8e9)]
+
     def test_to_internal(self):
         plan = ScaledPlan(1.9e9, 1.8e9)
         assert plan.to_internal(1.0e8) == 4.0

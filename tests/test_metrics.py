@@ -9,6 +9,7 @@ import pytest
 from helpers import make_mixer, make_scenario, noise_figure_grid_scenario
 
 from mixbench import metrics
+from mixbench.cli import prepare
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
     TransconductorParams,
@@ -351,3 +352,61 @@ class TestNoiseFigureProbe:
         res = measure_noise_figure(s, settings)
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
+
+
+def recording_simulate(monkeypatch):
+    """Route ``metrics.simulate`` through a recorder; return the grid sizes it sees."""
+    grids = []
+
+    def recording(scenario):
+        grids.append(scenario.grid.num_samples)
+        return simulate(scenario)
+
+    monkeypatch.setattr(metrics, "simulate", recording)
+    return grids
+
+
+def quiet_readings(s, two_tone, per_tone_dbm):
+    """Every noise-free reading of the CLI's measurements, run in its order."""
+    readings = {"cg": [measure_conversion_gain(s)]}
+    p1db = measure_p1db(s)
+    readings["p1db"] = [pt.gain_db for pt in p1db.sweep] + [p1db.p1db_dbm]
+    iip3 = measure_iip3(two_tone, per_tone_dbm)
+    readings["iip3"] = [iip3.p_fund_dbm, iip3.p_im3_dbm, iip3.p_im3_mirror_dbm,
+                        iip3.iip3_dbm]
+    readings["isolation"] = [measure_isolation(s)]
+    return readings
+
+
+class TestCommonPeriod:
+    @pytest.mark.parametrize("mixer", [{}, {"switch_mode": "smooth"}, {"a2": 0.01}],
+                             ids=["default", "smooth_switch", "a2"])
+    def test_readings_match_full_record(self, monkeypatch, mixer):
+        # A 2-unit tone spacing puts the IIP3 rays on even bins, so its
+        # common period is 4,608 of the 9,216 samples.
+        run, inputs = prepare(from_dict({
+            "scenario": {"mixer": mixer},
+            "sweeps": {"iip3": {"tone_spacing_hz": 5.0e7}}}))
+        grids = recording_simulate(monkeypatch)
+        period = quiet_readings(run.quiet, *inputs["iip3"])
+        assert len(period["p1db"]) == 82
+        assert grids == [2304] * 82 + [4608] * 2 + [2304]
+        grids.clear()
+        monkeypatch.setattr(metrics, "_on_common_period", lambda s, *rays: s)
+        full = quiet_readings(run.quiet, *inputs["iip3"])
+        assert set(grids) == {9216}
+        for name, values in full.items():
+            assert period[name] == pytest.approx(values, rel=0, abs=1e-9), name
+
+    def test_noisy_scenario_keeps_its_full_grid(self, monkeypatch):
+        run, _ = prepare(from_dict({"measurements": ["cg"]}))
+        assert run.scenario.input_noise_density > 0
+        grids = recording_simulate(monkeypatch)
+        measure_conversion_gain(run.scenario)
+        assert grids == [9216]
+
+    def test_noise_free_period_scenario_is_kept(self):
+        run, _ = prepare(from_dict({"measurements": ["cg"]}))
+        period = metrics._on_common_period(run.quiet, run.quiet.f_if)
+        assert period.grid.num_samples == 2304
+        assert metrics._on_common_period(period, period.f_if) is period
