@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -169,8 +170,7 @@ class TransientResult:
 
     :func:`simulate` builds and checks ``v_out``.  The other nodes hold
     read-only arrays and become signals when first read, and are kept; the
-    IF filter likewise runs when ``v_out_filtered`` is first read.  A sweep
-    point reads only ``v_out``.
+    IF filter likewise runs when ``v_out_filtered`` is first read.
     """
 
     scenario: Scenario
@@ -240,6 +240,39 @@ def _lo_drive(grid: SimGrid, lo_tone: ToneSpec,
     return v_lo, switch_waveform(switch, v_lo)
 
 
+def _port_extras(s: Scenario, v_lo: np.ndarray) -> Iterator[np.ndarray]:
+    """What ``s`` adds to its RF tones at the RF port: the LO leak, then the noise.
+
+    Yields each as a fresh array, made when asked for and only when the
+    scenario has it.
+    """
+    if s.mixer.leakage.kappa != 0.0:
+        yield _lo_leak(s.mixer.leakage, v_lo)
+    if s.input_noise_density > 0.0:
+        yield white_noise(s.grid, s.input_noise_density, s.noise_seed,
+                          band=s.input_noise_band).samples
+
+
+def _respond(m: MixerParams, sw: np.ndarray,
+             parts: Iterable[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """``(port, i_s, i_out, v_out)`` of the mixer for an RF port summed from ``parts``.
+
+    The port voltage is ``0 + parts[0] + parts[1] + ...``, summed in place
+    in that order; ``sw`` holds the switch samples.  Plain fresh arrays,
+    none checked: the one kernel behind :func:`simulate` and the
+    conversion-gain sweep of :mod:`metrics`.
+    """
+    port = np.zeros(sw.size)
+    for part in parts:
+        port += part
+        # Free each part before a generator makes the next: on a long grid
+        # at most one part then lives beside the port.
+        del part
+    i_s = _transconductor(m.transconductor, port)
+    i_out = i_s * sw
+    return port, i_s, i_out, m.load.rd * i_out
+
+
 def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
@@ -248,26 +281,17 @@ def simulate(s: Scenario) -> TransientResult:
     the switch waveform come from a memo of at most ``_LO_DRIVE_CACHE_SIZE``
     (grid, LO tone, switch) entries, each two grid-sized arrays (134 MB at
     the 2^23-sample grid cap); the rest is computed on each call, on plain
-    arrays, the RF port voltage summed in place.  Only ``v_out`` is checked
-    for non-finite samples: the LO drive and the noise are checked signals,
-    ``rd`` is finite and > 0, and inf and NaN survive every later sum and
-    product (inf times a zero switch sample gives NaN).
+    arrays, by :func:`_respond`.  Only ``v_out`` is checked for non-finite
+    samples: the LO drive and the noise are checked signals, ``rd`` is
+    finite and > 0, and inf and NaN survive every later sum and product
+    (inf times a zero switch sample gives NaN).
     """
     grid = s.grid
     v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
-
-    port = np.zeros(grid.num_samples)
-    for tone in s.rf_tones:
-        port += _tone_samples(grid, tone)
-    if s.mixer.leakage.kappa != 0.0:
-        port += _lo_leak(s.mixer.leakage, v_lo.samples)
-    if s.input_noise_density > 0.0:
-        port += white_noise(grid, s.input_noise_density, s.noise_seed,
-                            band=s.input_noise_band).samples
-
-    i_s = _transconductor(s.mixer.transconductor, port)
-    i_out = i_s * sw.samples
-    v_out = SampledSignal._adopt(grid, s.mixer.load.rd * i_out, "volt")
+    parts = chain((_tone_samples(grid, tone) for tone in s.rf_tones),
+                  _port_extras(s, v_lo.samples))
+    port, i_s, i_out, v_out = _respond(s.mixer, sw.samples, parts)
+    v_out = SampledSignal._adopt(grid, v_out, "volt")
     for node in (port, i_s, i_out):
         node.setflags(write=False)
     return TransientResult(scenario=s, v_out=v_out, _v_rf_port=port, _i_s=i_s,

@@ -15,15 +15,20 @@ spectrum analyzer:
 The model is memoryless, so every noise-free simulation here runs on the
 common period of its tones, its LO and the rays it reads; its bin readings
 equal those on the full record to the last bits.  Noisy records keep theirs.
+
+Conversion gain and every compression-sweep point come from one routine,
+:func:`_conversion_gains`, which runs only the per-amplitude part of
+:func:`engine.simulate` and :func:`signals.bin_amplitude`, on their kernels
+and to their bits.  The other measurements call ``simulate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .engine import Scenario, simulate
+from .engine import Scenario, _lo_drive, _port_extras, _respond, simulate
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -35,8 +40,14 @@ from .errors import (
 from .signals import (
     ToneSpec,
     _band_noise_stats,
+    _check_finite,
+    _exp_basis,
+    _project,
+    _readout_bin,
+    _tone_basis,
     amplitude_to_dbm,
     bin_amplitude,
+    dbm_to_amplitude,
     noise_band_bins,
 )
 
@@ -115,19 +126,46 @@ def _on_common_period(s: Scenario, *rays: float) -> Scenario:
     return s if grid == s.grid else replace(s, grid=grid)
 
 
+def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
+    """Conversion gain in dB of single-tone ``s`` at each RF peak amplitude, in order.
+
+    Each point is the simulation of ``s`` with its tone at that amplitude,
+    read at the IF bin: the RF port is ``0 + tone + LO leak + noise``, run
+    through :func:`engine._respond`, ``v_out`` scanned for non-finite
+    samples and read as :func:`signals.bin_value` reads it.  Everything no
+    amplitude changes is done once: the move onto the common period, the
+    tone and readout bins, the LO drive, the leak and the noise.
+    ``amplitudes`` is consumed one point at a time, so a point that fails
+    raises after every point before it has run.
+    """
+    s = _on_common_period(s, s.f_if)
+    grid = s.grid
+    tone = _tone_basis(grid, s.rf_tones[0])
+    k = _readout_bin(grid, s.f_if)
+    readout = _exp_basis(grid.num_samples, k)
+    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
+    extras = tuple(_port_extras(s, v_lo.samples))
+    gains = []
+    for amp_in in amplitudes:
+        if amp_in <= 0:
+            raise WrongStimulusError("conversion gain needs a non-silent RF tone")
+        v_out = _respond(s.mixer, sw.samples, (amp_in * tone, *extras))[3]
+        _check_finite(v_out)
+        amp_out = abs(_project(v_out, k, readout))
+        gains.append(-math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in))
+    return gains
+
+
 def measure_conversion_gain(s: Scenario) -> float:
-    """Conversion gain in dB of a single-tone scenario, read at the IF bin of its period."""
+    """Conversion gain in dB of a single-tone scenario, read at the IF bin of its period.
+
+    The one-amplitude case of :func:`_conversion_gains`: a noise-free
+    scenario runs on its common period, a noisy one on its full grid.
+    """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
-    amp_in = s.rf_tones[0].peak_amplitude()
-    if amp_in <= 0:
-        raise WrongStimulusError("conversion gain needs a non-silent RF tone")
-    result = simulate(_on_common_period(s, s.f_if))
-    amp_out = bin_amplitude(result.v_out, s.f_if).amplitude
-    if amp_out <= 0:
-        return -math.inf
-    return 20.0 * math.log10(amp_out / amp_in)
+    return _conversion_gains(s, (s.rf_tones[0].peak_amplitude(),))[0]
 
 
 def sweep_size(power_range: Tuple[float, float], step: float) -> int:
@@ -157,7 +195,9 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     The small-signal reference is the gain measured at the lowest sweep
     power, so the procedure works for any device model, and the crossing is
     interpolated linearly in (input dBm, gain dB) between bracketing points.
-    The sweep moves a noise-free scenario onto its common period once.
+    Every point's gain equals :func:`measure_conversion_gain` of ``s`` at
+    that power; all points come from one :func:`_conversion_gains` call,
+    which raises for the first point that fails.
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
@@ -166,12 +206,9 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
         raise NoCompressionError(
             f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
     lo_dbm, hi_dbm = power_range
-    s = _on_common_period(s, s.f_if)
-    sweep = []
-    for i in range(sweep_size(power_range, step)):
-        p_in = lo_dbm + i * step
-        gain = measure_conversion_gain(s.with_rf_power(p_in))
-        sweep.append(_sweep_point(p_in, p_in + gain))
+    powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
+    gains = _conversion_gains(s, (dbm_to_amplitude(p_in) for p_in in powers))
+    sweep = [_sweep_point(p_in, p_in + gain) for p_in, gain in zip(powers, gains)]
 
     ref_gain = sweep[0].gain_db
     threshold = ref_gain - 1.0

@@ -86,7 +86,6 @@ class SimGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.num_samples) / self.sample_rate
 
-    @lru_cache(maxsize=16)
     def common_period(self, frequencies: Tuple[float, ...]) -> "SimGrid":
         """Shortest valid grid at this sample rate with every frequency on a bin.
 
@@ -95,7 +94,7 @@ class SimGrid:
         samples), so it holds the first N/g sample times of this grid.  A
         memoryless response to tones at ``frequencies`` repeats with that
         period, and its bin readings on the short grid equal those on the
-        full record.  Memoised: every compression-sweep point asks for one.
+        full record.
         """
         g = self.num_samples
         for f in frequencies:
@@ -153,11 +152,16 @@ class SampledSignal:
             raise ValidationError(
                 f"samples length {self.samples.shape} does not match grid "
                 f"num_samples {self.grid.num_samples}")
-        if not np.isfinite(self.samples).all():
-            raise ValidationError("signal contains non-finite samples")
+        _check_finite(self.samples)
 
     def __len__(self) -> int:
         return self.grid.num_samples
+
+
+def _check_finite(samples: np.ndarray):
+    """Raise ValidationError unless every sample is finite."""
+    if not np.isfinite(samples).all():
+        raise ValidationError("signal contains non-finite samples")
 
 
 @dataclass(frozen=True)
@@ -248,12 +252,21 @@ def _exp_basis(num_samples: int, k: int) -> np.ndarray:
     return basis
 
 
-def _tone_samples(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
-    """A fresh array of ``A cos(2 pi f t + phi)`` on the grid, unchecked for finiteness."""
+def _tone_basis(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
+    """The memoised unit-amplitude ``cos(2 pi f t + phi)`` of ``tone`` on the grid.
+
+    The tone must be coherent with the grid and strictly below Nyquist.
+    """
     if tone.frequency >= grid.nyquist:
         raise AliasingError(tone.frequency, grid.nyquist, "tone")
     k = grid.bin_index(tone.frequency, "tone")
-    return tone.peak_amplitude() * _cos_basis(grid.num_samples, k, tone.phase)
+    return _cos_basis(grid.num_samples, k, tone.phase)
+
+
+def _tone_samples(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
+    """A fresh array of ``A cos(2 pi f t + phi)`` on the grid, unchecked for finiteness."""
+    basis = _tone_basis(grid, tone)
+    return tone.peak_amplitude() * basis
 
 
 def synthesize_tone(grid: SimGrid, tone: ToneSpec) -> SampledSignal:
@@ -277,13 +290,24 @@ def bin_value(signal: SampledSignal, frequency: float) -> complex:
 def _bin_value(signal: SampledSignal, frequency: float, exp_basis) -> complex:
     """:func:`bin_value` against the basis ``exp_basis(N, k)`` returns."""
     grid = signal.grid
+    k = _readout_bin(grid, frequency)
+    return _project(signal.samples, k, exp_basis(grid.num_samples, k))
+
+
+def _readout_bin(grid: SimGrid, frequency: float) -> int:
+    """Bin of a ray read on ``grid``: coherent, below Nyquist and not negative."""
     k = grid.bin_index(frequency, "bin readout")
     if frequency >= grid.nyquist:
         raise AliasingError(frequency, grid.nyquist, "bin readout")
     if k < 0:
         raise ValidationError(f"negative frequency {frequency!r}")
-    c = np.dot(signal.samples, exp_basis(grid.num_samples, k))
-    scale = 1.0 / grid.num_samples if k == 0 else 2.0 / grid.num_samples
+    return k
+
+
+def _project(samples: np.ndarray, k: int, basis: np.ndarray) -> complex:
+    """Projection of ``samples`` on the bin-``k`` basis, scaled so a peak-A tone reads A."""
+    c = np.dot(samples, basis)
+    scale = 1.0 / samples.size if k == 0 else 2.0 / samples.size
     return complex(c * scale)
 
 

@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+from mixbench import metrics
 from mixbench.devices import (
     BiasParams,
     LeakageParams,
@@ -7,7 +8,14 @@ from mixbench.devices import (
     SwitchParams,
     TransconductorParams,
 )
-from mixbench.engine import FilterSpec, MixerParams, ScaledPlan, Scenario
+from mixbench.engine import (
+    FilterSpec,
+    MixerParams,
+    ScaledPlan,
+    Scenario,
+    _respond,
+    simulate,
+)
 from mixbench.metrics import NoiseFigureSettings
 from mixbench.signals import ToneSpec
 
@@ -76,3 +84,24 @@ def noise_figure_grid_scenario(mixer, noise_density, noise_band_lo_harmonics=Non
     settings = NoiseFigureSettings(input_band_width=width,
                                    output_band_width=width, segments=32)
     return scenario, settings
+
+
+def record_grids(monkeypatch):
+    """Route the measurements' mixer runs through a recorder; return the grid sizes.
+
+    One entry per ``metrics.simulate`` call and one per point of the
+    conversion-gain routine, which runs the mixer kernel without ``simulate``.
+    """
+    grids = []
+
+    def recording_simulate(scenario):
+        grids.append(scenario.grid.num_samples)
+        return simulate(scenario)
+
+    def recording_respond(mixer, sw, parts):
+        grids.append(sw.size)
+        return _respond(mixer, sw, parts)
+
+    monkeypatch.setattr(metrics, "simulate", recording_simulate)
+    monkeypatch.setattr(metrics, "_respond", recording_respond)
+    return grids

@@ -10,6 +10,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import record_grids
+
 from mixbench import cli, engine, metrics, signals
 from mixbench.cli import (
     REGISTRY,
@@ -478,18 +480,13 @@ def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields
 
 class TestDefaultRunWork:
     def test_each_measurement_simulates_on_its_grid(self, tmp_path, monkeypatch):
-        grids = []
-
-        def recording(scenario):
-            grids.append(scenario.grid.num_samples)
-            return simulate(scenario)
-
-        monkeypatch.setattr(metrics, "simulate", recording)
+        grids = record_grids(monkeypatch)
         assert main(["run", "--config", write_config(tmp_path, ""),
                      "--out", str(tmp_path / "out")]) == 0
-        # cg and 81 p1db points on the 2,304-sample period; iip3 hot and cold
-        # on the full grid (a 1-unit tone spacing has no shorter period);
-        # isolation; the NF noise record and its 576-sample probe.
+        # cg and 81 p1db points on the 2,304-sample period (gain-routine
+        # points); iip3 hot and cold on the full grid (a 1-unit tone spacing
+        # has no shorter period); isolation; the NF noise record and its
+        # 576-sample probe (simulate calls).
         assert grids == [2304] * 82 + [9216] * 2 + [2304] + [1179648, 576]
 
     def test_second_run_misses_no_memo(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the mixer engine: transients, analytic gain, IF filter, grids."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,22 @@ class TestInPlaceArithmetic:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite"):
                 simulate(s)
+
+    def test_port_parts_made_one_at_a_time(self):
+        # Tone, LO leak and noise are each added and freed before the next
+        # is made, so the peak is the four result nodes plus about one array.
+        s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303),
+                          noise_density=1e-9, bins_per_unit=64)
+        simulate(s)  # fill the memos
+        tracemalloc.start()
+        try:
+            result = simulate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = result.v_out.samples.nbytes
+        assert array == 8 * 147456
+        assert peak < 5 * array
 
     def test_every_node_is_read_only(self):
         result = simulate(make_scenario(noise_density=1e-9, if_filter_cutoff=8.0))

@@ -1,12 +1,18 @@
 """Tests for the figure-of-merit measurements against their oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import make_mixer, make_scenario, noise_figure_grid_scenario
+from helpers import (
+    make_mixer,
+    make_scenario,
+    noise_figure_grid_scenario,
+    record_grids,
+)
 
 from mixbench import metrics
 from mixbench.cli import prepare
@@ -70,6 +76,103 @@ class TestConversionGain:
             measure_conversion_gain(s)
 
 
+def reference_gain_db(s, power_dbm):
+    """Gain of ``s`` at ``power_dbm`` the per-point way: one ``simulate`` and
+    one ``bin_amplitude``, on the scenario's common period when noise-free."""
+    s = metrics._on_common_period(s, s.f_if).with_rf_power(power_dbm)
+    amp_in = s.rf_tones[0].peak_amplitude()
+    if amp_in <= 0:
+        raise WrongStimulusError("conversion gain needs a non-silent RF tone")
+    amp_out = bin_amplitude(simulate(s).v_out, s.f_if).amplitude
+    return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
+
+
+def reference_sweep(s, powers):
+    """Compression-sweep points of ``s`` at ``powers``, each from its own simulation."""
+    return [metrics._sweep_point(p, p + reference_gain_db(s, p)) for p in powers]
+
+
+def sweep_powers(power_range, step):
+    lo, _ = power_range
+    return [lo + i * step for i in range(metrics.sweep_size(power_range, step))]
+
+
+class TestGainRoutineBits:
+    """The sweep's gain routine against one simulation per point, bit for bit."""
+
+    @pytest.mark.parametrize("scenario, noisy", [
+        ({}, False),
+        ({"mixer": {"switch_mode": "smooth"}}, False),
+        ({"mixer": {"a2": 0.01}}, False),
+        ({"mixer": {"kappa": 0}}, False),
+        ({}, True),
+    ], ids=["default", "smooth_switch", "a2", "kappa_0", "noisy"])
+    def test_equals_per_point_simulation(self, scenario, noisy):
+        run, inputs = prepare(from_dict({"scenario": scenario}))
+        s = run.scenario if noisy else run.quiet
+        if noisy:
+            # Noise on the full 9,216-sample grid, added after the LO leak.
+            assert s.input_noise_density > 0 and s.mixer.leakage.kappa > 0
+            assert metrics._on_common_period(s, s.f_if) is s
+            assert s.grid.num_samples == 9216
+        res = measure_p1db(s, *inputs["p1db"])
+        reference = reference_sweep(s, sweep_powers(*inputs["p1db"]))
+        assert len(res.sweep) == len(reference) == 81
+        for point, ref in zip(res.sweep, reference):
+            assert point.output_power_dbm == ref.output_power_dbm
+            assert point.gain_db == ref.gain_db
+        assert measure_conversion_gain(s) == reference_gain_db(s, s.rf_tones[0].power_dbm)
+
+    def test_two_point_sweep(self):
+        s = calibrated_scenario()
+        res = measure_p1db(s, (-40.0, 0.0), 40.0)
+        assert list(res.sweep) == reference_sweep(s, [-40.0, 0.0])
+
+    @pytest.mark.parametrize("mixer, power_range, step, error, message", [
+        # The tiny cubic keeps 3000 and 3050 dBm finite; 3100 dBm has no
+        # finite peak voltage.
+        ({"a3": -1e-300}, (3000.0, 3100.0), 50.0, ValidationError,
+         "3100.0 dBm has no finite peak voltage"),
+        # -4000 dBm is an amplitude of 0.0.
+        ({"a3": CAL_A3}, (-4000.0, -3990.0), 5.0, WrongStimulusError,
+         "conversion gain needs a non-silent RF tone"),
+        # The cube of a 2500 dBm drive overflows.
+        ({"a3": CAL_A3}, (2500.0, 2600.0), 50.0, ValidationError,
+         "signal contains non-finite samples"),
+        # Points fail in order: 3000 dBm overflows before 3100 dBm is reached.
+        ({"a3": CAL_A3}, (3000.0, 3100.0), 50.0, ValidationError,
+         "signal contains non-finite samples"),
+    ], ids=["finite_peak_voltage", "silent", "overflow", "overflow_first"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failures_match_per_point_simulation(self, mixer, power_range, step,
+                                                 error, message):
+        s = make_scenario(mixer=make_mixer(gm=CAL_GM, kappa=0.01303, **mixer))
+        with pytest.raises(error) as ref:
+            reference_sweep(s, sweep_powers(power_range, step))
+        with pytest.raises(error) as got:
+            measure_p1db(s, power_range, step)
+        assert str(got.value) == str(ref.value) == message
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_conversion_gain_overflow(self):
+        s = calibrated_scenario().with_rf_power(2500.0)
+        with pytest.raises(ValidationError, match="signal contains non-finite samples"):
+            measure_conversion_gain(s)
+
+    def test_sweep_memory_is_bounded(self):
+        # One sample row at a time: about 150 KB of peak for 401 points.
+        run, _ = prepare(from_dict({}))
+        measure_p1db(run.quiet, (-40.0, 0.0), 0.1)  # fill the memos first
+        tracemalloc.start()
+        try:
+            res = measure_p1db(run.quiet, (-40.0, 0.0), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.sweep) == 401
+        assert peak < 512 * 1024
+
+
 class TestP1dB:
     def test_calibrated_value(self):
         res = measure_p1db(calibrated_scenario(), (-40.0, 0.0), 0.5)
@@ -92,13 +195,18 @@ class TestP1dB:
                 pt.output_power_dbm - pt.input_power_dbm, abs=1e-12)
 
     def test_linear_device_rejected(self):
-        with pytest.raises(NoCompressionError):
+        with pytest.raises(NoCompressionError,
+                           match=r"a3 must be < 0 for compression, got 0\.0"):
             measure_p1db(calibrated_scenario(a3=0.0))
 
     def test_range_without_crossing(self):
-        with pytest.raises(CompressionNotFoundError) as err:
-            measure_p1db(calibrated_scenario(), (-40.0, -30.0), 1.0)
+        s = calibrated_scenario()
+        message = r"gain never dropped 1 dB below .* within \[-40\.0, -30\.0\] dBm"
+        with pytest.raises(CompressionNotFoundError, match=message) as err:
+            measure_p1db(s, (-40.0, -30.0), 1.0)
         assert len(err.value.sweep) == 11
+        assert list(err.value.sweep) == reference_sweep(
+            s, sweep_powers((-40.0, -30.0), 1.0))
 
     @pytest.mark.parametrize("power_range, step", [
         ((-1.0e7, 0.0), 0.001),        # 1e10 points
@@ -107,10 +215,11 @@ class TestP1dB:
     ])
     def test_sweep_size_checked_before_simulating(self, monkeypatch,
                                                   power_range, step):
-        def no_simulation(scenario):
+        def no_simulation(*args):
             raise AssertionError("simulated a sweep that cannot be used")
 
         monkeypatch.setattr(metrics, "simulate", no_simulation)
+        monkeypatch.setattr(metrics, "_respond", no_simulation)
         with pytest.raises(ValidationError):
             measure_p1db(calibrated_scenario(), power_range, step)
 
@@ -354,18 +463,6 @@ class TestNoiseFigureProbe:
             full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
 
 
-def recording_simulate(monkeypatch):
-    """Route ``metrics.simulate`` through a recorder; return the grid sizes it sees."""
-    grids = []
-
-    def recording(scenario):
-        grids.append(scenario.grid.num_samples)
-        return simulate(scenario)
-
-    monkeypatch.setattr(metrics, "simulate", recording)
-    return grids
-
-
 def quiet_readings(s, two_tone, per_tone_dbm):
     """Every noise-free reading of the CLI's measurements, run in its order."""
     readings = {"cg": [measure_conversion_gain(s)]}
@@ -387,7 +484,7 @@ class TestCommonPeriod:
         run, inputs = prepare(from_dict({
             "scenario": {"mixer": mixer},
             "sweeps": {"iip3": {"tone_spacing_hz": 5.0e7}}}))
-        grids = recording_simulate(monkeypatch)
+        grids = record_grids(monkeypatch)
         period = quiet_readings(run.quiet, *inputs["iip3"])
         assert len(period["p1db"]) == 82
         assert grids == [2304] * 82 + [4608] * 2 + [2304]
@@ -401,7 +498,7 @@ class TestCommonPeriod:
     def test_noisy_scenario_keeps_its_full_grid(self, monkeypatch):
         run, _ = prepare(from_dict({"measurements": ["cg"]}))
         assert run.scenario.input_noise_density > 0
-        grids = recording_simulate(monkeypatch)
+        grids = record_grids(monkeypatch)
         measure_conversion_gain(run.scenario)
         assert grids == [9216]
 
