@@ -461,8 +461,18 @@ def cmd_report(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
         text = render_summary_text(summary)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
+    # A file that is not JSON, or JSON without the layout a run writes.
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
+        print(f"I/O error: cannot render {path}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_IO_ERROR
+    try:
         _write_text(os.path.join(args.out, "summary.txt"), text)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     print(text)

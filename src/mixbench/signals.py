@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -236,18 +236,32 @@ def dbm_to_amplitude(power_dbm: float) -> float:
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _cos_basis(num_samples: int, k: int, phase: float) -> np.ndarray:
-    """Read-only ``cos(2 pi k n / N + phase)`` for n = 0..N-1."""
-    n = np.arange(num_samples)
-    basis = np.cos(2.0 * np.pi * k * n / num_samples + phase)
+    """Read-only ``cos(2 pi k n / N + phase)`` for n = 0..N-1.
+
+    Built in place in one float64 array, each step the operation the
+    formula takes in that order, so a cold basis peaks at its own size and
+    keeps the formula's bits.
+    """
+    basis = np.arange(num_samples, dtype=np.float64)
+    basis *= 2.0 * np.pi * k
+    basis /= num_samples
+    basis += phase
+    np.cos(basis, out=basis)
     basis.setflags(write=False)
     return basis
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _exp_basis(num_samples: int, k: int) -> np.ndarray:
-    """Read-only ``exp(-2j pi k n / N)`` for n = 0..N-1."""
-    n = np.arange(num_samples)
-    basis = np.exp(-2j * np.pi * k * n / num_samples)
+    """Read-only ``exp(-2j pi k n / N)`` for n = 0..N-1.
+
+    Built in place in one complex128 array like :func:`_cos_basis`, to the
+    formula's bits.
+    """
+    basis = np.arange(num_samples, dtype=np.complex128)
+    basis *= -2j * np.pi * k
+    basis /= num_samples
+    np.exp(basis, out=basis)
     basis.setflags(write=False)
     return basis
 
@@ -357,24 +371,49 @@ def white_noise(grid: SimGrid, density: float, seed: int,
     flat one-sided spectral density comes out at the requested value.  When
     ``band`` is given the spectrum is brick-wall limited to that range (the
     DC bin is always cleared); bins inside the band keep their statistics.
+    The record is the one segment of :func:`_noise_segments`, which can
+    also hand the same record out a segment at a time.
+    """
+    samples = next(_noise_segments(grid, density, seed, band, 1))
+    return SampledSignal._adopt(grid, samples, "volt")
+
+
+def _noise_segments(grid: SimGrid, density: float, seed: int,
+                    band: Optional[Tuple[float, float]],
+                    segments: int) -> Iterator[np.ndarray]:
+    """The :func:`white_noise` record in ``segments`` consecutive equal pieces, unchecked.
+
+    White noise is drawn a piece at a time from one generator, which gives
+    the bits of one draw of the whole record, so no more than a piece of it
+    exists at once.  Band-limited noise is made whole, since its brick-wall
+    filter spans the record, and handed out in slices.  ``segments`` must
+    divide the record length.
     """
     if density < 0:
         raise ValueError(f"noise density must be >= 0, got {density!r}")
+    seg_len = grid.num_samples // segments
     if density == 0.0:
-        return SampledSignal._adopt(grid, np.zeros(grid.num_samples), "volt")
-    rng = np.random.default_rng(seed)
-    sigma = density * math.sqrt(grid.sample_rate / 2.0)
-    samples = rng.standard_normal(grid.num_samples) * sigma
+        for _ in range(segments):
+            yield np.zeros(seg_len)
+        return
     if band is not None:
         check_noise_band(grid, band)
-        lo, hi = band
-        spectrum = np.fft.rfft(samples)
-        freqs = np.arange(spectrum.size) * grid.resolution
-        keep = (freqs >= lo) & (freqs <= hi)
-        keep[0] = False
-        spectrum[~keep] = 0.0
-        samples = np.fft.irfft(spectrum, grid.num_samples)
-    return SampledSignal._adopt(grid, samples, "volt")
+    rng = np.random.default_rng(seed)
+    sigma = density * math.sqrt(grid.sample_rate / 2.0)
+    if band is None:
+        for _ in range(segments):
+            yield rng.standard_normal(seg_len) * sigma
+        return
+    lo, hi = band
+    spectrum = np.fft.rfft(rng.standard_normal(grid.num_samples) * sigma)
+    freqs = np.arange(spectrum.size) * grid.resolution
+    keep = (freqs >= lo) & (freqs <= hi)
+    keep[0] = False
+    spectrum[~keep] = 0.0
+    samples = np.fft.irfft(spectrum, grid.num_samples)
+    del spectrum, freqs, keep  # only the record lives while it is handed out
+    for j in range(segments):
+        yield samples[j * seg_len:(j + 1) * seg_len]
 
 
 class BandNoiseStats(NamedTuple):
@@ -434,9 +473,21 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
     """Averaged-periodogram band statistics behind :func:`noise_density`."""
     grid = signal.grid
     used = noise_band_bins(grid, band_center, band_width, segments, mask_frequencies)
+    chunks = signal.samples.reshape(segments, grid.num_samples // segments)
+    return _band_stats(grid, np.fft.rfft(chunks, axis=1)[:, used])
+
+
+def _band_stats(grid: SimGrid, band: np.ndarray) -> BandNoiseStats:
+    """Band statistics of a record on ``grid`` from its periodogram rows.
+
+    ``band`` holds one row per segment of the record: the segment's rFFT at
+    the band bins :func:`noise_band_bins` chose.  Its memory layout decides
+    the order of the sums, so the bits of the result: a row-by-row build
+    keeps those of ``rfft(chunks, axis=1)[:, used]`` when it writes an
+    ``order="F"`` array, the layout that indexing returns.
+    """
+    segments, bins_used = band.shape
     seg_len = grid.num_samples // segments
-    chunks = signal.samples.reshape(segments, seg_len)
-    band = np.fft.rfft(chunks, axis=1)[:, used]
     # One-sided periodogram in V^2/Hz.
     band_psd = (np.abs(band) ** 2) * (2.0 / (grid.sample_rate * seg_len))
     mean_power = float(band_psd.mean())
@@ -444,7 +495,7 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
     spread = float(per_segment.std(ddof=1) / math.sqrt(segments) / mean_power) \
         if mean_power > 0 else 0.0
     return BandNoiseStats(density=math.sqrt(mean_power), relative_spread=spread,
-                          bins_used=int(used.size), segments=segments)
+                          bins_used=bins_used, segments=segments)
 
 
 def noise_density(signal: SampledSignal, band_center: float, band_width: float,

@@ -241,6 +241,21 @@ class TestConfigLoading:
         assert per_tone == -40.0
 
 
+# Keys a run writes into summary.json, so drawn summaries reach the
+# renderer's deeper reads.
+SUMMARY_KEYS = st.sampled_from(
+    ["measurements", "plan", "reference", "rf_hz", "lo_hz", "if_hz",
+     "noise_figure_db", "error", "rows", "analytic_db",
+     "reference_formula_db", "reference_gap_db",
+     *(name for name, *_ in REGISTRY),
+     *(key for *_, row in REGISTRY if row for key in row[1::2] if key)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(SUMMARY_KEYS | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+
+
 class TestCliRun:
     def run_cli(self, *argv):
         return main(list(argv))
@@ -417,6 +432,27 @@ class TestCliRun:
     def test_report_missing_dir_exits_3(self, tmp_path):
         assert self.run_cli("report", "--out", str(tmp_path / "nope")) == 3
 
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '{"measurements": []}',
+        '{"measurements": {"cg": {"value_db": "13.5"}}}',
+        '{"measurements": {}, "plan": {"rf_hz": "1.9e9"}}',
+        "{not json", "[" * 100000,
+    ], ids=["empty_object", "list", "measurements_list", "string_value",
+            "string_plan", "invalid_json", "deep_nesting"])
+    def test_report_unrenderable_summary_exits_3(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_text(text)
+        assert self.run_cli("report", "--out", str(tmp_path)) == 3
+        assert "summary.json" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
+    @given(summary=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_report_renders_or_exits_3(self, summary):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "summary.json"), "w") as fh:
+                json.dump(summary, fh)
+            assert self.run_cli("report", "--out", tmp) in (0, 3)
+
     def test_metadata_contents(self, tmp_path):
         path = write_config(tmp_path, "measurements: [power]\n")
         out = tmp_path / "out"
@@ -485,9 +521,10 @@ class TestDefaultRunWork:
                      "--out", str(tmp_path / "out")]) == 0
         # cg and 81 p1db points on the 2,304-sample period (gain-routine
         # points); iip3 hot and cold on the full grid (a 1-unit tone spacing
-        # has no shorter period); isolation; the NF noise record and its
-        # 576-sample probe (simulate calls).
-        assert grids == [2304] * 82 + [9216] * 2 + [2304] + [1179648, 576]
+        # has no shorter period); isolation; the NF noise record, one
+        # 36,864-sample periodogram segment at a time, and its 576-sample
+        # probe.
+        assert grids == [2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
 
     def test_second_run_misses_no_memo(self, tmp_path):
         memos = (engine._lo_drive, signals._cos_basis, signals._exp_basis)

@@ -14,7 +14,7 @@ from helpers import (
     record_grids,
 )
 
-from mixbench import metrics
+from mixbench import metrics, signals
 from mixbench.cli import prepare
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
@@ -45,7 +45,13 @@ from mixbench.metrics import (
     reference_formula_noise_figure,
     two_tone_variant,
 )
-from mixbench.signals import ToneSpec, amplitude_to_dbm, bin_amplitude
+from mixbench.signals import (
+    ToneSpec,
+    amplitude_to_dbm,
+    bin_amplitude,
+    bin_value,
+    noise_band_bins,
+)
 
 CAL_GM = 0.034
 CAL_A3 = -0.696
@@ -144,6 +150,7 @@ class TestGainRoutineBits:
          "signal contains non-finite samples"),
     ], ids=["finite_peak_voltage", "silent", "overflow", "overflow_first"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_failures_match_per_point_simulation(self, mixer, power_range, step,
                                                  error, message):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, kappa=0.01303, **mixer))
@@ -154,10 +161,24 @@ class TestGainRoutineBits:
         assert str(got.value) == str(ref.value) == message
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_conversion_gain_overflow(self):
         s = calibrated_scenario().with_rf_power(2500.0)
         with pytest.raises(ValidationError, match="signal contains non-finite samples"):
             measure_conversion_gain(s)
+
+    @pytest.mark.parametrize("amplitude, expected", [(1e305, math.inf), (1e306, math.nan)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_finite_record_with_overflowing_readout(self, amplitude, expected):
+        # Every v_out sample is finite, but the IF projection overflows: to
+        # inf, or to NaN where partial sums of both signs overflow.  No
+        # error is raised and the reading is that of one simulation.
+        s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=0.0), rf_amplitude=amplitude)
+        v_out = simulate(metrics._on_common_period(s, s.f_if)).v_out
+        reference = 20.0 * math.log10(abs(bin_value(v_out, s.f_if)) / amplitude)
+        got = measure_conversion_gain(s)
+        assert np.array_equal([got, reference], [expected, expected], equal_nan=True)
 
     def test_sweep_memory_is_bounded(self):
         # One sample row at a time: about 150 KB of peak for 401 points.
@@ -400,6 +421,95 @@ class TestNoiseFigure:
             measure_noise_figure(replace(s, input_noise_density=0.0), settings)
 
 
+def whole_record_noise_figure(s, settings):
+    """Band statistics, gain and figure of ``s`` with its noise record
+    simulated whole: ``simulate`` plus ``_band_noise_stats``, the reference
+    the streamed record must reproduce."""
+    bands, probe, f_out = noise_figure_setup(s, settings)
+    result = simulate(s)
+    stats = [signals._band_noise_stats(signal, center, width, settings.segments,
+                                       mask_frequencies=mask)
+             for signal, (center, width, mask)
+             in zip((result.v_rf_port, result.v_out), bands)]
+    gain_db = 20.0 * math.log10(bin_amplitude(simulate(probe).v_out, f_out).amplitude
+                                / probe.rf_tones[0].peak_amplitude())
+    nf_db = noise_figure_from_densities(stats[1].density, stats[0].density, gain_db)
+    return stats, gain_db, nf_db
+
+
+def streamed_band_stats(s, settings):
+    bands, _, _ = noise_figure_setup(s, settings)
+    bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
+                 for center, width, mask in bands)
+    return [signals._band_stats(s.grid, rows)
+            for rows in metrics._band_rows(s, settings.segments, bins)]
+
+
+def nf_case(case):
+    if case == "band_limited":
+        return noise_figure_grid_scenario(make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303),
+                                          noise_density=1e-9, noise_band_lo_harmonics=6)
+    overrides = {
+        "default": {},
+        "smooth_a2": {"scenario": {"mixer": {"switch_mode": "smooth", "a2": 0.01}}},
+        "kappa_0": {"scenario": {"mixer": {"kappa": 0.0}}},
+        "segments_4": {"sweeps": {"nf": {"segments": 4}}},
+        "segments_64": {"sweeps": {"nf": {"segments": 64}}},
+    }[case]
+    return build_nf_setup(from_dict(overrides))
+
+
+class TestStreamedNoiseRecord:
+    """The NF record run one periodogram segment at a time, against the
+    whole record, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["default", "band_limited", "smooth_a2",
+                                      "kappa_0", "segments_4", "segments_64"])
+    def test_equals_whole_record(self, case):
+        s, settings = nf_case(case)
+        stats, gain_db, nf_db = whole_record_noise_figure(s, settings)
+        assert streamed_band_stats(s, settings) == stats
+        assert stats[0].segments == settings.segments
+        res = measure_noise_figure(s, settings)
+        assert (res.input_density, res.output_density) == (stats[0].density,
+                                                            stats[1].density)
+        assert res.gain_db == gain_db
+        assert res.nf_db == nf_db
+
+    @pytest.mark.parametrize("noise_density, rf_power_dbm, message", [
+        (1.0e200, None, "signal contains non-finite samples"),
+        (None, 2500.0, "signal contains non-finite samples"),
+        (None, 3100.0, "3100.0 dBm has no finite peak voltage"),
+    ], ids=["noise_overflow", "tone_overflow", "no_finite_peak_voltage"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failures_match_whole_record(self, noise_density, rf_power_dbm, message):
+        s, settings = build_nf_setup(from_dict({}))
+        if noise_density is not None:
+            s = replace(s, input_noise_density=noise_density)
+        if rf_power_dbm is not None:
+            s = s.with_rf_power(rf_power_dbm)
+        with pytest.raises(ValidationError) as ref:
+            whole_record_noise_figure(s, settings)
+        with pytest.raises(ValidationError) as got:
+            measure_noise_figure(s, settings)
+        assert str(got.value) == str(ref.value) == message
+
+    def test_memory_is_bounded(self):
+        # A few 36,864-sample segments at a time: about 3 MB of peak, where
+        # simulating the 1,179,648-sample record whole takes about 48 MB.
+        s, settings = build_nf_setup(from_dict({}))
+        measure_noise_figure(s, settings)  # fill the memos first
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            measure_noise_figure(s, settings)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 1024 * 1024
+
+
 def full_record_probe_gain_db(s, settings, f_out):
     """Probe gain read on the scenario's full record: the reference the
     common-period probe must reproduce."""
@@ -420,17 +530,12 @@ def nf_setup_from_config(**overrides):
 class TestNoiseFigureProbe:
     def test_probe_runs_on_one_common_period(self, monkeypatch):
         s, settings = build_nf_setup(from_dict({}))
-        grids = []
-
-        def counting_simulate(scenario):
-            grids.append(scenario.grid.num_samples)
-            return simulate(scenario)
-
-        monkeypatch.setattr(metrics, "simulate", counting_simulate)
+        grids = record_grids(monkeypatch)
         res = measure_noise_figure(s, settings)
-        # One simulation on the full NF grid (the noisy record), one on the
-        # 576-sample common period of RF, LO and IF (the probe).
-        assert grids == [1179648, 576]
+        # The noisy record on the NF grid, one 36,864-sample periodogram
+        # segment at a time, then one simulation on the 576-sample common
+        # period of RF, LO and IF (the probe).
+        assert grids == [36864] * 32 + [576]
         monkeypatch.undo()
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, s.f_if), abs=1e-9)

@@ -1,6 +1,7 @@
 """Tests for the sampled-signal substrate: grids, tones, bin readout, noise."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,13 +107,18 @@ class TestSynthesizeTone:
             synthesize_tone(grid, ToneSpec(frequency=128.0, amplitude=1.0))
 
 
+# Length of the default noise-figure grid.
+NF_SAMPLES = 1179648
+
+
 class TestMemoisedBases:
     """Cached tone and bin bases must reproduce the direct formula bit for bit."""
 
     # (num_samples, bin, phase); the two phases per grid share a cache key
     # when they compare equal (0.0 and -0.0).
     CASES = [(256, 1, 0.0), (256, 1, -0.0), (256, 17, 0.3), (1024, 100, 1.1),
-             (9216, 76, 0.0), (9216, 72, math.pi * 72 / 9216), (9216, 4, -2.5)]
+             (9216, 76, 0.0), (9216, 72, math.pi * 72 / 9216), (9216, 4, -2.5),
+             (NF_SAMPLES, 36864, math.pi * 36864 / NF_SAMPLES)]
 
     @staticmethod
     def direct_tone(n, k, amplitude, phase):
@@ -139,8 +145,28 @@ class TestMemoisedBases:
     def test_bit_identical_to_direct_formula(self):
         signals._cos_basis.cache_clear()
         signals._exp_basis.cache_clear()
-        self.check_all()  # computes every basis
-        self.check_all()  # served from the caches
+        try:
+            self.check_all()  # computes every basis
+            self.check_all()  # served from the caches
+        finally:
+            # Release the noise-figure-length bases.
+            signals._cos_basis.cache_clear()
+            signals._exp_basis.cache_clear()
+
+    @pytest.mark.parametrize("build, itemsize", [
+        (lambda: signals._cos_basis.__wrapped__(NF_SAMPLES, 38912, 0.3), 8),
+        (lambda: signals._exp_basis.__wrapped__(NF_SAMPLES, 2048), 16),
+    ], ids=["cos", "exp"])
+    def test_cold_basis_peaks_at_one_array(self, build, itemsize):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            basis = build()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert basis.nbytes == itemsize * NF_SAMPLES
+        assert peak <= 1.1 * basis.nbytes
 
     def test_cached_basis_is_read_only(self):
         for basis in (signals._cos_basis(256, 3, 0.5), signals._exp_basis(256, 3)):
@@ -361,6 +387,21 @@ class TestWhiteNoise:
         assert stats.density == math.sqrt(mean_power)
         assert stats.relative_spread == float(
             psd[:, used].mean(axis=1).std(ddof=1) / math.sqrt(16) / mean_power)
+        # Rows written one segment at a time into an order="F" array.
+        rows = np.empty((16, used.size), dtype=np.complex128, order="F")
+        for j in range(16):
+            rows[j] = np.fft.rfft(sig.samples[j * seg_len:(j + 1) * seg_len])[used]
+        assert signals._band_stats(grid, rows) == stats
+
+    @pytest.mark.parametrize("density, band", [
+        (1e-3, None), (1e-3, (10.0, 40.0)), (0.0, None)],
+        ids=["white", "band_limited", "silent"])
+    def test_segments_make_the_record(self, density, band):
+        grid = make_grid(1024.0, 4096)
+        record = white_noise(grid, density, seed=7, band=band).samples
+        pieces = list(signals._noise_segments(grid, density, 7, band, 16))
+        assert [p.size for p in pieces] == [256] * 16
+        assert np.array_equal(np.concatenate(pieces), record)
 
     def test_segment_divisibility_required(self):
         grid = make_grid(1000.0, 1000)
