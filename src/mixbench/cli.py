@@ -128,7 +128,8 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
     """Write (time, value) tables for the output voltage waveforms.
 
     Times are in seconds of the physical frequency plan.  ``decimation``
-    keeps every d-th sample.
+    keeps every d-th sample.  In CSV the tables share one time column,
+    formatted once as ``%.12g`` strings, which the tables write as they are.
     """
     if decimation < 1:
         raise ValidationError(f"decimation must be >= 1, got {decimation}")
@@ -136,6 +137,8 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
     grid = result.scenario.grid
     times = (np.arange(0, grid.num_samples, decimation)
              / grid.sample_rate / scale).tolist()
+    if fmt == "csv":
+        times = ("%.12g\n" * len(times) % tuple(times)).split("\n")[:-1]
     written = []
     targets = [("transient_vout", result.v_out)]
     if result.v_out_filtered is not None:

@@ -31,7 +31,14 @@ from .devices import (
     SwitchParams,
     TransconductorParams,
 )
-from .engine import FilterSpec, MixerParams, ScaledPlan, Scenario, plan_ratio
+from .engine import (
+    FilterSpec,
+    MixerParams,
+    ScaledPlan,
+    Scenario,
+    check_if_filter,
+    plan_ratio,
+)
 from .errors import MixbenchError, ValidationError
 from .metrics import NoiseFigureSettings
 from .signals import ToneSpec, dbm_to_amplitude
@@ -42,6 +49,10 @@ ALL_MEASUREMENTS = ("cg", "p1db", "iip3", "isolation", "nf",
 # Most samples either grid may hold: 2**23 float64 samples are 67 MB per
 # signal, and a simulation keeps several signals of its grid alive.
 MAX_GRID_SAMPLES = 2 ** 23
+
+# libyaml's safe dumper, which writes the pure-Python one's bytes about
+# four times faster; the pure-Python one where PyYAML was built without it.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Calibration defaults: 34 mA/V transconductor with a cubic term sized for a
 # -11.5 dBm compression point, 220 ohm loads for 13.55 dB of small-signal
@@ -193,7 +204,9 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def effective_yaml(self) -> str:
-        return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=False)
+        """``raw`` as YAML, sorted and in block style, by libyaml where present."""
+        return yaml.dump(self.raw, Dumper=_DUMPER, sort_keys=True,
+                         default_flow_style=False)
 
     def number(self, path: str, kind=float, *, above: Optional[float] = None,
                at_least: Optional[float] = None):
@@ -326,7 +339,9 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan) -> Scenario:
     if filt["enabled"]:
         if_filter = FilterSpec(
             kind=filt["kind"],
-            cutoff=cfg.number("scenario.if_filter.cutoff_hz") / plan.hz_per_unit)
+            cutoff=cfg.number("scenario.if_filter.cutoff_hz", above=0) / plan.hz_per_unit)
+        with naming("scenario.if_filter.cutoff_hz"):
+            check_if_filter(if_filter, plan.grid())
     return Scenario(
         mixer=_mixer_from(cfg),
         grid=plan.grid(),

@@ -131,11 +131,19 @@ def switch_waveform(p: SwitchParams, v_lo: SampledSignal) -> SampledSignal:
     """Dimensionless commutation waveform driven by the LO voltage."""
     if v_lo.unit != "volt":
         raise ValidationError(f"switch input must be volts, got {v_lo.unit!r}")
+    return SampledSignal._adopt(v_lo.grid, _switch(p, v_lo.samples), "dimensionless")
+
+
+def _switch(p: SwitchParams, v_lo: np.ndarray) -> np.ndarray:
+    """A fresh array of the switch waveform for LO samples ``v_lo``.
+
+    Each sample depends on its own LO sample alone, so a slice of ``v_lo``
+    gives the same slice of the waveform, to the bit.
+    """
     if p.mode == "ideal_sign":
-        out = np.where(v_lo.samples >= 0.0, 1.0, -1.0)
-    else:
-        out = np.tanh(v_lo.samples / p.v_sw)
-    return SampledSignal._adopt(v_lo.grid, out, "dimensionless")
+        return np.where(v_lo >= 0.0, 1.0, -1.0)
+    out = np.divide(v_lo, p.v_sw)
+    return np.tanh(out, out=out)
 
 
 def dc_power(b: BiasParams) -> float:

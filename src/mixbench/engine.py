@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import memo
 from .devices import (
     BiasParams,
     LeakageParams,
@@ -37,17 +38,19 @@ from .devices import (
     SwitchParams,
     TransconductorParams,
     _lo_leak,
+    _switch,
     _transconductor,
-    switch_waveform,
 )
 from .errors import AliasingError, ValidationError
 from .signals import (
     SampledSignal,
     SimGrid,
     ToneSpec,
+    _check_finite,
+    _cos_basis,
+    _tone_basis,
     _tone_samples,
     check_noise_band,
-    synthesize_tone,
     white_noise,
 )
 
@@ -120,8 +123,8 @@ class Scenario:
                 f"input_noise_density must be >= 0, got {self.input_noise_density!r}")
         if self.input_noise_band is not None:
             check_noise_band(self.grid, self.input_noise_band)
-        if self.if_filter is not None and self.if_filter.cutoff >= self.grid.nyquist:
-            raise AliasingError(self.if_filter.cutoff, self.grid.nyquist, "IF filter cutoff")
+        if self.if_filter is not None:
+            check_if_filter(self.if_filter, self.grid)
         if not self.frequency_scale > 0:
             raise ValidationError(
                 f"frequency_scale must be > 0, got {self.frequency_scale!r}")
@@ -206,14 +209,29 @@ def butterworth2_response(frequency, cutoff: float):
     return h if h.ndim else complex(h)
 
 
+def check_if_filter(f: FilterSpec, grid: SimGrid):
+    """Raise unless the response of ``f`` is finite on every bin of ``grid``.
+
+    The cutoff must lie below Nyquist, and not so far below it that the
+    ``(f/fc)^2`` of :func:`butterworth2_response` overflows at the top bin
+    (with a factor 2 to spare), which would make the filtered record NaN.
+    """
+    if f.cutoff >= grid.nyquist:
+        raise AliasingError(f.cutoff, grid.nyquist, "IF filter cutoff")
+    x = 2.0 * grid.nyquist / f.cutoff
+    if not math.isfinite(x * x):
+        raise ValidationError(
+            f"IF filter cutoff {f.cutoff!r} lies too far below the Nyquist limit "
+            f"{grid.nyquist!r} for its response to be finite")
+
+
 def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
     """Apply the IF filter as exact per-bin multiplication on the grid.
 
     The coherent grid makes the frequency-domain product exact and avoids
     the start-up transient a time-stepped filter would show.
     """
-    if f.cutoff >= v.grid.nyquist:
-        raise AliasingError(f.cutoff, v.grid.nyquist, "IF filter cutoff")
+    check_if_filter(f, v.grid)
     spectrum = np.fft.rfft(v.samples)
     freqs = np.arange(spectrum.size) * v.grid.resolution
     spectrum *= butterworth2_response(freqs, f.cutoff)
@@ -221,23 +239,18 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
     return SampledSignal._adopt(v.grid, out, v.unit)
 
 
-# LO drives kept by :func:`_lo_drive`.  One entry holds two grid-sized
-# arrays: 147 KB on the default 9,216-sample grid, 18.9 MB on the
-# noise-figure grid and 134 MB at config.MAX_GRID_SAMPLES.  A default run uses
-# all four: the main grid and its period, the noise-figure grid and its period.
-_LO_DRIVE_CACHE_SIZE = 4
+@memo.memoised
+def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
+    """The read-only LO voltage on ``grid``, checked for non-finite samples.
 
-
-@lru_cache(maxsize=_LO_DRIVE_CACHE_SIZE)
-def _lo_drive(grid: SimGrid, lo_tone: ToneSpec,
-              switch: SwitchParams) -> Tuple[SampledSignal, SampledSignal]:
-    """The LO voltage on ``grid`` and the switch waveform it drives.
-
-    Both are read-only and depend only on the key, so every simulation on
-    one grid with one LO and one switch shares them.
+    It depends only on the key, so every simulation on one grid with one LO
+    shares it.  Its cosine basis is built outside the memo: the memo keeps
+    ``v_lo`` alone, not also the basis it equals at a 1 V LO.
     """
-    v_lo = synthesize_tone(grid, lo_tone)
-    return v_lo, switch_waveform(switch, v_lo)
+    v_lo = lo_tone.peak_amplitude() * _tone_basis(grid, lo_tone, _cos_basis.__wrapped__)
+    _check_finite(v_lo)
+    v_lo.setflags(write=False)
+    return v_lo
 
 
 def _port_extras(s: Scenario, v_lo: np.ndarray) -> Iterator[np.ndarray]:
@@ -253,14 +266,16 @@ def _port_extras(s: Scenario, v_lo: np.ndarray) -> Iterator[np.ndarray]:
                           band=s.input_noise_band).samples
 
 
-def _respond(m: MixerParams, sw: np.ndarray,
-             parts: Iterable[np.ndarray]) -> Tuple[np.ndarray, ...]:
+def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
+             out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
     """``(port, i_s, i_out, v_out)`` of the mixer for an RF port summed from ``parts``.
 
     The port voltage is ``0 + parts[0] + parts[1] + ...``, summed in place
-    in that order; ``sw`` holds the switch samples.  Plain fresh arrays,
-    none checked: the one kernel behind :func:`simulate` and the
-    conversion-gain sweep of :mod:`metrics`.
+    in that order; ``sw`` holds the switch samples, and ``i_out`` is
+    ``i_s * sw``, written into ``out`` when given (``sw`` itself, when the
+    caller needs the switch no more).  Plain fresh arrays, none checked:
+    the one kernel behind :func:`simulate` and the gain and noise-figure
+    records of :mod:`metrics`.
     """
     port = np.zeros(sw.size)
     for part in parts:
@@ -269,7 +284,7 @@ def _respond(m: MixerParams, sw: np.ndarray,
         # at most one part then lives beside the port.
         del part
     i_s = _transconductor(m.transconductor, port)
-    i_out = i_s * sw
+    i_out = np.multiply(i_s, sw, out=out)
     return port, i_s, i_out, m.load.rd * i_out
 
 
@@ -277,20 +292,21 @@ def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
     Pure function of the scenario (the noise generator is seeded from it),
-    so identical scenarios produce identical results.  The LO voltage and
-    the switch waveform come from a memo of at most ``_LO_DRIVE_CACHE_SIZE``
-    (grid, LO tone, switch) entries, each two grid-sized arrays (134 MB at
-    the 2^23-sample grid cap); the rest is computed on each call, on plain
-    arrays, by :func:`_respond`.  Only ``v_out`` is checked for non-finite
-    samples: the LO drive and the noise are checked signals, ``rd`` is
-    finite and > 0, and inf and NaN survive every later sum and product
-    (inf times a zero switch sample gives NaN).
+    so identical scenarios produce identical results.  The LO voltage comes
+    from the byte-bounded memo of :mod:`memo` (:func:`_lo_drive`); the
+    switch waveform is computed from it once per call, and becomes the
+    ``i_out`` buffer.  The rest is computed on each call, on plain arrays,
+    by :func:`_respond`.  Only ``v_out`` is checked for non-finite samples:
+    the LO voltage and the noise are checked, ``rd`` is finite and > 0, and
+    inf and NaN survive every later sum and product (inf times a zero
+    switch sample gives NaN).
     """
     grid = s.grid
-    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
+    v_lo = _lo_drive(grid, s.lo_tone)
+    sw = _switch(s.mixer.switch, v_lo)
     parts = chain((_tone_samples(grid, tone) for tone in s.rf_tones),
-                  _port_extras(s, v_lo.samples))
-    port, i_s, i_out, v_out = _respond(s.mixer, sw.samples, parts)
+                  _port_extras(s, v_lo))
+    port, i_s, i_out, v_out = _respond(s.mixer, sw, parts, out=sw)
     v_out = SampledSignal._adopt(grid, v_out, "volt")
     for node in (port, i_s, i_out):
         node.setflags(write=False)

@@ -32,7 +32,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .devices import _lo_leak
+from .devices import _lo_leak, _switch
 from .engine import Scenario, _lo_drive, _port_extras, _respond, simulate
 from .errors import (
     CompressionNotFoundError,
@@ -141,7 +141,7 @@ def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
     :func:`signals.bin_value` reads it and, when that reading is not
     finite, scanned for non-finite samples.  Everything no
     amplitude changes is done once: the move onto the common period, the
-    tone and readout bins, the LO drive, the leak and the noise.
+    tone and readout bins, the LO drive, the switch, the leak and the noise.
     ``amplitudes`` is consumed one point at a time, so a point that fails
     raises after every point before it has run.
     """
@@ -150,13 +150,14 @@ def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
     tone = _tone_basis(grid, s.rf_tones[0])
     k = _readout_bin(grid, s.f_if)
     readout = _exp_basis(grid.num_samples, k)
-    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
-    extras = tuple(_port_extras(s, v_lo.samples))
+    v_lo = _lo_drive(grid, s.lo_tone)
+    sw = _switch(s.mixer.switch, v_lo)
+    extras = tuple(_port_extras(s, v_lo))
     gains = []
     for amp_in in amplitudes:
         if amp_in <= 0:
             raise WrongStimulusError("conversion gain needs a non-silent RF tone")
-        v_out = _respond(s.mixer, sw.samples, (amp_in * tone, *extras))[3]
+        v_out = _respond(s.mixer, sw, (amp_in * tone, *extras))[3]
         amp_out = abs(_project(v_out, k, readout))
         if not math.isfinite(amp_out):
             # A non-finite sample always makes the projection non-finite;
@@ -273,9 +274,11 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     """Two-tone intercept: drive both tones equally and read the IM3 rays.
 
     The reported IM3 is the larger of the two mirror products (equal for a
-    symmetric cubic).  A companion run 20 dB colder guards against running
-    the intercept measurement inside compression.  At a tone spacing whose
-    bin is coprime to the grid, the common period is the full grid.
+    symmetric cubic).  A companion run 20 dB colder guards against a drive
+    outside the weak-signal range: the gain may move by at most 0.5 dB
+    either way, down in compression or up where the cubic overdrives.  At
+    a tone spacing whose bin is coprime to the grid, the common period is
+    the full grid.
     """
     f_fund, f_im3_low, f_im3_high = two_tone_rays(s)
     s = _on_common_period(s, f_fund, f_im3_low, f_im3_high)
@@ -293,10 +296,11 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     amp_cold = bin_amplitude(cold.v_out, f_fund).amplitude
     gain_hot = p_fund - per_tone_power_dbm
     gain_cold = amplitude_to_dbm(amp_cold) - (per_tone_power_dbm - 20.0)
-    if gain_cold - gain_hot > 0.5:
+    if abs(gain_cold - gain_hot) > 0.5:
         raise StimulusTooHotError(
-            f"gain is {gain_cold - gain_hot:.2f} dB into compression at "
-            f"{per_tone_power_dbm} dBm per tone; reduce the drive")
+            f"gain moves {gain_hot - gain_cold:+.2f} dB from "
+            f"{per_tone_power_dbm - 20.0} to {per_tone_power_dbm} dBm per tone, "
+            f"outside the weak-signal range; reduce the drive")
 
     delta = p_fund - p_im3_used
     return TwoToneResult(per_tone_dbm=per_tone_power_dbm, p_fund_dbm=p_fund,
@@ -384,16 +388,17 @@ def _band_rows(s: Scenario, segments: int,
     Runs the record :func:`engine.simulate` runs, one periodogram segment
     at a time.  Per segment the RF port is ``0 + tones + LO leak + noise``,
     each a slice of its full-record value (the tones and the leak from the
-    memoised bases and LO drive, the noise from :func:`signals._noise_segments`),
-    run through :func:`engine._respond`, ``v_out`` scanned for non-finite
-    samples, and each node's rFFT at its bins written into row ``j`` of an
-    ``order="F"`` array, as :func:`signals._band_stats` wants it.  Every row
-    keeps the bits of the full-record path, and the record never exists
-    whole.
+    memoised bases and LO voltage, the noise from
+    :func:`signals._noise_segments`), the switch is computed from the
+    segment's LO slice, both run through :func:`engine._respond`, ``v_out``
+    is scanned for non-finite samples, and each node's rFFT at its bins is
+    written into row ``j`` of an ``order="F"`` array, as
+    :func:`signals._band_stats` wants it.  Every row keeps the bits of the
+    full-record path; the record and its switch never exist whole.
     """
     grid = s.grid
     seg_len = grid.num_samples // segments
-    v_lo, sw = _lo_drive(grid, s.lo_tone, s.mixer.switch)
+    v_lo = _lo_drive(grid, s.lo_tone)
     tones = [(tone.peak_amplitude(), _tone_basis(grid, tone)) for tone in s.rf_tones]
     leakage = s.mixer.leakage
     noise = _noise_segments(grid, s.input_noise_density, s.noise_seed,
@@ -404,9 +409,10 @@ def _band_rows(s: Scenario, segments: int,
         at = slice(j * seg_len, (j + 1) * seg_len)
         parts = [amp * basis[at] for amp, basis in tones]
         if leakage.kappa != 0.0:
-            parts.append(_lo_leak(leakage, v_lo.samples[at]))
+            parts.append(_lo_leak(leakage, v_lo[at]))
         parts.append(noise_part)
-        port, _, _, v_out = _respond(s.mixer, sw.samples[at], parts)
+        sw = _switch(s.mixer.switch, v_lo[at])
+        port, _, _, v_out = _respond(s.mixer, sw, parts, out=sw)
         _check_finite(v_out)
         for row, node, used in zip(rows, (port, v_out), bins):
             row[j] = np.fft.rfft(node)[used]

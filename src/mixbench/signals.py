@@ -9,20 +9,21 @@ leakage-free and need no window.
 Amplitudes are volts peak throughout; dBm conversions assume the global
 50 ohm reference impedance.
 
-Tone and bin bases are memoised per grid length and bin, so repeated
-simulations and readouts on one grid compute each basis once; the outputs
-are bit-identical to evaluating the direct formula every time.
+Tone and bin bases are kept in the byte-bounded memo of :mod:`memo`, per
+grid length and bin, so repeated simulations and readouts on one grid
+compute each basis once; the outputs are bit-identical to evaluating the
+direct formula every time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import memo
 from .errors import (
     AliasingError,
     CoherenceError,
@@ -35,11 +36,6 @@ REFERENCE_IMPEDANCE_OHMS = 50.0
 
 # Relative tolerance when deciding whether a frequency sits on a grid bin.
 _COHERENCE_RTOL = 1e-9
-
-# Bases kept per memoised helper.  A basis on the noise-figure grid is
-# 9.4 MB (cosine) or 18.9 MB (complex exponential), so this also bounds
-# the memory the caches hold.
-_BASIS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ def dbm_to_amplitude(power_dbm: float) -> float:
     return amplitude
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+@memo.memoised
 def _cos_basis(num_samples: int, k: int, phase: float) -> np.ndarray:
     """Read-only ``cos(2 pi k n / N + phase)`` for n = 0..N-1.
 
@@ -251,7 +247,7 @@ def _cos_basis(num_samples: int, k: int, phase: float) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+@memo.memoised
 def _exp_basis(num_samples: int, k: int) -> np.ndarray:
     """Read-only ``exp(-2j pi k n / N)`` for n = 0..N-1.
 
@@ -266,15 +262,17 @@ def _exp_basis(num_samples: int, k: int) -> np.ndarray:
     return basis
 
 
-def _tone_basis(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
-    """The memoised unit-amplitude ``cos(2 pi f t + phi)`` of ``tone`` on the grid.
+def _tone_basis(grid: SimGrid, tone: ToneSpec, cos_basis=_cos_basis) -> np.ndarray:
+    """The unit-amplitude ``cos(2 pi f t + phi)`` of ``tone`` on the grid.
 
-    The tone must be coherent with the grid and strictly below Nyquist.
+    ``cos_basis(N, k, phase)`` makes it: memoised by default, its
+    ``__wrapped__`` for a basis that should not enter the memo.  The tone
+    must be coherent with the grid and strictly below Nyquist.
     """
     if tone.frequency >= grid.nyquist:
         raise AliasingError(tone.frequency, grid.nyquist, "tone")
     k = grid.bin_index(tone.frequency, "tone")
-    return _cos_basis(grid.num_samples, k, tone.phase)
+    return cos_basis(grid.num_samples, k, tone.phase)
 
 
 def _tone_samples(grid: SimGrid, tone: ToneSpec) -> np.ndarray:

@@ -98,9 +98,9 @@ def record_grids(monkeypatch):
         grids.append(scenario.grid.num_samples)
         return simulate(scenario)
 
-    def recording_respond(mixer, sw, parts):
+    def recording_respond(mixer, sw, parts, out=None):
         grids.append(sw.size)
-        return _respond(mixer, sw, parts)
+        return _respond(mixer, sw, parts, out)
 
     monkeypatch.setattr(metrics, "simulate", recording_simulate)
     monkeypatch.setattr(metrics, "_respond", recording_respond)

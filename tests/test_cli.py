@@ -4,7 +4,11 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
+import warnings
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import record_grids
 
-from mixbench import cli, engine, metrics, signals
+from mixbench import cli, memo, metrics, signals
 from mixbench.cli import (
     REGISTRY,
     _write_table,
@@ -33,6 +37,22 @@ from mixbench.config import (
 from mixbench.engine import simulate
 from mixbench.errors import ValidationError
 from mixbench.signals import bin_amplitude
+
+
+# A design point like those of the benchmark's sweep workload, and the
+# benchmark's JSON bundle config.
+SWEEP_POINT_CONFIG = """\
+scenario:
+  rf_power_dbm: -50.0
+  mixer: {gm: 0.05, rd: 300.0, kappa: 5.0e-4, a3: -1.0}
+measurements: [cg, p1db, iip3, isolation, power]
+sweeps: {p1db: {start_dbm: -40.0, stop_dbm: 0.0, step_db: 0.1}}
+"""
+BUNDLE_JSON_CONFIG = """\
+scenario: {grid: {bins_per_unit: 16}}
+measurements: [cg, harmonics, transient, power]
+output: {format: json}
+"""
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -166,6 +186,10 @@ class TestConfigLoading:
          "sweeps.iip3.tone_spacing_hz"),
         ("scenario:\n  if_filter:\n    enabled: abc\n", "scenario.if_filter.enabled"),
         ("scenario:\n  if_filter:\n    enabled: 1\n", "scenario.if_filter.enabled"),
+        # A cutoff whose Butterworth response overflows, or none at all.
+        ("measurements: [transient]\nscenario:\n  if_filter:\n    cutoff_hz: 1.0e-300\n",
+         "scenario.if_filter.cutoff_hz"),
+        ("scenario:\n  if_filter:\n    cutoff_hz: 0\n", "scenario.if_filter.cutoff_hz"),
         # 100 MHz spacing puts the lower IM3 product at DC on the default plan.
         ("measurements: [iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
          "sweeps.iip3.tone_spacing_hz"),
@@ -182,6 +206,18 @@ class TestConfigLoading:
             prepare(loads_config(text))
         assert main(["validate", "--config", write_config(tmp_path, text)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_tiny_if_cutoff_run_exits_2_and_the_smallest_kept_one_runs(
+            self, tmp_path, capsys):
+        text = "measurements: [transient]\nscenario:\n  if_filter:\n    cutoff_hz: {}\n"
+        assert main(["run", "--config", write_config(tmp_path, text.format("1.0e-300")),
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "scenario.if_filter.cutoff_hz" in capsys.readouterr().err
+        # 1.8e-143 Hz lies just above the main grid's bound of about 1.7e-143 Hz.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", write_config(tmp_path, text.format("1.8e-143")),
+                         "--out", str(tmp_path / "b")]) == 0
 
     def test_noise_band_and_filter_switch_accepted(self):
         scenario = build_scenario(loads_config(
@@ -219,6 +255,22 @@ class TestConfigLoading:
         assert reloaded.raw == cfg.raw
         assert reloaded.parameter_hash() == cfg.parameter_hash()
         assert build_scenario(reloaded) == build_scenario(cfg)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "scenario:\n  lo_phase_rad: 0.25\n  noise: {bandwidth_hz: 5.0e+9, seed: 7}\n"
+        "  mixer: {switch_mode: smooth, a2: -1.0e-300}\n  if_filter: {enabled: false}\n"
+        "sweeps: {nf: {grid: {bins_per_unit: 256}}}\nmeasurements: [nf, cg]\n"
+        "output: {format: json}\n",
+    ], ids=["default", "overrides"])
+    def test_effective_config_bytes_of_either_dumper(self, text):
+        cfg = loads_config(text)
+        written = cfg.effective_yaml()
+        dumpers = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+        for dumper in dumpers:
+            assert yaml.dump(cfg.raw, Dumper=dumper, sort_keys=True,
+                             default_flow_style=False) == written, dumper
+        assert loads_config(written).raw == cfg.raw
 
     def test_seed_override(self):
         cfg = from_dict({})
@@ -526,13 +578,64 @@ class TestDefaultRunWork:
         # probe.
         assert grids == [2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
 
-    def test_second_run_misses_no_memo(self, tmp_path):
-        memos = (engine._lo_drive, signals._cos_basis, signals._exp_basis)
-        config = write_config(tmp_path, "")
+    @pytest.mark.parametrize("text", [
+        "",
+        SWEEP_POINT_CONFIG,
+        BUNDLE_JSON_CONFIG,
+    ], ids=["default", "sweep point", "json bundle"])
+    def test_second_run_misses_no_memo(self, tmp_path, text):
+        config = write_config(tmp_path, text)
         assert main(["run", "--config", config, "--out", str(tmp_path / "a")]) == 0
-        misses = [memo.cache_info().misses for memo in memos]
+        misses = memo.info().misses
         assert main(["run", "--config", config, "--out", str(tmp_path / "b")]) == 0
-        assert [memo.cache_info().misses for memo in memos] == misses
+        assert memo.info().misses == misses
+
+    def test_default_run_keeps_two_nf_grid_arrays(self, tmp_path):
+        memo.clear()
+        assert main(["run", "--config", write_config(tmp_path, ""),
+                     "--out", str(tmp_path / "out")]) == 0
+        scenario, _settings = build_nf_setup(from_dict({}))
+        n = scenario.grid.num_samples
+        kept = dict(memo._arrays)
+        long = sorted(key[0].__name__ for key, array in kept.items() if array.size == n)
+        assert long == ["_cos_basis", "_lo_drive"]
+        rf = scenario.rf_tones[0]
+        assert (signals._cos_basis.__wrapped__, n, scenario.grid.bin_index(rf.frequency),
+                rf.phase) in kept
+        # No kept array holds the values of another: the LO basis is not
+        # kept beside the 1 V LO voltage it equals.
+        arrays = list(kept.values())
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not (a.shape == b.shape and np.array_equal(a, b))
+        assert memo.info().nbytes == sum(a.nbytes for a in arrays) <= memo.BUDGET_BYTES
+
+    def test_memo_never_exceeds_its_budget(self, tmp_path, monkeypatch):
+        # At a 147,456-sample NF grid one array is 1.18 MB, and a run's
+        # arrays (about 3.1 MB) are twice a 1.5 MB budget.
+        budget = 1_500_000
+        held = []
+
+        class Watched(OrderedDict):
+            def __setitem__(self, key, array):
+                super().__setitem__(key, array)
+                held.append(sum(a.nbytes for a in self.values()))
+
+        monkeypatch.setattr(memo, "BUDGET_BYTES", budget)
+        monkeypatch.setattr(memo, "_arrays", Watched())
+        memo.clear()
+        config = write_config(tmp_path, "sweeps: {nf: {grid: {bins_per_unit: 256}}}\n")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["run", "--config", config, "--out", str(tmp_path / "a")]) == 0
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(held) > 10 and max(held) <= budget
+        assert memo.info().nbytes == held[-1]
+        assert kept < budget + 200_000
+        memo.clear()
 
     def test_nf_setup_built_once(self, tmp_path, monkeypatch):
         calls = []
@@ -651,6 +754,20 @@ class TestCsvTables:
                     for n in range(0, grid.num_samples, decimation)]
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read() == per_cell_csv(("time_s", "voltage_v"), rows)
+
+
+    @pytest.mark.parametrize("decimation", [1, 8])
+    def test_transient_json_tables_match_per_sample_rule(self, tmp_path, decimation):
+        scenario = build_scenario(from_dict({}))
+        result = simulate(scenario)
+        paths = emit_transient(result, str(tmp_path), decimation=decimation, fmt="json")
+        grid = scenario.grid
+        for path, signal in zip(paths, (result.v_out, result.v_out_filtered)):
+            rows = [{"time_s": float(n / grid.sample_rate / scenario.frequency_scale),
+                     "voltage_v": float(signal.samples[n])}
+                    for n in range(0, grid.num_samples, decimation)]
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 class TestSummaryRendering:

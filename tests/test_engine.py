@@ -3,13 +3,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import make_mixer, make_scenario
 
-from mixbench import devices, engine
+from mixbench import devices, engine, memo, signals
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import SwitchParams
 from mixbench.engine import (
@@ -275,7 +276,7 @@ class TestInPlaceArithmetic:
     def test_bits_match_reference(self, case):
         s = self.CASES[case]()
         expected = reference_simulate(s)
-        engine._lo_drive.cache_clear()
+        memo.clear()
         for result in (simulate(s), simulate(s)):  # LO drive built, then reused
             for node, samples in expected.items():
                 got = getattr(result, node).samples
@@ -402,45 +403,82 @@ class TestNoiseBand:
 
 
 class TestLoDriveMemo:
-    def test_equal_key_returns_the_same_read_only_signals(self):
-        engine._lo_drive.cache_clear()
+    def test_equal_key_returns_the_same_read_only_array(self):
+        memo.clear()
         s = make_scenario()
-        v_lo, sw = engine._lo_drive(s.grid, s.lo_tone, s.mixer.switch)
+        v_lo = engine._lo_drive(s.grid, s.lo_tone)
         again = engine._lo_drive(
             SimGrid(sample_rate=s.grid.sample_rate, num_samples=s.grid.num_samples),
-            replace(s.lo_tone), SwitchParams())
-        assert again[0] is v_lo and again[1] is sw
-        assert v_lo.unit == "volt" and sw.unit == "dimensionless"
-        assert not v_lo.samples.flags.writeable
-        assert not sw.samples.flags.writeable
+            replace(s.lo_tone))
+        assert again is v_lo
+        assert not v_lo.flags.writeable
+        assert v_lo.tobytes() == synthesize_tone(s.grid, s.lo_tone).samples.tobytes()
 
-    def test_switch_waveform_built_once_per_grid(self, monkeypatch):
-        calls = []
+    def test_lo_built_once_per_grid_switch_once_per_call(self, monkeypatch):
+        lo_builds, switches = [], []
+
+        def counting_cos(num_samples, k, phase):
+            lo_builds.append(num_samples)
+            return signals._cos_basis.__wrapped__(num_samples, k, phase)
 
         def counting_switch(p, v_lo):
-            calls.append(v_lo.grid.num_samples)
-            return devices.switch_waveform(p, v_lo)
+            switches.append(v_lo.size)
+            return devices._switch(p, v_lo)
 
-        engine._lo_drive.cache_clear()
-        monkeypatch.setattr(engine, "switch_waveform", counting_switch)
+        memo.clear()
+        monkeypatch.setattr(engine, "_cos_basis", SimpleNamespace(__wrapped__=counting_cos))
+        monkeypatch.setattr(engine, "_switch", counting_switch)
         s = make_scenario()
         for power in (-40.0, -30.0, -20.0):
             simulate(s.with_rf_power(power))
         simulate(two_tone_variant(s, 1.0))
         simulate(make_scenario(samples_per_lo_period=64))
-        assert calls == [9216, 4608]
-        engine._lo_drive.cache_clear()
+        assert lo_builds == [9216, 4608]
+        assert switches == [9216] * 4 + [4608]
+        memo.clear()
 
-    def test_bounded(self):
-        engine._lo_drive.cache_clear()
+    def test_lo_basis_stays_out_of_the_memo(self):
+        memo.clear()
+        s = make_scenario()
+        engine._lo_drive(s.grid, s.lo_tone)
+        assert memo.info().arrays == 1
+        before = memo.info().misses
+        k = s.grid.bin_index(s.f_lo)
+        signals._cos_basis(s.grid.num_samples, k, s.lo_tone.phase)
+        assert memo.info().misses == before + 1
+        memo.clear()
+
+    def test_bounded_in_bytes(self, monkeypatch):
         grid = SimGrid(sample_rate=64.0, num_samples=64)
-        for i in range(engine._LO_DRIVE_CACHE_SIZE + 3):
-            engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0, phase=0.1 * i),
-                             SwitchParams())
-        info = engine._lo_drive.cache_info()
-        assert info.maxsize == engine._LO_DRIVE_CACHE_SIZE
-        assert info.currsize == engine._LO_DRIVE_CACHE_SIZE
-        assert info.misses == engine._LO_DRIVE_CACHE_SIZE + 3
+        one = 8 * 64
+        monkeypatch.setattr(memo, "BUDGET_BYTES", 3 * one)
+        memo.clear()
+        start = memo.info()
+        drives = [engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                                  phase=0.1 * i))
+                  for i in range(6)]
+        info = memo.info()
+        assert (info.arrays, info.nbytes) == (3, 3 * one)
+        assert info.misses == start.misses + 6
+        # The three most recent are kept; the oldest three were dropped.
+        assert engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                               phase=0.5)) is drives[5]
+        assert engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                               phase=0.0)) is not drives[0]
+        assert memo.info().misses == start.misses + 7
+        memo.clear()
+
+    def test_array_above_the_budget_is_returned_not_kept(self, monkeypatch):
+        grid = SimGrid(sample_rate=64.0, num_samples=64)
+        tone = ToneSpec(frequency=4.0, amplitude=1.0)
+        monkeypatch.setattr(memo, "BUDGET_BYTES", 8 * 64 - 1)
+        memo.clear()
+        misses = memo.info().misses
+        first = engine._lo_drive(grid, tone)
+        again = engine._lo_drive(grid, tone)
+        assert again is not first and again.tobytes() == first.tobytes()
+        assert memo.info().misses == misses + 2
+        assert memo.info()[2:] == (0, 0)
 
 
 class TestIfFilter:
@@ -512,6 +550,18 @@ class TestIfFilter:
         monkeypatch.setattr(engine, "apply_if_filter", lambda f, v: calls.append(f))
         assert simulate(make_scenario()).v_out_filtered is None
         assert calls == []
+
+    def test_cutoff_whose_response_overflows_rejected(self):
+        s = make_scenario()
+        bound = 2.0 * s.grid.nyquist / math.sqrt(np.finfo(np.float64).max)
+        with pytest.raises(ValidationError, match="too far below"):
+            replace(s, if_filter=FilterSpec(cutoff=0.99 * bound))
+        tone = synthesize_tone(s.grid, ToneSpec(frequency=4.0, amplitude=1.0))
+        with pytest.raises(ValidationError, match="too far below"):
+            apply_if_filter(FilterSpec(cutoff=1e-300), tone)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = apply_if_filter(FilterSpec(cutoff=1.01 * bound), tone)
+        assert np.isfinite(out.samples).all()
 
     def test_cutoff_above_nyquist_rejected(self):
         s = make_scenario()

@@ -315,6 +315,14 @@ class TestIIP3:
         with pytest.raises(StimulusTooHotError):
             measure_iip3(two, -10.0)
 
+    @pytest.mark.parametrize("per_tone_dbm", [0.0, 20.0])
+    def test_overdriven_cubic_rejected(self, per_tone_dbm):
+        # Past the compression peak the cubic drives the gain up, not down:
+        # once read as IIP3 values of +3.72 and +24.76 dBm.
+        two = two_tone_variant(calibrated_scenario())
+        with pytest.raises(StimulusTooHotError, match=r"gain moves \+"):
+            measure_iip3(two, per_tone_dbm)
+
     def test_single_tone_rejected(self):
         with pytest.raises(WrongStimulusError):
             measure_iip3(calibrated_scenario(), -40.0)

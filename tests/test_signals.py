@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbench import signals
+from mixbench import memo, signals
 from mixbench.errors import (
     AliasingError,
     CoherenceError,
@@ -143,15 +143,13 @@ class TestMemoisedBases:
                 assert bin_value(sig, float(b)) == self.direct_bin(sig.samples, b)
 
     def test_bit_identical_to_direct_formula(self):
-        signals._cos_basis.cache_clear()
-        signals._exp_basis.cache_clear()
+        memo.clear()
         try:
             self.check_all()  # computes every basis
-            self.check_all()  # served from the caches
+            self.check_all()  # served from the memo
         finally:
             # Release the noise-figure-length bases.
-            signals._cos_basis.cache_clear()
-            signals._exp_basis.cache_clear()
+            memo.clear()
 
     @pytest.mark.parametrize("build, itemsize", [
         (lambda: signals._cos_basis.__wrapped__(NF_SAMPLES, 38912, 0.3), 8),
@@ -289,9 +287,9 @@ class TestHarmonicTable:
         grid = make_grid(1024.0, 1024)
         rng = np.random.default_rng(3)
         sig = SampledSignal(grid=grid, samples=rng.standard_normal(1024))
-        signals._exp_basis.cache_clear()
+        memo.clear()
         lines = harmonic_table(sig, 10.0, 6)
-        assert signals._exp_basis.cache_info().currsize == 0
+        assert memo.info().arrays == 0
         for k, line in enumerate(lines, start=1):
             assert line == bin_amplitude(sig, 10.0 * k)
 
