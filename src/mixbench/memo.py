@@ -10,11 +10,16 @@ one is built on every call and returned, not kept.
 A default run keeps 19.7 MB: two arrays on the 1,179,648-sample
 noise-figure grid (the LO voltage and the RF tone basis, 9.4 MB each) and
 13 small ones on its short grids.
+
+Threads may share the memo.  One lock guards its lookups, evictions and
+insertions; arrays are built outside it.  When two threads build the same
+array at once, the first one stored is kept and both get it.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from collections import OrderedDict
 from typing import Callable, NamedTuple
 
@@ -27,11 +32,11 @@ BUDGET_BYTES = 32 * 2 ** 20
 
 # (builder, *arguments) -> read-only array, least recently used first.
 _arrays: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_counts = {"hits": 0, "misses": 0, "nbytes": 0}
+_counts = {"misses": 0, "nbytes": 0}
+_lock = threading.Lock()
 
 
 class MemoInfo(NamedTuple):
-    hits: int
     misses: int
     arrays: int
     nbytes: int
@@ -47,14 +52,20 @@ def memoised(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     @functools.wraps(build)
     def lookup(*args) -> np.ndarray:
         key = (build, *args)
-        array = _arrays.get(key)
-        if array is not None:
-            _counts["hits"] += 1
-            _arrays.move_to_end(key)
-            return array
-        _counts["misses"] += 1
+        with _lock:
+            array = _arrays.get(key)
+            if array is not None:
+                _arrays.move_to_end(key)
+                return array
+            _counts["misses"] += 1
         array = build(*args)
-        if array.nbytes <= BUDGET_BYTES:
+        if array.nbytes > BUDGET_BYTES:
+            return array
+        with _lock:
+            kept = _arrays.get(key)
+            if kept is not None:  # another thread stored it while this one built
+                _arrays.move_to_end(key)
+                return kept
             while _counts["nbytes"] + array.nbytes > BUDGET_BYTES:
                 _counts["nbytes"] -= _arrays.popitem(last=False)[1].nbytes
             _arrays[key] = array
@@ -64,11 +75,13 @@ def memoised(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
 
 
 def info() -> MemoInfo:
-    """Hits and misses since the process started, and what the memo holds now."""
-    return MemoInfo(_counts["hits"], _counts["misses"], len(_arrays), _counts["nbytes"])
+    """Misses since the process started, and what the memo holds now."""
+    with _lock:
+        return MemoInfo(_counts["misses"], len(_arrays), _counts["nbytes"])
 
 
 def clear():
-    """Drop every kept array; the hit and miss counts stay."""
-    _arrays.clear()
-    _counts["nbytes"] = 0
+    """Drop every kept array; the miss count stays."""
+    with _lock:
+        _arrays.clear()
+        _counts["nbytes"] = 0

@@ -1,12 +1,13 @@
 """Shared scenario builders for the test suite."""
 
-from mixbench import metrics
+from mixbench import engine, metrics
 from mixbench.devices import (
     BiasParams,
     LeakageParams,
     LoadParams,
     SwitchParams,
     TransconductorParams,
+    _switch,
 )
 from mixbench.engine import (
     FilterSpec,
@@ -105,3 +106,20 @@ def record_grids(monkeypatch):
     monkeypatch.setattr(metrics, "simulate", recording_simulate)
     monkeypatch.setattr(metrics, "_respond", recording_respond)
     return grids
+
+
+def record_switches(monkeypatch):
+    """Count the switch waveforms the mixer runs evaluate; return their sizes.
+
+    One entry per ``devices._switch`` call, from ``simulate``, the
+    conversion-gain routine and each noise-figure segment alike.
+    """
+    sizes = []
+
+    def recording_switch(p, v_lo):
+        sizes.append(v_lo.size)
+        return _switch(p, v_lo)
+
+    monkeypatch.setattr(engine, "_switch", recording_switch)
+    monkeypatch.setattr(metrics, "_switch", recording_switch)
+    return sizes

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_grids
+from helpers import record_grids, record_switches
 
 from mixbench import cli, memo, metrics, signals
 from mixbench.cli import (
@@ -578,6 +578,21 @@ class TestDefaultRunWork:
         # probe.
         assert grids == [2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
 
+    @pytest.mark.parametrize("text, sizes", [
+        # cg, p1db and isolation on the 2,304-sample period (one switch per
+        # gain call, not per sweep point); iip3 hot and cold on the full
+        # grid; the NF record per 36,864-sample segment, then its 576-sample
+        # probe; the transient.
+        ("", [2304] * 2 + [9216] * 2 + [2304] + [36864] * 32 + [576] + [9216]),
+        (SWEEP_POINT_CONFIG, [2304] * 2 + [9216] * 2 + [2304]),
+        (BUNDLE_JSON_CONFIG, [2304, 36864]),
+    ], ids=["default", "sweep point", "json bundle"])
+    def test_switch_evaluated_once_per_mixer_run(self, tmp_path, monkeypatch, text, sizes):
+        switches = record_switches(monkeypatch)
+        assert main(["run", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert switches == sizes
+
     @pytest.mark.parametrize("text", [
         "",
         SWEEP_POINT_CONFIG,
@@ -621,9 +636,12 @@ class TestDefaultRunWork:
                 super().__setitem__(key, array)
                 held.append(sum(a.nbytes for a in self.values()))
 
+        # A memo of its own, restored whole afterwards: the arrays and the
+        # byte count that other tests leave in the module's memo stay as
+        # they are.
         monkeypatch.setattr(memo, "BUDGET_BYTES", budget)
         monkeypatch.setattr(memo, "_arrays", Watched())
-        memo.clear()
+        monkeypatch.setattr(memo, "_counts", {"misses": 0, "nbytes": 0})
         config = write_config(tmp_path, "sweeps: {nf: {grid: {bins_per_unit: 256}}}\n")
         tracemalloc.start()
         try:
@@ -635,7 +653,6 @@ class TestDefaultRunWork:
         assert len(held) > 10 and max(held) <= budget
         assert memo.info().nbytes == held[-1]
         assert kept < budget + 200_000
-        memo.clear()
 
     def test_nf_setup_built_once(self, tmp_path, monkeypatch):
         calls = []

@@ -478,7 +478,7 @@ class TestLoDriveMemo:
         again = engine._lo_drive(grid, tone)
         assert again is not first and again.tobytes() == first.tobytes()
         assert memo.info().misses == misses + 2
-        assert memo.info()[2:] == (0, 0)
+        assert (memo.info().arrays, memo.info().nbytes) == (0, 0)
 
 
 class TestIfFilter:
