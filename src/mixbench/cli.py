@@ -43,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    OUTPUT_FORMATS,
     RunConfig,
     build_nf_setup,
     build_scenario,
@@ -186,7 +187,7 @@ def _cg(run: RunContext, _inputs: None) -> Dict:
 
 
 def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
-    start, stop, step = (run.cfg.number(f"sweeps.p1db.{key}")
+    start, stop, step = (run.cfg.field(f"sweeps.p1db.{key}")
                          for key in ("start_dbm", "stop_dbm", "step_db"))
     with naming("sweeps.p1db.start_dbm, sweeps.p1db.stop_dbm and sweeps.p1db.step_db"):
         sweep_size((start, stop), step)
@@ -205,11 +206,12 @@ def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
 
 def _iip3_inputs(run: RunContext) -> Tuple[Scenario, float]:
     field = "sweeps.iip3.tone_spacing_hz"
-    spacing = run.cfg.plan.to_internal(run.cfg.number(field, above=0), field)
+    spacing = run.cfg.plan.to_internal(run.cfg.field(field), field)
+    per_tone = run.cfg.field("sweeps.iip3.per_tone_dbm")
     with naming(field):
         two = two_tone_variant(run.quiet, spacing)
         two_tone_rays(two)
-    return two, run.cfg.power_dbm("sweeps.iip3.per_tone_dbm")
+    return two, per_tone
 
 
 def _iip3(run: RunContext, inputs: Tuple[Scenario, float]) -> Dict:
@@ -255,7 +257,7 @@ def _nf(run: RunContext, inputs: Tuple[Scenario, NoiseFigureSettings, Tuple]) ->
 
 
 def _harmonics_inputs(run: RunContext) -> int:
-    order = run.cfg.number("sweeps.harmonics.order", int)
+    order = run.cfg.field("sweeps.harmonics.order")
     with naming("sweeps.harmonics.order"):  # f_rf is the higher fundamental
         check_harmonic_order(run.scenario.grid, run.scenario.f_rf, order)
     return order
@@ -276,7 +278,7 @@ def _harmonics(run: RunContext, order: int) -> Dict:
 
 
 def _transient_inputs(run: RunContext) -> int:
-    return run.cfg.number("sweeps.transient.decimation", int, above=0)
+    return run.cfg.field("sweeps.transient.decimation")
 
 
 def _transient(run: RunContext, decimation: int) -> Dict:
@@ -318,6 +320,7 @@ def prepare(cfg: RunConfig, out_dir: Optional[str] = None
 
     Raises a ValidationError naming the field for any config ``run`` rejects.
     """
+    cfg.field("output.format")  # every table is written in it
     run = RunContext(cfg, build_scenario(cfg), out_dir)
     return run, {name: prepare_entry(run) if prepare_entry else None
                  for name, prepare_entry, _measure, _row in REGISTRY
@@ -505,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a configured run")
     p_run.add_argument("--config", required=True, help="YAML config file")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default=None,
+    p_run.add_argument("--format", choices=OUTPUT_FORMATS, default=None,
                        help="tabular output format (default from config)")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario noise seed")

@@ -25,6 +25,9 @@ from .signals import SampledSignal
 # Gain-compression threshold expressed as a linear factor: 10**(-1/20).
 _ONE_DB_FACTOR = 10.0 ** (-1.0 / 20.0)
 
+# Commutation models of the LO pair (see SwitchParams).
+SWITCH_MODES = ("ideal_sign", "smooth")
+
 
 @dataclass(frozen=True)
 class TransconductorParams:
@@ -56,7 +59,7 @@ class SwitchParams:
     v_sw: float = 0.05
 
     def __post_init__(self):
-        if self.mode not in ("ideal_sign", "smooth"):
+        if self.mode not in SWITCH_MODES:
             raise ValidationError(f"unknown switch mode {self.mode!r}")
         if self.mode == "smooth" and not self.v_sw > 0:
             raise ValidationError(f"v_sw must be > 0 in smooth mode, got {self.v_sw!r}")

@@ -66,6 +66,10 @@ class MixerParams:
     leakage: LeakageParams
 
 
+# IF filter responses (see FilterSpec).
+FILTER_KINDS = ("lowpass2",)
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Post-mixer IF filter; currently a second-order Butterworth low-pass."""
@@ -74,7 +78,7 @@ class FilterSpec:
     cutoff: float = 0.0
 
     def __post_init__(self):
-        if self.kind != "lowpass2":
+        if self.kind not in FILTER_KINDS:
             raise ValidationError(f"unknown filter kind {self.kind!r}")
         if not self.cutoff > 0:
             raise ValidationError(f"filter cutoff must be > 0, got {self.cutoff!r}")

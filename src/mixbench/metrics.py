@@ -52,6 +52,7 @@ from .signals import (
     _readout_bin,
     _tone_basis,
     amplitude_to_dbm,
+    band_edges,
     bin_amplitude,
     dbm_to_amplitude,
     noise_band_bins,
@@ -361,6 +362,8 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     f_signal_out = settings.signal_out_frequency if settings.signal_out_frequency \
         is not None else s.f_if
 
+    # Below Nyquist, the output band bounds the LO harmonics listed next.
+    band_edges(s.grid, out_center, settings.output_band_width)
     stimulus = [t.frequency for t in s.rf_tones] + [s.f_lo]
     out_rays = list(stimulus)
     for f in (t.frequency for t in s.rf_tones):

@@ -421,6 +421,17 @@ class BandNoiseStats(NamedTuple):
     segments: int
 
 
+def band_edges(grid: SimGrid, band_center: float, band_width: float
+               ) -> Tuple[float, float]:
+    """``(lo, hi)`` of a band, which must lie within (0, Nyquist) of ``grid``."""
+    lo = band_center - band_width / 2.0
+    hi = band_center + band_width / 2.0
+    if lo < 0 or hi >= grid.nyquist:
+        raise ValidationError(
+            f"band [{lo!r}, {hi!r}] must lie within (0, Nyquist={grid.nyquist!r})")
+    return lo, hi
+
+
 def noise_band_bins(grid: SimGrid, band_center: float, band_width: float,
                     segments: int,
                     mask_frequencies: Iterable[float] = ()) -> np.ndarray:
@@ -435,12 +446,7 @@ def noise_band_bins(grid: SimGrid, band_center: float, band_width: float,
     if grid.num_samples % segments != 0:
         raise ValidationError(
             f"record length {grid.num_samples} not divisible by {segments} segments")
-    lo = band_center - band_width / 2.0
-    hi = band_center + band_width / 2.0
-    if lo < 0 or hi >= grid.nyquist:
-        raise ValidationError(
-            f"band [{lo!r}, {hi!r}] must lie within (0, Nyquist={grid.nyquist!r})")
-
+    lo, hi = band_edges(grid, band_center, band_width)
     seg_len = grid.num_samples // segments
     seg_res = grid.sample_rate / seg_len
     # DC and Nyquist are excluded.

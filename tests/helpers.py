@@ -20,6 +20,21 @@ from mixbench.engine import (
 from mixbench.metrics import NoiseFigureSettings
 from mixbench.signals import ToneSpec
 
+# A design point like those of the benchmark's sweep workload, and the
+# benchmark's JSON bundle config.
+SWEEP_POINT_CONFIG = """\
+scenario:
+  rf_power_dbm: -50.0
+  mixer: {gm: 0.05, rd: 300.0, kappa: 5.0e-4, a3: -1.0}
+measurements: [cg, p1db, iip3, isolation, power]
+sweeps: {p1db: {start_dbm: -40.0, stop_dbm: 0.0, step_db: 0.1}}
+"""
+BUNDLE_JSON_CONFIG = """\
+scenario: {grid: {bins_per_unit: 16}}
+measurements: [cg, harmonics, transient, power]
+output: {format: json}
+"""
+
 
 def make_mixer(gm=0.034, v_gs1=0.6, a2=0.0, a3=0.0, rd=220.0, vdd=1.8,
                i_bias=1.111e-3, kappa=0.0, switch_mode="ideal_sign",

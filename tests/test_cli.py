@@ -1,5 +1,7 @@
 """Tests for config loading, the CLI harness, and the output bundle."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_grids, record_switches
+from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG, record_grids, record_switches
 
 from mixbench import cli, memo, metrics, signals
 from mixbench.cli import (
@@ -27,7 +29,9 @@ from mixbench.cli import (
 )
 from mixbench.config import (
     ALL_MEASUREMENTS,
-    DEFAULTS,
+    DBM,
+    FIELDS,
+    _bounds,
     build_nf_setup,
     build_scenario,
     from_dict,
@@ -37,22 +41,6 @@ from mixbench.config import (
 from mixbench.engine import simulate
 from mixbench.errors import ValidationError
 from mixbench.signals import bin_amplitude
-
-
-# A design point like those of the benchmark's sweep workload, and the
-# benchmark's JSON bundle config.
-SWEEP_POINT_CONFIG = """\
-scenario:
-  rf_power_dbm: -50.0
-  mixer: {gm: 0.05, rd: 300.0, kappa: 5.0e-4, a3: -1.0}
-measurements: [cg, p1db, iip3, isolation, power]
-sweeps: {p1db: {start_dbm: -40.0, stop_dbm: 0.0, step_db: 0.1}}
-"""
-BUNDLE_JSON_CONFIG = """\
-scenario: {grid: {bins_per_unit: 16}}
-measurements: [cg, harmonics, transient, power]
-output: {format: json}
-"""
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -130,6 +118,9 @@ class TestConfigLoading:
         ("sweeps:\n  nf:\n    segments: 7\n", "sweeps.nf.segments"),
         ("sweeps:\n  nf:\n    segments: 2\n", "sweeps.nf.segments"),
         ("sweeps:\n  nf:\n    band_width_hz: 1.0e+3\n", "sweeps.nf.band_width_hz"),
+        # Bounded work: a band past Nyquist is rejected before its LO harmonics
+        # are listed.
+        ("sweeps:\n  nf:\n    band_width_hz: 1.0e+30\n", "sweeps.nf.band_width_hz"),
         ("sweeps:\n  nf:\n    probe_power_dbm: abc\n", "sweeps.nf.probe_power_dbm"),
         # Integer fields: no overflow traceback, no silent truncation.
         ("scenario:\n  grid:\n    bins_per_unit: .inf\n", "scenario.grid.bins_per_unit"),
@@ -178,10 +169,15 @@ class TestConfigLoading:
         ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 0\n",
          "scenario.noise.bandwidth_hz"),
         ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 1.0e+30\n",
-         "noise band"),
+         ("scenario.noise.bandwidth_hz", "noise band")),
         # Past the 28.8 GHz Nyquist of the NF grid, below the main grid's.
         ("measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 5.0e+10\n",
-         "noise band"),
+         ("scenario.noise.bandwidth_hz", "noise band")),
+        # RF + LO (96 units) past the Nyquist (80) of 8 samples per LO period.
+        ("measurements: [cg]\nscenario:\n  lo_hz: 5.0e+8\n"
+         "  grid:\n    samples_per_lo_period: 8\n",
+         ("scenario.rf_hz", "scenario.lo_hz", "scenario.grid.samples_per_lo_period",
+          "sum product")),
         ("measurements: [iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: -2.5e+7\n",
          "sweeps.iip3.tone_spacing_hz"),
         ("scenario:\n  if_filter:\n    enabled: abc\n", "scenario.if_filter.enabled"),
@@ -200,12 +196,38 @@ class TestConfigLoading:
         # An order past the float range, times the RF frequency, overflows.
         ("measurements: [harmonics]\nsweeps:\n  harmonics:\n    order: 1" + "0" * 400
          + "\n", "sweeps.harmonics.order"),
+        # A field outside its FIELDS limit.
+        ("scenario:\n  mixer:\n    gm: -1.0\n", "scenario.mixer.gm"),
+        ("scenario:\n  mixer:\n    rd: -1.0\n", "scenario.mixer.rd"),
+        ("scenario:\n  mixer:\n    vdd: -1.0\n", "scenario.mixer.vdd"),
+        ("scenario:\n  mixer:\n    i_bias: -1.0\n", "scenario.mixer.i_bias"),
+        ("scenario:\n  mixer:\n    kappa: 1.0\n", "scenario.mixer.kappa"),
+        ("scenario:\n  lo_amplitude_v: -1.0\n", "scenario.lo_amplitude_v"),
+        ("scenario:\n  mixer:\n    switch_mode: foo\n", "scenario.mixer.switch_mode"),
+        ("scenario:\n  if_filter:\n    kind: bandpass\n", "scenario.if_filter.kind"),
+        ("output:\n  format: xml\n", "output.format"),
+        ("scenario:\n  grid:\n    bins_per_unit: 0\n", "scenario.grid.bins_per_unit"),
+        ("scenario:\n  grid:\n    samples_per_lo_period: 10\n",
+         "scenario.grid.samples_per_lo_period"),
+        ("sweeps:\n  nf:\n    grid:\n      bins_per_unit: 0\n",
+         "sweeps.nf.grid.bins_per_unit"),
+        ("sweeps:\n  nf:\n    grid:\n      samples_per_lo_period: 10\n",
+         "sweeps.nf.grid.samples_per_lo_period"),
+        # A rule across fields, and values that scale to 0 on the grid.
+        ("scenario:\n  mixer:\n    switch_mode: smooth\n    switch_v_sw: 0\n",
+         ("scenario.mixer.switch_mode", "scenario.mixer.switch_v_sw")),
+        ("scenario:\n  if_filter:\n    cutoff_hz: 5.0e-324\n", "scenario.if_filter.cutoff_hz"),
+        ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 5.0e-324\n",
+         "scenario.noise.bandwidth_hz"),
     ])
     def test_setting_run_fails_on_is_rejected(self, tmp_path, capsys, text, named):
-        with pytest.raises(ValidationError, match=named.replace(".", r"\.")):
+        named = (named,) if isinstance(named, str) else named
+        with pytest.raises(ValidationError) as rejected:
             prepare(loads_config(text))
+        assert all(part in str(rejected.value) for part in named)
         assert main(["validate", "--config", write_config(tmp_path, text)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(part in err for part in named)
 
     def test_tiny_if_cutoff_run_exits_2_and_the_smallest_kept_one_runs(
             self, tmp_path, capsys):
@@ -522,14 +544,6 @@ def test_registry_runs_every_measurement_in_config_order():
     assert tuple(name for name, _prepare, _measure, _row in REGISTRY) == ALL_MEASUREMENTS
 
 
-def _leaf_paths(tree, prefix=()):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _leaf_paths(value, prefix + (key,))
-        elif key != "measurements":
-            yield prefix + (key,)
-
-
 CHEAP_MEASUREMENTS = ["cg", "power", "isolation", "harmonics", "transient"]
 ODD_VALUES = st.one_of(
     st.sampled_from([0, 1, 2, 3, 16, 0.5, 2.5e7, 1.9e9]),           # numbers
@@ -541,24 +555,53 @@ ODD_VALUES = st.one_of(
 )
 
 
+def _limit_values(default, limit):
+    """A row's allowed strings, or each bound of it and the nearest value either side."""
+    if isinstance(limit, tuple):
+        return list(limit)
+    if limit in (None, DBM):
+        return []
+    if isinstance(default, int):
+        return [int(bound) + step for _, bound in _bounds(limit) for step in (-1, 0, 1)]
+    return [value for _, bound in _bounds(limit)
+            for value in (math.nextafter(bound, -math.inf), bound,
+                          math.nextafter(bound, math.inf))]
+
+
+def _field_values(path, default, limit):
+    """A leaf's path and a value from its row's limit or from ODD_VALUES."""
+    limit_values = _limit_values(default, limit)
+    if limit_values:
+        return st.tuples(st.just(path), ODD_VALUES | st.sampled_from(limit_values))
+    return st.tuples(st.just(path), ODD_VALUES)
+
+
+FIELD_VALUES = st.one_of([_field_values(*row) for row in FIELDS])
+
+
 @given(measurements=st.lists(st.sampled_from(ALL_MEASUREMENTS), min_size=1,
                              unique=True),
-       fields=st.lists(st.tuples(st.sampled_from(list(_leaf_paths(DEFAULTS))),
-                                 ODD_VALUES), min_size=1, max_size=3))
+       fields=st.lists(FIELD_VALUES, min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields):
     config = {"measurements": measurements}
     for path, value in fields:
+        *sections, leaf = path.split(".")
         section = config
-        for key in path[:-1]:
+        for key in sections:
             section = section.setdefault(key, {})
-        section[path[-1]] = value
+        section[leaf] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.yaml")
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(config, fh)
-        validated = main(["validate", "--config", path])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            validated = main(["validate", "--config", path])
         assert validated in (0, 2)
+        # Every rejection names a field.
+        assert validated == 0 or any(row[0] in err.getvalue() for row in FIELDS), \
+            err.getvalue()
         # Validating never simulates; running is kept to the cheap measurements.
         if set(measurements) <= set(CHEAP_MEASUREMENTS):
             ran = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])

@@ -1,5 +1,8 @@
 """The default bundle, byte for byte: SHA-256 of every file of an empty-config run.
 
+The parameter hash and the ``effective_config.yaml`` digest of two more
+configs are pinned too; they depend on the config code alone, not on numpy.
+
 The table was recorded with numpy 2.4 (Python 3.11, OpenBLAS 0.3.31).
 Another numpy may round a sum or a transform differently in the last bit,
 so under another numpy major.minor the test skips instead of failing.  A
@@ -13,7 +16,10 @@ import os
 import numpy as np
 import pytest
 
+from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG
+
 from mixbench.cli import main
+from mixbench.config import loads_config
 
 RECORDED_WITH_NUMPY = "2.4"
 
@@ -50,3 +56,18 @@ def test_default_bundle_bytes(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in os.listdir(out)}
     assert digests == DEFAULT_BUNDLE_SHA256
+
+
+@pytest.mark.parametrize("text, parameter_sha256, effective_config_sha256", [
+    (SWEEP_POINT_CONFIG,
+     "408e773851a8c4fb9616bcd3c7f808446a61ec4169cb23c18c801cd1db70d704",
+     "43a4c49fc1821b788fc9d34cca9aa6134bc235b58d9b511416200d23ff7c340a"),
+    (BUNDLE_JSON_CONFIG,
+     "0822e0c5a038f718d8d28cb1ae0ff2744efecadb95929efe7be3b6c70e406c5d",
+     "79bc4d4a0cd85f4a8cfd5dc095953e48994d1eed3a6d6ea8014cc4fb9117ba3f"),
+], ids=["sweep_point", "bundle_json"])
+def test_config_digests(text, parameter_sha256, effective_config_sha256):
+    cfg = loads_config(text)
+    assert cfg.parameter_hash() == parameter_sha256
+    assert hashlib.sha256(cfg.effective_yaml().encode("utf-8")).hexdigest() \
+        == effective_config_sha256
