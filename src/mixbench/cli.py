@@ -56,6 +56,7 @@ from .errors import MixbenchError, ValidationError
 from .metrics import (
     REFERENCE_65NM,
     NoiseFigureSettings,
+    check_drive,
     measure_conversion_gain,
     measure_iip3,
     measure_isolation,
@@ -67,7 +68,7 @@ from .metrics import (
     two_tone_rays,
     two_tone_variant,
 )
-from .signals import check_harmonic_order, harmonic_table
+from .signals import check_harmonic_order, dbm_to_amplitude, harmonic_table
 
 EXIT_OK = 0
 EXIT_MEASUREMENT_FAILED = 1
@@ -177,6 +178,17 @@ class RunContext:
         _write_table(os.path.join(self.out_dir, name), header, rows, self.cfg.output_format)
 
 
+def _check_gain_drive(path: str, power_dbm: float):
+    """Raise naming ``path`` if an RF tone at ``power_dbm`` is too quiet to read a gain over."""
+    if power_dbm < 0:  # only a negative power's peak voltage can underflow to 0
+        with naming(path):
+            check_drive(dbm_to_amplitude(power_dbm))
+
+
+def _cg_inputs(run: RunContext) -> None:
+    _check_gain_drive("scenario.rf_power_dbm", run.cfg.field("scenario.rf_power_dbm"))
+
+
 def _cg(run: RunContext, _inputs: None) -> Dict:
     gain = measure_conversion_gain(run.quiet)
     analytic = analytic_conversion_gain(run.scenario.mixer)
@@ -191,6 +203,7 @@ def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
                          for key in ("start_dbm", "stop_dbm", "step_db"))
     with naming("sweeps.p1db.start_dbm, sweeps.p1db.stop_dbm and sweeps.p1db.step_db"):
         sweep_size((start, stop), step)
+    _check_gain_drive("sweeps.p1db.start_dbm", start)  # the sweep's quietest point
     return (start, stop), step
 
 
@@ -233,6 +246,7 @@ def _isolation(run: RunContext, _inputs: None) -> Dict:
 
 def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings, Tuple]:
     scenario, settings = build_nf_setup(run.cfg)
+    _check_gain_drive("sweeps.nf.probe_power_dbm", settings.probe_power_dbm)
     with naming("scenario.noise.input_density, sweeps.nf.segments and "
                 "sweeps.nf.band_width_hz"):
         return scenario, settings, noise_figure_setup(scenario, settings)
@@ -302,7 +316,7 @@ def _power(run: RunContext, _inputs: None) -> Dict:
 # the library through this module's globals, which the benchmark's layer
 # trace rebinds, so the table holds no library function.
 REGISTRY = (
-    ("cg", None, _cg, ("conversion gain", "value_db", "dB", "reference_db")),
+    ("cg", _cg_inputs, _cg, ("conversion gain", "value_db", "dB", "reference_db")),
     ("p1db", _p1db_inputs, _p1db,
      ("1 dB compression", "value_dbm", "dBm", "reference_dbm")),
     ("iip3", _iip3_inputs, _iip3, ("IIP3", "value_dbm", "dBm", "reference_dbm")),

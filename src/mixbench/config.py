@@ -369,9 +369,8 @@ def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     """
     plan = _plan_from(cfg, "sweeps.nf.grid")
     scenario = _scenario_on_plan(cfg, plan, "sweeps.nf.grid")
-    width = cfg.field("sweeps.nf.band_width_hz") / plan.hz_per_unit
     return scenario, NoiseFigureSettings(
-        input_band_width=width, output_band_width=width,
+        band_width=cfg.field("sweeps.nf.band_width_hz") / plan.hz_per_unit,
         segments=cfg.field("sweeps.nf.segments"),
         probe_power_dbm=cfg.field("sweeps.nf.probe_power_dbm"))
 

@@ -17,6 +17,15 @@ Two grid choices keep the switching spectrum exact:
   multiple instead of smearing across stray bins;
 * the default LO phase is offset by half a sample, so no sample ever lands
   on a switching instant and the commutation duty is exactly 50%.
+
+Every mixer record is built here, on one kernel (:func:`_respond`), with
+its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
+by one of two generators.  :func:`_segments` yields a record in equal
+consecutive pieces: :func:`simulate` is its one-piece case, and the
+noise-figure record streams it a periodogram segment at a time.
+:func:`_points` yields the output of a single-tone record at each of a
+sequence of tone amplitudes, for the conversion gain, the compression
+sweep and the noise-figure gain probe.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -48,10 +56,9 @@ from .signals import (
     ToneSpec,
     _check_finite,
     _cos_basis,
+    _noise_segments,
     _tone_basis,
-    _tone_samples,
     check_noise_band,
-    white_noise,
 )
 
 
@@ -257,17 +264,20 @@ def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
     return v_lo
 
 
-def _port_extras(s: Scenario, v_lo: np.ndarray) -> Iterator[np.ndarray]:
-    """What ``s`` adds to its RF tones at the RF port: the LO leak, then the noise.
+def _port_parts(s: Scenario, tones: Iterable[Tuple[float, np.ndarray]], v_lo: np.ndarray,
+                noise: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The RF port's parts of a piece of ``s``'s record, in the order they are summed.
 
-    Yields each as a fresh array, made when asked for and only when the
-    scenario has it.
+    The tones, from ``(amplitude, basis)`` pairs; the leak of ``v_lo``, the
+    piece's LO voltage; the next piece of ``noise``.  Each is a fresh
+    array, made when asked for and only when ``s`` has it.
     """
+    for amp, basis in tones:
+        yield amp * basis
     if s.mixer.leakage.kappa != 0.0:
         yield _lo_leak(s.mixer.leakage, v_lo)
     if s.input_noise_density > 0.0:
-        yield white_noise(s.grid, s.input_noise_density, s.noise_seed,
-                          band=s.input_noise_band).samples
+        yield next(noise)
 
 
 def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
@@ -277,9 +287,7 @@ def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
     The port voltage is ``0 + parts[0] + parts[1] + ...``, summed in place
     in that order; ``sw`` holds the switch samples, and ``i_out`` is
     ``i_s * sw``, written into ``out`` when given (``sw`` itself, when the
-    caller needs the switch no more).  Plain fresh arrays, none checked:
-    the one kernel behind :func:`simulate` and the gain and noise-figure
-    records of :mod:`metrics`.
+    caller needs the switch no more).  Plain fresh arrays, none checked.
     """
     port = np.zeros(sw.size)
     for part in parts:
@@ -292,26 +300,55 @@ def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
     return port, i_s, i_out, m.load.rd * i_out
 
 
+def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, ...]]:
+    """``(port, i_s, i_out, v_out)`` of each of ``n`` equal consecutive pieces of ``s``'s record.
+
+    A piece is made from its slices of the memoised tone bases and LO
+    voltage and its piece of the noise (:func:`signals._noise_segments`),
+    with its switch as the ``i_out`` buffer; so the pieces, concatenated,
+    are the whole record to the bit.  ``n`` must divide the record length.
+    Plain fresh arrays, none checked.
+    """
+    grid = s.grid
+    size = grid.num_samples // n
+    v_lo = _lo_drive(grid, s.lo_tone)
+    tones = [(tone.peak_amplitude(), _tone_basis(grid, tone)) for tone in s.rf_tones]
+    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, n)
+    for at in (slice(j * size, (j + 1) * size) for j in range(n)):
+        sw = _switch(s.mixer.switch, v_lo[at])
+        parts = _port_parts(s, [(amp, basis[at]) for amp, basis in tones], v_lo[at], noise)
+        yield _respond(s.mixer, sw, parts, out=sw)
+
+
+def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[np.ndarray]:
+    """``v_out`` of single-tone ``s`` with its tone at each peak amplitude, in order.
+
+    Each has the bits of :func:`simulate`'s, unchecked.  Everything no
+    amplitude changes is made once: the tone basis, the LO drive, the
+    switch, the LO leak and the noise.
+    """
+    grid = s.grid
+    tone = _tone_basis(grid, s.rf_tones[0])
+    v_lo = _lo_drive(grid, s.lo_tone)
+    sw = _switch(s.mixer.switch, v_lo)
+    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, 1)
+    extras = tuple(_port_parts(s, (), v_lo, noise))
+    for amp in amplitudes:
+        yield _respond(s.mixer, sw, (amp * tone, *extras))[3]
+
+
 def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
     Pure function of the scenario (the noise generator is seeded from it),
-    so identical scenarios produce identical results.  The LO voltage comes
-    from the byte-bounded memo of :mod:`memo` (:func:`_lo_drive`); the
-    switch waveform is computed from it once per call, and becomes the
-    ``i_out`` buffer.  The rest is computed on each call, on plain arrays,
-    by :func:`_respond`.  Only ``v_out`` is checked for non-finite samples:
-    the LO voltage and the noise are checked, ``rd`` is finite and > 0, and
-    inf and NaN survive every later sum and product (inf times a zero
-    switch sample gives NaN).
+    so identical scenarios produce identical results.  The record is the
+    one piece of :func:`_segments`.  Only ``v_out`` is checked for
+    non-finite samples: the LO voltage is checked, ``rd`` is finite and
+    > 0, and inf and NaN, from the noise or any later step, survive every
+    sum and product (inf times a zero switch sample gives NaN).
     """
-    grid = s.grid
-    v_lo = _lo_drive(grid, s.lo_tone)
-    sw = _switch(s.mixer.switch, v_lo)
-    parts = chain((_tone_samples(grid, tone) for tone in s.rf_tones),
-                  _port_extras(s, v_lo))
-    port, i_s, i_out, v_out = _respond(s.mixer, sw, parts, out=sw)
-    v_out = SampledSignal._adopt(grid, v_out, "volt")
+    port, i_s, i_out, v_out = next(_segments(s, 1))
+    v_out = SampledSignal._adopt(s.grid, v_out, "volt")
     for node in (port, i_s, i_out):
         node.setflags(write=False)
     return TransientResult(scenario=s, v_out=v_out, _v_rf_port=port, _i_s=i_s,

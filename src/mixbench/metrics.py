@@ -16,24 +16,24 @@ The model is memoryless, so every noise-free simulation here runs on the
 common period of its tones, its LO and the rays it reads; its bin readings
 equal those on the full record to the last bits.  Noisy records keep theirs.
 
-Conversion gain and every compression-sweep point come from one routine,
-:func:`_conversion_gains`, which runs only the per-amplitude part of
-:func:`engine.simulate` and :func:`signals.bin_amplitude`, on their kernels
-and to their bits.  The noise-figure record runs on the same kernel one
-periodogram segment at a time (:func:`_band_rows`), to the bits of
-``simulate``.  The other measurements call ``simulate``.
+Every record comes from :mod:`engine`; this module only reads its bins.
+Conversion gain, every compression-sweep point and the noise-figure gain
+probe are read by :func:`_conversion_gains` from :func:`engine._points`,
+the noise-figure record by :func:`_band_rows` from the pieces of
+:func:`engine._segments`, and IIP3 and isolation from
+:func:`engine.simulate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import tee
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .devices import _lo_leak, _switch
-from .engine import Scenario, _lo_drive, _port_extras, _respond, simulate
+from .engine import Scenario, _points, _segments, simulate
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -47,10 +47,8 @@ from .signals import (
     _band_stats,
     _check_finite,
     _exp_basis,
-    _noise_segments,
     _project,
     _readout_bin,
-    _tone_basis,
     amplitude_to_dbm,
     band_edges,
     bin_amplitude,
@@ -101,16 +99,15 @@ class TwoToneResult:
 class NoiseFigureSettings:
     """Band and averaging configuration for the noise-figure measurement.
 
-    Band centers default to the scenario's RF (input) and IF (output)
-    frequencies.  ``signal_out_frequency`` is where the conversion-gain probe
-    ray is read; it defaults to the down-converted IF and must be overridden
-    for a non-translating device (e.g. a pass-through stage).
+    Both bands are ``band_width`` wide: the input band centred on the RF,
+    the output band by default on the IF.  ``signal_out_frequency`` is where
+    the conversion-gain probe ray is read; it too defaults to the IF, and
+    both must be overridden for a non-translating device (e.g. a
+    pass-through stage).
     """
 
-    input_band_width: float
-    output_band_width: float
+    band_width: float
     segments: int = 32
-    input_band_center: Optional[float] = None
     output_band_center: Optional[float] = None
     probe_power_dbm: float = -40.0
     signal_out_frequency: Optional[float] = None
@@ -133,32 +130,31 @@ def _on_common_period(s: Scenario, *rays: float) -> Scenario:
     return s if grid == s.grid else replace(s, grid=grid)
 
 
-def _conversion_gains(s: Scenario, amplitudes: Iterable[float]) -> List[float]:
-    """Conversion gain in dB of single-tone ``s`` at each RF peak amplitude, in order.
+def check_drive(amplitude: float):
+    """Raise WrongStimulusError unless a gain can be read at RF peak ``amplitude``: it is > 0."""
+    if not amplitude > 0:
+        raise WrongStimulusError("conversion gain needs a non-silent RF tone")
 
-    Each point is the simulation of ``s`` with its tone at that amplitude,
-    read at the IF bin: the RF port is ``0 + tone + LO leak + noise``, run
-    through :func:`engine._respond`, ``v_out`` read as
-    :func:`signals.bin_value` reads it and, when that reading is not
-    finite, scanned for non-finite samples.  Everything no
-    amplitude changes is done once: the move onto the common period, the
-    tone and readout bins, the LO drive, the switch, the leak and the noise.
+
+def _conversion_gains(s: Scenario, ray: float, amplitudes: Iterable[float]) -> List[float]:
+    """Gain in dB of single-tone ``s`` read at ``ray``, at each RF peak amplitude, in order.
+
+    Each point is the ``v_out`` of :func:`engine._points` on the common
+    period of ``s`` and ``ray``, read as :func:`signals.bin_value` reads it
+    and, when that reading is not finite, scanned for non-finite samples.
     ``amplitudes`` is consumed one point at a time, so a point that fails
     raises after every point before it has run.
     """
-    s = _on_common_period(s, s.f_if)
-    grid = s.grid
-    tone = _tone_basis(grid, s.rf_tones[0])
-    k = _readout_bin(grid, s.f_if)
-    readout = _exp_basis(grid.num_samples, k)
-    v_lo = _lo_drive(grid, s.lo_tone)
-    sw = _switch(s.mixer.switch, v_lo)
-    extras = tuple(_port_extras(s, v_lo))
+    if len(s.rf_tones) != 1:
+        raise WrongStimulusError(
+            f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
+    s = _on_common_period(s, ray)
+    k = _readout_bin(s.grid, ray)
+    readout = _exp_basis(s.grid.num_samples, k)
+    amplitudes, drives = tee(amplitudes)
     gains = []
-    for amp_in in amplitudes:
-        if amp_in <= 0:
-            raise WrongStimulusError("conversion gain needs a non-silent RF tone")
-        v_out = _respond(s.mixer, sw, (amp_in * tone, *extras))[3]
+    for amp_in, v_out in zip(amplitudes, _points(s, drives)):
+        check_drive(amp_in)
         amp_out = abs(_project(v_out, k, readout))
         if not math.isfinite(amp_out):
             # A non-finite sample always makes the projection non-finite;
@@ -174,10 +170,7 @@ def measure_conversion_gain(s: Scenario) -> float:
     The one-amplitude case of :func:`_conversion_gains`: a noise-free
     scenario runs on its common period, a noisy one on its full grid.
     """
-    if len(s.rf_tones) != 1:
-        raise WrongStimulusError(
-            f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
-    return _conversion_gains(s, (s.rf_tones[0].peak_amplitude(),))[0]
+    return _conversion_gains(s, s.f_if, (s.rf_tones[0].peak_amplitude(),))[0]
 
 
 def sweep_size(power_range: Tuple[float, float], step: float) -> int:
@@ -211,15 +204,12 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     that power; all points come from one :func:`_conversion_gains` call,
     which raises for the first point that fails.
     """
-    if len(s.rf_tones) != 1:
-        raise WrongStimulusError(
-            f"compression sweep needs a single RF tone, got {len(s.rf_tones)}")
     if not s.mixer.transconductor.a3 < 0:
         raise NoCompressionError(
             f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
     lo_dbm, hi_dbm = power_range
     powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
-    gains = _conversion_gains(s, (dbm_to_amplitude(p_in) for p_in in powers))
+    gains = _conversion_gains(s, s.f_if, (dbm_to_amplitude(p_in) for p_in in powers))
     sweep = [_sweep_point(p_in, p_in + gain) for p_in, gain in zip(powers, gains)]
 
     ref_gain = sweep[0].gain_db
@@ -336,86 +326,60 @@ def noise_figure_from_densities(output_density: float, input_density: float,
     return 20.0 * math.log10(output_density / (input_density * g_amp))
 
 
-# A noise band: (center, width, frequencies masked out of the average).
-NoiseBand = Tuple[float, float, Tuple[float, ...]]
-
-
 def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
-                       ) -> Tuple[Tuple[NoiseBand, NoiseBand], Scenario, float]:
-    """Noise bands and gain probe of a noise-figure measurement.
+                       ) -> Tuple[Tuple[np.ndarray, np.ndarray], Scenario, float]:
+    """Noise-band bins and gain probe of a noise-figure measurement.
 
-    Returns ``(bands, probe, f_signal_out)``.  ``bands`` holds the input
-    and the output band; the output mask covers every mixing product and
-    odd LO harmonic up to the band's top edge.  ``probe`` is a noise-free
-    clone carrying a single probe tone at the RF frequency, on the common
-    period of RF, LO and the read-out ray ``f_signal_out``.
+    Returns ``(bins, probe, f_signal_out)``.  ``bins`` holds the
+    periodogram bins (:func:`signals.noise_band_bins`) of the input and the
+    output band; the input band masks the stimulus, the output band also
+    every mixing product and odd LO harmonic up to its top edge.  ``probe``
+    is a noise-free clone carrying a single probe tone at the RF
+    frequency, on the common period of RF, LO and the read-out ray
+    ``f_signal_out``.
 
     Everything here is decided before any simulation, so it raises for
     settings the measurement would fail on without running it.
     """
     if not s.input_noise_density > 0:
         raise ValueError("scenario has zero input noise density; nothing to measure")
-    in_center = settings.input_band_center if settings.input_band_center is not None \
-        else s.f_rf
     out_center = settings.output_band_center if settings.output_band_center is not None \
         else s.f_if
     f_signal_out = settings.signal_out_frequency if settings.signal_out_frequency \
         is not None else s.f_if
+    width = settings.band_width
 
     # Below Nyquist, the output band bounds the LO harmonics listed next.
-    band_edges(s.grid, out_center, settings.output_band_width)
+    band_edges(s.grid, out_center, width)
     stimulus = [t.frequency for t in s.rf_tones] + [s.f_lo]
     out_rays = list(stimulus)
     for f in (t.frequency for t in s.rf_tones):
         out_rays += [abs(f - s.f_lo), f + s.f_lo]
     k = 1
-    while k * s.f_lo <= out_center + settings.output_band_width:
+    while k * s.f_lo <= out_center + width:
         out_rays.append(k * s.f_lo)
         k += 2
-    bands = ((in_center, settings.input_band_width, tuple(stimulus)),
-             (out_center, settings.output_band_width, tuple(out_rays)))
-    for center, width, mask in bands:
-        noise_band_bins(s.grid, center, width, settings.segments, mask)
+    bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
+                 for center, mask in ((s.f_rf, stimulus), (out_center, out_rays)))
 
     probe_tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
                           phase=s.rf_tones[0].phase)
     quiet = replace(s, rf_tones=(probe_tone,), input_noise_density=0.0,
                     input_noise_band=None)
-    return bands, _on_common_period(quiet, f_signal_out), f_signal_out
+    return bins, _on_common_period(quiet, f_signal_out), f_signal_out
 
 
 def _band_rows(s: Scenario, segments: int,
                bins: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Periodogram rows of the RF port and of ``v_out`` of ``s``, at ``bins``.
 
-    Runs the record :func:`engine.simulate` runs, one periodogram segment
-    at a time.  Per segment the RF port is ``0 + tones + LO leak + noise``,
-    each a slice of its full-record value (the tones and the leak from the
-    memoised bases and LO voltage, the noise from
-    :func:`signals._noise_segments`), the switch is computed from the
-    segment's LO slice, both run through :func:`engine._respond`, ``v_out``
-    is scanned for non-finite samples, and each node's rFFT at its bins is
-    written into row ``j`` of an ``order="F"`` array, as
-    :func:`signals._band_stats` wants it.  Every row keeps the bits of the
-    full-record path; the record and its switch never exist whole.
+    Row ``j`` is the rFFT of piece ``j`` of :func:`engine._segments`, whose
+    ``v_out`` is scanned for non-finite samples, in ``order="F"`` arrays as
+    :func:`signals._band_stats` wants them; the record never exists whole.
     """
-    grid = s.grid
-    seg_len = grid.num_samples // segments
-    v_lo = _lo_drive(grid, s.lo_tone)
-    tones = [(tone.peak_amplitude(), _tone_basis(grid, tone)) for tone in s.rf_tones]
-    leakage = s.mixer.leakage
-    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed,
-                            s.input_noise_band, segments)
     rows = tuple(np.empty((segments, used.size), dtype=np.complex128, order="F")
                  for used in bins)
-    for j, noise_part in enumerate(noise):
-        at = slice(j * seg_len, (j + 1) * seg_len)
-        parts = [amp * basis[at] for amp, basis in tones]
-        if leakage.kappa != 0.0:
-            parts.append(_lo_leak(leakage, v_lo[at]))
-        parts.append(noise_part)
-        sw = _switch(s.mixer.switch, v_lo[at])
-        port, _, _, v_out = _respond(s.mixer, sw, parts, out=sw)
+    for j, (port, _, _, v_out) in enumerate(_segments(s, segments)):
         _check_finite(v_out)
         for row, node, used in zip(rows, (port, v_out), bins):
             row[j] = np.fft.rfft(node)[used]
@@ -431,29 +395,21 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     the scenario's full record.  The record is run one periodogram segment
     at a time (:func:`_band_rows`), which gives the densities and spreads
     of simulating it whole to the last bits, in a working set of a few
-    segments: with the memos warm, a default measurement peaks under 8 MB
-    of Python-allocated memory instead of about 48 MB.  The conversion
-    gain is measured on a noise-free clone carrying a small probe tone, so
-    the same procedure covers any device configuration.  ``_setup`` is the
-    result of :func:`noise_figure_setup` when the caller has built it
-    already.
+    segments.  The conversion gain is read by :func:`_conversion_gains`
+    on a noise-free clone carrying a small probe tone, so the same
+    procedure covers any device configuration.  ``_setup`` is the result
+    of :func:`noise_figure_setup` when the caller has built it already.
     """
-    bands, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
-
-    bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
-                 for center, width, mask in bands)
+    bins, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
     n_in, n_out = (_band_stats(s.grid, rows)
                    for rows in _band_rows(s, settings.segments, bins))
     if n_in.density <= 0:
         raise ValueError("input noise density estimate is zero")
 
-    probe_result = simulate(probe)
-    g_amp = bin_amplitude(probe_result.v_out, f_signal_out).amplitude \
-        / probe.rf_tones[0].peak_amplitude()
-    if g_amp <= 0:
+    gain_db = _conversion_gains(probe, f_signal_out, (probe.rf_tones[0].peak_amplitude(),))[0]
+    if gain_db == -math.inf:
         raise WrongStimulusError(
             f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")
-    gain_db = 20.0 * math.log10(g_amp)
 
     nf = noise_figure_from_densities(n_out.density, n_in.density, gain_db)
     warning = None

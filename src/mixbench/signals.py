@@ -275,18 +275,13 @@ def _tone_basis(grid: SimGrid, tone: ToneSpec, cos_basis=_cos_basis) -> np.ndarr
     return cos_basis(grid.num_samples, k, tone.phase)
 
 
-def _tone_samples(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
-    """A fresh array of ``A cos(2 pi f t + phi)`` on the grid, unchecked for finiteness."""
-    basis = _tone_basis(grid, tone)
-    return tone.peak_amplitude() * basis
-
-
 def synthesize_tone(grid: SimGrid, tone: ToneSpec) -> SampledSignal:
     """Sample ``A cos(2 pi f t + phi)`` on the grid.
 
     The tone must be coherent with the grid and strictly below Nyquist.
     """
-    return SampledSignal._adopt(grid, _tone_samples(grid, tone), "volt")
+    basis = _tone_basis(grid, tone)
+    return SampledSignal._adopt(grid, tone.peak_amplitude() * basis, "volt")
 
 
 def bin_value(signal: SampledSignal, frequency: float) -> complex:
@@ -296,14 +291,8 @@ def bin_value(signal: SampledSignal, frequency: float) -> complex:
     it is deliberately independent of the FFT paths used elsewhere so the
     two can cross-check each other.  The DC bin returns the record mean.
     """
-    return _bin_value(signal, frequency, _exp_basis)
-
-
-def _bin_value(signal: SampledSignal, frequency: float, exp_basis) -> complex:
-    """:func:`bin_value` against the basis ``exp_basis(N, k)`` returns."""
-    grid = signal.grid
-    k = _readout_bin(grid, frequency)
-    return _project(signal.samples, k, exp_basis(grid.num_samples, k))
+    k = _readout_bin(signal.grid, frequency)
+    return _project(signal.samples, k, _exp_basis(signal.grid.num_samples, k))
 
 
 def _readout_bin(grid: SimGrid, frequency: float) -> int:
@@ -335,12 +324,14 @@ def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tup
     so its basis is computed without entering the memo that repeated
     readouts reuse.
     """
-    check_harmonic_order(signal.grid, fundamental, order)
-    return tuple(
-        SpectrumLine.from_amplitude(
-            k * fundamental,
-            abs(_bin_value(signal, k * fundamental, _exp_basis.__wrapped__)))
-        for k in range(1, order + 1))
+    grid = signal.grid
+    check_harmonic_order(grid, fundamental, order)
+    lines = []
+    for f in (h * fundamental for h in range(1, order + 1)):
+        k = _readout_bin(grid, f)
+        value = _project(signal.samples, k, _exp_basis.__wrapped__(grid.num_samples, k))
+        lines.append(SpectrumLine.from_amplitude(f, abs(value)))
+    return tuple(lines)
 
 
 def check_harmonic_order(grid: SimGrid, fundamental: float, order: int):

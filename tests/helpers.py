@@ -1,6 +1,6 @@
 """Shared scenario builders for the test suite."""
 
-from mixbench import engine, metrics
+from mixbench import engine
 from mixbench.devices import (
     BiasParams,
     LeakageParams,
@@ -15,7 +15,6 @@ from mixbench.engine import (
     ScaledPlan,
     Scenario,
     _respond,
-    simulate,
 )
 from mixbench.metrics import NoiseFigureSettings
 from mixbench.signals import ToneSpec
@@ -97,37 +96,33 @@ def noise_figure_grid_scenario(mixer, noise_density, noise_band_lo_harmonics=Non
         lo_amplitude=lo_amplitude, noise_density=noise_density,
         noise_band=band, seed=seed)
     width = 1.5 * plan.if_bin
-    settings = NoiseFigureSettings(input_band_width=width,
-                                   output_band_width=width, segments=32)
+    settings = NoiseFigureSettings(band_width=width, segments=32)
     return scenario, settings
 
 
 def record_grids(monkeypatch):
-    """Route the measurements' mixer runs through a recorder; return the grid sizes.
+    """Route every mixer run through a recorder; return the sizes it ran on.
 
-    One entry per ``metrics.simulate`` call and one per point of the
-    conversion-gain routine, which runs the mixer kernel without ``simulate``.
+    One entry per run of the mixer kernel ``engine._respond``: per
+    ``simulate`` call, per point of ``engine._points`` and per piece of
+    ``engine._segments`` alike.
     """
     grids = []
-
-    def recording_simulate(scenario):
-        grids.append(scenario.grid.num_samples)
-        return simulate(scenario)
 
     def recording_respond(mixer, sw, parts, out=None):
         grids.append(sw.size)
         return _respond(mixer, sw, parts, out)
 
-    monkeypatch.setattr(metrics, "simulate", recording_simulate)
-    monkeypatch.setattr(metrics, "_respond", recording_respond)
+    monkeypatch.setattr(engine, "_respond", recording_respond)
     return grids
 
 
 def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
-    One entry per ``devices._switch`` call, from ``simulate``, the
-    conversion-gain routine and each noise-figure segment alike.
+    One entry per ``devices._switch`` call, all of which ``engine`` makes:
+    per ``simulate`` call, per ``engine._points`` run and per piece of
+    ``engine._segments``.
     """
     sizes = []
 
@@ -136,5 +131,4 @@ def record_switches(monkeypatch):
         return _switch(p, v_lo)
 
     monkeypatch.setattr(engine, "_switch", recording_switch)
-    monkeypatch.setattr(metrics, "_switch", recording_switch)
     return sizes

@@ -141,6 +141,12 @@ class TestConfigLoading:
         ("scenario:\n  rf_power_dbm: 1.0e+6\n", "scenario.rf_power_dbm"),
         ("scenario:\n  rf_power_dbm: .nan\n", "scenario.rf_power_dbm"),
         ("sweeps:\n  nf:\n    probe_power_dbm: 1.0e+6\n", "sweeps.nf.probe_power_dbm"),
+        # A gain is read over an RF tone whose peak voltage underflows to 0.
+        ("measurements: [nf]\nsweeps:\n  nf:\n    probe_power_dbm: -1.0e+6\n",
+         "sweeps.nf.probe_power_dbm"),
+        ("measurements: [cg]\nscenario:\n  rf_power_dbm: -1.0e+6\n", "scenario.rf_power_dbm"),
+        ("measurements: [p1db]\nsweeps:\n  p1db:\n    start_dbm: -1.0e+6\n"
+         "    step_db: 1.0e+5\n", "sweeps.p1db.start_dbm"),
         # The noise seed is a non-negative whole number.
         ("scenario:\n  noise:\n    seed: -1\n", "scenario.noise.seed"),
         ("scenario:\n  noise:\n    seed: 1.5e3\n", "scenario.noise.seed"),
@@ -240,6 +246,18 @@ class TestConfigLoading:
             warnings.simplefilter("error")
             assert main(["run", "--config", write_config(tmp_path, text.format("1.8e-143")),
                          "--out", str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("text, code", [
+        ("measurements: [nf]\nsweeps:\n  nf:\n    probe_power_dbm: -1.0e+6\n", 2),
+        ("measurements: [cg]\nscenario:\n  rf_power_dbm: -1.0e+6\n", 2),
+        ("measurements: [p1db]\nsweeps:\n  p1db:\n    start_dbm: -1.0e+6\n"
+         "    step_db: 1.0e+5\n", 2),
+        # A silent RF tone is no fault where no gain is read.
+        ("measurements: [isolation, transient]\nscenario:\n  rf_power_dbm: -1.0e+6\n", 0),
+    ], ids=["nf_probe", "cg", "p1db_start", "isolation_transient"])
+    def test_silent_drive_rejected_only_where_a_gain_is_read(self, tmp_path, text, code):
+        assert main(["run", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == code
 
     def test_noise_band_and_filter_switch_accepted(self):
         scenario = build_scenario(loads_config(
@@ -618,8 +636,9 @@ class TestDefaultRunWork:
         # points); iip3 hot and cold on the full grid (a 1-unit tone spacing
         # has no shorter period); isolation; the NF noise record, one
         # 36,864-sample periodogram segment at a time, and its 576-sample
-        # probe.
-        assert grids == [2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
+        # probe; the transient, which the harmonics share.
+        assert grids == ([2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
+                         + [9216])
 
     @pytest.mark.parametrize("text, sizes", [
         # cg, p1db and isolation on the 2,304-sample period (one switch per

@@ -283,6 +283,18 @@ class TestInPlaceArithmetic:
                 assert np.array_equal(got, samples), node
                 assert got.tobytes() == samples.tobytes(), node
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_segments_concatenate_to_the_record(self, case):
+        s = self.CASES[case]()
+        result = simulate(s)
+        for n in (1, 4, 64):
+            pieces = list(engine._segments(s, n))
+            assert len(pieces) == n
+            for node, parts in zip(("v_rf_port", "i_s", "i_out", "v_out"), zip(*pieces)):
+                assert {part.size for part in parts} == {s.grid.num_samples // n}
+                assert (np.concatenate(parts).tobytes()
+                        == getattr(result, node).samples.tobytes()), (n, node)
+
     def test_nonfinite_intermediate_rejected(self):
         # The cubic term overflows to -inf at a 1e200 V drive.
         s = make_scenario(mixer=make_mixer(a3=-0.696), rf_amplitude=1e200)

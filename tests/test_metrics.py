@@ -14,7 +14,7 @@ from helpers import (
     record_grids,
 )
 
-from mixbench import metrics, signals
+from mixbench import engine, metrics, signals
 from mixbench.cli import prepare
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
@@ -239,8 +239,7 @@ class TestP1dB:
         def no_simulation(*args):
             raise AssertionError("simulated a sweep that cannot be used")
 
-        monkeypatch.setattr(metrics, "simulate", no_simulation)
-        monkeypatch.setattr(metrics, "_respond", no_simulation)
+        monkeypatch.setattr(engine, "_respond", no_simulation)
         with pytest.raises(ValidationError):
             measure_p1db(calibrated_scenario(), power_range, step)
 
@@ -421,24 +420,31 @@ class TestNoiseFigure:
         res = measure_noise_figure(scenario, settings)
         assert res.input_density == pytest.approx(1e-9, rel=0.05)
 
+    def test_setup_bins_mask_the_stimulus_and_the_mixing_products(self):
+        s, settings = build_nf_setup(from_dict({}))
+        (in_bins, out_bins), _, _ = noise_figure_setup(s, settings)
+        rf, lo, width, segments = s.f_rf, s.f_lo, settings.band_width, settings.segments
+        assert np.array_equal(in_bins, noise_band_bins(s.grid, rf, width, segments, (rf, lo)))
+        assert np.array_equal(out_bins, noise_band_bins(s.grid, s.f_if, width, segments,
+                                                        (rf, lo, rf - lo, rf + lo)))
+
     def test_zero_noise_rejected(self):
         s = calibrated_scenario()
-        settings = NoiseFigureSettings(input_band_width=6.0, output_band_width=6.0,
-                                       segments=4)
+        settings = NoiseFigureSettings(band_width=6.0, segments=4)
         with pytest.raises(ValueError):
             measure_noise_figure(replace(s, input_noise_density=0.0), settings)
 
 
 def whole_record_noise_figure(s, settings):
     """Band statistics, gain and figure of ``s`` with its noise record
-    simulated whole: ``simulate`` plus ``_band_noise_stats``, the reference
-    the streamed record must reproduce."""
-    bands, probe, f_out = noise_figure_setup(s, settings)
+    simulated whole, at the bins the setup returns: ``simulate``, one rFFT
+    of every segment and ``_band_stats``, and the probe's ``simulate`` and
+    ``bin_amplitude``; the reference the streamed record must reproduce."""
+    bins, probe, f_out = noise_figure_setup(s, settings)
     result = simulate(s)
-    stats = [signals._band_noise_stats(signal, center, width, settings.segments,
-                                       mask_frequencies=mask)
-             for signal, (center, width, mask)
-             in zip((result.v_rf_port, result.v_out), bands)]
+    stats = [signals._band_stats(s.grid, np.fft.rfft(
+                 signal.samples.reshape(settings.segments, -1), axis=1)[:, used])
+             for signal, used in zip((result.v_rf_port, result.v_out), bins)]
     gain_db = 20.0 * math.log10(bin_amplitude(simulate(probe).v_out, f_out).amplitude
                                 / probe.rf_tones[0].peak_amplitude())
     nf_db = noise_figure_from_densities(stats[1].density, stats[0].density, gain_db)
@@ -446,9 +452,7 @@ def whole_record_noise_figure(s, settings):
 
 
 def streamed_band_stats(s, settings):
-    bands, _, _ = noise_figure_setup(s, settings)
-    bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
-                 for center, width, mask in bands)
+    bins, _, _ = noise_figure_setup(s, settings)
     return [signals._band_stats(s.grid, rows)
             for rows in metrics._band_rows(s, settings.segments, bins)]
 
@@ -566,14 +570,20 @@ class TestNoiseFigureProbe:
             s = make_scenario(mixer=make_mixer(a3=-0.5, v_gs1=0.0), rf_hz=2e9,
                               lo_hz=1e9, bins_per_unit=64,
                               samples_per_lo_period=8, noise_density=1e-9)
-            settings = NoiseFigureSettings(input_band_width=32.0,
-                                           output_band_width=32.0, segments=4)
+            settings = NoiseFigureSettings(band_width=32.0, segments=4)
         _, probe, f_out = noise_figure_setup(s, settings)
         assert probe.grid.num_samples < s.grid.num_samples
         assert probe.grid.sample_rate == s.grid.sample_rate
         res = measure_noise_figure(s, settings)
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
+
+
+    def test_silent_probe_rejected(self):
+        # -1e6 dBm is a peak voltage of 0.0: no gain can be read over it.
+        s, settings = nf_setup_from_config()
+        with pytest.raises(WrongStimulusError, match="non-silent RF tone"):
+            measure_noise_figure(s, replace(settings, probe_power_dbm=-1.0e6))
 
 
 def quiet_readings(s, two_tone, per_tone_dbm):
