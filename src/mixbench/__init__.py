@@ -18,7 +18,6 @@ from .devices import (
     a1db_closed_form,
     aiip3_closed_form,
     dc_power,
-    lo_leakage_at_rf_port,
     switch_waveform,
     transconductor_current,
 )

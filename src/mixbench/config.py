@@ -55,8 +55,10 @@ OUTPUT_FORMATS = ("csv", "json")
 # signal, and a simulation keeps several signals of its grid alive.
 MAX_GRID_SAMPLES = 2 ** 23
 
-# libyaml's safe dumper, which writes the pure-Python one's bytes about
-# four times faster; the pure-Python one where PyYAML was built without it.
+# libyaml's safe loader and dumper, which read the pure-Python ones' trees
+# and write their bytes several times faster; the pure-Python ones where
+# PyYAML was built without libyaml.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Marks a power in dBm whose peak voltage must be a finite float.
@@ -93,8 +95,8 @@ FIELDS: Tuple[Tuple[str, Any, Any], ...] = (
     ("scenario.if_filter.cutoff_hz", 2.0e8, "> 0"),
     ("scenario.grid.bins_per_unit", 4, ">= 1"),
     ("scenario.grid.samples_per_lo_period", 128, ">= 8"),  # and a multiple of 4
-    ("sweeps.p1db.start_dbm", -40.0, None),
-    ("sweeps.p1db.stop_dbm", 0.0, None),
+    ("sweeps.p1db.start_dbm", -40.0, DBM),
+    ("sweeps.p1db.stop_dbm", 0.0, DBM),
     ("sweeps.p1db.step_db", 0.5, None),
     # Tone spacing IF/4 keeps both IM3 products clear of the spurs the
     # cubic makes out of the tones and the leaked LO.
@@ -285,7 +287,7 @@ def loads_config(text: str) -> RunConfig:
 
 def _parse(text: str, source: str) -> RunConfig:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"cannot parse {source}: {exc}") from exc
     if data is None:
@@ -325,7 +327,20 @@ def _plan_from(cfg: RunConfig, grid_path: str) -> ScaledPlan:
     return plan
 
 
-def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan, grid_path: str) -> Scenario:
+def _if_filter_from(cfg: RunConfig, plan: ScaledPlan) -> Optional[FilterSpec]:
+    """The configured IF filter on ``plan``'s grid, or None when it is disabled."""
+    if not cfg.field("scenario.if_filter.enabled"):
+        return None
+    kind = cfg.field("scenario.if_filter.kind")
+    cutoff = cfg.field("scenario.if_filter.cutoff_hz")
+    with naming("scenario.if_filter.cutoff_hz"):
+        if_filter = FilterSpec(kind=kind, cutoff=cutoff / plan.hz_per_unit)
+        check_if_filter(if_filter, plan.grid())
+    return if_filter
+
+
+def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan, grid_path: str,
+                      if_filter: Optional[FilterSpec]) -> Scenario:
     grid = plan.grid()
     lo_phase = cfg.field("scenario.lo_phase_rad")
     rf_tone = ToneSpec(frequency=float(plan.rf_bin),
@@ -339,13 +354,6 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan, grid_path: str) -> Scena
         band = (0.0, band / plan.hz_per_unit)
         with naming("scenario.noise.bandwidth_hz"):
             check_noise_band(grid, band)
-    if_filter = None
-    if cfg.field("scenario.if_filter.enabled"):
-        kind = cfg.field("scenario.if_filter.kind")
-        cutoff = cfg.field("scenario.if_filter.cutoff_hz")
-        with naming("scenario.if_filter.cutoff_hz"):
-            if_filter = FilterSpec(kind=kind, cutoff=cutoff / plan.hz_per_unit)
-            check_if_filter(if_filter, grid)
     mixer = _mixer_from(cfg)
     seed, density = cfg.seed, cfg.field("scenario.noise.input_density")
     # The tones, and their sum product, must lie below the grid's Nyquist.
@@ -357,18 +365,19 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan, grid_path: str) -> Scena
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
-    """Main scenario on the metrics grid."""
-    return _scenario_on_plan(cfg, cfg.plan, "scenario.grid")
+    """Main scenario on the metrics grid, with the configured IF filter."""
+    return _scenario_on_plan(cfg, cfg.plan, "scenario.grid", _if_filter_from(cfg, cfg.plan))
 
 
 def build_nf_setup(cfg: RunConfig) -> Tuple[Scenario, NoiseFigureSettings]:
     """Scenario and band settings for the noise-figure measurement.
 
     The noise measurement needs many periodogram bins per band, so it runs
-    on its own, longer grid with the same mixer and frequency plan.
+    on its own, longer grid with the same mixer and frequency plan.  It
+    never filters, so its scenario carries no IF filter.
     """
     plan = _plan_from(cfg, "sweeps.nf.grid")
-    scenario = _scenario_on_plan(cfg, plan, "sweeps.nf.grid")
+    scenario = _scenario_on_plan(cfg, plan, "sweeps.nf.grid", None)
     return scenario, NoiseFigureSettings(
         band_width=cfg.field("sweeps.nf.band_width_hz") / plan.hz_per_unit,
         segments=cfg.field("sweeps.nf.segments"),

@@ -154,13 +154,6 @@ def dc_power(b: BiasParams) -> float:
     return b.vdd * b.i_bias
 
 
-def lo_leakage_at_rf_port(l: LeakageParams, v_lo: SampledSignal) -> SampledSignal:
-    """LO voltage appearing at the RF port through the coupling path."""
-    if v_lo.unit != "volt":
-        raise ValidationError(f"leakage input must be volts, got {v_lo.unit!r}")
-    return SampledSignal._adopt(v_lo.grid, _lo_leak(l, v_lo.samples), "volt")
-
-
 def _lo_leak(l: LeakageParams, v_lo: np.ndarray) -> np.ndarray:
     """A fresh array of the leaked LO voltage for LO samples ``v_lo``."""
     return l.kappa * v_lo

@@ -21,11 +21,12 @@ Two grid choices keep the switching spectrum exact:
 Every mixer record is built here, on one kernel (:func:`_respond`), with
 its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
 by one of two generators.  :func:`_segments` yields a record in equal
-consecutive pieces: :func:`simulate` is its one-piece case, and the
-noise-figure record streams it a periodogram segment at a time.
-:func:`_points` yields the output of a single-tone record at each of a
-sequence of tone amplitudes, for the conversion gain, the compression
-sweep and the noise-figure gain probe.
+consecutive pieces: :func:`simulate`, which keeps every node for isolation
+and the transient output, is its one-piece case, and the noise-figure
+record streams it a periodogram segment at a time.  :func:`_points` yields
+the output of a record at each of a sequence of RF drive amplitudes, every
+tone at the same one: for the conversion gain, the compression sweep, the
+noise-figure gain probe and the two drives of IIP3.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -160,42 +161,20 @@ class Scenario:
     def to_hz(self, internal: float) -> float:
         return internal * self.frequency_scale
 
-    def with_rf_power(self, power_dbm: float) -> "Scenario":
-        """Copy with every RF tone set to the given power.
-
-        It skips :meth:`validate`, which no power enters; a power with no
-        finite peak voltage fails in :func:`simulate`.
-        """
-        tones = tuple(t.with_power(power_dbm) for t in self.rf_tones)
-        copied = object.__new__(type(self))
-        copied.__dict__.update(self.__dict__, rf_tones=tones)
-        return copied
-
-
-def _node(samples: str, unit: str) -> cached_property:
-    """A :class:`TransientResult` node: the array ``samples``, adopted when first read."""
-    return cached_property(lambda self: SampledSignal._adopt(
-        self.scenario.grid, getattr(self, samples), unit))
-
 
 @dataclass(frozen=True, eq=False)
 class TransientResult:
     """All node waveforms of one simulation, sharing the scenario grid.
 
-    :func:`simulate` builds and checks ``v_out``.  The other nodes hold
-    read-only arrays and become signals when first read, and are kept; the
-    IF filter likewise runs when ``v_out_filtered`` is first read.
+    :func:`simulate` adopts and checks every node as it makes it; the IF
+    filter runs when ``v_out_filtered`` is first read.
     """
 
     scenario: Scenario
+    v_rf_port: SampledSignal        # stimulus + LO leakage + noise
+    i_s: SampledSignal              # transconductor output current
+    i_out: SampledSignal            # commutated current
     v_out: SampledSignal            # differential output voltage
-    _v_rf_port: np.ndarray          # stimulus + LO leakage + noise
-    _i_s: np.ndarray                # transconductor output current
-    _i_out: np.ndarray              # commutated current
-
-    v_rf_port = _node("_v_rf_port", "volt")
-    i_s = _node("_i_s", "ampere")
-    i_out = _node("_i_out", "ampere")
 
     @cached_property
     def v_out_filtered(self) -> Optional[SampledSignal]:
@@ -320,21 +299,21 @@ def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, ...]]:
         yield _respond(s.mixer, sw, parts, out=sw)
 
 
-def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[np.ndarray]:
-    """``v_out`` of single-tone ``s`` with its tone at each peak amplitude, in order.
+def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[Tuple[float, np.ndarray]]:
+    """``(amplitude, v_out)`` of ``s`` with every RF tone at each peak amplitude, in order.
 
-    Each has the bits of :func:`simulate`'s, unchecked.  Everything no
-    amplitude changes is made once: the tone basis, the LO drive, the
+    Each ``v_out`` has the bits of :func:`simulate`'s, unchecked.  Everything
+    no amplitude changes is made once: the tone bases, the LO drive, the
     switch, the LO leak and the noise.
     """
     grid = s.grid
-    tone = _tone_basis(grid, s.rf_tones[0])
+    bases = [_tone_basis(grid, tone) for tone in s.rf_tones]
     v_lo = _lo_drive(grid, s.lo_tone)
     sw = _switch(s.mixer.switch, v_lo)
     noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, 1)
     extras = tuple(_port_parts(s, (), v_lo, noise))
     for amp in amplitudes:
-        yield _respond(s.mixer, sw, (amp * tone, *extras))[3]
+        yield amp, _respond(s.mixer, sw, (*(amp * basis for basis in bases), *extras))[3]
 
 
 def simulate(s: Scenario) -> TransientResult:
@@ -342,17 +321,14 @@ def simulate(s: Scenario) -> TransientResult:
 
     Pure function of the scenario (the noise generator is seeded from it),
     so identical scenarios produce identical results.  The record is the
-    one piece of :func:`_segments`.  Only ``v_out`` is checked for
-    non-finite samples: the LO voltage is checked, ``rd`` is finite and
-    > 0, and inf and NaN, from the noise or any later step, survive every
-    sum and product (inf times a zero switch sample gives NaN).
+    one piece of :func:`_segments`; each node is adopted as a signal, and
+    so checked for non-finite samples, in the order the mixer makes it.
     """
     port, i_s, i_out, v_out = next(_segments(s, 1))
-    v_out = SampledSignal._adopt(s.grid, v_out, "volt")
-    for node in (port, i_s, i_out):
-        node.setflags(write=False)
-    return TransientResult(scenario=s, v_out=v_out, _v_rf_port=port, _i_s=i_s,
-                           _i_out=i_out)
+    adopt = partial(SampledSignal._adopt, s.grid)
+    return TransientResult(scenario=s, v_rf_port=adopt(port, "volt"),
+                           i_s=adopt(i_s, "ampere"), i_out=adopt(i_out, "ampere"),
+                           v_out=adopt(v_out, "volt"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ common period of its tones, its LO and the rays it reads; its bin readings
 equal those on the full record to the last bits.  Noisy records keep theirs.
 
 Every record comes from :mod:`engine`; this module only reads its bins.
-Conversion gain, every compression-sweep point and the noise-figure gain
-probe are read by :func:`_conversion_gains` from :func:`engine._points`,
-the noise-figure record by :func:`_band_rows` from the pieces of
-:func:`engine._segments`, and IIP3 and isolation from
+Conversion gain, every compression-sweep point, the noise-figure gain
+probe and the two drives of IIP3 are read by :func:`_ray` from
+:func:`engine._points`, the noise-figure record by :func:`_band_rows` from
+the pieces of :func:`engine._segments`, and isolation from the RF port of
 :func:`engine.simulate`.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import tee
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +42,8 @@ from .errors import (
     WrongStimulusError,
 )
 from .signals import (
+    SimGrid,
+    SpectrumLine,
     ToneSpec,
     _band_stats,
     _check_finite,
@@ -136,30 +137,42 @@ def check_drive(amplitude: float):
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
 
 
+def _readout(grid: SimGrid, ray: float) -> Tuple[int, np.ndarray]:
+    """Bin and basis that :func:`_ray` reads ``ray`` with on ``grid``."""
+    k = _readout_bin(grid, ray)
+    return k, _exp_basis(grid.num_samples, k)
+
+
+def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
+    """Amplitude of the bin-``k`` ray of a plain ``v_out``, as :func:`signals.bin_value` reads it.
+
+    ``v_out`` is scanned for non-finite samples only when the reading is not
+    finite: a non-finite sample always makes the projection non-finite, and
+    a finite record whose sum overflows reads inf.
+    """
+    amp = abs(_project(v_out, k, basis))
+    if not math.isfinite(amp):
+        _check_finite(v_out)
+    return amp
+
+
 def _conversion_gains(s: Scenario, ray: float, amplitudes: Iterable[float]) -> List[float]:
     """Gain in dB of single-tone ``s`` read at ``ray``, at each RF peak amplitude, in order.
 
     Each point is the ``v_out`` of :func:`engine._points` on the common
-    period of ``s`` and ``ray``, read as :func:`signals.bin_value` reads it
-    and, when that reading is not finite, scanned for non-finite samples.
-    ``amplitudes`` is consumed one point at a time, so a point that fails
-    raises after every point before it has run.
+    period of ``s`` and ``ray``, read by :func:`_ray`.  ``amplitudes`` is
+    consumed one point at a time, so a point that fails raises after every
+    point before it has run.
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
     s = _on_common_period(s, ray)
-    k = _readout_bin(s.grid, ray)
-    readout = _exp_basis(s.grid.num_samples, k)
-    amplitudes, drives = tee(amplitudes)
+    k, basis = _readout(s.grid, ray)
     gains = []
-    for amp_in, v_out in zip(amplitudes, _points(s, drives)):
+    for amp_in, v_out in _points(s, amplitudes):
         check_drive(amp_in)
-        amp_out = abs(_project(v_out, k, readout))
-        if not math.isfinite(amp_out):
-            # A non-finite sample always makes the projection non-finite;
-            # a finite record whose sum overflows reads inf.
-            _check_finite(v_out)
+        amp_out = _ray(v_out, k, basis)
         gains.append(-math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in))
     return gains
 
@@ -265,32 +278,36 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     """Two-tone intercept: drive both tones equally and read the IM3 rays.
 
     The reported IM3 is the larger of the two mirror products (equal for a
-    symmetric cubic).  A companion run 20 dB colder guards against a drive
+    symmetric cubic).  A companion drive 20 dB colder guards against a drive
     outside the weak-signal range: the gain may move by at most 0.5 dB
-    either way, down in compression or up where the cubic overdrives.  At
-    a tone spacing whose bin is coprime to the grid, the common period is
-    the full grid.
+    either way, down in compression or up where the cubic overdrives.  Both
+    drives are points of :func:`engine._points`, each ray read by
+    :func:`_ray`.  At a tone spacing whose bin is coprime to the grid, the
+    common period is the full grid.
     """
-    f_fund, f_im3_low, f_im3_high = two_tone_rays(s)
-    s = _on_common_period(s, f_fund, f_im3_low, f_im3_high)
+    rays = two_tone_rays(s)
+    s = _on_common_period(s, *rays)
+    readouts = [_readout(s.grid, f) for f in rays]
+    cold_dbm = per_tone_power_dbm - 20.0
+    # Drawn lazily: the cold drive runs only after the hot one passes its IM3 check.
+    points = _points(s, (dbm_to_amplitude(p) for p in (per_tone_power_dbm, cold_dbm)))
 
-    hot = simulate(s.with_rf_power(per_tone_power_dbm))
-    p_fund, p_im3, p_mirror = (bin_amplitude(hot.v_out, f).power_dbm
-                               for f in (f_fund, f_im3_low, f_im3_high))
+    _, hot = next(points)
+    p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, _ray(hot, *r)).power_dbm
+                               for f, r in zip(rays, readouts))
     p_im3_used = max(p_im3, p_mirror)
     if p_im3_used < MEASUREMENT_FLOOR_DBM:
         raise ImmeasurableIM3Error(
             f"IM3 ray below {MEASUREMENT_FLOOR_DBM} dBm; the device has no "
             f"cubic nonlinearity")
 
-    cold = simulate(s.with_rf_power(per_tone_power_dbm - 20.0))
-    amp_cold = bin_amplitude(cold.v_out, f_fund).amplitude
+    _, cold = next(points)
     gain_hot = p_fund - per_tone_power_dbm
-    gain_cold = amplitude_to_dbm(amp_cold) - (per_tone_power_dbm - 20.0)
+    gain_cold = amplitude_to_dbm(_ray(cold, *readouts[0])) - cold_dbm
     if abs(gain_cold - gain_hot) > 0.5:
         raise StimulusTooHotError(
             f"gain moves {gain_hot - gain_cold:+.2f} dB from "
-            f"{per_tone_power_dbm - 20.0} to {per_tone_power_dbm} dBm per tone, "
+            f"{cold_dbm} to {per_tone_power_dbm} dBm per tone, "
             f"outside the weak-signal range; reduce the drive")
 
     delta = p_fund - p_im3_used

@@ -79,9 +79,6 @@ class SimGrid:
             raise CoherenceError(frequency, self.resolution, context)
         return int(k)
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.num_samples) / self.sample_rate
-
     def common_period(self, frequencies: Tuple[float, ...]) -> "SimGrid":
         """Shortest valid grid at this sample rate with every frequency on a bin.
 
@@ -109,9 +106,7 @@ class SampledSignal:
     copies what the caller passes, so the caller's array stays its own;
     every signal the package computes instead adopts the fresh array it has
     just built (:meth:`_adopt`) without a copy.  Both paths check the unit,
-    the shape and that every sample is finite.  ``simulate`` computes on
-    plain arrays and builds only its output voltage this way; its other
-    nodes are adopted when first read.
+    the shape and that every sample is finite.
     """
 
     grid: SimGrid
@@ -187,9 +182,6 @@ class ToneSpec:
         if self.amplitude is not None:
             return float(self.amplitude)
         return dbm_to_amplitude(self.power_dbm)
-
-    def with_power(self, power_dbm: float) -> "ToneSpec":
-        return ToneSpec(frequency=self.frequency, power_dbm=power_dbm, phase=self.phase)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+from dataclasses import replace
+
 from mixbench import engine
 from mixbench.devices import (
     BiasParams,
@@ -74,6 +76,12 @@ def make_scenario(mixer=None, rf_hz=1.9e9, lo_hz=1.8e9, bins_per_unit=4,
                     input_noise_density=noise_density,
                     input_noise_band=noise_band, if_filter=if_filter,
                     frequency_scale=plan.hz_per_unit)
+
+
+def at_power(s, power_dbm):
+    """``s`` with every RF tone set to ``power_dbm``, its other tone fields kept."""
+    return replace(s, rf_tones=tuple(replace(t, power_dbm=power_dbm, amplitude=None)
+                                     for t in s.rf_tones))
 
 
 def noise_figure_grid_scenario(mixer, noise_density, noise_band_lo_harmonics=None,

@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import re
+import runpy
 import tempfile
 import tracemalloc
 import warnings
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from mixbench.config import (
     ALL_MEASUREMENTS,
     DBM,
     FIELDS,
+    _LOADER,
     _bounds,
     build_nf_setup,
     build_scenario,
@@ -41,6 +45,9 @@ from mixbench.config import (
 from mixbench.engine import simulate
 from mixbench.errors import ValidationError
 from mixbench.signals import bin_amplitude
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -192,6 +199,9 @@ class TestConfigLoading:
         ("measurements: [transient]\nscenario:\n  if_filter:\n    cutoff_hz: 1.0e-300\n",
          "scenario.if_filter.cutoff_hz"),
         ("scenario:\n  if_filter:\n    cutoff_hz: 0\n", "scenario.if_filter.cutoff_hz"),
+        # Above the main grid's Nyquist (115.2 GHz), where NF alone is asked for.
+        ("measurements: [nf]\nscenario:\n  if_filter:\n    cutoff_hz: 2.0e+11\n",
+         ("scenario.if_filter.cutoff_hz", "Nyquist")),
         # 100 MHz spacing puts the lower IM3 product at DC on the default plan.
         ("measurements: [iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
          "sweeps.iip3.tone_spacing_hz"),
@@ -259,6 +269,30 @@ class TestConfigLoading:
         assert main(["run", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == code
 
+    @pytest.mark.parametrize("measurements", ["[nf]", "[nf, transient]"])
+    def test_cutoff_above_the_nf_grid_nyquist_accepted(self, tmp_path, measurements):
+        # 50 GHz lies above the NF grid's Nyquist (28.8 GHz) and below the
+        # main grid's (115.2 GHz); only the main scenario carries the filter.
+        text = (f"measurements: {measurements}\n"
+                "scenario:\n  if_filter:\n    cutoff_hz: 5.0e+10\n")
+        assert main(["validate", "--config", write_config(tmp_path, text)]) == 0
+        cfg = loads_config(text)
+        assert build_nf_setup(cfg)[0].if_filter is None
+        assert build_scenario(cfg).if_filter.cutoff == 2000.0
+
+    def test_nf_unchanged_by_the_if_filter(self, tmp_path):
+        runs = {}
+        for name, text in (("plain", "measurements: [nf]\n"),
+                           ("filtered", "measurements: [nf]\nscenario:\n  if_filter:\n"
+                                        "    cutoff_hz: 5.0e+10\n")):
+            out = tmp_path / name
+            assert main(["run", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 0
+            runs[name] = (out / "nf.csv").read_bytes()
+        assert runs["plain"] == runs["filtered"]
+        assert float(runs["plain"].decode().splitlines()[1].split(",")[0]) == \
+            pytest.approx(3.909666205483153, rel=1e-11)
+
     def test_noise_band_and_filter_switch_accepted(self):
         scenario = build_scenario(loads_config(
             "scenario:\n  noise:\n    bandwidth_hz: 5.0e+9\n"
@@ -311,6 +345,22 @@ class TestConfigLoading:
             assert yaml.dump(cfg.raw, Dumper=dumper, sort_keys=True,
                              default_flow_style=False) == written, dumper
         assert loads_config(written).raw == cfg.raw
+
+    def test_either_loader_reads_the_same_tree(self):
+        # The benchmark's configs as its harness writes them, the README
+        # example, and scalars whose type a resolver decides.
+        workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+        texts = [yaml.safe_dump(cfg, sort_keys=True) for name in workloads["NAMES"]
+                 for seed in (1, 2) for cfg in workloads["build"](name, seed).configs]
+        examples = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text("utf-8"),
+                              re.S)
+        assert examples
+        texts += [*examples, SWEEP_POINT_CONFIG, BUNDLE_JSON_CONFIG,
+                  "scenario: {rf_hz: 1.9e9, lo_hz: 1.8e+9, rf_power_dbm: .inf}\n"
+                  "seed: ~\nodd: [yes, 0x10, 1_000, '2', 2001-12-14, -0.0]\n"]
+        assert _LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        for text in texts:
+            assert repr(yaml.load(text, Loader=_LOADER)) == repr(yaml.safe_load(text)), text
 
     def test_seed_override(self):
         cfg = from_dict({})
@@ -438,16 +488,19 @@ class TestCliRun:
         assert "non-finite" in measured["transient"]["error"]
         assert "value_w" in measured["power"]
 
-    def test_sweep_point_without_finite_amplitude_fails_its_measurement(self, tmp_path):
+    @pytest.mark.parametrize("start, stop, named", [
+        (3090, 3100, "sweeps.p1db.start_dbm: 3090.0 dBm"),
+        (-40, 3100, "sweeps.p1db.stop_dbm: 3100.0 dBm"),
+    ])
+    def test_sweep_end_without_finite_amplitude_rejected(self, tmp_path, capsys,
+                                                         start, stop, named):
         path = write_config(tmp_path, (
             "measurements: [p1db, power]\n"
-            "sweeps:\n  p1db:\n    start_dbm: 3090\n    stop_dbm: 3100\n"
+            f"sweeps:\n  p1db:\n    start_dbm: {start}\n    stop_dbm: {stop}\n"
             "    step_db: 5\n"))
-        out = tmp_path / "out"
-        assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
-        measured = json.loads((out / "summary.json").read_text())["measurements"]
-        assert "finite peak voltage" in measured["p1db"]["error"]
-        assert "value_w" in measured["power"]
+        assert self.run_cli("validate", "--config", path) == 2
+        assert self.run_cli("run", "--config", path, "--out", str(tmp_path / "out")) == 2
+        assert f"{named} has no finite peak voltage" in capsys.readouterr().err
 
     def test_transient_row_count_matches_the_table(self, tmp_path):
         # A decimation past the float range still keeps sample 0.
@@ -633,20 +686,21 @@ class TestDefaultRunWork:
         assert main(["run", "--config", write_config(tmp_path, ""),
                      "--out", str(tmp_path / "out")]) == 0
         # cg and 81 p1db points on the 2,304-sample period (gain-routine
-        # points); iip3 hot and cold on the full grid (a 1-unit tone spacing
-        # has no shorter period); isolation; the NF noise record, one
-        # 36,864-sample periodogram segment at a time, and its 576-sample
-        # probe; the transient, which the harmonics share.
+        # points); iip3 hot and cold points on the full grid (a 1-unit tone
+        # spacing has no shorter period); isolation; the NF noise record,
+        # one 36,864-sample periodogram segment at a time, and its
+        # 576-sample probe; the transient, which the harmonics share.
         assert grids == ([2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
                          + [9216])
 
     @pytest.mark.parametrize("text, sizes", [
-        # cg, p1db and isolation on the 2,304-sample period (one switch per
-        # gain call, not per sweep point); iip3 hot and cold on the full
-        # grid; the NF record per 36,864-sample segment, then its 576-sample
-        # probe; the transient.
-        ("", [2304] * 2 + [9216] * 2 + [2304] + [36864] * 32 + [576] + [9216]),
-        (SWEEP_POINT_CONFIG, [2304] * 2 + [9216] * 2 + [2304]),
+        # cg, p1db and isolation on the 2,304-sample period, iip3's two
+        # points on the full grid: one switch per drive loop, not per
+        # point; the NF record per 36,864-sample segment, then its
+        # 576-sample probe; the transient.  38 switches over 1,205,568
+        # samples by default, 4 over 16,128 per sweep point.
+        ("", [2304] * 2 + [9216] + [2304] + [36864] * 32 + [576] + [9216]),
+        (SWEEP_POINT_CONFIG, [2304] * 2 + [9216] + [2304]),
         (BUNDLE_JSON_CONFIG, [2304, 36864]),
     ], ids=["default", "sweep point", "json bundle"])
     def test_switch_evaluated_once_per_mixer_run(self, tmp_path, monkeypatch, text, sizes):

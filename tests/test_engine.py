@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import make_mixer, make_scenario
+from helpers import at_power, make_mixer, make_scenario
 
 from mixbench import devices, engine, memo, signals
 from mixbench.config import build_nf_setup, from_dict
@@ -165,7 +165,7 @@ class TestSimulate:
         powers = (-50.0, -40.0, -30.0, -20.0)
         outs = []
         for p in powers:
-            r = simulate(s.with_rf_power(p))
+            r = simulate(at_power(s, p))
             outs.append(20 * math.log10(bin_amplitude(r.v_out, s.f_if).amplitude))
         slope = np.polyfit(powers, outs, 1)[0]
         assert slope == pytest.approx(1.0, abs=1e-3)
@@ -328,7 +328,7 @@ class TestInPlaceArithmetic:
 
 
 class TestCheckOnce:
-    """``simulate`` checks ``v_out`` alone; the other nodes wait to be read."""
+    """``simulate`` adopts, and so checks, every node as it makes it."""
 
     @staticmethod
     def count_adoptions(monkeypatch):
@@ -341,14 +341,6 @@ class TestCheckOnce:
 
         monkeypatch.setattr(SampledSignal, "_adopt", classmethod(counting))
         return calls
-
-    def test_quiet_simulation_adopts_only_v_out(self, monkeypatch):
-        s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303))
-        simulate(s)  # fills the LO drive memo
-        calls = self.count_adoptions(monkeypatch)
-        result = simulate(s)
-        assert result.v_out.unit == "volt"
-        assert calls == ["volt"]
 
     @pytest.mark.parametrize("switch_mode, lo_amplitude", [
         ("ideal_sign", 1.0),
@@ -365,33 +357,23 @@ class TestCheckOnce:
             with pytest.raises(ValidationError, match="non-finite"):
                 simulate(s)
 
-    def test_with_rf_power_equals_replace_without_revalidating(self, monkeypatch):
-        s = make_scenario(noise_density=1e-9, noise_band=(0.0, 200.0),
-                          if_filter_cutoff=8.0)
-        expected = replace(s, rf_tones=(s.rf_tones[0].with_power(-12.5),))
-        monkeypatch.setattr(Scenario, "validate", lambda self: pytest.fail("validated"))
-        copied = s.with_rf_power(-12.5)
-        assert copied == expected and hash(copied) == hash(expected)
-        assert copied.rf_tones[0].power_dbm == -12.5
-        assert s.rf_tones[0].power_dbm == -30.0
-
     def test_power_without_finite_amplitude_fails_at_simulate(self):
-        s = make_scenario().with_rf_power(3100.0)
+        s = at_power(make_scenario(), 3100.0)
         with pytest.raises(ValidationError, match="finite peak voltage"):
             simulate(s)
 
-    def test_lazy_nodes_adopted_once_read_only_and_exact(self, monkeypatch):
+    def test_nodes_adopted_in_order_read_only_and_exact(self, monkeypatch):
         s = make_scenario(mixer=make_mixer(a2=0.02, a3=-0.696, kappa=0.01303),
                           noise_density=1e-9, rf_power_dbm=-10.0)
         expected = reference_simulate(s)
-        result = simulate(s)
+        simulate(s)  # fills the LO drive memo
         calls = self.count_adoptions(monkeypatch)
-        for node, unit in (("v_rf_port", "volt"), ("i_s", "ampere"),
-                           ("i_out", "ampere")):
-            assert node not in vars(result), node
+        result = simulate(s)
+        nodes = (("v_rf_port", "volt"), ("i_s", "ampere"), ("i_out", "ampere"),
+                 ("v_out", "volt"))
+        assert calls == [unit for _, unit in nodes]
+        for node, unit in nodes:
             signal = getattr(result, node)
-            assert getattr(result, node) is signal
-            assert calls.pop() == unit and not calls, node
             assert signal.unit == unit and signal.grid == s.grid
             assert not signal.samples.flags.writeable, node
             with pytest.raises(ValueError):
@@ -442,7 +424,7 @@ class TestLoDriveMemo:
         monkeypatch.setattr(engine, "_switch", counting_switch)
         s = make_scenario()
         for power in (-40.0, -30.0, -20.0):
-            simulate(s.with_rf_power(power))
+            simulate(at_power(s, power))
         simulate(two_tone_variant(s, 1.0))
         simulate(make_scenario(samples_per_lo_period=64))
         assert lo_builds == [9216, 4608]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    at_power,
     make_mixer,
     make_scenario,
     noise_figure_grid_scenario,
@@ -85,7 +86,7 @@ class TestConversionGain:
 def reference_gain_db(s, power_dbm):
     """Gain of ``s`` at ``power_dbm`` the per-point way: one ``simulate`` and
     one ``bin_amplitude``, on the scenario's common period when noise-free."""
-    s = metrics._on_common_period(s, s.f_if).with_rf_power(power_dbm)
+    s = at_power(metrics._on_common_period(s, s.f_if), power_dbm)
     amp_in = s.rf_tones[0].peak_amplitude()
     if amp_in <= 0:
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
@@ -163,7 +164,7 @@ class TestGainRoutineBits:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_conversion_gain_overflow(self):
-        s = calibrated_scenario().with_rf_power(2500.0)
+        s = at_power(calibrated_scenario(), 2500.0)
         with pytest.raises(ValidationError, match="signal contains non-finite samples"):
             measure_conversion_gain(s)
 
@@ -348,6 +349,66 @@ class TestIIP3:
             assert ip3.iip3_dbm - p1.p1db_dbm == pytest.approx(9.64, abs=0.3)
 
 
+def reference_iip3(two, per_tone_dbm):
+    """Hot rays and cold fundamental amplitude of ``two`` the per-drive way.
+
+    One ``simulate`` and ``bin_amplitude`` per drive, of the two-tone
+    scenario ``replace``d to that power on the common period of its rays.
+    """
+    rays = metrics.two_tone_rays(two)
+    s = metrics._on_common_period(two, *rays)
+    hot = simulate(at_power(s, per_tone_dbm)).v_out
+    p_fund, p_im3, p_mirror = (bin_amplitude(hot, f).power_dbm for f in rays)
+    cold = simulate(at_power(s, per_tone_dbm - 20.0)).v_out
+    return p_fund, p_im3, p_mirror, bin_amplitude(cold, rays[0]).amplitude
+
+
+class TestIIP3RoutineBits:
+    """IIP3's two drives of ``engine._points`` against one simulation per drive, bit for bit."""
+
+    @pytest.mark.parametrize("cfg, period", [
+        ({}, 9216),
+        ({"scenario": {"mixer": {"switch_mode": "smooth"}}}, 9216),
+        ({"scenario": {"mixer": {"a2": 0.01}}}, 9216),
+        ({"sweeps": {"iip3": {"tone_spacing_hz": 5.0e7}}}, 4608),
+    ], ids=["default", "smooth_switch", "a2", "spacing_5e7"])
+    def test_equals_per_drive_simulation(self, monkeypatch, cfg, period):
+        run, inputs = prepare(from_dict({"measurements": ["iip3"], **cfg}))
+        two, per_tone = inputs["iip3"]
+        rays = metrics.two_tone_rays(two)
+        assert metrics._on_common_period(two, *rays).grid.num_samples == period
+        p_fund, p_im3, p_mirror, amp_cold = reference_iip3(two, per_tone)
+        readings, ray = [], metrics._ray
+
+        def recording_ray(*args):
+            readings.append(ray(*args))
+            return readings[-1]
+
+        monkeypatch.setattr(metrics, "_ray", recording_ray)
+        res = measure_iip3(two, per_tone)
+        assert len(readings) == 4 and readings[3] == amp_cold
+        assert (res.p_fund_dbm, res.p_im3_dbm, res.p_im3_mirror_dbm) == (
+            p_fund, max(p_im3, p_mirror), p_mirror)
+        assert res.delta_db == p_fund - max(p_im3, p_mirror)
+
+    @pytest.mark.parametrize("a3, per_tone_dbm, error, message, drives", [
+        (CAL_A3, 3100.0, ValidationError, "3100.0 dBm has no finite peak voltage", 0),
+        (CAL_A3, 2500.0, ValidationError, "signal contains non-finite samples", 1),
+        # The IM3 rays are read, and fail, before the cold drive runs.
+        (0.0, -40.0, ImmeasurableIM3Error, "IM3 ray below", 1),
+        (CAL_A3, 0.0, StimulusTooHotError, r"gain moves \+", 2),
+    ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
+                                           message, drives):
+        two = two_tone_variant(calibrated_scenario(a3=a3))
+        grids = record_grids(monkeypatch)
+        with pytest.raises(error, match=message):
+            measure_iip3(two, per_tone_dbm)
+        assert len(grids) == drives
+
+
 class TestIsolation:
     def test_calibrated_value(self):
         s = calibrated_scenario(kappa=0.01303)
@@ -500,7 +561,7 @@ class TestStreamedNoiseRecord:
         if noise_density is not None:
             s = replace(s, input_noise_density=noise_density)
         if rf_power_dbm is not None:
-            s = s.with_rf_power(rf_power_dbm)
+            s = at_power(s, rf_power_dbm)
         with pytest.raises(ValidationError) as ref:
             whole_record_noise_figure(s, settings)
         with pytest.raises(ValidationError) as got:

@@ -476,10 +476,8 @@ class TestSampledSignal:
 
     def test_package_signals_are_read_only(self):
         from mixbench.devices import (
-            LeakageParams,
             SwitchParams,
             TransconductorParams,
-            lo_leakage_at_rf_port,
             switch_waveform,
             transconductor_current,
         )
@@ -495,7 +493,6 @@ class TestSampledSignal:
             transconductor_current(TransconductorParams(gm=0.03, a2=0.1, a3=-0.5), tone),
             switch_waveform(SwitchParams(), tone),
             switch_waveform(SwitchParams(mode="smooth"), tone),
-            lo_leakage_at_rf_port(LeakageParams(kappa=0.01), tone),
             apply_if_filter(FilterSpec(cutoff=20.0), tone),
         ]
         for sig in built:
