@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import operator
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -155,6 +156,9 @@ def _merge(defaults: Any, override: Any, path: str) -> Any:
     """Field-wise merge of a user mapping onto the defaults tree.
 
     Unknown keys are rejected with their full path so typos surface early.
+    A leaf holds a single value: only ``measurements`` takes a list.  So a
+    YAML alias chain, which a few hundred bytes can make exponentially
+    large, is rejected by name before anything expands or echoes it.
     """
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
@@ -170,8 +174,11 @@ def _merge(defaults: Any, override: Any, path: str) -> Any:
         if unknown:
             where = path or "<root>"
             raise ValidationError(
-                f"unknown config key(s) {sorted(unknown)!r} under {where}")
+                f"unknown config key(s) {sorted(unknown, key=str)!r} under {where}")
         return merged
+    if isinstance(override, (list, dict)) and not isinstance(defaults, list):
+        raise ValidationError(f"config field {path} must be a single value, "
+                              f"not a list or mapping")
     return _like(defaults, copy.deepcopy(override))
 
 
@@ -260,11 +267,13 @@ def from_dict(data: Optional[Dict[str, Any]]) -> RunConfig:
     meas = cfg.raw["measurements"]
     if not isinstance(meas, (list, tuple)) or not meas:
         raise ValidationError("measurements must be a non-empty list")
-    unknown = [m for m in meas if m not in ALL_MEASUREMENTS]
+    if not all(isinstance(m, str) for m in meas):
+        raise ValidationError("measurements must list measurement names only")
+    unknown = list(dict.fromkeys(m for m in meas if m not in ALL_MEASUREMENTS))
     if unknown:
         raise ValidationError(
             f"unknown measurement(s) {unknown!r}; choose from {ALL_MEASUREMENTS}")
-    repeated = sorted({m for m in meas if meas.count(m) > 1})
+    repeated = sorted(m for m, count in Counter(meas).items() if count > 1)
     if repeated:
         raise ValidationError(f"measurements lists {repeated!r} more than once")
     return cfg
@@ -275,7 +284,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
     return _parse(text, f"config {path!r}")
 

@@ -3,7 +3,8 @@
 The mixer is the textbook composition: an RF transconductor feeding a
 differential pair that commutates the current at the LO rate, with resistive
 loads.  The differential output is resolved analytically, so the output
-voltage is simply ``rd * i_s(t) * switch(t)``.
+voltage is simply ``rd * i_s(t) * switch(t)``.  Only the two ports are
+kept: the RF port voltage and the output voltage.
 
 Simulations run on a scaled coherent grid that preserves the configured
 frequency ratios (19:18:1 for the default 1.9/1.8/0.1 GHz plan) instead of
@@ -20,10 +21,10 @@ Two grid choices keep the switching spectrum exact:
 
 Every mixer record is built here, on one kernel (:func:`_respond`), with
 its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
-by one of two generators.  :func:`_segments` yields a record in equal
-consecutive pieces: :func:`simulate`, which keeps every node for isolation
-and the transient output, is its one-piece case, and the noise-figure
-record streams it a periodogram segment at a time.  :func:`_points` yields
+by one of two generators.  :func:`_segments` yields a record's two ports
+in equal consecutive pieces: :func:`simulate`, which keeps both for
+isolation and the transient output, is its one-piece case, and the
+noise-figure record streams it a periodogram segment at a time.  :func:`_points` yields
 the output of a record at each of a sequence of RF drive amplitudes, every
 tone at the same one: for the conversion gain, the compression sweep, the
 noise-figure gain probe and the two drives of IIP3.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -164,16 +165,14 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class TransientResult:
-    """All node waveforms of one simulation, sharing the scenario grid.
+    """The two port waveforms of one simulation, sharing the scenario grid.
 
-    :func:`simulate` adopts and checks every node as it makes it; the IF
-    filter runs when ``v_out_filtered`` is first read.
+    :func:`simulate` adopts and checks both as it makes them; the IF filter
+    runs when ``v_out_filtered`` is first read.
     """
 
     scenario: Scenario
     v_rf_port: SampledSignal        # stimulus + LO leakage + noise
-    i_s: SampledSignal              # transconductor output current
-    i_out: SampledSignal            # commutated current
     v_out: SampledSignal            # differential output voltage
 
     @cached_property
@@ -259,14 +258,15 @@ def _port_parts(s: Scenario, tones: Iterable[Tuple[float, np.ndarray]], v_lo: np
         yield next(noise)
 
 
-def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
-             out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
-    """``(port, i_s, i_out, v_out)`` of the mixer for an RF port summed from ``parts``.
+def _respond(m: MixerParams, sw: np.ndarray,
+             parts: Iterable[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(port, v_out)`` of the mixer for an RF port summed from ``parts``.
 
     The port voltage is ``0 + parts[0] + parts[1] + ...``, summed in place
-    in that order; ``sw`` holds the switch samples, and ``i_out`` is
-    ``i_s * sw``, written into ``out`` when given (``sw`` itself, when the
-    caller needs the switch no more).  Plain fresh arrays, none checked.
+    in that order; ``sw`` holds the switch samples.  ``v_out`` is
+    ``rd * (i_s * sw)``, built in the transconductor current's own array.
+    Plain fresh arrays, neither checked: a non-finite current always makes
+    ``v_out`` non-finite, so checking it checks them.
     """
     port = np.zeros(sw.size)
     for part in parts:
@@ -274,19 +274,19 @@ def _respond(m: MixerParams, sw: np.ndarray, parts: Iterable[np.ndarray],
         # Free each part before a generator makes the next: on a long grid
         # at most one part then lives beside the port.
         del part
-    i_s = _transconductor(m.transconductor, port)
-    i_out = np.multiply(i_s, sw, out=out)
-    return port, i_s, i_out, m.load.rd * i_out
+    v_out = _transconductor(m.transconductor, port)
+    v_out *= sw
+    v_out *= m.load.rd
+    return port, v_out
 
 
-def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, ...]]:
-    """``(port, i_s, i_out, v_out)`` of each of ``n`` equal consecutive pieces of ``s``'s record.
+def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(port, v_out)`` of each of ``n`` equal consecutive pieces of ``s``'s record.
 
     A piece is made from its slices of the memoised tone bases and LO
     voltage and its piece of the noise (:func:`signals._noise_segments`),
-    with its switch as the ``i_out`` buffer; so the pieces, concatenated,
-    are the whole record to the bit.  ``n`` must divide the record length.
-    Plain fresh arrays, none checked.
+    so the pieces, concatenated, are the whole record to the bit.  ``n``
+    must divide the record length.  Plain fresh arrays, neither checked.
     """
     grid = s.grid
     size = grid.num_samples // n
@@ -296,7 +296,7 @@ def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, ...]]:
     for at in (slice(j * size, (j + 1) * size) for j in range(n)):
         sw = _switch(s.mixer.switch, v_lo[at])
         parts = _port_parts(s, [(amp, basis[at]) for amp, basis in tones], v_lo[at], noise)
-        yield _respond(s.mixer, sw, parts, out=sw)
+        yield _respond(s.mixer, sw, parts)
 
 
 def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[Tuple[float, np.ndarray]]:
@@ -313,7 +313,7 @@ def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[Tuple[float, n
     noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, 1)
     extras = tuple(_port_parts(s, (), v_lo, noise))
     for amp in amplitudes:
-        yield amp, _respond(s.mixer, sw, (*(amp * basis for basis in bases), *extras))[3]
+        yield amp, _respond(s.mixer, sw, (*(amp * basis for basis in bases), *extras))[1]
 
 
 def simulate(s: Scenario) -> TransientResult:
@@ -321,14 +321,12 @@ def simulate(s: Scenario) -> TransientResult:
 
     Pure function of the scenario (the noise generator is seeded from it),
     so identical scenarios produce identical results.  The record is the
-    one piece of :func:`_segments`; each node is adopted as a signal, and
-    so checked for non-finite samples, in the order the mixer makes it.
+    one piece of :func:`_segments`; each port is adopted as a signal, and
+    so checked for non-finite samples, the RF port first.
     """
-    port, i_s, i_out, v_out = next(_segments(s, 1))
-    adopt = partial(SampledSignal._adopt, s.grid)
-    return TransientResult(scenario=s, v_rf_port=adopt(port, "volt"),
-                           i_s=adopt(i_s, "ampere"), i_out=adopt(i_out, "ampere"),
-                           v_out=adopt(v_out, "volt"))
+    port, v_out = next(_segments(s, 1))
+    return TransientResult(scenario=s, v_rf_port=SampledSignal._adopt(s.grid, port, "volt"),
+                           v_out=SampledSignal._adopt(s.grid, v_out, "volt"))
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,12 @@ from .errors import (
     WrongStimulusError,
 )
 from .signals import (
-    SimGrid,
     SpectrumLine,
     ToneSpec,
     _band_stats,
     _check_finite,
-    _exp_basis,
     _project,
-    _readout_bin,
+    _readout,
     amplitude_to_dbm,
     band_edges,
     bin_amplitude,
@@ -135,12 +133,6 @@ def check_drive(amplitude: float):
     """Raise WrongStimulusError unless a gain can be read at RF peak ``amplitude``: it is > 0."""
     if not amplitude > 0:
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
-
-
-def _readout(grid: SimGrid, ray: float) -> Tuple[int, np.ndarray]:
-    """Bin and basis that :func:`_ray` reads ``ray`` with on ``grid``."""
-    k = _readout_bin(grid, ray)
-    return k, _exp_basis(grid.num_samples, k)
 
 
 def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
@@ -396,7 +388,7 @@ def _band_rows(s: Scenario, segments: int,
     """
     rows = tuple(np.empty((segments, used.size), dtype=np.complex128, order="F")
                  for used in bins)
-    for j, (port, _, _, v_out) in enumerate(_segments(s, segments)):
+    for j, (port, v_out) in enumerate(_segments(s, segments)):
         _check_finite(v_out)
         for row, node, used in zip(rows, (port, v_out), bins):
             row[j] = np.fft.rfft(node)[used]

@@ -283,8 +283,13 @@ def bin_value(signal: SampledSignal, frequency: float) -> complex:
     it is deliberately independent of the FFT paths used elsewhere so the
     two can cross-check each other.  The DC bin returns the record mean.
     """
-    k = _readout_bin(signal.grid, frequency)
-    return _project(signal.samples, k, _exp_basis(signal.grid.num_samples, k))
+    return _project(signal.samples, *_readout(signal.grid, frequency))
+
+
+def _readout(grid: SimGrid, frequency: float) -> Tuple[int, np.ndarray]:
+    """Bin and memoised basis every repeated readout of ``frequency`` on ``grid`` uses."""
+    k = _readout_bin(grid, frequency)
+    return k, _exp_basis(grid.num_samples, k)
 
 
 def _readout_bin(grid: SimGrid, frequency: float) -> int:

@@ -117,9 +117,9 @@ def record_grids(monkeypatch):
     """
     grids = []
 
-    def recording_respond(mixer, sw, parts, out=None):
+    def recording_respond(mixer, sw, parts):
         grids.append(sw.size)
-        return _respond(mixer, sw, parts, out)
+        return _respond(mixer, sw, parts)
 
     monkeypatch.setattr(engine, "_respond", recording_respond)
     return grids

@@ -8,6 +8,7 @@ import os
 import re
 import runpy
 import tempfile
+import time
 import tracemalloc
 import warnings
 from collections import OrderedDict
@@ -54,6 +55,12 @@ def write_config(tmp_path, text, name="config.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def alias_chain(levels):
+    """A YAML list whose last item, by aliases, holds 2**levels ones."""
+    items = ["&a0 [1, 1]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
+    return f"[{', '.join(items)}]"
 
 
 class TestConfigLoading:
@@ -413,6 +420,7 @@ class TestCliRun:
     @pytest.mark.parametrize("text", [
         "measurements: [nothing]\n",
         "measurements: [cg, iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
+        "1: 2\nfoo: 3\n",  # unknown keys of two types
     ])
     def test_run_bad_config_exits_2(self, tmp_path, text):
         path = write_config(tmp_path, text)
@@ -511,6 +519,40 @@ class TestCliRun:
         rows = json.loads((out / "summary.json").read_text())["measurements"]["transient"]
         lines = (out / "transient_vout.csv").read_text().splitlines()
         assert rows["rows"] == len(lines) - 1 == 1
+
+    @pytest.mark.parametrize("text, named", [
+        # An unread leaf, a read leaf and the measurements list.
+        (f"measurements: [power]\nsweeps: {{harmonics: {{order: {alias_chain(40)}}}}}\n",
+         "sweeps.harmonics.order"),
+        (f"measurements: [power]\nscenario: {{rf_hz: {alias_chain(40)}}}\n",
+         "scenario.rf_hz"),
+        (f"measurements: {alias_chain(40)}\n", "measurements"),
+        # 20,000 entries: finding the repeats must take linear time.
+        ("measurements: [" + ", ".join(["power"] * 20_000) + "]\n", "more than once"),
+        ("scenario: {mixer: {gm: {a: 1}}}\n", "scenario.mixer.gm"),
+        ("measurements: [cg, 1]\n", "measurement names"),
+    ], ids=["unread leaf", "read leaf", "measurements", "repeats", "mapping leaf",
+            "number as measurement"])
+    def test_config_rejected_quickly_and_briefly(
+            self, tmp_path, capsys, text, named):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        for argv in (["validate", "--config", path],
+                     ["run", "--config", path, "--out", str(out)]):
+            start = time.perf_counter()
+            assert self.run_cli(*argv) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert named in err and len(err) < 1024, err[:1024]
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"\xff\xfe")
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+            assert self.run_cli(*argv) == 2
+            assert "cannot read config" in capsys.readouterr().err
 
     def test_run_seed_override_must_be_non_negative(self, tmp_path, capsys):
         path = write_config(tmp_path, "measurements: [power]\n")
@@ -678,6 +720,41 @@ def test_any_field_value_gives_an_exit_code_not_a_traceback(measurements, fields
             ran = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
             assert ran in (0, 1, 2, 3)
             assert (ran == 2) == (validated == 2)
+
+
+class TestMetamorphic:
+    """Noise-free readings depend on the frequency plan's ratios alone.
+
+    More bins per plan unit, or the whole plan scaled (RF, LO, the IF cutoff
+    and the tone spacing), give every reading to the bit.
+    """
+
+    # (measurement, summary key): reading of the default design.
+    READINGS = {("cg", "value_db"): 13.482486781799386,
+                ("p1db", "value_dbm"): -11.523858105811607,
+                ("iip3", "value_dbm"): -1.8942209288942138,
+                ("isolation", "value_db"): -37.7011116857483}
+
+    def readings(self, tmp_path, **sections):
+        config = {"measurements": [name for name, _ in self.READINGS], **sections}
+        run, inputs = prepare(from_dict(config), str(tmp_path))
+        results = cli._measure(run, inputs)["measurements"]
+        return {(name, key): results[name][key] for name, key in self.READINGS}
+
+    @pytest.mark.parametrize("bins_per_unit", [4, 8, 16, 32])
+    def test_bins_per_unit(self, tmp_path, bins_per_unit):
+        assert self.readings(tmp_path, scenario={
+            "grid": {"bins_per_unit": bins_per_unit}}) == self.READINGS
+
+    @pytest.mark.parametrize("rf_hz, lo_hz, cutoff_hz, spacing_hz", [
+        (1.9e6, 1.8e6, 2.0e5, 2.5e4),
+        (1.9e12, 1.8e12, 2.0e11, 2.5e10),
+    ], ids=["x1e-3", "x1e3"])
+    def test_scaled_plan(self, tmp_path, rf_hz, lo_hz, cutoff_hz, spacing_hz):
+        assert self.readings(
+            tmp_path,
+            scenario={"rf_hz": rf_hz, "lo_hz": lo_hz, "if_filter": {"cutoff_hz": cutoff_hz}},
+            sweeps={"iip3": {"tone_spacing_hz": spacing_hz}}) == self.READINGS
 
 
 class TestDefaultRunWork:

@@ -73,7 +73,7 @@ def reference_simulate(s):
         switch = np.tanh(v_lo / sw.v_sw)
     i_out = i_s * switch
     v_out = s.mixer.load.rd * i_out
-    return {"v_rf_port": port, "i_s": i_s, "i_out": i_out, "v_out": v_out}
+    return {"v_rf_port": port, "v_out": v_out}
 
 
 def nf_probe_scenario():
@@ -290,7 +290,7 @@ class TestInPlaceArithmetic:
         for n in (1, 4, 64):
             pieces = list(engine._segments(s, n))
             assert len(pieces) == n
-            for node, parts in zip(("v_rf_port", "i_s", "i_out", "v_out"), zip(*pieces)):
+            for node, parts in zip(("v_rf_port", "v_out"), zip(*pieces)):
                 assert {part.size for part in parts} == {s.grid.num_samples // n}
                 assert (np.concatenate(parts).tobytes()
                         == getattr(result, node).samples.tobytes()), (n, node)
@@ -304,7 +304,8 @@ class TestInPlaceArithmetic:
 
     def test_port_parts_made_one_at_a_time(self):
         # Tone, LO leak and noise are each added and freed before the next
-        # is made, so the peak is the four result nodes plus about one array.
+        # is made, so the peak is the two result nodes and the switch plus
+        # about one array.
         s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303),
                           noise_density=1e-9, bins_per_unit=64)
         simulate(s)  # fill the memos
@@ -320,7 +321,7 @@ class TestInPlaceArithmetic:
 
     def test_every_node_is_read_only(self):
         result = simulate(make_scenario(noise_density=1e-9, if_filter_cutoff=8.0))
-        for node in ("v_rf_port", "i_s", "i_out", "v_out", "v_out_filtered"):
+        for node in ("v_rf_port", "v_out", "v_out_filtered"):
             samples = getattr(result, node).samples
             assert not samples.flags.writeable, node
             with pytest.raises(ValueError):
@@ -369,8 +370,7 @@ class TestCheckOnce:
         simulate(s)  # fills the LO drive memo
         calls = self.count_adoptions(monkeypatch)
         result = simulate(s)
-        nodes = (("v_rf_port", "volt"), ("i_s", "ampere"), ("i_out", "ampere"),
-                 ("v_out", "volt"))
+        nodes = (("v_rf_port", "volt"), ("v_out", "volt"))
         assert calls == [unit for _, unit in nodes]
         for node, unit in nodes:
             signal = getattr(result, node)
