@@ -36,7 +36,6 @@ from .devices import (
     TransconductorParams,
 )
 from .engine import (
-    FILTER_KINDS,
     FilterSpec,
     MixerParams,
     ScaledPlan,
@@ -92,7 +91,7 @@ FIELDS: Tuple[Tuple[str, Any, Any], ...] = (
     ("scenario.noise.input_density", 0.383e-9, ">= 0"),  # V/sqrt(Hz)
     ("scenario.noise.bandwidth_hz", None, "> 0"),  # null -> white across the whole grid
     ("scenario.if_filter.enabled", True, None),
-    ("scenario.if_filter.kind", "lowpass2", FILTER_KINDS),
+    ("scenario.if_filter.kind", "lowpass2", ("lowpass2",)),
     ("scenario.if_filter.cutoff_hz", 2.0e8, "> 0"),
     ("scenario.grid.bins_per_unit", 4, ">= 1"),
     ("scenario.grid.samples_per_lo_period", 128, ">= 8"),  # and a multiple of 4
@@ -340,10 +339,10 @@ def _if_filter_from(cfg: RunConfig, plan: ScaledPlan) -> Optional[FilterSpec]:
     """The configured IF filter on ``plan``'s grid, or None when it is disabled."""
     if not cfg.field("scenario.if_filter.enabled"):
         return None
-    kind = cfg.field("scenario.if_filter.kind")
+    cfg.field("scenario.if_filter.kind")  # the one response FilterSpec has
     cutoff = cfg.field("scenario.if_filter.cutoff_hz")
     with naming("scenario.if_filter.cutoff_hz"):
-        if_filter = FilterSpec(kind=kind, cutoff=cutoff / plan.hz_per_unit)
+        if_filter = FilterSpec(cutoff=cutoff / plan.hz_per_unit)
         check_if_filter(if_filter, plan.grid())
     return if_filter
 

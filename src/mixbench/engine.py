@@ -75,20 +75,13 @@ class MixerParams:
     leakage: LeakageParams
 
 
-# IF filter responses (see FilterSpec).
-FILTER_KINDS = ("lowpass2",)
-
-
 @dataclass(frozen=True)
 class FilterSpec:
-    """Post-mixer IF filter; currently a second-order Butterworth low-pass."""
+    """Post-mixer IF filter: a second-order Butterworth low-pass."""
 
-    kind: str = "lowpass2"
-    cutoff: float = 0.0
+    cutoff: float
 
     def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ValidationError(f"unknown filter kind {self.kind!r}")
         if not self.cutoff > 0:
             raise ValidationError(f"filter cutoff must be > 0, got {self.cutoff!r}")
 
@@ -119,16 +112,13 @@ class Scenario:
         if len(self.rf_tones) not in (1, 2):
             raise ValidationError(
                 f"scenario needs 1 or 2 RF tones, got {len(self.rf_tones)}")
-        for label, tone in self._labelled_tones():
-            self.grid.bin_index(tone.frequency, label)
-            if tone.frequency >= self.grid.nyquist:
-                raise AliasingError(tone.frequency, self.grid.nyquist, label)
+        for i, tone in enumerate(self.rf_tones):
+            self.grid.ray_bin(tone.frequency, f"RF tone {i + 1} at {tone.frequency!r}")
+        self.grid.ray_bin(self.f_lo, f"LO tone at {self.f_lo!r}")
         # The primary mixing products must be representable.
         f_lo = self.lo_tone.frequency
         for tone in self.rf_tones:
-            if tone.frequency + f_lo >= self.grid.nyquist:
-                raise AliasingError(tone.frequency + f_lo, self.grid.nyquist,
-                                    "sum product of RF tone and LO")
+            self.grid.ray_bin(tone.frequency + f_lo, "sum product of RF tone and LO")
             if tone.frequency == f_lo:
                 raise ValidationError("RF tone frequency equals the LO frequency")
         if self.input_noise_density < 0:
@@ -141,11 +131,6 @@ class Scenario:
         if not self.frequency_scale > 0:
             raise ValidationError(
                 f"frequency_scale must be > 0, got {self.frequency_scale!r}")
-
-    def _labelled_tones(self):
-        for i, tone in enumerate(self.rf_tones):
-            yield f"RF tone {i + 1} at {tone.frequency!r}", tone
-        yield f"LO tone at {self.lo_tone.frequency!r}", self.lo_tone
 
     @property
     def f_lo(self) -> float:
@@ -236,7 +221,8 @@ def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
     shares it.  Its cosine basis is built outside the memo: the memo keeps
     ``v_lo`` alone, not also the basis it equals at a 1 V LO.
     """
-    v_lo = lo_tone.peak_amplitude() * _tone_basis(grid, lo_tone, _cos_basis.__wrapped__)
+    k = grid.ray_bin(lo_tone.frequency, "tone")
+    v_lo = lo_tone.peak_amplitude() * _cos_basis.__wrapped__(grid.num_samples, k, lo_tone.phase)
     _check_finite(v_lo)
     v_lo.setflags(write=False)
     return v_lo
@@ -333,13 +319,16 @@ def simulate(s: Scenario) -> TransientResult:
 # Scaled-grid construction
 
 
-def plan_ratio(f_rf_hz: float, f_lo_hz: float,
-               max_denominator: int = 64) -> Tuple[int, int, int]:
+# Most parts the IF may be divided into by a plan ratio (see plan_ratio).
+MAX_IF_DIVISIONS = 64
+
+
+def plan_ratio(f_rf_hz: float, f_lo_hz: float) -> Tuple[int, int, int]:
     """Smallest integer (rf, lo, if) triple matching the physical plan.
 
     The RF and LO frequencies must be commensurate with their difference
     (1.9/1.8 GHz gives (19, 18, 1)); the IF may be subdivided at most
-    ``max_denominator`` times, which keeps accidental near-matches of
+    ``MAX_IF_DIVISIONS`` times, which keeps accidental near-matches of
     irrational ratios from producing astronomically long records.
     """
     if not (f_rf_hz > f_lo_hz > 0):
@@ -347,7 +336,7 @@ def plan_ratio(f_rf_hz: float, f_lo_hz: float,
             f"need f_rf > f_lo > 0 (a high-side LO is not supported), "
             f"got rf={f_rf_hz!r}, lo={f_lo_hz!r}")
     f_if_hz = f_rf_hz - f_lo_hz
-    frac = Fraction(f_rf_hz / f_if_hz).limit_denominator(max_denominator)
+    frac = Fraction(f_rf_hz / f_if_hz).limit_denominator(MAX_IF_DIVISIONS)
     n_rf, d = frac.numerator, frac.denominator
     if n_rf <= d:
         raise ValidationError(

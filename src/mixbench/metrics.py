@@ -260,8 +260,7 @@ def two_tone_rays(s: Scenario) -> Tuple[float, float, float]:
         raise WrongStimulusError("the two RF tones must differ in frequency")
     rays = (abs(f1 - s.f_lo), abs(2.0 * f1 - f2 - s.f_lo), abs(2.0 * f2 - f1 - s.f_lo))
     for label, f in zip(("fundamental ray", "IM3 ray", "mirror IM3 ray"), rays):
-        s.grid.bin_index(f, label)
-        if not 0 < f < s.grid.nyquist:
+        if s.grid.ray_bin(f, label) == 0:
             raise ValidationError(f"{label} at {f!r} is not representable")
     return rays
 

@@ -74,10 +74,19 @@ class SimGrid:
     def bin_index(self, frequency: float, context: str = "") -> int:
         """Map a coherent frequency to its bin index, or raise CoherenceError."""
         ratio = frequency / self.resolution
-        k = round(ratio)
-        if abs(ratio - k) > _COHERENCE_RTOL * max(1.0, abs(ratio)):
+        k = round(ratio) if math.isfinite(ratio) else math.nan
+        if not abs(ratio - k) <= _COHERENCE_RTOL * max(1.0, abs(ratio)):
             raise CoherenceError(frequency, self.resolution, context)
         return int(k)
+
+    def ray_bin(self, frequency: float, context: str) -> int:
+        """Bin of a tone or ray on this grid: coherent, below Nyquist and not negative."""
+        k = self.bin_index(frequency, context)
+        if frequency >= self.nyquist:
+            raise AliasingError(frequency, self.nyquist, context)
+        if k < 0:
+            raise ValidationError(f"negative frequency {frequency!r}")
+        return k
 
     def common_period(self, frequencies: Tuple[float, ...]) -> "SimGrid":
         """Shortest valid grid at this sample rate with every frequency on a bin.
@@ -254,17 +263,12 @@ def _exp_basis(num_samples: int, k: int) -> np.ndarray:
     return basis
 
 
-def _tone_basis(grid: SimGrid, tone: ToneSpec, cos_basis=_cos_basis) -> np.ndarray:
-    """The unit-amplitude ``cos(2 pi f t + phi)`` of ``tone`` on the grid.
+def _tone_basis(grid: SimGrid, tone: ToneSpec) -> np.ndarray:
+    """The memoised unit-amplitude ``cos(2 pi f t + phi)`` of ``tone`` on the grid.
 
-    ``cos_basis(N, k, phase)`` makes it: memoised by default, its
-    ``__wrapped__`` for a basis that should not enter the memo.  The tone
-    must be coherent with the grid and strictly below Nyquist.
+    The tone must be coherent with the grid and strictly below Nyquist.
     """
-    if tone.frequency >= grid.nyquist:
-        raise AliasingError(tone.frequency, grid.nyquist, "tone")
-    k = grid.bin_index(tone.frequency, "tone")
-    return cos_basis(grid.num_samples, k, tone.phase)
+    return _cos_basis(grid.num_samples, grid.ray_bin(tone.frequency, "tone"), tone.phase)
 
 
 def synthesize_tone(grid: SimGrid, tone: ToneSpec) -> SampledSignal:
@@ -288,18 +292,8 @@ def bin_value(signal: SampledSignal, frequency: float) -> complex:
 
 def _readout(grid: SimGrid, frequency: float) -> Tuple[int, np.ndarray]:
     """Bin and memoised basis every repeated readout of ``frequency`` on ``grid`` uses."""
-    k = _readout_bin(grid, frequency)
+    k = grid.ray_bin(frequency, "bin readout")
     return k, _exp_basis(grid.num_samples, k)
-
-
-def _readout_bin(grid: SimGrid, frequency: float) -> int:
-    """Bin of a ray read on ``grid``: coherent, below Nyquist and not negative."""
-    k = grid.bin_index(frequency, "bin readout")
-    if frequency >= grid.nyquist:
-        raise AliasingError(frequency, grid.nyquist, "bin readout")
-    if k < 0:
-        raise ValidationError(f"negative frequency {frequency!r}")
-    return k
 
 
 def _project(samples: np.ndarray, k: int, basis: np.ndarray) -> complex:
@@ -325,19 +319,17 @@ def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tup
     check_harmonic_order(grid, fundamental, order)
     lines = []
     for f in (h * fundamental for h in range(1, order + 1)):
-        k = _readout_bin(grid, f)
+        k = grid.ray_bin(f, "bin readout")
         value = _project(signal.samples, k, _exp_basis.__wrapped__(grid.num_samples, k))
         lines.append(SpectrumLine.from_amplitude(f, abs(value)))
     return tuple(lines)
 
 
 def check_harmonic_order(grid: SimGrid, fundamental: float, order: int):
-    """Raise unless ``order`` >= 1 and ``order * fundamental`` lies below Nyquist."""
+    """Raise unless ``order`` >= 1 and ``order * fundamental`` is a ray on ``grid``."""
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    if order * fundamental >= grid.nyquist:
-        raise AliasingError(order * fundamental, grid.nyquist,
-                            f"harmonic {order} of {fundamental!r}")
+    grid.ray_bin(order * fundamental, f"harmonic {order} of {fundamental!r}")
 
 
 def check_noise_band(grid: SimGrid, band: Tuple[float, float]):

@@ -70,7 +70,7 @@ def make_scenario(mixer=None, rf_hz=1.9e9, lo_hz=1.8e9, bins_per_unit=4,
                        else plan.lo_half_sample_phase())
     if_filter = None
     if if_filter_cutoff is not None:
-        if_filter = FilterSpec(kind="lowpass2", cutoff=if_filter_cutoff)
+        if_filter = FilterSpec(cutoff=if_filter_cutoff)
     return Scenario(mixer=mixer, grid=plan.grid(), rf_tones=(rf_tone,),
                     lo_tone=lo_tone, noise_seed=seed,
                     input_noise_density=noise_density,
