@@ -57,6 +57,7 @@ from .metrics import (
     REFERENCE_65NM,
     NoiseFigureSettings,
     check_drive,
+    check_lo_drive,
     measure_conversion_gain,
     measure_iip3,
     measure_isolation,
@@ -238,6 +239,11 @@ def _iip3(run: RunContext, inputs: Tuple[Scenario, float]) -> Dict:
             "per_tone_dbm": res.per_tone_dbm, "reference_dbm": REFERENCE_65NM.iip3_dbm}
 
 
+def _isolation_inputs(run: RunContext) -> None:
+    with naming("scenario.lo_amplitude_v"):
+        check_lo_drive(run.cfg.field("scenario.lo_amplitude_v"))
+
+
 def _isolation(run: RunContext, _inputs: None) -> Dict:
     iso = measure_isolation(run.quiet)
     run.write_table("isolation", ("isolation_db",), [(iso,)])
@@ -247,8 +253,8 @@ def _isolation(run: RunContext, _inputs: None) -> Dict:
 def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings, Tuple]:
     scenario, settings = build_nf_setup(run.cfg)
     _check_gain_drive("sweeps.nf.probe_power_dbm", settings.probe_power_dbm)
-    with naming("scenario.noise.input_density, sweeps.nf.segments and "
-                "sweeps.nf.band_width_hz"):
+    with naming("scenario.noise.input_density, scenario.noise.bandwidth_hz, "
+                "sweeps.nf.segments and sweeps.nf.band_width_hz"):
         return scenario, settings, noise_figure_setup(scenario, settings)
 
 
@@ -320,7 +326,7 @@ REGISTRY = (
     ("p1db", _p1db_inputs, _p1db,
      ("1 dB compression", "value_dbm", "dBm", "reference_dbm")),
     ("iip3", _iip3_inputs, _iip3, ("IIP3", "value_dbm", "dBm", "reference_dbm")),
-    ("isolation", None, _isolation, ("LO->RF isolation", "value_db", "dB", None)),
+    ("isolation", _isolation_inputs, _isolation, ("LO->RF isolation", "value_db", "dB", None)),
     ("nf", _nf_inputs, _nf, ("noise figure", "value_db", "dB", "reference_db")),
     ("harmonics", _harmonics_inputs, _harmonics, None),
     ("transient", _transient_inputs, _transient, None),

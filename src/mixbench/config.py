@@ -41,6 +41,7 @@ from .engine import (
     ScaledPlan,
     Scenario,
     check_if_filter,
+    check_lo_phase,
     plan_ratio,
 )
 from .errors import MixbenchError, ValidationError
@@ -74,9 +75,9 @@ FIELDS: Tuple[Tuple[str, Any, Any], ...] = (
     ("scenario.rf_hz", 1.9e9, None),
     ("scenario.lo_hz", 1.8e9, None),
     ("scenario.rf_power_dbm", -30.0, DBM),
-    ("scenario.rf_phase_rad", 0.0, None),
+    ("scenario.rf_phase_rad", 0.0, "> -1000 and < 1000"),  # a larger phase swamps each step
     ("scenario.lo_amplitude_v", 1.0, ">= 0"),
-    ("scenario.lo_phase_rad", None, None),  # null -> half-sample offset (recommended)
+    ("scenario.lo_phase_rad", None, "> -1000 and < 1000"),  # null -> half-sample offset
     ("scenario.mixer.gm", 0.034, "> 0"),  # A/V
     ("scenario.mixer.v_gs1", 0.6, None),  # V
     ("scenario.mixer.a2", 0.0, None),  # A/V^2
@@ -363,6 +364,8 @@ def _scenario_on_plan(cfg: RunConfig, plan: ScaledPlan, grid_path: str,
         with naming("scenario.noise.bandwidth_hz"):
             check_noise_band(grid, band)
     mixer = _mixer_from(cfg)
+    with naming("scenario.lo_phase_rad"):
+        check_lo_phase(grid, lo_tone, mixer.switch)
     seed, density = cfg.seed, cfg.field("scenario.noise.input_density")
     # The tones, and their sum product, must lie below the grid's Nyquist.
     with naming(f"scenario.rf_hz, scenario.lo_hz and {grid_path}.samples_per_lo_period"):

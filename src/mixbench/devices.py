@@ -53,6 +53,12 @@ class SwitchParams:
     ``ideal_sign`` is a hard +/-1 switch (sign(0) := +1 so runs are
     deterministic); ``smooth`` is a tanh transition of scale ``v_sw`` that
     converges to the hard switch as v_sw -> 0.
+
+    The sign(0) rule serves a silent LO only: a sampled cosine is never
+    exactly 0 (``cos`` of the float nearest pi/2 is 6.1e-17), so where a
+    sample of an active LO falls on a switching instant, rounding would
+    pick its sign.  :func:`engine.check_lo_phase` rejects such an LO phase
+    for the ideal switch.
     """
 
     mode: str = "ideal_sign"

@@ -17,7 +17,8 @@ Two grid choices keep the switching spectrum exact:
   folded harmonic of the sampled square wave lands back on an odd LO
   multiple instead of smearing across stray bins;
 * the default LO phase is offset by half a sample, so no sample ever lands
-  on a switching instant and the commutation duty is exactly 50%.
+  on a switching instant and the commutation duty is exactly 50%; with the
+  ideal switch, :func:`check_lo_phase` rejects a phase that puts one there.
 
 Every mixer record is built here, on one kernel (:func:`_respond`), with
 its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
@@ -33,6 +34,7 @@ noise-figure gain probe and the two drives of IIP3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -131,6 +133,7 @@ class Scenario:
         if not self.frequency_scale > 0:
             raise ValidationError(
                 f"frequency_scale must be > 0, got {self.frequency_scale!r}")
+        check_lo_phase(self.grid, self.lo_tone, self.mixer.switch)
 
     @property
     def f_lo(self) -> float:
@@ -170,6 +173,25 @@ class TransientResult:
 def analytic_conversion_gain(m: MixerParams) -> float:
     """Small-signal conversion gain in dB: 20*log10((2/pi) * rd * gm)."""
     return 20.0 * math.log10((2.0 / math.pi) * m.load.rd * m.transconductor.gm)
+
+
+def check_lo_phase(grid: SimGrid, lo_tone: ToneSpec, switch: SwitchParams):
+    """Raise if an active LO on ``grid`` puts a sample on a switching instant of the ideal switch.
+
+    ``cos(2 pi k n / N + phase)`` is 0 at some sample ``n`` exactly when
+    ``phase - pi/2`` is a multiple of ``pi * gcd(N, 2k) / N``.  There the
+    sampled cosine is about +-1e-16 instead of 0, so rounding, not the
+    ``sign(0) := +1`` rule of the ideal switch, would pick each such
+    sample's sign.  "Exactly" allows a few ulps of the largest argument.
+    """
+    if switch.mode != "ideal_sign" or not lo_tone.peak_amplitude() > 0:
+        return
+    n, k = grid.num_samples, grid.bin_index(lo_tone.frequency, "LO tone")
+    offset = math.remainder(lo_tone.phase - math.pi / 2, math.pi * math.gcd(n, 2 * k) / n)
+    if abs(offset) <= 4 * sys.float_info.epsilon * (2 * math.pi * k + abs(lo_tone.phase)):
+        raise ValidationError(
+            f"LO phase {lo_tone.phase!r} puts samples on the switching instants of the "
+            f"ideal switch, where rounding would pick the switch's sign")
 
 
 def butterworth2_response(frequency, cutoff: float):

@@ -135,6 +135,12 @@ def check_drive(amplitude: float):
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
 
 
+def check_lo_drive(amplitude: float):
+    """Raise WrongStimulusError unless isolation can be read at LO peak ``amplitude`` (> 0)."""
+    if not amplitude > 0:
+        raise WrongStimulusError("isolation needs an active LO tone")
+
+
 def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
     """Amplitude of the bin-``k`` ray of a plain ``v_out``, as :func:`signals.bin_value` reads it.
 
@@ -311,8 +317,7 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
 def measure_isolation(s: Scenario) -> float:
     """LO-to-RF isolation in dB: LO ray at the RF port over injected LO, on the period."""
     a_lo = s.lo_tone.peak_amplitude()
-    if a_lo <= 0:
-        raise WrongStimulusError("isolation needs an active LO tone")
+    check_lo_drive(a_lo)
     result = simulate(_on_common_period(s, s.f_lo))
     a_leak = bin_amplitude(result.v_rf_port, s.f_lo).amplitude
     ratio = a_leak / a_lo
@@ -347,7 +352,9 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     ``f_signal_out``.
 
     Everything here is decided before any simulation, so it raises for
-    settings the measurement would fail on without running it.
+    settings the measurement would fail on without running it, and for a
+    band-limited input noise that does not hold every input-band bin whole,
+    which would read the input density low.
     """
     if not s.input_noise_density > 0:
         raise ValueError("scenario has zero input noise density; nothing to measure")
@@ -369,6 +376,14 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
         k += 2
     bins = tuple(noise_band_bins(s.grid, center, width, settings.segments, mask)
                  for center, mask in ((s.f_rf, stimulus), (out_center, out_rays)))
+    if s.input_noise_band is not None:
+        seg_res = s.grid.sample_rate / (s.grid.num_samples // settings.segments)
+        edges = ((float(bins[0][0]) - 0.5) * seg_res, (float(bins[0][-1]) + 0.5) * seg_res)
+        lo, hi = s.input_noise_band
+        if not (lo <= edges[0] and edges[1] <= hi):
+            raise ValidationError(
+                f"noise band [{s.to_hz(lo)!r}, {s.to_hz(hi)!r}] Hz does not hold every "
+                f"periodogram bin of the input band, {[s.to_hz(f) for f in edges]!r} Hz")
 
     probe_tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
                           phase=s.rf_tones[0].phase)

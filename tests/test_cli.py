@@ -242,6 +242,26 @@ class TestConfigLoading:
         ("scenario:\n  if_filter:\n    cutoff_hz: 5.0e-324\n", "scenario.if_filter.cutoff_hz"),
         ("measurements: [transient]\nscenario:\n  noise:\n    bandwidth_hz: 5.0e-324\n",
          "scenario.noise.bandwidth_hz"),
+        # An LO phase that puts samples on the ideal switch's switching
+        # instants; pi * (1/2 + 1/64) does so on the main grid only.
+        ("measurements: [cg]\nscenario:\n  lo_phase_rad: 0.0\n",
+         ("scenario.lo_phase_rad", "switching instants")),
+        ("scenario:\n  lo_phase_rad: 1.5707963267948966\n", "scenario.lo_phase_rad"),
+        ("measurements: [cg]\nscenario:\n  lo_phase_rad: 1.6198837120072371\n",
+         "scenario.lo_phase_rad"),
+        # Phases so large that they swallow the per-sample steps.
+        ("scenario:\n  lo_phase_rad: 1.0e+16\n", "scenario.lo_phase_rad"),
+        ("scenario:\n  rf_phase_rad: 1.0e+308\n", "scenario.rf_phase_rad"),
+        # A noise band that misses all or part of a bin of the NF input band.
+        ("measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 1.0e+6\n",
+         ("scenario.noise.bandwidth_hz", "periodogram bin")),
+        ("measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 1.9e+9\n",
+         "scenario.noise.bandwidth_hz"),
+        ("measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 1.975e+9\n",
+         "scenario.noise.bandwidth_hz"),
+        # Isolation is read over the LO.
+        ("measurements: [isolation]\nscenario:\n  lo_amplitude_v: 0.0\n",
+         ("scenario.lo_amplitude_v", "active LO")),
     ])
     def test_setting_run_fails_on_is_rejected(self, tmp_path, capsys, text, named):
         named = (named,) if isinstance(named, str) else named
@@ -275,6 +295,21 @@ class TestConfigLoading:
     def test_silent_drive_rejected_only_where_a_gain_is_read(self, tmp_path, text, code):
         assert main(["run", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == code
+
+    @pytest.mark.parametrize("text", [
+        "measurements: [cg, isolation]\nscenario:\n  lo_phase_rad: 0.25\n",
+        "measurements: [cg, isolation]\nscenario:\n  lo_phase_rad: 0.7\n",
+        "measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 2.0e+9\n",
+        # The smooth switch at phase 0, and a silent LO where isolation is not read.
+        "measurements: [cg]\nscenario:\n  lo_phase_rad: 0.0\n  mixer:\n"
+        "    switch_mode: smooth\n",
+        "measurements: [transient]\nscenario:\n  lo_amplitude_v: 0.0\n  lo_phase_rad: 0.0\n",
+    ], ids=["lo_phase_0.25", "lo_phase_0.7", "noise_band_2e9", "smooth_phase_0",
+            "silent_lo_transient"])
+    def test_settings_next_to_rejected_ones_run(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("measurements", ["[nf]", "[nf, transient]"])
     def test_cutoff_above_the_nf_grid_nyquist_accepted(self, tmp_path, measurements):
@@ -421,6 +456,10 @@ class TestCliRun:
         "measurements: [nothing]\n",
         "measurements: [cg, iip3]\nsweeps:\n  iip3:\n    tone_spacing_hz: 1.0e+8\n",
         "1: 2\nfoo: 3\n",  # unknown keys of two types
+        "measurements: [cg]\nscenario:\n  lo_phase_rad: 0.0\n",
+        "measurements: [cg]\nscenario:\n  rf_phase_rad: 1.0e+308\n",
+        "measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 1.975e+9\n",
+        "measurements: [isolation]\nscenario:\n  lo_amplitude_v: 0.0\n",
     ])
     def test_run_bad_config_exits_2(self, tmp_path, text):
         path = write_config(tmp_path, text)

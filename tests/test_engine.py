@@ -243,6 +243,19 @@ class TestSimulate:
                      rf_tones=(ToneSpec(frequency=19.0, power_dbm=-30.0),),
                      lo_tone=ToneSpec(frequency=18.0, amplitude=1.0))
 
+    @pytest.mark.parametrize("rf, lo, error, context", [
+        (19.0, 18.5, CoherenceError, "LO tone at 18.5"),
+        (33.0, 2.0, AliasingError, "RF tone 1 at 33.0"),
+        (19.0, 32.0, AliasingError, "LO tone at 32.0"),
+    ])
+    def test_scenario_places_each_tone_on_a_ray(self, rf, lo, error, context):
+        grid = SimGrid(sample_rate=64.0, num_samples=64)
+        with pytest.raises(ValidationError, match=context) as rejected:
+            Scenario(mixer=make_mixer(), grid=grid,
+                     rf_tones=(ToneSpec(frequency=rf, power_dbm=-30.0),),
+                     lo_tone=ToneSpec(frequency=lo, amplitude=1.0, phase=0.1))
+        assert type(rejected.value) is error
+
     def test_scenario_requires_one_or_two_tones(self):
         plan = ScaledPlan(1.9e9, 1.8e9)
         with pytest.raises(ValidationError):
@@ -379,6 +392,34 @@ class TestCheckOnce:
             with pytest.raises(ValueError):
                 signal.samples[0] = 1.0
             assert signal.samples.tobytes() == expected[node].tobytes(), node
+
+
+class TestLoPhase:
+    """The ideal switch takes no LO phase that puts a sample on a switching instant."""
+
+    # 0 and pi/2 put samples on the instants of every grid; pi * (1/2 + 1/64)
+    # on those of the main grid, with its 64 LO samples per half period.
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, math.pi, -math.pi / 2,
+                                       math.pi * (0.5 + 1 / 64)])
+    def test_phase_on_a_switching_instant_rejected(self, phase):
+        with pytest.raises(ValidationError, match="switching instants"):
+            make_scenario(lo_phase=phase)
+        # Such a phase leaves a sample that rounding, not the sign(0) rule, signs.
+        s = make_scenario()
+        k = s.grid.bin_index(s.f_lo)
+        assert np.abs(signals._cos_basis.__wrapped__(s.grid.num_samples, k, phase)).min() < 1e-15
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"lo_phase": 1e-9},
+        {"lo_phase": 0.25},
+        {"lo_phase": 0.7},
+        {"lo_phase": 0.0, "mixer": make_mixer(switch_mode="smooth")},
+        {"lo_phase": 0.0, "lo_amplitude": 0.0},
+    ], ids=["half_sample", "1e-9", "0.25", "0.7", "smooth_switch", "silent_lo"])
+    def test_other_phases_accepted(self, kwargs):
+        s = make_scenario(**kwargs)
+        replace(s, grid=s.grid.common_period((s.f_rf, s.f_lo)))  # and on its period
 
 
 class TestNoiseBand:

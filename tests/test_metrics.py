@@ -23,8 +23,9 @@ from mixbench.devices import (
     a1db_closed_form,
     aiip3_closed_form,
 )
-from mixbench.engine import simulate
+from mixbench.engine import Scenario, simulate
 from mixbench.errors import (
+    AliasingError,
     CompressionNotFoundError,
     ImmeasurableIM3Error,
     NoCompressionError,
@@ -47,6 +48,7 @@ from mixbench.metrics import (
     two_tone_variant,
 )
 from mixbench.signals import (
+    SimGrid,
     ToneSpec,
     amplitude_to_dbm,
     bin_amplitude,
@@ -283,6 +285,22 @@ class TestIIP3:
         res = measure_iip3(two, -37.0)
         assert res.iip3_dbm - res.per_tone_dbm == res.delta_db / 2.0
 
+    def test_ray_at_nyquist_or_dc_rejected(self):
+        # Tones 5 and 27 with the LO at 4 on a 64-sample grid: the mirror IM3
+        # ray 2 * 27 - 5 - 4 = 45 lies past Nyquist (32).
+        grid = SimGrid(sample_rate=64.0, num_samples=64)
+        two = Scenario(mixer=make_mixer(a3=CAL_A3), grid=grid,
+                       rf_tones=tuple(ToneSpec(frequency=f, power_dbm=-40.0)
+                                      for f in (5.0, 27.0)),
+                       lo_tone=ToneSpec(frequency=4.0, amplitude=1.0,
+                                        phase=math.pi * 4 / 64))
+        with pytest.raises(AliasingError, match="mirror IM3 ray"):
+            metrics.two_tone_rays(two)
+        # A spacing of one IF puts the lower IM3 ray at DC.
+        s = calibrated_scenario()
+        with pytest.raises(ValidationError, match="IM3 ray at 0.0 is not representable"):
+            metrics.two_tone_rays(two_tone_variant(s, s.f_if))
+
     def test_mirror_products_agree_for_symmetric_cubic(self):
         two = two_tone_variant(calibrated_scenario())
         res = measure_iip3(two, -40.0)
@@ -428,9 +446,23 @@ class TestIsolation:
         s = make_scenario(lo_amplitude=0.0)
         with pytest.raises(WrongStimulusError):
             measure_isolation(s)
+        with pytest.raises(WrongStimulusError):
+            metrics.check_lo_drive(s.lo_tone.peak_amplitude())
 
 
 class TestNoiseFigure:
+    # The input band's periodogram bins run from 1.82422 to 1.97578 GHz.
+    @pytest.mark.parametrize("bandwidth_hz, rejected", [
+        (1.0e9, True), (1.975e9, True), (1.98e9, False), (2.0e9, False)])
+    def test_noise_band_holds_every_input_band_bin(self, bandwidth_hz, rejected):
+        s, settings = build_nf_setup(from_dict(
+            {"scenario": {"noise": {"bandwidth_hz": bandwidth_hz}}}))
+        if rejected:
+            with pytest.raises(ValidationError, match="periodogram bin of the input band"):
+                noise_figure_setup(s, settings)
+        else:
+            noise_figure_setup(s, settings)
+
     def test_formula_with_reference_densities(self):
         # The published densities and gain give 8.51 dB through the
         # power-ratio formula; the published figure is 8.92 dB.

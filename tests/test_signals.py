@@ -70,6 +70,30 @@ class TestSimGrid:
         with pytest.raises(CoherenceError):
             make_grid().common_period((3.5,))
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_off_every_bin(self, frequency):
+        grid = make_grid()
+        sig = SampledSignal(grid=grid, samples=np.zeros(grid.num_samples))
+        for reject in (lambda: bin_value(sig, frequency),
+                       lambda: grid.common_period((frequency,))):
+            with pytest.raises(CoherenceError):
+                reject()
+
+    @pytest.mark.parametrize("frequency, error", [
+        (3.5, CoherenceError),
+        (128.0, AliasingError),  # Nyquist
+        (-3.0, ValidationError),
+        # Off the grid and past Nyquist: coherence is checked first.
+        (200.5, CoherenceError),
+    ])
+    def test_ray_bin_rejects(self, frequency, error):
+        with pytest.raises(ValidationError) as rejected:
+            make_grid().ray_bin(frequency, "ray")
+        assert type(rejected.value) is error
+
+    def test_ray_bin_from_dc_to_below_nyquist(self):
+        assert [make_grid().ray_bin(f, "ray") for f in (0.0, 3.0, 127.0)] == [0, 3, 127]
+
 
 class TestToneSpec:
     def test_zero_frequency_rejected(self):
@@ -105,6 +129,10 @@ class TestSynthesizeTone:
         grid = make_grid(256.0, 256)
         with pytest.raises(AliasingError):
             synthesize_tone(grid, ToneSpec(frequency=128.0, amplitude=1.0))
+
+    def test_off_grid_past_nyquist_is_off_grid_first(self):
+        with pytest.raises(CoherenceError):
+            synthesize_tone(make_grid(256.0, 256), ToneSpec(frequency=200.5, amplitude=1.0))
 
 
 # Length of the default noise-figure grid.
@@ -242,6 +270,15 @@ class TestBinAmplitude:
         with pytest.raises(CoherenceError):
             bin_amplitude(sig, 3.3)
 
+    @pytest.mark.parametrize("frequency, error", [(128.0, AliasingError),
+                                                  (-3.0, ValidationError)])
+    def test_ray_at_nyquist_or_negative_rejected(self, frequency, error):
+        grid = make_grid()
+        sig = SampledSignal(grid=grid, samples=np.zeros(grid.num_samples))
+        with pytest.raises(ValidationError) as rejected:
+            bin_value(sig, frequency)
+        assert type(rejected.value) is error
+
     def test_orthogonality_of_distinct_bins(self):
         grid = make_grid(4096.0, 4096)
         sig = synthesize_tone(grid, ToneSpec(frequency=100.0, amplitude=1.0,
@@ -298,6 +335,13 @@ class TestHarmonicTable:
         sig = synthesize_tone(grid, ToneSpec(frequency=30.0, amplitude=1.0))
         with pytest.raises(AliasingError):
             harmonic_table(sig, 30.0, 5)
+
+    @pytest.mark.parametrize("fundamental, order", [(2.5, 1), (2.5, 2)])
+    def test_off_grid_harmonic_rejected(self, fundamental, order):
+        grid = make_grid(256.0, 256)
+        sig = SampledSignal(grid=grid, samples=np.zeros(grid.num_samples))
+        with pytest.raises(CoherenceError):
+            harmonic_table(sig, fundamental, order)
 
 
 class TestParseval:
