@@ -215,7 +215,9 @@ def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
                      for pt in res.sweep])
     return {"value_dbm": res.p1db_dbm,
             "small_signal_gain_db": res.small_signal_gain_db,
-            "reference_dbm": REFERENCE_65NM.p1db_dbm}
+            "reference_dbm": REFERENCE_65NM.p1db_dbm,
+            "exact_dbm": res.exact_dbm,
+            "interpolation_gap_db": res.p1db_dbm - res.exact_dbm}
 
 
 def _iip3_inputs(run: RunContext) -> Tuple[Scenario, float]:

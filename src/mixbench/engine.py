@@ -22,23 +22,29 @@ Two grid choices keep the switching spectrum exact:
 
 Every mixer record is built here, on one kernel (:func:`_respond`), with
 its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
-by one of two generators.  :func:`_segments` yields a record's two ports
-in equal consecutive pieces: :func:`simulate`, which keeps both for
-isolation and the transient output, is its one-piece case, and the
-noise-figure record streams it a periodogram segment at a time.  :func:`_points` yields
-the output of a record at each of a sequence of RF drive amplitudes, every
-tone at the same one: for the conversion gain, the compression sweep, the
-noise-figure gain probe and the two drives of IIP3.
+by one generator.  :func:`_segments` yields a record's two ports in equal
+consecutive pieces: :func:`simulate`, which keeps both for isolation and
+the transient output, is its one-piece case, and the noise-figure record
+streams it a periodogram segment at a time.
+
+Measurements that drive every RF tone at one swept amplitude ``A`` (the
+conversion gain, the compression sweep, the noise-figure gain probe and
+the two drives of IIP3) need no record per drive.  The port is ``A*b + e``
+and the transconductor a cubic, so every ray read from the output is a
+cubic in ``A``: :func:`_drive_cubic` projects its four coefficient terms
+(:func:`_cubic_terms`) once (the power-series view of a weakly nonlinear
+circuit; Wambacq & Sansen, 1998).  A drive whose own record it cannot
+prove finite is run whole by :func:`_drive_record` instead.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +67,7 @@ from .signals import (
     _check_finite,
     _cos_basis,
     _noise_segments,
+    _project,
     _tone_basis,
     check_noise_band,
 )
@@ -307,21 +314,127 @@ def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         yield _respond(s.mixer, sw, parts)
 
 
-def _points(s: Scenario, amplitudes: Iterable[float]) -> Iterator[Tuple[float, np.ndarray]]:
-    """``(amplitude, v_out)`` of ``s`` with every RF tone at each peak amplitude, in order.
+def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
+    """``v_out`` of ``s`` with every RF tone at peak ``amplitude``, unchecked.
 
-    Each ``v_out`` has the bits of :func:`simulate`'s, unchecked.  Everything
-    no amplitude changes is made once: the tone bases, the LO drive, the
-    switch, the LO leak and the noise.
+    The one piece of :func:`_segments`, so it has the bits of
+    :func:`simulate`'s ``v_out``: the record a drive of :func:`_drive_cubic`
+    stands for.
+    """
+    tones = tuple(replace(t, amplitude=amplitude, power_dbm=None) for t in s.rf_tones)
+    return next(_segments(replace(s, rf_tones=tones), 1))[1]
+
+
+def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
+                 e: np.ndarray) -> Iterator[np.ndarray]:
+    """``rd * sw * c_j`` for j = 0, 1, 2, 3 in turn, each a fresh array made when asked for.
+
+    ``sw``, the switch samples, is scaled by ``rd`` in place.
+
+    At the RF port ``A*b + e`` the transconductor current
+    ``i(v) = gm*v_gs1 + gm*v + a2*v^2 + a3*v^3`` is ``sum_j A^j * c_j``, with
+
+    * ``c_3 = a3*b^3``,
+    * ``c_2 = a2*b^2 + 3*a3*b^2*e``,
+    * ``c_1 = gm*b + 2*a2*b*e + 3*a3*b*e^2``,
+    * ``c_0 = gm*v_gs1 + gm*e + a2*e^2 + a3*e^3``,
+
+    that is ``c_j = b^j * sum_{n >= j} C(n, j) * a_n * e^(n - j)``, each
+    sum by Horner's rule in ``e``.
+    """
+    t = m.transconductor
+    a = (t.gm * t.v_gs1, t.gm, t.a2, t.a3)
+    load = np.multiply(sw, m.load.rd, out=sw)
+    b_power = None
+    for j in range(4):
+        c = np.full(b.size, math.comb(3, j) * a[3])
+        for n in range(2, j - 1, -1):
+            c *= e
+            c += math.comb(n, j) * a[n]
+        if j:
+            b_power = b.copy() if b_power is None else np.multiply(b_power, b, out=b_power)
+            c *= b_power
+        c *= load
+        yield c
+
+
+# A drive is read from its cubic only while every value its own record and
+# readout take is bounded by this: 2**16 below the largest float, far more
+# than the rounding of the bound's few steps can take.
+_CUBIC_LIMIT = sys.float_info.max / 2.0 ** 16
+
+
+@dataclass(frozen=True)
+class DriveCubic:
+    """The rays of ``s`` with every RF tone at one peak amplitude ``A``, as cubics in ``A``.
+
+    ``projections[i]`` is ``(P_0, P_1, P_2, P_3)`` of ray ``i``: the
+    projections of ``rd * sw * c_j`` (:func:`_cubic_terms`), so its reading
+    at drive ``A`` is ``P_0 + A*P_1 + A^2*P_2 + A^3*P_3``.
+
+    The other fields bound the drive's own record.  Every tone basis lies
+    in [-1, 1], so each partial sum of the RF port is at most
+    ``w = max(1, A*tones + extra_peak)``, ``extra_peak`` summing the LO
+    leak's and the noise's largest samples.  Each transconductor term, the
+    current, ``v_out`` and the projection's running sum over the record are
+    then at most ``bound[0] + bound[1]*w + bound[2]*w^2 + bound[3]*w^3``:
+    ``N * max(1, rd)`` times ``|gm*v_gs1|``, ``gm``, ``|a2|`` and ``|a3|``.
+    ``bound`` is inf when a projection is not finite.
+    """
+
+    projections: Tuple[Tuple[complex, ...], ...]
+    tones: int
+    extra_peak: float
+    bound: Tuple[float, float, float, float]
+
+    def covers(self, amplitude: float) -> bool:
+        """Whether the drive's own record and readout are provably finite.
+
+        Their bound must stay under ``_CUBIC_LIMIT``.  Where it does, the
+        record reads finite and so does the cubic; elsewhere only the
+        record says how the drive fails.
+        """
+        w = max(1.0, amplitude * self.tones + self.extra_peak)
+        b0, b1, b2, b3 = self.bound
+        return b0 + w * (b1 + w * (b2 + w * b3)) <= _CUBIC_LIMIT
+
+    def reading(self, ray: int, amplitude: float) -> complex:
+        """Bin value of ray ``ray`` at drive ``amplitude``, by Horner's rule."""
+        p0, p1, p2, p3 = self.projections[ray]
+        return ((p3 * amplitude + p2) * amplitude + p1) * amplitude + p0
+
+
+def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> DriveCubic:
+    """The rays ``readouts`` (``(bin, basis)`` pairs) of ``s`` as cubics in the drive amplitude.
+
+    The mixer is memoryless and its transconductor a cubic, so with every
+    RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of the unit
+    tone bases and ``e`` the LO leak plus the noise, and every ray is
+    ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the four terms are
+    made once, for any number of drives; each term is projected on every
+    ray and dropped.
     """
     grid = s.grid
-    bases = [_tone_basis(grid, tone) for tone in s.rf_tones]
     v_lo = _lo_drive(grid, s.lo_tone)
     sw = _switch(s.mixer.switch, v_lo)
+    b = np.zeros(grid.num_samples)
+    for tone in s.rf_tones:
+        b += _tone_basis(grid, tone)
+    e = np.zeros(grid.num_samples)
+    extra_peak = 0.0
     noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, 1)
-    extras = tuple(_port_parts(s, (), v_lo, noise))
-    for amp in amplitudes:
-        yield amp, _respond(s.mixer, sw, (*(amp * basis for basis in bases), *extras))[1]
+    for part in _port_parts(s, (), v_lo, noise):
+        e += part
+        extra_peak += float(max(part.max(), -part.min()))
+    terms = [[_project(term, k, basis) for k, basis in readouts]
+             for term in _cubic_terms(s.mixer, sw, b, e)]
+    t = s.mixer.transconductor
+    scale = grid.num_samples * max(1.0, s.mixer.load.rd)
+    bound = tuple(scale * abs(a) for a in (t.gm * t.v_gs1, t.gm, t.a2, t.a3))
+    if not np.isfinite(terms).all():
+        bound = (math.inf,) * 4
+    return DriveCubic(projections=tuple(zip(*terms)), tones=len(s.rf_tones),
+                      extra_peak=extra_peak, bound=bound)
 
 
 def simulate(s: Scenario) -> TransientResult:

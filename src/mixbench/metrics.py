@@ -18,8 +18,11 @@ equal those on the full record to the last bits.  Noisy records keep theirs.
 
 Every record comes from :mod:`engine`; this module only reads its bins.
 Conversion gain, every compression-sweep point, the noise-figure gain
-probe and the two drives of IIP3 are read by :func:`_ray` from
-:func:`engine._points`, the noise-figure record by :func:`_band_rows` from
+probe and the two drives of IIP3 are read by :func:`_drive_rays` from one
+:func:`engine._drive_cubic` per measurement: the mixer is memoryless with
+a cubic transconductor, so each ray is a cubic in the drive amplitude, and
+a drive the cubic cannot vouch for runs its own record, read by
+:func:`_ray`.  The noise-figure record is read by :func:`_band_rows` from
 the pieces of :func:`engine._segments`, and isolation from the RF port of
 :func:`engine.simulate`.
 """
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Scenario, _points, _segments, simulate
+from .engine import DriveCubic, Scenario, _drive_cubic, _drive_record, _segments, simulate
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -59,7 +62,9 @@ from .signals import (
 MEASUREMENT_FLOOR_DBM = -200.0
 ISOLATION_FLOOR_DB = -200.0
 
-# Most points a compression sweep may take; each point is one simulation.
+# Most points a compression sweep may take.  A point is read from the
+# sweep's one cubic, or runs its own record where the cubic cannot vouch
+# for it, so the bound keeps the work of the worst case in hand.
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -77,9 +82,12 @@ def _sweep_point(input_dbm: float, output_dbm: float) -> GainSweepPoint:
 
 @dataclass(frozen=True)
 class P1dBResult:
+    """The interpolated 1 dB point, and ``exact_dbm``, where the gain itself crosses."""
+
     p1db_dbm: float
     small_signal_gain_db: float
     sweep: Tuple[GainSweepPoint, ...]
+    exact_dbm: float
 
 
 @dataclass(frozen=True)
@@ -154,25 +162,51 @@ def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
     return amp
 
 
-def _conversion_gains(s: Scenario, ray: float, amplitudes: Iterable[float]) -> List[float]:
-    """Gain in dB of single-tone ``s`` read at ``ray``, at each RF peak amplitude, in order.
+def _drive_rays(s: Scenario, cubic: DriveCubic, readouts: Sequence[Tuple[int, np.ndarray]],
+                amplitude: float) -> List[float]:
+    """Amplitudes of the first ``len(readouts)`` rays of ``cubic`` at drive ``amplitude``.
 
-    Each point is the ``v_out`` of :func:`engine._points` on the common
-    period of ``s`` and ``ray``, read by :func:`_ray`.  ``amplitudes`` is
-    consumed one point at a time, so a point that fails raises after every
-    point before it has run.
+    Read from the cubic where it covers the drive (:meth:`DriveCubic.covers`);
+    any other drive runs its own record (:func:`engine._drive_record`) and
+    reads it by :func:`_ray`, so it fails, or reads inf or NaN, exactly as
+    that record does.
+    """
+    if cubic.covers(amplitude):
+        return [abs(cubic.reading(i, amplitude)) for i in range(len(readouts))]
+    v_out = _drive_record(s, amplitude)
+    return [_ray(v_out, *readout) for readout in readouts]
+
+
+def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
+    """Gain in dB of single-tone ``s`` read at ``ray`` as a function of the RF peak amplitude.
+
+    One :func:`engine._drive_cubic` on the common period of ``s`` and
+    ``ray`` serves every amplitude it is called with, through
+    :func:`_drive_rays`.  A silent drive raises before it is read.
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
     s = _on_common_period(s, ray)
-    k, basis = _readout(s.grid, ray)
-    gains = []
-    for amp_in, v_out in _points(s, amplitudes):
+    readouts = (_readout(s.grid, ray),)
+    cubic = _drive_cubic(s, readouts)
+
+    def gain(amp_in: float) -> float:
         check_drive(amp_in)
-        amp_out = _ray(v_out, k, basis)
-        gains.append(-math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in))
-    return gains
+        amp_out, = _drive_rays(s, cubic, readouts, amp_in)
+        return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
+
+    return gain
+
+
+def _conversion_gains(s: Scenario, ray: float, amplitudes: Iterable[float]) -> List[float]:
+    """Gain in dB of single-tone ``s`` read at ``ray``, at each RF peak amplitude, in order.
+
+    ``amplitudes`` is consumed one point at a time, so a point that fails
+    raises after every point before it has been read.
+    """
+    gain = _gain_reader(s, ray)
+    return [gain(amp) for amp in amplitudes]
 
 
 def measure_conversion_gain(s: Scenario) -> float:
@@ -212,16 +246,18 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     power, so the procedure works for any device model, and the crossing is
     interpolated linearly in (input dBm, gain dB) between bracketing points.
     Every point's gain equals :func:`measure_conversion_gain` of ``s`` at
-    that power; all points come from one :func:`_conversion_gains` call,
-    which raises for the first point that fails.
+    that power; all points come from one :func:`_gain_reader`, read in
+    order, so the first point that fails raises.  ``exact_dbm`` is the
+    drive where the gain itself crosses 1 dB below the reference, found by
+    bisection on the same reader between the bracketing points.
     """
     if not s.mixer.transconductor.a3 < 0:
         raise NoCompressionError(
             f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
     lo_dbm, hi_dbm = power_range
     powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
-    gains = _conversion_gains(s, s.f_if, (dbm_to_amplitude(p_in) for p_in in powers))
-    sweep = [_sweep_point(p_in, p_in + gain) for p_in, gain in zip(powers, gains)]
+    gain = _gain_reader(s, s.f_if)
+    sweep = [_sweep_point(p_in, p_in + gain(dbm_to_amplitude(p_in))) for p_in in powers]
 
     ref_gain = sweep[0].gain_db
     threshold = ref_gain - 1.0
@@ -230,11 +266,28 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
             frac = (threshold - prev.gain_db) / (cur.gain_db - prev.gain_db)
             p1db = prev.input_power_dbm + frac * (cur.input_power_dbm
                                                   - prev.input_power_dbm)
+            exact = _crossing(gain, threshold, dbm_to_amplitude(prev.input_power_dbm),
+                              dbm_to_amplitude(cur.input_power_dbm))
             return P1dBResult(p1db_dbm=p1db, small_signal_gain_db=ref_gain,
-                              sweep=tuple(sweep))
+                              sweep=tuple(sweep), exact_dbm=amplitude_to_dbm(exact))
     raise CompressionNotFoundError(
         f"gain never dropped 1 dB below {ref_gain:.3f} dB within "
         f"[{lo_dbm}, {hi_dbm}] dBm", sweep=sweep)
+
+
+def _crossing(gain: Callable[[float], float], threshold: float, lo: float,
+              hi: float) -> float:
+    """An amplitude in [lo, hi] where ``gain`` crosses ``threshold``, to the last bit.
+
+    Bisection from ``gain(lo) >= threshold > gain(hi)``, halving until no
+    float lies strictly between the two ends.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if gain(mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def two_tone_variant(s: Scenario, tone_spacing: Optional[float] = None) -> Scenario:
@@ -277,30 +330,31 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     The reported IM3 is the larger of the two mirror products (equal for a
     symmetric cubic).  A companion drive 20 dB colder guards against a drive
     outside the weak-signal range: the gain may move by at most 0.5 dB
-    either way, down in compression or up where the cubic overdrives.  Both
-    drives are points of :func:`engine._points`, each ray read by
-    :func:`_ray`.  At a tone spacing whose bin is coprime to the grid, the
-    common period is the full grid.
+    either way, down in compression or up where the cubic overdrives.  Two
+    equal tones keep every ray a cubic in their amplitude, so both drives
+    are read from one :func:`engine._drive_cubic` by :func:`_drive_rays`.
+    At a tone spacing whose bin is coprime to the grid, the common period
+    is the full grid.
     """
     rays = two_tone_rays(s)
     s = _on_common_period(s, *rays)
     readouts = [_readout(s.grid, f) for f in rays]
     cold_dbm = per_tone_power_dbm - 20.0
-    # Drawn lazily: the cold drive runs only after the hot one passes its IM3 check.
-    points = _points(s, (dbm_to_amplitude(p) for p in (per_tone_power_dbm, cold_dbm)))
+    hot = dbm_to_amplitude(per_tone_power_dbm)
+    cubic = _drive_cubic(s, readouts)
 
-    _, hot = next(points)
-    p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, _ray(hot, *r)).power_dbm
-                               for f, r in zip(rays, readouts))
+    p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, amp).power_dbm
+                               for f, amp in zip(rays, _drive_rays(s, cubic, readouts, hot)))
     p_im3_used = max(p_im3, p_mirror)
     if p_im3_used < MEASUREMENT_FLOOR_DBM:
         raise ImmeasurableIM3Error(
             f"IM3 ray below {MEASUREMENT_FLOOR_DBM} dBm; the device has no "
             f"cubic nonlinearity")
 
-    _, cold = next(points)
+    # The cold drive is read only after the hot one passes its IM3 check.
+    cold, = _drive_rays(s, cubic, readouts[:1], dbm_to_amplitude(cold_dbm))
     gain_hot = p_fund - per_tone_power_dbm
-    gain_cold = amplitude_to_dbm(_ray(cold, *readouts[0])) - cold_dbm
+    gain_cold = amplitude_to_dbm(cold) - cold_dbm
     if abs(gain_cold - gain_hot) > 0.5:
         raise StimulusTooHotError(
             f"gain moves {gain_hot - gain_cold:+.2f} dB from "

@@ -183,6 +183,10 @@ class ToneSpec:
             raise ValidationError(f"tone frequency must be > 0, got {self.frequency!r}")
         if (self.power_dbm is None) == (self.amplitude is None):
             raise ValidationError("specify exactly one of power_dbm or amplitude")
+        for name in ("power_dbm", "amplitude", "phase"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"tone {name} must be finite, got {value!r}")
         if self.amplitude is not None and self.amplitude < 0:
             raise ValidationError(f"tone amplitude must be >= 0, got {self.amplitude!r}")
 

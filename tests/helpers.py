@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from mixbench import engine
+from mixbench import engine, metrics
 from mixbench.devices import (
     BiasParams,
     LeakageParams,
@@ -16,10 +16,11 @@ from mixbench.engine import (
     MixerParams,
     ScaledPlan,
     Scenario,
+    _cubic_terms,
     _respond,
 )
 from mixbench.metrics import NoiseFigureSettings
-from mixbench.signals import ToneSpec
+from mixbench.signals import ToneSpec, _project
 
 # A design point like those of the benchmark's sweep workload, and the
 # benchmark's JSON bundle config.
@@ -111,9 +112,11 @@ def noise_figure_grid_scenario(mixer, noise_density, noise_band_lo_harmonics=Non
 def record_grids(monkeypatch):
     """Route every mixer run through a recorder; return the sizes it ran on.
 
-    One entry per run of the mixer kernel ``engine._respond``: per
-    ``simulate`` call, per point of ``engine._points`` and per piece of
-    ``engine._segments`` alike.
+    One entry per run of a mixer kernel, each one pass over a grid of
+    N-sample arrays: ``engine._respond`` per ``simulate`` call, per piece
+    of ``engine._segments`` and per ``engine._drive_record``, and
+    ``engine._cubic_terms`` per ``engine._drive_cubic``, which serves every
+    drive of a measurement.
     """
     grids = []
 
@@ -121,7 +124,12 @@ def record_grids(monkeypatch):
         grids.append(sw.size)
         return _respond(mixer, sw, parts)
 
+    def recording_cubic_terms(mixer, sw, b, e):
+        grids.append(sw.size)
+        return _cubic_terms(mixer, sw, b, e)
+
     monkeypatch.setattr(engine, "_respond", recording_respond)
+    monkeypatch.setattr(engine, "_cubic_terms", recording_cubic_terms)
     return grids
 
 
@@ -129,8 +137,8 @@ def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
     One entry per ``devices._switch`` call, all of which ``engine`` makes:
-    per ``simulate`` call, per ``engine._points`` run and per piece of
-    ``engine._segments``.
+    per ``simulate`` call, per ``engine._drive_cubic``, per piece of
+    ``engine._segments`` and per ``engine._drive_record``.
     """
     sizes = []
 
@@ -139,4 +147,21 @@ def record_switches(monkeypatch):
         return _switch(p, v_lo)
 
     monkeypatch.setattr(engine, "_switch", recording_switch)
+    return sizes
+
+
+def record_projections(monkeypatch):
+    """Count the bin projections of N-sample arrays; return their lengths.
+
+    One entry per ``signals._project`` call that ``engine`` (the terms of a
+    drive cubic) or ``metrics`` (a record read by ``metrics._ray``) makes.
+    """
+    sizes = []
+
+    def recording_project(samples, k, basis):
+        sizes.append(samples.size)
+        return _project(samples, k, basis)
+
+    monkeypatch.setattr(engine, "_project", recording_project)
+    monkeypatch.setattr(metrics, "_project", recording_project)
     return sizes

@@ -493,8 +493,11 @@ class TestCliRun:
         out = tmp_path / "out"
         assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["measurements"]["p1db"]["value_dbm"] == pytest.approx(
-            -11.5, abs=0.2)
+        p1db = summary["measurements"]["p1db"]
+        assert p1db["value_dbm"] == pytest.approx(-11.5, abs=0.2)
+        # The exact crossing of the gain, and the interpolation's gap to it.
+        assert p1db["exact_dbm"] == pytest.approx(p1db["value_dbm"], abs=0.01)
+        assert p1db["interpolation_gap_db"] == p1db["value_dbm"] - p1db["exact_dbm"]
         lines = (out / "p1db_sweep.csv").read_text().splitlines()
         assert lines[0] == "input_power_dbm,output_power_dbm,gain_db"
         assert len(lines) == 1 + 81  # header + sweep -40..0 in 0.5 dB steps
@@ -770,8 +773,8 @@ class TestMetamorphic:
 
     # (measurement, summary key): reading of the default design.
     READINGS = {("cg", "value_db"): 13.482486781799386,
-                ("p1db", "value_dbm"): -11.523858105811607,
-                ("iip3", "value_dbm"): -1.8942209288942138,
+                ("p1db", "value_dbm"): -11.523858105811668,
+                ("iip3", "value_dbm"): -1.8942209288771465,
                 ("isolation", "value_db"): -37.7011116857483}
 
     def readings(self, tmp_path, **sections):
@@ -801,18 +804,19 @@ class TestDefaultRunWork:
         grids = record_grids(monkeypatch)
         assert main(["run", "--config", write_config(tmp_path, ""),
                      "--out", str(tmp_path / "out")]) == 0
-        # cg and 81 p1db points on the 2,304-sample period (gain-routine
-        # points); iip3 hot and cold points on the full grid (a 1-unit tone
-        # spacing has no shorter period); isolation; the NF noise record,
-        # one 36,864-sample periodogram segment at a time, and its
-        # 576-sample probe; the transient, which the harmonics share.
-        assert grids == ([2304] * 82 + [9216] * 2 + [2304] + [36864] * 32 + [576]
+        # One drive cubic each for cg and the 81 p1db points on the
+        # 2,304-sample period, and for iip3's hot and cold drives on the
+        # full grid (a 1-unit tone spacing has no shorter period);
+        # isolation; the NF noise record, one 36,864-sample periodogram
+        # segment at a time, and its 576-sample probe cubic; the transient,
+        # which the harmonics share.
+        assert grids == ([2304] * 2 + [9216] + [2304] + [36864] * 32 + [576]
                          + [9216])
 
     @pytest.mark.parametrize("text, sizes", [
         # cg, p1db and isolation on the 2,304-sample period, iip3's two
-        # points on the full grid: one switch per drive loop, not per
-        # point; the NF record per 36,864-sample segment, then its
+        # drives on the full grid: one switch per drive cubic, not per
+        # drive; the NF record per 36,864-sample segment, then its
         # 576-sample probe; the transient.  38 switches over 1,205,568
         # samples by default, 4 over 16,128 per sweep point.
         ("", [2304] * 2 + [9216] + [2304] + [36864] * 32 + [576] + [9216]),

@@ -395,6 +395,14 @@ class TestCheckOnce:
 
 
 class TestLoPhase:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"lo_phase": math.nan}, "phase"), ({"rf_phase": math.inf}, "phase"),
+        ({"rf_amplitude": math.nan}, "amplitude"), ({"rf_power_dbm": -math.inf}, "power_dbm")])
+    def test_non_finite_tone_rejected_before_a_scenario_exists(self, kwargs, field):
+        # A NaN LO phase once built a valid Scenario that failed only in simulate.
+        with pytest.raises(ValidationError, match=f"tone {field} must be finite"):
+            make_scenario(**kwargs)
+
     """The ideal switch takes no LO phase that puts a sample on a switching instant."""
 
     # 0 and pi/2 put samples on the instants of every grid; pi * (1/2 + 1/64)

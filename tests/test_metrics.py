@@ -1,8 +1,11 @@
 """Tests for the figure-of-merit measurements against their oracles."""
 
+import importlib.util
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from helpers import (
     make_scenario,
     noise_figure_grid_scenario,
     record_grids,
+    record_projections,
+    record_switches,
 )
 
 from mixbench import engine, metrics, signals
@@ -59,6 +64,10 @@ from mixbench.signals import (
 CAL_GM = 0.034
 CAL_A3 = -0.696
 
+# How far a drive reading of the cubic (engine._drive_cubic) may sit from
+# the same drive's own record: the two sum the same terms in another order.
+ORACLE_DB = 1e-9
+
 
 def calibrated_scenario(a3=CAL_A3, kappa=0.0, **kwargs):
     return make_scenario(mixer=make_mixer(gm=CAL_GM, a3=a3, kappa=kappa), **kwargs)
@@ -101,13 +110,23 @@ def reference_sweep(s, powers):
     return [metrics._sweep_point(p, p + reference_gain_db(s, p)) for p in powers]
 
 
+def assert_sweeps_agree(sweep, reference):
+    """Same input powers to the bit; output power and gain within ``ORACLE_DB``."""
+    assert [p.input_power_dbm for p in sweep] == [p.input_power_dbm for p in reference]
+    for point, ref in zip(sweep, reference, strict=True):
+        assert point.output_power_dbm == pytest.approx(ref.output_power_dbm, rel=0,
+                                                       abs=ORACLE_DB)
+        assert point.gain_db == pytest.approx(ref.gain_db, rel=0, abs=ORACLE_DB)
+
+
 def sweep_powers(power_range, step):
     lo, _ = power_range
     return [lo + i * step for i in range(metrics.sweep_size(power_range, step))]
 
 
 class TestGainRoutineBits:
-    """The sweep's gain routine against one simulation per point, bit for bit."""
+    """The sweep's gain routine against one simulation per point: every
+    reading within ``ORACLE_DB``, every failure to the bit."""
 
     @pytest.mark.parametrize("scenario, noisy", [
         ({}, False),
@@ -127,15 +146,14 @@ class TestGainRoutineBits:
         res = measure_p1db(s, *inputs["p1db"])
         reference = reference_sweep(s, sweep_powers(*inputs["p1db"]))
         assert len(res.sweep) == len(reference) == 81
-        for point, ref in zip(res.sweep, reference):
-            assert point.output_power_dbm == ref.output_power_dbm
-            assert point.gain_db == ref.gain_db
-        assert measure_conversion_gain(s) == reference_gain_db(s, s.rf_tones[0].power_dbm)
+        assert_sweeps_agree(res.sweep, reference)
+        assert measure_conversion_gain(s) == pytest.approx(
+            reference_gain_db(s, s.rf_tones[0].power_dbm), rel=0, abs=ORACLE_DB)
 
     def test_two_point_sweep(self):
         s = calibrated_scenario()
         res = measure_p1db(s, (-40.0, 0.0), 40.0)
-        assert list(res.sweep) == reference_sweep(s, [-40.0, 0.0])
+        assert_sweeps_agree(res.sweep, reference_sweep(s, [-40.0, 0.0]))
 
     @pytest.mark.parametrize("mixer, power_range, step, error, message", [
         # The tiny cubic keeps 3000 and 3050 dBm finite; 3100 dBm has no
@@ -184,7 +202,8 @@ class TestGainRoutineBits:
         assert np.array_equal([got, reference], [expected, expected], equal_nan=True)
 
     def test_sweep_memory_is_bounded(self):
-        # One sample row at a time: about 150 KB of peak for 401 points.
+        # A few 2,304-sample arrays for the one drive cubic: about 180 KB of
+        # peak for 401 points.
         run, _ = prepare(from_dict({}))
         measure_p1db(run.quiet, (-40.0, 0.0), 0.1)  # fill the memos first
         tracemalloc.start()
@@ -229,8 +248,8 @@ class TestP1dB:
         with pytest.raises(CompressionNotFoundError, match=message) as err:
             measure_p1db(s, (-40.0, -30.0), 1.0)
         assert len(err.value.sweep) == 11
-        assert list(err.value.sweep) == reference_sweep(
-            s, sweep_powers((-40.0, -30.0), 1.0))
+        assert_sweeps_agree(err.value.sweep, reference_sweep(
+            s, sweep_powers((-40.0, -30.0), 1.0)))
 
     @pytest.mark.parametrize("power_range, step", [
         ((-1.0e7, 0.0), 0.001),        # 1e10 points
@@ -243,6 +262,7 @@ class TestP1dB:
             raise AssertionError("simulated a sweep that cannot be used")
 
         monkeypatch.setattr(engine, "_respond", no_simulation)
+        monkeypatch.setattr(engine, "_cubic_terms", no_simulation)
         with pytest.raises(ValidationError):
             measure_p1db(calibrated_scenario(), power_range, step)
 
@@ -367,6 +387,28 @@ class TestIIP3:
             assert ip3.iip3_dbm - p1.p1db_dbm == pytest.approx(9.64, abs=0.3)
 
 
+def assert_iip3_agrees(monkeypatch, two, per_tone_dbm):
+    """Both drives of ``measure_iip3`` against ``reference_iip3``, within ``ORACLE_DB``."""
+    p_fund, p_im3, p_mirror, amp_cold = reference_iip3(two, per_tone_dbm)
+    readings, drive_rays = [], metrics._drive_rays
+
+    def recording_drive_rays(*args):
+        readings.append(drive_rays(*args))
+        return readings[-1]
+
+    monkeypatch.setattr(metrics, "_drive_rays", recording_drive_rays)
+    res = measure_iip3(two, per_tone_dbm)
+    monkeypatch.undo()
+    assert [len(r) for r in readings] == [3, 1]
+    assert amplitude_to_dbm(readings[1][0]) == pytest.approx(
+        amplitude_to_dbm(amp_cold), rel=0, abs=ORACLE_DB)
+    got = (res.p_fund_dbm, res.p_im3_dbm, res.p_im3_mirror_dbm)
+    assert got == pytest.approx((p_fund, max(p_im3, p_mirror), p_mirror), rel=0,
+                                abs=ORACLE_DB)
+    assert res.delta_db == res.p_fund_dbm - res.p_im3_dbm
+    assert res.iip3_dbm == res.delta_db / 2.0 + per_tone_dbm
+
+
 def reference_iip3(two, per_tone_dbm):
     """Hot rays and cold fundamental amplitude of ``two`` the per-drive way.
 
@@ -382,7 +424,8 @@ def reference_iip3(two, per_tone_dbm):
 
 
 class TestIIP3RoutineBits:
-    """IIP3's two drives of ``engine._points`` against one simulation per drive, bit for bit."""
+    """IIP3's two drives, read from one drive cubic, against one simulation
+    per drive: every reading within ``ORACLE_DB``, every failure in drive order."""
 
     @pytest.mark.parametrize("cfg, period", [
         ({}, 9216),
@@ -395,19 +438,7 @@ class TestIIP3RoutineBits:
         two, per_tone = inputs["iip3"]
         rays = metrics.two_tone_rays(two)
         assert metrics._on_common_period(two, *rays).grid.num_samples == period
-        p_fund, p_im3, p_mirror, amp_cold = reference_iip3(two, per_tone)
-        readings, ray = [], metrics._ray
-
-        def recording_ray(*args):
-            readings.append(ray(*args))
-            return readings[-1]
-
-        monkeypatch.setattr(metrics, "_ray", recording_ray)
-        res = measure_iip3(two, per_tone)
-        assert len(readings) == 4 and readings[3] == amp_cold
-        assert (res.p_fund_dbm, res.p_im3_dbm, res.p_im3_mirror_dbm) == (
-            p_fund, max(p_im3, p_mirror), p_mirror)
-        assert res.delta_db == p_fund - max(p_im3, p_mirror)
+        assert_iip3_agrees(monkeypatch, two, per_tone)
 
     @pytest.mark.parametrize("a3, per_tone_dbm, error, message, drives", [
         (CAL_A3, 3100.0, ValidationError, "3100.0 dBm has no finite peak voltage", 0),
@@ -421,10 +452,17 @@ class TestIIP3RoutineBits:
     def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
                                            message, drives):
         two = two_tone_variant(calibrated_scenario(a3=a3))
-        grids = record_grids(monkeypatch)
+        read = []
+        drive_rays = metrics._drive_rays
+
+        def counting_drive_rays(*args):
+            read.append(args[-1])
+            return drive_rays(*args)
+
+        monkeypatch.setattr(metrics, "_drive_rays", counting_drive_rays)
         with pytest.raises(error, match=message):
             measure_iip3(two, per_tone_dbm)
-        assert len(grids) == drives
+        assert len(read) == drives
 
 
 class TestIsolation:
@@ -578,8 +616,12 @@ class TestStreamedNoiseRecord:
         res = measure_noise_figure(s, settings)
         assert (res.input_density, res.output_density) == (stats[0].density,
                                                             stats[1].density)
-        assert res.gain_db == gain_db
-        assert res.nf_db == nf_db
+        # The probe gain is a drive of the cubic; the figure follows from it
+        # and the densities to the bit.
+        assert res.gain_db == pytest.approx(gain_db, rel=0, abs=ORACLE_DB)
+        assert res.nf_db == noise_figure_from_densities(stats[1].density,
+                                                        stats[0].density, res.gain_db)
+        assert res.nf_db == pytest.approx(nf_db, rel=0, abs=ORACLE_DB)
 
     @pytest.mark.parametrize("noise_density, rf_power_dbm, message", [
         (1.0e200, None, "signal contains non-finite samples"),
@@ -703,7 +745,9 @@ class TestCommonPeriod:
         grids = record_grids(monkeypatch)
         period = quiet_readings(run.quiet, *inputs["iip3"])
         assert len(period["p1db"]) == 82
-        assert grids == [2304] * 82 + [4608] * 2 + [2304]
+        # One drive cubic each for cg, the sweep and iip3's two drives, and
+        # isolation's record.
+        assert grids == [2304, 2304, 4608, 2304]
         grids.clear()
         monkeypatch.setattr(metrics, "_on_common_period", lambda s, *rays: s)
         full = quiet_readings(run.quiet, *inputs["iip3"])
@@ -723,3 +767,149 @@ class TestCommonPeriod:
         period = metrics._on_common_period(run.quiet, run.quiet.f_if)
         assert period.grid.num_samples == 2304
         assert metrics._on_common_period(period, period.f_if) is period
+
+
+def load_bench_workloads():
+    """The benchmark's ``bench/workloads.py``, for its sweep design points."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+SWEEP_DESIGNS = [cfg for seed in (1, 2)
+                 for cfg in load_bench_workloads().sweep_configs(seed)]
+
+
+class TestDriveCubicOracle:
+    """Every drive reading of the cubic against the drive's own ``simulate``
+    and ``bin_amplitude``, within ``ORACLE_DB``: the benchmark's sweep design
+    points of seeds 1 and 2, and designs off their ranges."""
+
+    @pytest.mark.parametrize("cfg", SWEEP_DESIGNS + [
+        {"scenario": {"mixer": {"a2": 0.01}}},
+        {"scenario": {"mixer": {"switch_mode": "smooth"}}},
+        {"scenario": {"mixer": {"kappa": 0.05}}},
+        {"scenario": {"mixer": {"kappa": 0.05, "a2": -0.02, "switch_mode": "smooth",
+                                "switch_v_sw": 0.3}}},
+    ], ids=[f"sweep_seed{seed}_{i}" for seed in (1, 2) for i in range(8)]
+        + ["a2", "smooth_switch", "kappa_0.05", "smooth_a2_kappa_0.05"])
+    def test_every_drive_reading(self, monkeypatch, cfg):
+        run, inputs = prepare(from_dict({**cfg, "measurements": ["cg", "p1db", "iip3"]}))
+        s = run.quiet
+        assert measure_conversion_gain(s) == pytest.approx(
+            reference_gain_db(s, s.rf_tones[0].power_dbm), rel=0, abs=ORACLE_DB)
+        power_range, step = inputs["p1db"]
+        res = measure_p1db(s, power_range, step)
+        assert_sweeps_agree(res.sweep, reference_sweep(s, sweep_powers(power_range, step)))
+        assert_iip3_agrees(monkeypatch, *inputs["iip3"])
+
+    @pytest.mark.parametrize("mixer", [{}, {"kappa": 0.05, "a2": 0.01}],
+                             ids=["default", "kappa_0.05_a2"])
+    def test_noisy_conversion_gain(self, mixer):
+        run, _ = prepare(from_dict({"scenario": {"mixer": mixer}, "measurements": ["cg"]}))
+        s = run.scenario
+        assert s.input_noise_density > 0
+        amp_out = bin_amplitude(simulate(s).v_out, s.f_if).amplitude
+        reference = 20.0 * math.log10(amp_out / s.rf_tones[0].peak_amplitude())
+        assert measure_conversion_gain(s) == pytest.approx(reference, rel=0, abs=ORACLE_DB)
+
+
+class TestDriveCubicGuard:
+    """A drive is read from the cubic only where its own record is provably
+    finite; every other drive fails, or reads inf or NaN, as that record does."""
+
+    # A fine grid across the onset of overflow of the calibrated mixer.  Its
+    # records read finite up to 2,032.1 dBm, then inf (the projection's sum
+    # overflows), then NaN from 2,041.4 dBm, and fail from 2,050.5 dBm on.
+    # The guard, which bounds every sample by the largest and the sum by N
+    # of them, hands drives to their own records from 1,996 dBm on.
+    DRIVES_DBM = [1900.0 + 0.1 * i for i in range(1601)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_drives_across_the_overflow_onset(self):
+        s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303))
+        period = metrics._on_common_period(s, s.f_if)
+        cubic = engine._drive_cubic(period, (signals._readout(period.grid, s.f_if),))
+        outcomes = set()
+        for p in self.DRIVES_DBM:
+            amp = signals.dbm_to_amplitude(p)
+            try:
+                reference = reference_gain_db(s, p)
+            except ValidationError as ref:
+                with pytest.raises(ValidationError) as got:
+                    metrics._conversion_gains(s, s.f_if, [amp])
+                assert (type(got.value), str(got.value)) == (type(ref), str(ref))
+                assert not cubic.covers(amp)
+                outcomes.add("raises")
+                continue
+            got, = metrics._conversion_gains(s, s.f_if, [amp])
+            if math.isfinite(reference):
+                assert got == pytest.approx(reference, rel=0, abs=ORACLE_DB)
+                outcomes.add("cubic" if cubic.covers(amp) else "record")
+            else:
+                assert np.array_equal([got], [reference], equal_nan=True)
+                assert not cubic.covers(amp)
+                outcomes.add("non-finite")
+        # The grid reaches every side of the guard: drives read from the
+        # cubic, finite and non-finite drives it leaves to their own record,
+        # and failures.
+        assert outcomes == {"cubic", "record", "non-finite", "raises"}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_covered_drives_have_finite_records(self):
+        # Where the guard vouches for a drive, its own record is finite and
+        # so is its projection, for one tone and for two.
+        for s in (calibrated_scenario(kappa=0.01303),
+                  two_tone_variant(calibrated_scenario(kappa=0.01303))):
+            readouts = [signals._readout(s.grid, s.f_if)]
+            cubic = engine._drive_cubic(s, readouts)
+            covered = [p for p in self.DRIVES_DBM
+                       if cubic.covers(signals.dbm_to_amplitude(p))]
+            assert 0 < len(covered) < len(self.DRIVES_DBM)
+            v_out = engine._drive_record(s, signals.dbm_to_amplitude(covered[-1]))
+            assert np.isfinite(v_out).all()
+            assert math.isfinite(abs(signals._project(v_out, *readouts[0])))
+
+
+class TestSweepWork:
+    def test_work_does_not_grow_with_the_sweep(self, monkeypatch):
+        # An 11-point and a 401-point sweep make the same switch, the same
+        # grids of N-sample arrays and the same projections; no drive runs
+        # its own record.
+        s = calibrated_scenario()
+        work = []
+        for step, points in ((4.0, 11), (0.1, 401)):
+            grids = record_grids(monkeypatch)
+            switches = record_switches(monkeypatch)
+            projections = record_projections(monkeypatch)
+            res = measure_p1db(s, (-40.0, 0.0), step)
+            monkeypatch.undo()
+            assert len(res.sweep) == points
+            work.append((grids, switches, projections))
+        assert work[0] == work[1] == ([2304], [2304], [2304] * 4)
+
+
+class TestExactCrossing:
+    @pytest.mark.parametrize("kappa", [0.0, 0.01303])
+    def test_exact_crossing_is_the_gain_root(self, kappa):
+        s = calibrated_scenario(kappa=kappa)
+        res = measure_p1db(s, (-40.0, 0.0), 0.5)
+        threshold = res.small_signal_gain_db - 1.0
+        gain = metrics._gain_reader(s, s.f_if)
+        exact = signals.dbm_to_amplitude(res.exact_dbm)
+        assert gain(exact) == pytest.approx(threshold, rel=0, abs=1e-9)
+        # It lies between the sweep points that bracket the interpolation.
+        powers = [pt.input_power_dbm for pt in res.sweep]
+        below = max(p for p in powers if p <= res.p1db_dbm)
+        assert below <= res.exact_dbm <= below + 0.5
+        assert abs(res.exact_dbm - res.p1db_dbm) < 0.01
+
+    def test_finer_sweep_closes_the_interpolation_gap(self):
+        s = calibrated_scenario()
+        coarse, fine = (measure_p1db(s, (-40.0, 0.0), step) for step in (1.0, 0.1))
+        assert coarse.exact_dbm == pytest.approx(fine.exact_dbm, rel=0, abs=1e-12)
+        assert abs(fine.p1db_dbm - fine.exact_dbm) < abs(coarse.p1db_dbm - coarse.exact_dbm)

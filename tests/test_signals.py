@@ -106,6 +106,13 @@ class TestToneSpec:
         with pytest.raises(ValidationError):
             ToneSpec(frequency=1.0, amplitude=1.0, power_dbm=0.0)
 
+    @pytest.mark.parametrize("field", ["phase", "amplitude", "power_dbm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        level = {} if field in ("amplitude", "power_dbm") else {"amplitude": 1.0}
+        with pytest.raises(ValidationError, match=f"tone {field} must be finite"):
+            ToneSpec(frequency=1.0, **level, **{field: value})
+
     def test_power_implies_amplitude(self):
         tone = ToneSpec(frequency=1.0, power_dbm=0.0)
         # 0 dBm into 50 ohm is 0.3162 V peak (0.2236 V rms).
