@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -119,9 +120,10 @@ def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> Samp
     return SampledSignal._adopt(v_rf.grid, _transconductor(p, v_rf.samples), "ampere")
 
 
-def _transconductor(p: TransconductorParams, v: np.ndarray) -> np.ndarray:
-    """A fresh array of the drain current for gate voltages ``v``, unchecked."""
-    i = p.gm * v
+def _transconductor(p: TransconductorParams, v: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The drain current for gate voltages ``v``, unchecked, in ``out`` or a fresh array."""
+    i = np.multiply(p.gm, v, out=out)
     i += p.gm * p.v_gs1
     term = None
     if p.a2 != 0.0:

@@ -21,11 +21,14 @@ Two grid choices keep the switching spectrum exact:
   ideal switch, :func:`check_lo_phase` rejects a phase that puts one there.
 
 Every mixer record is built here, on one kernel (:func:`_respond`), with
-its RF port summed in one order (tones, LO leak, noise; :func:`_port_parts`),
-by one generator.  :func:`_segments` yields a record's two ports in equal
+its RF port summed in one order (tones, LO leak, noise), by one
+generator.  :func:`_segments` yields a record's two ports in equal
 consecutive pieces: :func:`simulate`, which keeps both for isolation and
 the transient output, is its one-piece case, and the noise-figure record
-streams it a periodogram segment at a time.
+streams it a periodogram segment at a time.  A record's deterministic
+part, its tones, LO leak and switch, repeats with the common period of
+its RF tones and LO, so it is built once on that period (:func:`_pump`)
+and laid over each piece in place (:func:`_periodic`).
 
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
@@ -44,7 +47,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,8 +165,8 @@ class Scenario:
 class TransientResult:
     """The two port waveforms of one simulation, sharing the scenario grid.
 
-    :func:`simulate` adopts and checks both as it makes them; the IF filter
-    runs when ``v_out_filtered`` is first read.
+    :func:`simulate` adopts and checks both as it makes them, the two rows
+    of one array; the IF filter runs when ``v_out_filtered`` is first read.
     """
 
     scenario: Scenario
@@ -246,9 +249,10 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
 def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
     """The read-only LO voltage on ``grid``, checked for non-finite samples.
 
-    It depends only on the key, so every simulation on one grid with one LO
-    shares it.  Its cosine basis is built outside the memo: the memo keeps
-    ``v_lo`` alone, not also the basis it equals at a 1 V LO.
+    It depends only on the key, so every record whose common period is
+    ``grid`` (:func:`_pump`) shares it.  Its cosine basis is built outside
+    the memo: the memo keeps ``v_lo`` alone, not also the basis it equals
+    at a 1 V LO.
     """
     k = grid.ray_bin(lo_tone.frequency, "tone")
     v_lo = lo_tone.peak_amplitude() * _cos_basis.__wrapped__(grid.num_samples, k, lo_tone.phase)
@@ -257,61 +261,85 @@ def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
     return v_lo
 
 
-def _port_parts(s: Scenario, tones: Iterable[Tuple[float, np.ndarray]], v_lo: np.ndarray,
-                noise: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The RF port's parts of a piece of ``s``'s record, in the order they are summed.
+def _pump(s: Scenario, amplitudes: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tones, leak, sw)`` of ``s`` over one common period of its RF tones and LO.
 
-    The tones, from ``(amplitude, basis)`` pairs; the leak of ``v_lo``, the
-    piece's LO voltage; the next piece of ``noise``.  Each is a fresh
-    array, made when asked for and only when ``s`` has it.
+    ``tones`` is ``0 + a_1*b_1 + a_2*b_2``, each RF tone's memoised unit
+    basis ``b_i`` on the period at its amplitude in ``amplitudes``, summed
+    in place in that order; ``leak`` is ``0 +`` the LO leak of the
+    memoised LO voltage (all zeros when ``kappa`` is 0); ``sw`` is the
+    switch.  Each is a fresh array one period long, made once per record:
+    the pump of a periodically switched circuit repeats with the period
+    (Strom & Signell, 1977), so a record applies it to its own samples
+    through :func:`_periodic` and never holds it at the record's length.
     """
-    for amp, basis in tones:
-        yield amp * basis
-    if s.mixer.leakage.kappa != 0.0:
-        yield _lo_leak(s.mixer.leakage, v_lo)
-    if s.input_noise_density > 0.0:
-        yield next(noise)
-
-
-def _respond(m: MixerParams, sw: np.ndarray,
-             parts: Iterable[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(port, v_out)`` of the mixer for an RF port summed from ``parts``.
-
-    The port voltage is ``0 + parts[0] + parts[1] + ...``, summed in place
-    in that order; ``sw`` holds the switch samples.  ``v_out`` is
-    ``rd * (i_s * sw)``, built in the transconductor current's own array.
-    Plain fresh arrays, neither checked: a non-finite current always makes
-    ``v_out`` non-finite, so checking it checks them.
-    """
-    port = np.zeros(sw.size)
-    for part in parts:
-        port += part
-        # Free each part before a generator makes the next: on a long grid
-        # at most one part then lives beside the port.
-        del part
-    v_out = _transconductor(m.transconductor, port)
-    v_out *= sw
-    v_out *= m.load.rd
-    return port, v_out
-
-
-def _segments(s: Scenario, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(port, v_out)`` of each of ``n`` equal consecutive pieces of ``s``'s record.
-
-    A piece is made from its slices of the memoised tone bases and LO
-    voltage and its piece of the noise (:func:`signals._noise_segments`),
-    so the pieces, concatenated, are the whole record to the bit.  ``n``
-    must divide the record length.  Plain fresh arrays, neither checked.
-    """
-    grid = s.grid
-    size = grid.num_samples // n
+    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo))
     v_lo = _lo_drive(grid, s.lo_tone)
-    tones = [(tone.peak_amplitude(), _tone_basis(grid, tone)) for tone in s.rf_tones]
-    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, n)
-    for at in (slice(j * size, (j + 1) * size) for j in range(n)):
-        sw = _switch(s.mixer.switch, v_lo[at])
-        parts = _port_parts(s, [(amp, basis[at]) for amp, basis in tones], v_lo[at], noise)
-        yield _respond(s.mixer, sw, parts)
+    tones, leak = np.zeros(grid.num_samples), np.zeros(grid.num_samples)
+    for amp, tone in zip(amplitudes, s.rf_tones):
+        tones += amp * _tone_basis(grid, tone)
+    if s.mixer.leakage.kappa != 0.0:
+        leak += _lo_leak(s.mixer.leakage, v_lo)
+    return tones, leak, _switch(s.mixer.switch, v_lo)
+
+
+def _periodic(op: np.ufunc, a: np.ndarray, period: np.ndarray, start: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op(a[i], period[(start + i) % len(period)])`` for each sample ``i``, into ``out``.
+
+    ``a`` holds samples ``start``, ``start + 1``, ... of a record that
+    ``period`` repeats over; ``out``, ``a`` itself by default, must be
+    contiguous.  The whole periods are one pass over the rows of a view,
+    so no array as long as ``a`` is made.
+    """
+    out = a if out is None else out
+    p = period.size
+    at = start % p
+    if at:
+        period = np.concatenate((period[at:], period[:at]))
+    whole = a.size - a.size % p
+    op(a[:whole].reshape(-1, p), period, out=out[:whole].reshape(-1, p))
+    if whole < a.size:
+        op(a[whole:], period[:a.size - whole], out=out[whole:])
+    return out
+
+
+def _respond(m: MixerParams, sw: np.ndarray, start: int, nodes: np.ndarray) -> np.ndarray:
+    """``nodes``, its row 1 set to ``v_out`` of the mixer for the RF port in row 0.
+
+    The port holds samples ``start``, ``start + 1``, ... of its record;
+    ``sw`` holds the switch over one period of the record.  ``v_out`` is
+    ``rd * (i_s * sw)``, built in its own row.  Neither row is checked: a
+    non-finite current always makes ``v_out`` non-finite, so checking it
+    checks them.
+    """
+    port, v_out = nodes
+    _periodic(np.multiply, _transconductor(m.transconductor, port, out=v_out), sw, start)
+    v_out *= m.load.rd
+    return nodes
+
+
+def _segments(s: Scenario, n: int) -> Iterator[np.ndarray]:
+    """Each of ``n`` equal consecutive pieces of ``s``'s record, as rows ``(port, v_out)``.
+
+    The RF port sums the tones, the LO leak and the noise.  The tones and
+    the leak are summed once, on the common period (:func:`_pump`), whose
+    switch is evaluated once too; each piece adds them to its piece of the
+    noise (:func:`signals._noise_segments`; zeros without noise), which
+    IEEE addition does with the bits of adding the noise to them.  So the
+    pieces, concatenated, are the whole record to the bit, and no array of
+    the record's length is made for a piece of it.  ``n`` must divide the
+    record length.  Each piece is a fresh ``(2, size)`` array, so both
+    nodes of a piece are one allocation; neither row is checked.
+    """
+    size = s.grid.num_samples // n
+    tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+    tones += leak
+    noise = _noise_segments(s.grid, s.input_noise_density, s.noise_seed, s.input_noise_band, n)
+    for start in range(0, s.grid.num_samples, size):
+        nodes = np.empty((2, size))
+        _periodic(np.add, next(noise), tones, start, out=nodes[0])
+        yield _respond(s.mixer, sw, start, nodes)
 
 
 def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
@@ -412,24 +440,22 @@ def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> Dri
     tone bases and ``e`` the LO leak plus the noise, and every ray is
     ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the four terms are
     made once, for any number of drives; each term is projected on every
-    ray and dropped.
+    ray and dropped.  The tones, the leak and the switch come from one
+    common period (:func:`_pump`), as in :func:`_segments`, repeated over
+    the record: ``b`` is the period's tones, ``e`` the noise plus the
+    period's leak.
     """
-    grid = s.grid
-    v_lo = _lo_drive(grid, s.lo_tone)
-    sw = _switch(s.mixer.switch, v_lo)
-    b = np.zeros(grid.num_samples)
-    for tone in s.rf_tones:
-        b += _tone_basis(grid, tone)
-    e = np.zeros(grid.num_samples)
-    extra_peak = 0.0
-    noise = _noise_segments(grid, s.input_noise_density, s.noise_seed, s.input_noise_band, 1)
-    for part in _port_parts(s, (), v_lo, noise):
-        e += part
-        extra_peak += float(max(part.max(), -part.min()))
+    n = s.grid.num_samples
+    tones, leak, sw = _pump(s, (1.0,) * len(s.rf_tones))
+    e = next(_noise_segments(s.grid, s.input_noise_density, s.noise_seed,
+                             s.input_noise_band, 1))
+    extra_peak = sum(float(max(part.max(), -part.min())) for part in (leak, e))
+    e = _periodic(np.add, e, leak, 0)
+    b, sw = np.resize(tones, n), np.resize(sw, n)
     terms = [[_project(term, k, basis) for k, basis in readouts]
              for term in _cubic_terms(s.mixer, sw, b, e)]
     t = s.mixer.transconductor
-    scale = grid.num_samples * max(1.0, s.mixer.load.rd)
+    scale = n * max(1.0, s.mixer.load.rd)
     bound = tuple(scale * abs(a) for a in (t.gm * t.v_gs1, t.gm, t.a2, t.a3))
     if not np.isfinite(terms).all():
         bound = (math.inf,) * 4

@@ -7,9 +7,11 @@ array as long as its grid.  They share this one memo.  It keeps at most
 room for a new one, and never keeps an array larger than the budget: that
 one is built on every call and returned, not kept.
 
-A default run keeps 19.7 MB: two arrays on the 1,179,648-sample
-noise-figure grid (the LO voltage and the RF tone basis, 9.4 MB each) and
-13 small ones on its short grids.
+Records ask for their LO voltage and tone bases on the common period of
+their RF tones and LO, not on their own grid, so a default run keeps 13
+arrays, 792,576 bytes, and none on the 1,179,648-sample noise-figure grid:
+LO voltages and tone bases of 576, 2,304 and 9,216 samples, and the bin
+bases of the rays it reads.
 
 Threads may share the memo.  One lock guards its lookups, evictions and
 insertions; arrays are built outside it.  When two threads build the same
@@ -25,9 +27,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# Most array bytes the memo holds at once: 32 MiB, 1.7 times what a default
-# run keeps.  A float64 array of more than 4,194,304 samples (a complex one
-# of more than 2,097,152) is larger and never kept.
+# Most array bytes the memo holds at once: 32 MiB, about 42 times what a
+# default run keeps, which leaves room for the bin bases of a main grid
+# many times the default's.  A float64 array of more than 4,194,304 samples
+# (a complex one of more than 2,097,152) is larger and never kept.
 BUDGET_BYTES = 32 * 2 ** 20
 
 # (builder, *arguments) -> read-only array, least recently used first.

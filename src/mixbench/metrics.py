@@ -14,7 +14,9 @@ spectrum analyzer:
 
 The model is memoryless, so every noise-free simulation here runs on the
 common period of its tones, its LO and the rays it reads; its bin readings
-equal those on the full record to the last bits.  Noisy records keep theirs.
+equal those on the full record to the last bits.  Noisy records keep their
+full grid, whose tones, LO leak and switch :mod:`engine` builds on the
+period and lays over the record.
 
 Every record comes from :mod:`engine`; this module only reads its bins.
 Conversion gain, every compression-sweep point, the noise-figure gain
@@ -456,9 +458,9 @@ def _band_rows(s: Scenario, segments: int,
     """
     rows = tuple(np.empty((segments, used.size), dtype=np.complex128, order="F")
                  for used in bins)
-    for j, (port, v_out) in enumerate(_segments(s, segments)):
-        _check_finite(v_out)
-        for row, node, used in zip(rows, (port, v_out), bins):
+    for j, nodes in enumerate(_segments(s, segments)):
+        _check_finite(nodes[1])
+        for row, node, used in zip(rows, nodes, bins):
             row[j] = np.fft.rfft(node)[used]
     return rows
 

@@ -104,6 +104,8 @@ class SimGrid:
         period = self.num_samples // g
         m = next(m for m in range(1, g + 1)
                  if g % m == 0 and period * m % 2 == 0 and period * m >= 16)
+        if period * m == self.num_samples:
+            return self
         return SimGrid(sample_rate=self.sample_rate, num_samples=period * m)
 
 
@@ -315,17 +317,19 @@ def bin_amplitude(signal: SampledSignal, frequency: float) -> SpectrumLine:
 def harmonic_table(signal: SampledSignal, fundamental: float, order: int) -> Tuple[SpectrumLine, ...]:
     """Rays at k * fundamental for k = 1..order.
 
-    All requested harmonics must be below Nyquist.  Each ray is read once,
-    so its basis is computed without entering the memo that repeated
-    readouts reuse.
+    All requested harmonics must be below Nyquist.  Every ray is read from
+    one real FFT of the record, scaled as :func:`bin_value` scales its
+    projection, so no ray needs a basis of its own and the work does not
+    grow with ``order``.
     """
     grid = signal.grid
     check_harmonic_order(grid, fundamental, order)
+    spectrum = np.fft.rfft(signal.samples)
     lines = []
     for f in (h * fundamental for h in range(1, order + 1)):
         k = grid.ray_bin(f, "bin readout")
-        value = _project(signal.samples, k, _exp_basis.__wrapped__(grid.num_samples, k))
-        lines.append(SpectrumLine.from_amplitude(f, abs(value)))
+        scale = 1.0 / grid.num_samples if k == 0 else 2.0 / grid.num_samples
+        lines.append(SpectrumLine.from_amplitude(f, abs(complex(spectrum[k] * scale))))
     return tuple(lines)
 
 

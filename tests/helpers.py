@@ -120,9 +120,9 @@ def record_grids(monkeypatch):
     """
     grids = []
 
-    def recording_respond(mixer, sw, parts):
-        grids.append(sw.size)
-        return _respond(mixer, sw, parts)
+    def recording_respond(mixer, sw, start, nodes):
+        grids.append(nodes[0].size)
+        return _respond(mixer, sw, start, nodes)
 
     def recording_cubic_terms(mixer, sw, b, e):
         grids.append(sw.size)
@@ -136,9 +136,10 @@ def record_grids(monkeypatch):
 def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
-    One entry per ``devices._switch`` call, all of which ``engine`` makes:
-    per ``simulate`` call, per ``engine._drive_cubic``, per piece of
-    ``engine._segments`` and per ``engine._drive_record``.
+    One entry per ``devices._switch`` call, all of which ``engine`` makes,
+    on one common period of the RF tones and LO: per ``engine._segments``
+    call (so per ``simulate`` and per ``engine._drive_record``, and once
+    for all the pieces of the NF record) and per ``engine._drive_cubic``.
     """
     sizes = []
 

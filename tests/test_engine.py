@@ -40,15 +40,18 @@ def reference_simulate(s):
     """Node waveforms of ``simulate`` by out-of-place arithmetic.
 
     Every expression builds a new array, term by term in the order the
-    model is written; tones use the direct cosine formula.
+    model is written.  Tones use the direct cosine formula over one common
+    period of the RF tones and the LO, repeated over the record.
     """
     grid = s.grid
-    n = np.arange(grid.num_samples)
+    period = grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo))
+    n = np.arange(period.num_samples)
 
     def tone(t):
-        k = grid.bin_index(t.frequency)
-        return t.peak_amplitude() * np.cos(2.0 * np.pi * k * n / grid.num_samples
-                                           + t.phase)
+        k = period.bin_index(t.frequency)
+        one = t.peak_amplitude() * np.cos(2.0 * np.pi * k * n / period.num_samples
+                                          + t.phase)
+        return np.tile(one, grid.num_samples // period.num_samples)
 
     v_lo = tone(s.lo_tone)
     port = np.zeros(grid.num_samples)
@@ -341,6 +344,40 @@ class TestInPlaceArithmetic:
                 samples[0] = 1.0
 
 
+class TestPeriodic:
+    """``engine._periodic`` applies a period repeated from any sample."""
+
+    @pytest.mark.parametrize("start, size", [(0, 7), (0, 21), (3, 2), (3, 4),
+                                             (5, 30), (13, 1), (6, 15)])
+    @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
+    def test_equals_the_tiled_period(self, op, start, size):
+        period = np.linspace(-1.5, 2.0, 7)
+        a = np.linspace(0.25, 9.0, size)
+        laid = np.resize(period, start + size)[start:]
+        expected = op(a, laid)
+        into = np.empty(size)
+        assert engine._periodic(op, a.copy(), period, start, out=into) is into
+        assert into.tobytes() == expected.tobytes()
+        got = a.copy()
+        assert engine._periodic(op, got, period, start) is got
+        assert got.tobytes() == expected.tobytes()
+
+    def test_pump_is_built_once_on_the_period(self, monkeypatch):
+        # The tones, LO leak and switch are built once, one 2,304-sample
+        # period of the 9,216-sample grid, for all eight 1,152-sample pieces.
+        s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303), noise_density=1e-9)
+        pumps, pump = [], engine._pump
+
+        def recording_pump(*args):
+            pumped = pump(*args)
+            pumps.append([a.size for a in pumped])
+            return pumped
+
+        monkeypatch.setattr(engine, "_pump", recording_pump)
+        assert [piece.shape for piece in engine._segments(s, 8)] == [(2, 1152)] * 8
+        assert pumps == [[2304] * 3]
+
+
 class TestCheckOnce:
     """``simulate`` adopts, and so checks, every node as it makes it."""
 
@@ -476,8 +513,11 @@ class TestLoDriveMemo:
             simulate(at_power(s, power))
         simulate(two_tone_variant(s, 1.0))
         simulate(make_scenario(samples_per_lo_period=64))
-        assert lo_builds == [9216, 4608]
-        assert switches == [9216] * 4 + [4608]
+        # One LO and one switch per call, on the common period of the RF
+        # tones and LO: 2,304 samples of the 9,216-sample grid, the whole
+        # grid for tones 1 unit apart, 1,152 of the 4,608-sample grid.
+        assert lo_builds == [2304, 9216, 1152]
+        assert switches == [2304] * 3 + [9216] + [1152]
         memo.clear()
 
     def test_lo_basis_stays_out_of_the_memo(self):

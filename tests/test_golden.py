@@ -27,20 +27,20 @@ DEFAULT_BUNDLE_SHA256 = {
     "cg.csv": "dad290ddb410e9bff0a9cef254568a1b52a697201d246c43551dcaeb366737c2",
     "effective_config.yaml":
         "6712aa9ce05647fb256d175cc6a370fb79aa040542c5eedb7510344c0a6638a5",
-    "harmonics_out.csv": "3725ea4b049e0b593a08d719c5bd97f64c0a69f124e76648f8c1ce16bca634a7",
-    "harmonics_rf.csv": "e2dc1d5d8e2fc6ab6b8b0cd244fd35753c71a541f0f0db171d4f00fc56bd78b9",
+    "harmonics_out.csv": "cb27b6db811e1048639ff4a080bc3847b20d2e754d5ac30f2d2a7caf95f2c87e",
+    "harmonics_rf.csv": "061fe54e28f3bf67c60ef4947da2e25676997cdce0b6be782e31287b37795d28",
     "iip3.csv": "f94015bc8ff7d010bfc76a92d2600d9ff9fbcee412b1a901545595368b1b4450",
     "isolation.csv": "24b3149845c873f69635582af2d7c1a15b3c55377dacf357cb9fd78fad584e1e",
     "metadata.json": "d8d1c7714f915cf55ccdb81e6a37954c97ba1c9c9012eec001bc97e8b4d0390d",
-    "nf.csv": "4669f94de8659ae3497335aa696806afdaae6c3eacd1db61867c6fade1a5495e",
+    "nf.csv": "34e8a157b66768c27da819e1ef0fa03671297dfc3b7021ef18e47132c66024e5",
     "p1db_sweep.csv": "890d630c544aa6e6e1f1079b9553e298ff692ba836dd9953794bd765ee7617d3",
     "power.csv": "1dd5422f99ca6608f4c4e69dd8f89e3042d15f483c9d7b48300a10aeab845f5d",
-    "summary.json": "804454dd3ede3943b3f58435344a2a2bdaa8d85cfd94dec59b25714cd40c4eeb",
+    "summary.json": "4dbc888e4f2f07c164c86765cefdd9cfef02b0af60a10225b9da581ea47adf98",
     "summary.txt": "20f2e3f23968e11aeaaf41cbcc5436c1b466158ba4539393a15e5375c331727f",
     "transient_vout.csv":
-        "3566595471e466e375c0d1f1400f9cdf79bc5d25da89ac34624d84e07e7f0174",
+        "ce64188ea91060d42e3eeabb397ee7a4211abc6c81a67b0dd9304dff1cd7b6fd",
     "transient_vout_filtered.csv":
-        "94ec338b6f9afec2937d0be7fe122a960de670df523fee986d17a7e3ec114b51",
+        "81bcc0d0cba95041f7022b0ad1ac45a518d810108c643b887fe41dc05b193a2f",
 }
 
 

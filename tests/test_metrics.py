@@ -20,7 +20,7 @@ from helpers import (
     record_switches,
 )
 
-from mixbench import engine, metrics, signals
+from mixbench import engine, memo, metrics, signals
 from mixbench.cli import prepare
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
@@ -643,7 +643,7 @@ class TestStreamedNoiseRecord:
         assert str(got.value) == str(ref.value) == message
 
     def test_memory_is_bounded(self):
-        # A few 36,864-sample segments at a time: about 3 MB of peak, where
+        # A few 36,864-sample segments at a time: about 1.7 MB of peak, where
         # simulating the 1,179,648-sample record whole takes about 48 MB.
         s, settings = build_nf_setup(from_dict({}))
         measure_noise_figure(s, settings)  # fill the memos first
@@ -655,6 +655,21 @@ class TestStreamedNoiseRecord:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 1024 * 1024
+
+    def test_cold_run_keeps_no_record_length_array(self):
+        # With the memo empty, the tones, LO and switch are built on the
+        # 576-sample common period, not on the 1,179,648-sample record
+        # (9.4 MB an array); the peak is a few segments (about 2.4 MB).
+        s, settings = build_nf_setup(from_dict({}))
+        memo.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            measure_noise_figure(s, settings)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def full_record_probe_gain_db(s, settings, f_out):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixbench import memo, signals
+from mixbench.config import build_scenario, from_dict
+from mixbench.engine import simulate
 from mixbench.errors import (
     AliasingError,
     CoherenceError,
@@ -335,7 +337,25 @@ class TestHarmonicTable:
         lines = harmonic_table(sig, 10.0, 6)
         assert memo.info().arrays == 0
         for k, line in enumerate(lines, start=1):
-            assert line == bin_amplitude(sig, 10.0 * k)
+            assert line.frequency == 10.0 * k
+            assert line.amplitude == pytest.approx(
+                bin_amplitude(sig, 10.0 * k).amplitude, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("node, fundamental", [("v_rf_port", "f_rf"),
+                                                   ("v_out", "f_if")])
+    def test_every_ray_matches_its_projection(self, node, fundamental):
+        # The default transient's two harmonic tables, each ray read from
+        # one rFFT, against the ray's own projection on its basis.
+        s = build_scenario(from_dict({}))
+        signal = getattr(simulate(s), node)
+        f = getattr(s, fundamental)
+        lines = harmonic_table(signal, f, 5)
+        n = s.grid.num_samples
+        for h, line in enumerate(lines, start=1):
+            k = s.grid.ray_bin(h * f, "harmonic")
+            projected = abs(signals._project(signal.samples, k,
+                                             signals._exp_basis.__wrapped__(n, k)))
+            assert abs(line.amplitude - projected) <= 1e-12, h
 
     def test_order_beyond_nyquist_rejected(self):
         grid = make_grid(256.0, 256)
