@@ -39,6 +39,7 @@ from .errors import (
     InsufficientBandwidthError,
     MixbenchError,
     NoCompressionError,
+    NonFiniteReadingError,
     StimulusTooHotError,
     UndefinedInterceptError,
     ValidationError,
@@ -58,6 +59,7 @@ from .metrics import (
     measure_noise_figure,
     measure_p1db,
     noise_figure_from_densities,
+    periodic_noise_figure,
     reference_formula_noise_figure,
     two_tone_variant,
 )

@@ -24,11 +24,14 @@ Every mixer record is built here, on one kernel (:func:`_respond`), with
 its RF port summed in one order (tones, LO leak, noise), by one
 generator.  :func:`_segments` yields a record's two ports in equal
 consecutive pieces: :func:`simulate`, which keeps both for isolation and
-the transient output, is its one-piece case, and the noise-figure record
-streams it a periodogram segment at a time.  A record's deterministic
-part, its tones, LO leak and switch, repeats with the common period of
-its RF tones and LO, so it is built once on that period (:func:`_pump`)
-and laid over each piece in place (:func:`_periodic`).
+the transient output, is its one-piece case, and the Monte-Carlo
+noise-figure reference streams it a periodogram segment at a time.  A
+record's deterministic part, its tones, LO leak and switch, repeats with
+the common period of its RF tones and LO, so it is built once on that
+period (:func:`_pump`) and laid over each piece in place
+(:func:`_periodic`).  The noise figure itself runs no record: it reads
+the mixer's small-signal gain on that one period
+(:func:`metrics.periodic_noise_figure`).
 
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and

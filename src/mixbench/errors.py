@@ -65,5 +65,9 @@ class ImmeasurableIM3Error(MixbenchError):
     """The third-order product is below the numerical floor (linear device)."""
 
 
+class NonFiniteReadingError(MixbenchError):
+    """A measurement's reading, or a quantity it is read from, is not a finite number."""
+
+
 class StimulusTooHotError(MixbenchError):
     """The two-tone drive compresses the device too much for a clean intercept."""

@@ -9,14 +9,17 @@ spectrum analyzer:
   the gain falls 1 dB below its weak-signal value;
 * IIP3 comes from a two-tone run via ``delta/2 + per-tone power``;
 * isolation is the LO ray observed at the RF port over the injected LO;
-* noise figure is the power-ratio reading of output versus input noise
-  density across the measured conversion gain.
+* noise figure is the output noise density over the input density times
+  the measured conversion gain, the output density read from the mixer's
+  periodic small-signal gain (:func:`periodic_noise_figure`) or, as the
+  tests' reference, estimated from a noisy record
+  (:func:`measure_noise_figure`).
 
 The model is memoryless, so every noise-free simulation here runs on the
 common period of its tones, its LO and the rays it reads; its bin readings
-equal those on the full record to the last bits.  Noisy records keep their
-full grid, whose tones, LO leak and switch :mod:`engine` builds on the
-period and lays over the record.
+equal those on the full record to the last bits.  The noisy record of the
+reference keeps its full grid, whose tones, LO leak and switch
+:mod:`engine` builds on the period and lays over the record.
 
 Every record comes from :mod:`engine`; this module only reads its bins.
 Conversion gain, every compression-sweep point, the noise-figure gain
@@ -24,9 +27,10 @@ probe and the two drives of IIP3 are read by :func:`_drive_rays` from one
 :func:`engine._drive_cubic` per measurement: the mixer is memoryless with
 a cubic transconductor, so each ray is a cubic in the drive amplitude, and
 a drive the cubic cannot vouch for runs its own record, read by
-:func:`_ray`.  The noise-figure record is read by :func:`_band_rows` from
-the pieces of :func:`engine._segments`, and isolation from the RF port of
-:func:`engine.simulate`.
+:func:`_ray`.  The noise figure reads the period of :func:`engine._pump`
+and runs no record; the reference's noisy record is read by
+:func:`_band_rows` from the pieces of :func:`engine._segments`, and
+isolation from the RF port of :func:`engine.simulate`.
 """
 
 from __future__ import annotations
@@ -37,11 +41,20 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import DriveCubic, Scenario, _drive_cubic, _drive_record, _segments, simulate
+from .engine import (
+    DriveCubic,
+    Scenario,
+    _drive_cubic,
+    _drive_record,
+    _pump,
+    _segments,
+    simulate,
+)
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
     NoCompressionError,
+    NonFiniteReadingError,
     StimulusTooHotError,
     ValidationError,
     WrongStimulusError,
@@ -465,21 +478,20 @@ def _band_rows(s: Scenario, segments: int,
     return rows
 
 
-def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
-                         _setup: Optional[Tuple] = None) -> NoiseFigureResult:
-    """Noise figure of a scenario with injected input noise.
+def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFigureResult:
+    """Noise figure of a scenario with injected input noise, estimated from a noisy record.
 
-    The input density is estimated at the RF port, the output density at the
-    mixer output, both with stimulus rays masked out of the averaging, on
-    the scenario's full record.  The record is run one periodogram segment
+    The Monte-Carlo reference that the tests hold :func:`periodic_noise_figure`
+    against; no CLI step calls it.  The input density is estimated at the
+    RF port, the output density at the mixer output, both with stimulus
+    rays masked out of the averaging, on the scenario's full record.  The record is run one periodogram segment
     at a time (:func:`_band_rows`), which gives the densities and spreads
     of simulating it whole to the last bits, in a working set of a few
     segments.  The conversion gain is read by :func:`_conversion_gains`
     on a noise-free clone carrying a small probe tone, so the same
-    procedure covers any device configuration.  ``_setup`` is the result
-    of :func:`noise_figure_setup` when the caller has built it already.
+    procedure covers any device configuration.
     """
-    bins, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
+    bins, probe, f_signal_out = noise_figure_setup(s, settings)
     n_in, n_out = (_band_stats(s.grid, rows)
                    for rows in _band_rows(s, settings.segments, bins))
     if n_in.density <= 0:
@@ -499,6 +511,68 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     return NoiseFigureResult(nf_db=nf, input_density=n_in.density,
                              output_density=n_out.density, gain_db=gain_db,
                              warning=warning)
+
+
+def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
+                          _setup: Optional[Tuple] = None) -> NoiseFigureResult:
+    """Noise figure of ``s`` from the mixer's periodic small-signal gain; no noise is drawn.
+
+    For input noise small enough not to compress the mixer, the output
+    noise is the input noise times ``g = rd * sw * (gm + 2*a2*v + 3*a3*v^2)``,
+    the slope of the memoryless mixer at its noise-free RF port ``v``
+    (tones and LO leak).  ``g`` repeats with the pump, so one common period
+    of :func:`engine._pump` holds it, and the output density at an output
+    bin ``f`` is ``sum_m |G_m|^2 * S_in(f - m*f_0)``, ``G_m`` the Fourier
+    coefficients of ``g`` on its period ``1/f_0`` (Strom & Signell, 1977;
+    Terrovitis & Meyer, 1999).  White noise over the grid gives
+    ``density * sqrt(mean(g^2))`` at every bin; band-limited noise has the
+    sum averaged over the output-band bins of :func:`noise_figure_setup`.
+    The input density is the configured one, and the gain is the probe's,
+    read as :func:`measure_noise_figure` reads it.  The Monte-Carlo
+    :func:`measure_noise_figure` estimates the same figure from a noisy
+    record; this one has no seed and no estimator spread.  ``_setup`` is
+    the result of :func:`noise_figure_setup` when the caller has built it.
+
+    Raises NonFiniteReadingError if ``mean(g^2)``, the output density or
+    the probe gain is not finite, or ``mean(g^2)`` is 0: each would make
+    the figure non-finite.
+    """
+    bins, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
+    tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+    v = tones + leak
+    t, density = s.mixer.transconductor, s.input_noise_density
+    with np.errstate(all="ignore"):  # every reading is checked by name below
+        g = s.mixer.load.rd * sw * (t.gm + v * (2.0 * t.a2 + 3.0 * t.a3 * v))
+        if s.input_noise_band is None:
+            folded = float(np.mean(g * g))
+        else:
+            # Output bin q of a segment is bin q*segments of the grid, and
+            # G_m moves the input bin (q*segments - m*N/p) mod N onto it.
+            n, p = s.grid.num_samples, g.size
+            power = np.abs(np.fft.rfft(g)) ** 2 / (p * p)
+            power = np.concatenate((power, power[-2:0:-1]))  # m = 0 .. p-1
+            source = (bins[1][:, None] * settings.segments - np.arange(p) * (n // p)) % n
+            source = np.minimum(source, n - source)
+            lo, hi = s.input_noise_band
+            freqs = source * s.grid.resolution
+            in_band = (source > 0) & (freqs >= lo) & (freqs <= hi)
+            folded = float((in_band * power).sum(axis=1).mean())
+        gain_db = _conversion_gains(probe, f_signal_out,
+                                    (probe.rf_tones[0].peak_amplitude(),))[0]
+    if not (math.isfinite(folded) and folded > 0):
+        raise NonFiniteReadingError(
+            f"the mixer's periodic small-signal gain has mean square {folded!r}")
+    output_density = density * math.sqrt(folded)
+    if not math.isfinite(output_density):
+        raise NonFiniteReadingError(f"output noise density {output_density!r} V/sqrt(Hz)")
+    if gain_db == -math.inf:
+        raise WrongStimulusError(
+            f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")
+    if not math.isfinite(gain_db):
+        raise NonFiniteReadingError(f"probe gain {gain_db!r} dB")
+    # The input density cancels: out^2 / (in^2 * G^2) is mean(g^2) / G^2.
+    return NoiseFigureResult(nf_db=10.0 * math.log10(folded) - gain_db, input_density=density,
+                             output_density=output_density, gain_db=gain_db)
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class TestConfigLoading:
             runs[name] = (out / "nf.csv").read_bytes()
         assert runs["plain"] == runs["filtered"]
         assert float(runs["plain"].decode().splitlines()[1].split(",")[0]) == \
-            pytest.approx(3.9096661952440694, rel=1e-11)
+            pytest.approx(3.8983824278119137, rel=1e-11)
 
     def test_noise_band_and_filter_switch_accepted(self):
         scenario = build_scenario(loads_config(
@@ -632,15 +632,43 @@ class TestCliRun:
             assert a == b, f"{name} differs between identical runs"
 
     def test_seed_changes_noise_output(self, tmp_path):
-        path = write_config(tmp_path, "measurements: [nf]\n")
+        # The seed draws the transient's noise; the NF draws none.
+        path = write_config(tmp_path, "measurements: [transient]\n")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert self.run_cli("run", "--config", path, "--out", str(out1)) == 0
         assert self.run_cli("run", "--config", path, "--out", str(out2),
                             "--seed", "99") == 0
-        a = json.loads((out1 / "summary.json").read_text())
-        b = json.loads((out2 / "summary.json").read_text())
-        assert a["measurements"]["nf"]["value_db"] != \
-            b["measurements"]["nf"]["value_db"]
+        assert (out1 / "transient_vout.csv").read_bytes() != \
+            (out2 / "transient_vout.csv").read_bytes()
+
+    def test_nf_does_not_depend_on_the_seed_or_the_nf_record(self, tmp_path):
+        # The NF is read from one period of the mixer's small-signal gain:
+        # neither the seed nor the NF grid's length nor its segments move it.
+        tables = set()
+        for text, seed in (("", "1"), ("", "2"),
+                           ("sweeps: {nf: {grid: {bins_per_unit: 256}}}\n", "1"),
+                           ("sweeps: {nf: {segments: 16}}\n", "1")):
+            path = write_config(tmp_path, "measurements: [nf]\n" + text)
+            out = tmp_path / "out"
+            assert self.run_cli("run", "--config", path, "--out", str(out),
+                                "--seed", seed) == 0
+            tables.add((out / "nf.csv").read_bytes())
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("text, entry, error", [
+        # The cubic overflows the mixer's slope at its operating point.
+        ("measurements: [nf]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "nf",
+         "NonFiniteReadingError: the mixer's periodic small-signal gain has mean square inf"),
+    ], ids=["nf_a3"])
+    def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, error):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli("run", "--config", write_config(tmp_path, text),
+                                "--out", str(out)) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["measurements"][entry] == {"error": error}
 
     def test_json_format_output(self, tmp_path):
         path = write_config(tmp_path,
@@ -842,17 +870,15 @@ class TestDefaultRunWork:
         # One drive cubic each for cg and the 81 p1db points on the
         # 2,304-sample period, and for iip3's hot and cold drives on the
         # full grid (a 1-unit tone spacing has no shorter period);
-        # isolation; the NF noise record, one 36,864-sample periodogram
-        # segment at a time, and its 576-sample probe cubic; the transient,
-        # which the harmonics share.
-        assert grids == ([2304] * 2 + [9216] + [2304] + [36864] * 32 + [576]
-                         + [9216])
+        # isolation; the NF's 576-sample probe cubic (the NF itself runs no
+        # record); the transient, which the harmonics share.
+        assert grids == [2304] * 2 + [9216] + [2304] + [576] + [9216]
 
     @pytest.mark.parametrize("text, sizes", [
         # One switch per record or drive cubic, on the common period of its
         # RF tones and LO: cg, p1db and isolation on 2,304 samples, iip3's
         # two drives on the full grid (a 1-unit tone spacing has no shorter
-        # period); the 32-segment NF record and its probe on 576; the
+        # period); the NF's small-signal gain and its probe on 576; the
         # transient on 2,304.  7 switches over 19,584 samples by default,
         # 4 over 16,128 per sweep point.
         ("", [2304] * 2 + [9216] + [2304] + [576] + [576] + [2304]),

@@ -32,11 +32,11 @@ DEFAULT_BUNDLE_SHA256 = {
     "iip3.csv": "f94015bc8ff7d010bfc76a92d2600d9ff9fbcee412b1a901545595368b1b4450",
     "isolation.csv": "24b3149845c873f69635582af2d7c1a15b3c55377dacf357cb9fd78fad584e1e",
     "metadata.json": "d8d1c7714f915cf55ccdb81e6a37954c97ba1c9c9012eec001bc97e8b4d0390d",
-    "nf.csv": "34e8a157b66768c27da819e1ef0fa03671297dfc3b7021ef18e47132c66024e5",
+    "nf.csv": "914e99c7a72944ce8a09ed0aa264a3592c79516328a6872fc8ace5851a6f9f29",
     "p1db_sweep.csv": "890d630c544aa6e6e1f1079b9553e298ff692ba836dd9953794bd765ee7617d3",
     "power.csv": "1dd5422f99ca6608f4c4e69dd8f89e3042d15f483c9d7b48300a10aeab845f5d",
-    "summary.json": "4dbc888e4f2f07c164c86765cefdd9cfef02b0af60a10225b9da581ea47adf98",
-    "summary.txt": "20f2e3f23968e11aeaaf41cbcc5436c1b466158ba4539393a15e5375c331727f",
+    "summary.json": "cd2b78d35005c6afc8f4e24f33b01379d64e4933d3aea1f4d88566fe3a22671b",
+    "summary.txt": "d8f48a0de333564d002da1562c9e3805a4c6e99019792b4a10e9909d26970df6",
     "transient_vout.csv":
         "ce64188ea91060d42e3eeabb397ee7a4211abc6c81a67b0dd9304dff1cd7b6fd",
     "transient_vout_filtered.csv":

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from mixbench.errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
     NoCompressionError,
+    NonFiniteReadingError,
     StimulusTooHotError,
     ValidationError,
     WrongStimulusError,
@@ -49,6 +51,7 @@ from mixbench.metrics import (
     measure_p1db,
     noise_figure_from_densities,
     noise_figure_setup,
+    periodic_noise_figure,
     reference_formula_noise_figure,
     two_tone_variant,
 )
@@ -564,6 +567,106 @@ class TestNoiseFigure:
         settings = NoiseFigureSettings(band_width=6.0, segments=4)
         with pytest.raises(ValueError):
             measure_noise_figure(replace(s, input_noise_density=0.0), settings)
+
+
+def sampled_square_wave_nf_db(m, harmonics):
+    """NF of a linear mixer with the ideal switch sampled ``m`` times per LO
+    period, noise folded from the LO harmonics ``harmonics`` (both signs):
+    the two-sided coefficients of that switch are ``2/(m*sin(k*pi/m))``
+    for odd ``k``, and the conversion gain is the first one."""
+    share = sum((math.sin(math.pi / m) / math.sin(k * math.pi / m)) ** 2 for k in harmonics)
+    return 10.0 * math.log10(2.0 * share)
+
+
+def nf_config_case(case, seed):
+    """``(scenario, settings)`` of one config case on a 147,456-sample NF grid."""
+    mixer = {
+        "smooth_0.05": {"switch_mode": "smooth", "switch_v_sw": 0.05},
+        "smooth_0.3": {"switch_mode": "smooth", "switch_v_sw": 0.3},
+        "smooth_1.0": {"switch_mode": "smooth", "switch_v_sw": 1.0},
+        # Strong enough that a slip in the slope's 2*a2 or 3*a3 moves the
+        # figure by about 1 dB.
+        "a2": {"a2": 1.0},
+        "a3": {"a3": -20.0},
+        "kappa_0": {"kappa": 0.0},
+        "a3_0": {"a3": 0.0},
+    }.get(case, {})
+    noise = {"seed": seed}
+    if case == "band_limited":
+        noise["bandwidth_hz"] = 5.0e9  # the LO's first harmonic folds, its third does not
+    return build_nf_setup(from_dict({"scenario": {"mixer": mixer, "noise": noise},
+                                     "sweeps": {"nf": {"grid": {"bins_per_unit": 256}}}}))
+
+
+class TestPeriodicNoiseFigure:
+    """The NF from the periodic small-signal gain, against closed forms and
+    against the Monte-Carlo :func:`measure_noise_figure`."""
+
+    @pytest.mark.parametrize("m", [8, 32, 128])
+    def test_white_noise_through_the_sampled_ideal_switch(self, m):
+        # |G_1| = 2/(m*sin(pi/m)) and mean(g^2) = (rd*gm)^2, so the figure
+        # is 20*log10(m*sin(pi/m)/2); it tends to 10*log10(pi^2/4).
+        mixer = make_mixer(a3=0.0, v_gs1=0.0, kappa=0.0)
+        s, settings = noise_figure_grid_scenario(mixer, noise_density=1e-9, bins_per_unit=256,
+                                                 samples_per_lo_period=m)
+        res = periodic_noise_figure(s, settings)
+        assert res.nf_db == pytest.approx(20.0 * math.log10(m * math.sin(math.pi / m) / 2.0),
+                                          rel=0, abs=ORACLE_DB)
+        assert res.input_density == 1e-9
+        assert res.warning is None
+
+    def test_band_limited_noise_folds_harmonics_one_three_five(self):
+        # Noise below the LO's 6th harmonic reaches the IF from harmonics
+        # 1, 3 and 5 on either side.
+        mixer = make_mixer(a3=0.0, v_gs1=0.0, kappa=0.0)
+        s, settings = noise_figure_grid_scenario(mixer, noise_density=1e-9, bins_per_unit=256,
+                                                 noise_band_lo_harmonics=6)
+        res = periodic_noise_figure(s, settings)
+        assert res.nf_db == pytest.approx(sampled_square_wave_nf_db(32, (1, 3, 5)),
+                                          rel=0, abs=ORACLE_DB)
+
+    def test_unity_gain_pass_through(self):
+        # The silent LO holds the switch at +1 and gm*rd = 1: a wire, read at the RF.
+        mixer = make_mixer(gm=0.02, rd=50.0, a3=0.0, v_gs1=0.0, kappa=0.0)
+        s, settings = noise_figure_grid_scenario(mixer, noise_density=1e-9, bins_per_unit=256,
+                                                 lo_amplitude=0.0)
+        settings = replace(settings, output_band_center=s.f_rf, signal_out_frequency=s.f_rf)
+        res = periodic_noise_figure(s, settings)
+        assert res.nf_db == pytest.approx(0.0, rel=0, abs=ORACLE_DB)
+
+    @pytest.mark.parametrize("case", ["default", "smooth_0.05", "smooth_0.3", "smooth_1.0",
+                                      "a2", "a3", "kappa_0", "a3_0", "band_limited"])
+    def test_agrees_with_monte_carlo(self, case):
+        # The mean Monte-Carlo noise power ratio over 10 seeds sits within
+        # three of its standard errors of the periodic one.  Each seed's
+        # error is its combined relative spread; the seeds are independent.
+        s, settings = nf_config_case(case, 0)
+        expected = periodic_noise_figure(s, settings).nf_db
+        ratios, spreads = [], []
+        for seed in range(1, 11):
+            s, settings = nf_config_case(case, seed)
+            n_in, n_out = streamed_band_stats(s, settings)
+            ratios.append(10.0 ** ((measure_noise_figure(s, settings).nf_db - expected) / 10.0))
+            spreads.append(math.hypot(n_in.relative_spread, n_out.relative_spread))
+        error = math.sqrt(sum(r * r for r in spreads)) / len(spreads)
+        assert abs(sum(ratios) / len(ratios) - 1.0) <= 3.0 * error
+
+    @pytest.mark.parametrize("overrides, probe_dbm, message", [
+        ({"mixer": {"a3": -1.0e300}}, -40.0, "gain has mean square inf"),
+        ({"mixer": {"gm": 1.0e-300, "rd": 1.0e-300}}, -40.0, "gain has mean square 0.0"),
+        ({"noise": {"input_density": 1.0e308}}, -40.0, "output noise density inf"),
+        # The probe's cubic overflows its gain, while the quiet tone keeps g finite.
+        ({"rf_power_dbm": -3000.0,
+          "mixer": {"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40}},
+         -90.0, "probe gain inf dB"),
+    ], ids=["gain_overflows", "gain_underflows", "density_overflows", "probe_overflows"])
+    def test_non_finite_reading_raises_without_a_warning(self, overrides, probe_dbm, message):
+        s, settings = nf_setup_from_config(**overrides)
+        settings = replace(settings, probe_power_dbm=probe_dbm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteReadingError, match=message):
+                periodic_noise_figure(s, settings)
 
 
 def whole_record_noise_figure(s, settings):
