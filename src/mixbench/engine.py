@@ -20,18 +20,16 @@ Two grid choices keep the switching spectrum exact:
   on a switching instant and the commutation duty is exactly 50%; with the
   ideal switch, :func:`check_lo_phase` rejects a phase that puts one there.
 
-Every mixer record is built here, on one kernel (:func:`_respond`), with
-its RF port summed in one order (tones, LO leak, noise), by one
-generator.  :func:`_segments` yields a record's two ports in equal
-consecutive pieces: :func:`simulate`, which keeps both for isolation and
-the transient output, is its one-piece case, and the Monte-Carlo
-noise-figure reference streams it a periodogram segment at a time.  A
-record's deterministic part, its tones, LO leak and switch, repeats with
-the common period of its RF tones and LO, so it is built once on that
-period (:func:`_pump`) and laid over each piece in place
-(:func:`_periodic`).  The noise figure itself runs no record: it reads
-the mixer's small-signal gain on that one period
-(:func:`metrics.periodic_noise_figure`).
+Every mixer record is built here, whole, by one function
+(:func:`_record`), on one kernel (:func:`_respond`), with its RF port
+summed in one order (tones, LO leak, noise).  :func:`simulate` keeps both
+ports for isolation and the transient output, and the Monte-Carlo
+noise-figure reference reads the periodograms of both.  A record's
+deterministic part, its tones, LO leak and switch, repeats with the common
+period of its RF tones and LO, so it is built once on that period
+(:func:`_pump`) and laid over the record in place (:func:`_periodic`).
+The noise figure itself runs no record: it reads the mixer's small-signal
+gain on that one period (:func:`metrics.periodic_noise_figure`).
 
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
@@ -72,7 +70,7 @@ from .signals import (
     ToneSpec,
     _check_finite,
     _cos_basis,
-    _noise_segments,
+    _noise,
     _project,
     _tone_basis,
     check_noise_band,
@@ -286,74 +284,61 @@ def _pump(s: Scenario, amplitudes: Sequence[float]) -> Tuple[np.ndarray, np.ndar
     return tones, leak, _switch(s.mixer.switch, v_lo)
 
 
-def _periodic(op: np.ufunc, a: np.ndarray, period: np.ndarray, start: int,
+def _periodic(op: np.ufunc, a: np.ndarray, period: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``op(a[i], period[(start + i) % len(period)])`` for each sample ``i``, into ``out``.
+    """``op(a[i], period[i % len(period)])`` for each sample ``i``, into ``out``.
 
-    ``a`` holds samples ``start``, ``start + 1``, ... of a record that
-    ``period`` repeats over; ``out``, ``a`` itself by default, must be
-    contiguous.  The whole periods are one pass over the rows of a view,
-    so no array as long as ``a`` is made.
+    ``period`` repeats over the record ``a``, whose length it divides;
+    ``out``, ``a`` itself by default, must be contiguous.  The operation is
+    one pass over the rows of a view, so no array as long as ``a`` is made.
     """
     out = a if out is None else out
-    p = period.size
-    at = start % p
-    if at:
-        period = np.concatenate((period[at:], period[:at]))
-    whole = a.size - a.size % p
-    op(a[:whole].reshape(-1, p), period, out=out[:whole].reshape(-1, p))
-    if whole < a.size:
-        op(a[whole:], period[:a.size - whole], out=out[whole:])
+    op(a.reshape(-1, period.size), period, out=out.reshape(-1, period.size))
     return out
 
 
-def _respond(m: MixerParams, sw: np.ndarray, start: int, nodes: np.ndarray) -> np.ndarray:
+def _respond(m: MixerParams, sw: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """``nodes``, its row 1 set to ``v_out`` of the mixer for the RF port in row 0.
 
-    The port holds samples ``start``, ``start + 1``, ... of its record;
     ``sw`` holds the switch over one period of the record.  ``v_out`` is
     ``rd * (i_s * sw)``, built in its own row.  Neither row is checked: a
     non-finite current always makes ``v_out`` non-finite, so checking it
     checks them.
     """
     port, v_out = nodes
-    _periodic(np.multiply, _transconductor(m.transconductor, port, out=v_out), sw, start)
+    _periodic(np.multiply, _transconductor(m.transconductor, port, out=v_out), sw)
     v_out *= m.load.rd
     return nodes
 
 
-def _segments(s: Scenario, n: int) -> Iterator[np.ndarray]:
-    """Each of ``n`` equal consecutive pieces of ``s``'s record, as rows ``(port, v_out)``.
+def _record(s: Scenario) -> np.ndarray:
+    """``s``'s record as one fresh ``(2, N)`` array of rows ``(port, v_out)``, unchecked.
 
     The RF port sums the tones, the LO leak and the noise.  The tones and
     the leak are summed once, on the common period (:func:`_pump`), whose
-    switch is evaluated once too; each piece adds them to its piece of the
-    noise (:func:`signals._noise_segments`; zeros without noise), which
-    IEEE addition does with the bits of adding the noise to them.  So the
-    pieces, concatenated, are the whole record to the bit, and no array of
-    the record's length is made for a piece of it.  ``n`` must divide the
-    record length.  Each piece is a fresh ``(2, size)`` array, so both
-    nodes of a piece are one allocation; neither row is checked.
+    switch is evaluated once too, and added to the noise
+    (:func:`signals._noise`; zeros without noise), which IEEE addition does
+    with the bits of adding the noise to them.  Both nodes are one
+    allocation.  Overflow makes inf or NaN without a warning: every caller
+    checks the values it reads.
     """
-    size = s.grid.num_samples // n
-    tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
-    tones += leak
-    noise = _noise_segments(s.grid, s.input_noise_density, s.noise_seed, s.input_noise_band, n)
-    for start in range(0, s.grid.num_samples, size):
-        nodes = np.empty((2, size))
-        _periodic(np.add, next(noise), tones, start, out=nodes[0])
-        yield _respond(s.mixer, sw, start, nodes)
+    with np.errstate(all="ignore"):
+        tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+        tones += leak
+        nodes = np.empty((2, s.grid.num_samples))
+        _periodic(np.add, _noise(s.grid, s.input_noise_density, s.noise_seed,
+                                 s.input_noise_band), tones, out=nodes[0])
+        return _respond(s.mixer, sw, nodes)
 
 
 def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
     """``v_out`` of ``s`` with every RF tone at peak ``amplitude``, unchecked.
 
-    The one piece of :func:`_segments`, so it has the bits of
-    :func:`simulate`'s ``v_out``: the record a drive of :func:`_drive_cubic`
-    stands for.
+    Row 1 of :func:`_record`, so it has the bits of :func:`simulate`'s
+    ``v_out``: the record a drive of :func:`_drive_cubic` stands for.
     """
     tones = tuple(replace(t, amplitude=amplitude, power_dbm=None) for t in s.rf_tones)
-    return next(_segments(replace(s, rf_tones=tones), 1))[1]
+    return _record(replace(s, rf_tones=tones))[1]
 
 
 def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
@@ -444,19 +429,20 @@ def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> Dri
     ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the four terms are
     made once, for any number of drives; each term is projected on every
     ray and dropped.  The tones, the leak and the switch come from one
-    common period (:func:`_pump`), as in :func:`_segments`, repeated over
+    common period (:func:`_pump`), as in :func:`_record`, repeated over
     the record: ``b`` is the period's tones, ``e`` the noise plus the
-    period's leak.
+    period's leak.  A term or projection that overflows makes inf or NaN
+    without a warning, and sets ``bound`` to inf.
     """
     n = s.grid.num_samples
-    tones, leak, sw = _pump(s, (1.0,) * len(s.rf_tones))
-    e = next(_noise_segments(s.grid, s.input_noise_density, s.noise_seed,
-                             s.input_noise_band, 1))
-    extra_peak = sum(float(max(part.max(), -part.min())) for part in (leak, e))
-    e = _periodic(np.add, e, leak, 0)
-    b, sw = np.resize(tones, n), np.resize(sw, n)
-    terms = [[_project(term, k, basis) for k, basis in readouts]
-             for term in _cubic_terms(s.mixer, sw, b, e)]
+    with np.errstate(all="ignore"):
+        tones, leak, sw = _pump(s, (1.0,) * len(s.rf_tones))
+        e = _noise(s.grid, s.input_noise_density, s.noise_seed, s.input_noise_band)
+        extra_peak = sum(float(max(part.max(), -part.min())) for part in (leak, e))
+        e = _periodic(np.add, e, leak)
+        b, sw = np.resize(tones, n), np.resize(sw, n)
+        terms = [[_project(term, k, basis) for k, basis in readouts]
+                 for term in _cubic_terms(s.mixer, sw, b, e)]
     t = s.mixer.transconductor
     scale = n * max(1.0, s.mixer.load.rd)
     bound = tuple(scale * abs(a) for a in (t.gm * t.v_gs1, t.gm, t.a2, t.a3))
@@ -470,11 +456,11 @@ def simulate(s: Scenario) -> TransientResult:
     """Run the transient: stimulus, leakage, noise, V-I conversion, switching.
 
     Pure function of the scenario (the noise generator is seeded from it),
-    so identical scenarios produce identical results.  The record is the
-    one piece of :func:`_segments`; each port is adopted as a signal, and
-    so checked for non-finite samples, the RF port first.
+    so identical scenarios produce identical results.  The record is
+    :func:`_record`'s; each port is adopted as a signal, and so checked for
+    non-finite samples, the RF port first.
     """
-    port, v_out = next(_segments(s, 1))
+    port, v_out = _record(s)
     return TransientResult(scenario=s, v_rf_port=SampledSignal._adopt(s.grid, port, "volt"),
                            v_out=SampledSignal._adopt(s.grid, v_out, "volt"))
 

@@ -28,9 +28,9 @@ probe and the two drives of IIP3 are read by :func:`_drive_rays` from one
 a cubic transconductor, so each ray is a cubic in the drive amplitude, and
 a drive the cubic cannot vouch for runs its own record, read by
 :func:`_ray`.  The noise figure reads the period of :func:`engine._pump`
-and runs no record; the reference's noisy record is read by
-:func:`_band_rows` from the pieces of :func:`engine._segments`, and
-isolation from the RF port of :func:`engine.simulate`.
+and runs no record; the reference reads the periodograms of its whole
+noisy record (:func:`engine._record`), and isolation the RF port of
+:func:`engine.simulate`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .engine import (
     _drive_cubic,
     _drive_record,
     _pump,
-    _segments,
+    _record,
     simulate,
 )
 from .errors import (
@@ -171,7 +171,8 @@ def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
     finite: a non-finite sample always makes the projection non-finite, and
     a finite record whose sum overflows reads inf.
     """
-    amp = abs(_project(v_out, k, basis))
+    with np.errstate(all="ignore"):  # a non-finite reading is checked below
+        amp = abs(_project(v_out, k, basis))
     if not math.isfinite(amp):
         _check_finite(v_out)
     return amp
@@ -461,21 +462,19 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     return bins, _on_common_period(quiet, f_signal_out), f_signal_out
 
 
-def _band_rows(s: Scenario, segments: int,
-               bins: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Periodogram rows of the RF port and of ``v_out`` of ``s``, at ``bins``.
+def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
+    """Gain in dB of the noise-figure ``probe`` read at ``f_signal_out``, as the NF uses it.
 
-    Row ``j`` is the rFFT of piece ``j`` of :func:`engine._segments`, whose
-    ``v_out`` is scanned for non-finite samples, in ``order="F"`` arrays as
-    :func:`signals._band_stats` wants them; the record never exists whole.
+    Raises WrongStimulusError if no ray is read there, and
+    NonFiniteReadingError if the gain is otherwise not finite.
     """
-    rows = tuple(np.empty((segments, used.size), dtype=np.complex128, order="F")
-                 for used in bins)
-    for j, nodes in enumerate(_segments(s, segments)):
-        _check_finite(nodes[1])
-        for row, node, used in zip(rows, nodes, bins):
-            row[j] = np.fft.rfft(node)[used]
-    return rows
+    gain_db = _conversion_gains(probe, f_signal_out, (probe.rf_tones[0].peak_amplitude(),))[0]
+    if gain_db == -math.inf:
+        raise WrongStimulusError(
+            f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")
+    if not math.isfinite(gain_db):
+        raise NonFiniteReadingError(f"probe gain {gain_db!r} dB")
+    return gain_db
 
 
 def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFigureResult:
@@ -484,24 +483,20 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
     The Monte-Carlo reference that the tests hold :func:`periodic_noise_figure`
     against; no CLI step calls it.  The input density is estimated at the
     RF port, the output density at the mixer output, both with stimulus
-    rays masked out of the averaging, on the scenario's full record.  The record is run one periodogram segment
-    at a time (:func:`_band_rows`), which gives the densities and spreads
-    of simulating it whole to the last bits, in a working set of a few
-    segments.  The conversion gain is read by :func:`_conversion_gains`
-    on a noise-free clone carrying a small probe tone, so the same
-    procedure covers any device configuration.
+    rays masked out of the averaging, on the scenario's full record: both
+    ports of :func:`engine._record`, checked for non-finite samples, read
+    by one :func:`signals._band_stats`.  The conversion gain is read by
+    :func:`_probe_gain_db` on a noise-free clone carrying a small probe
+    tone, so the same procedure covers any device configuration.
     """
     bins, probe, f_signal_out = noise_figure_setup(s, settings)
-    n_in, n_out = (_band_stats(s.grid, rows)
-                   for rows in _band_rows(s, settings.segments, bins))
+    record = _record(s)
+    _check_finite(record)
+    n_in, n_out = _band_stats(s.grid, record, settings.segments, bins)
     if n_in.density <= 0:
         raise ValueError("input noise density estimate is zero")
 
-    gain_db = _conversion_gains(probe, f_signal_out, (probe.rf_tones[0].peak_amplitude(),))[0]
-    if gain_db == -math.inf:
-        raise WrongStimulusError(
-            f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")
-
+    gain_db = _probe_gain_db(probe, f_signal_out)
     nf = noise_figure_from_densities(n_out.density, n_in.density, gain_db)
     warning = None
     spread = max(n_in.relative_spread, n_out.relative_spread)
@@ -528,9 +523,10 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     ``density * sqrt(mean(g^2))`` at every bin; band-limited noise has the
     sum averaged over the output-band bins of :func:`noise_figure_setup`.
     The input density is the configured one, and the gain is the probe's,
-    read as :func:`measure_noise_figure` reads it.  The Monte-Carlo
-    :func:`measure_noise_figure` estimates the same figure from a noisy
-    record; this one has no seed and no estimator spread.  ``_setup`` is
+    read by :func:`_probe_gain_db` as :func:`measure_noise_figure` reads
+    it.  The Monte-Carlo :func:`measure_noise_figure` estimates the same
+    figure from a noisy record; this one has no seed and no estimator
+    spread.  ``_setup`` is
     the result of :func:`noise_figure_setup` when the caller has built it.
 
     Raises NonFiniteReadingError if ``mean(g^2)``, the output density or
@@ -557,19 +553,13 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
             freqs = source * s.grid.resolution
             in_band = (source > 0) & (freqs >= lo) & (freqs <= hi)
             folded = float((in_band * power).sum(axis=1).mean())
-        gain_db = _conversion_gains(probe, f_signal_out,
-                                    (probe.rf_tones[0].peak_amplitude(),))[0]
     if not (math.isfinite(folded) and folded > 0):
         raise NonFiniteReadingError(
             f"the mixer's periodic small-signal gain has mean square {folded!r}")
     output_density = density * math.sqrt(folded)
     if not math.isfinite(output_density):
         raise NonFiniteReadingError(f"output noise density {output_density!r} V/sqrt(Hz)")
-    if gain_db == -math.inf:
-        raise WrongStimulusError(
-            f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")
-    if not math.isfinite(gain_db):
-        raise NonFiniteReadingError(f"probe gain {gain_db!r} dB")
+    gain_db = _probe_gain_db(probe, f_signal_out)
     # The input density cancels: out^2 / (in^2 * G^2) is mean(g^2) / G^2.
     return NoiseFigureResult(nf_db=10.0 * math.log10(folded) - gain_db, input_density=density,
                              output_density=output_density, gain_db=gain_db)

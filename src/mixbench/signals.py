@@ -13,13 +13,17 @@ Tone and bin bases are kept in the byte-bounded memo of :mod:`memo`, per
 grid length and bin, so repeated simulations and readouts on one grid
 compute each basis once; the outputs are bit-identical to evaluating the
 direct formula every time.
+
+A noise record is drawn whole (:func:`_noise`), and the band statistics
+of one or more records are read from one rFFT of each record's
+periodogram segments (:func:`_band_stats`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -357,49 +361,32 @@ def white_noise(grid: SimGrid, density: float, seed: int,
     flat one-sided spectral density comes out at the requested value.  When
     ``band`` is given the spectrum is brick-wall limited to that range (the
     DC bin is always cleared); bins inside the band keep their statistics.
-    The record is the one segment of :func:`_noise_segments`, which can
-    also hand the same record out a segment at a time.
+    The record is :func:`_noise`'s.
     """
-    samples = next(_noise_segments(grid, density, seed, band, 1))
-    return SampledSignal._adopt(grid, samples, "volt")
+    return SampledSignal._adopt(grid, _noise(grid, density, seed, band), "volt")
 
 
-def _noise_segments(grid: SimGrid, density: float, seed: int,
-                    band: Optional[Tuple[float, float]],
-                    segments: int) -> Iterator[np.ndarray]:
-    """The :func:`white_noise` record in ``segments`` consecutive equal pieces, unchecked.
-
-    White noise is drawn a piece at a time from one generator, which gives
-    the bits of one draw of the whole record, so no more than a piece of it
-    exists at once.  Band-limited noise is made whole, since its brick-wall
-    filter spans the record, and handed out in slices.  ``segments`` must
-    divide the record length.
-    """
+def _noise(grid: SimGrid, density: float, seed: int,
+           band: Optional[Tuple[float, float]]) -> np.ndarray:
+    """The :func:`white_noise` record as a fresh array, unchecked; zeros at density 0."""
     if density < 0:
         raise ValueError(f"noise density must be >= 0, got {density!r}")
-    seg_len = grid.num_samples // segments
     if density == 0.0:
-        for _ in range(segments):
-            yield np.zeros(seg_len)
-        return
+        return np.zeros(grid.num_samples)
     if band is not None:
         check_noise_band(grid, band)
     rng = np.random.default_rng(seed)
     sigma = density * math.sqrt(grid.sample_rate / 2.0)
+    samples = rng.standard_normal(grid.num_samples) * sigma
     if band is None:
-        for _ in range(segments):
-            yield rng.standard_normal(seg_len) * sigma
-        return
+        return samples
     lo, hi = band
-    spectrum = np.fft.rfft(rng.standard_normal(grid.num_samples) * sigma)
+    spectrum = np.fft.rfft(samples)
     freqs = np.arange(spectrum.size) * grid.resolution
     keep = (freqs >= lo) & (freqs <= hi)
     keep[0] = False
     spectrum[~keep] = 0.0
-    samples = np.fft.irfft(spectrum, grid.num_samples)
-    del spectrum, freqs, keep  # only the record lives while it is handed out
-    for j in range(segments):
-        yield samples[j * seg_len:(j + 1) * seg_len]
+    return np.fft.irfft(spectrum, grid.num_samples)
 
 
 class BandNoiseStats(NamedTuple):
@@ -463,31 +450,32 @@ def _band_noise_stats(signal: SampledSignal, band_center: float, band_width: flo
                       segments: int,
                       mask_frequencies: Iterable[float] = ()) -> BandNoiseStats:
     """Averaged-periodogram band statistics behind :func:`noise_density`."""
-    grid = signal.grid
-    used = noise_band_bins(grid, band_center, band_width, segments, mask_frequencies)
-    chunks = signal.samples.reshape(segments, grid.num_samples // segments)
-    return _band_stats(grid, np.fft.rfft(chunks, axis=1)[:, used])
+    used = noise_band_bins(signal.grid, band_center, band_width, segments, mask_frequencies)
+    return _band_stats(signal.grid, signal.samples, segments, (used,))[0]
 
 
-def _band_stats(grid: SimGrid, band: np.ndarray) -> BandNoiseStats:
-    """Band statistics of a record on ``grid`` from its periodogram rows.
+def _band_stats(grid: SimGrid, records: np.ndarray, segments: int,
+                bins: Sequence[np.ndarray]) -> List[BandNoiseStats]:
+    """Band statistics of each of ``len(bins)`` records on ``grid``, at its bins in ``bins``.
 
-    ``band`` holds one row per segment of the record: the segment's rFFT at
-    the band bins :func:`noise_band_bins` chose.  Its memory layout decides
-    the order of the sums, so the bits of the result: a row-by-row build
-    keeps those of ``rfft(chunks, axis=1)[:, used]`` when it writes an
-    ``order="F"`` array, the layout that indexing returns.
+    ``records`` holds the records one after the other.  Each record is cut
+    into ``segments`` segments, which go through one rFFT, and its
+    statistics average their one-sided periodograms at its periodogram bins
+    (:func:`noise_band_bins`).
     """
-    segments, bins_used = band.shape
     seg_len = grid.num_samples // segments
-    # One-sided periodogram in V^2/Hz.
-    band_psd = (np.abs(band) ** 2) * (2.0 / (grid.sample_rate * seg_len))
-    mean_power = float(band_psd.mean())
-    per_segment = band_psd.mean(axis=1)
-    spread = float(per_segment.std(ddof=1) / math.sqrt(segments) / mean_power) \
-        if mean_power > 0 else 0.0
-    return BandNoiseStats(density=math.sqrt(mean_power), relative_spread=spread,
-                          bins_used=bins_used, segments=segments)
+    stats = []
+    for record, used in zip(records.reshape(len(bins), segments, seg_len), bins):
+        # One-sided periodogram in V^2/Hz.
+        band_psd = (np.abs(np.fft.rfft(record, axis=1)[:, used]) ** 2) \
+            * (2.0 / (grid.sample_rate * seg_len))
+        mean_power = float(band_psd.mean())
+        per_segment = band_psd.mean(axis=1)
+        spread = float(per_segment.std(ddof=1) / math.sqrt(segments) / mean_power) \
+            if mean_power > 0 else 0.0
+        stats.append(BandNoiseStats(density=math.sqrt(mean_power), relative_spread=spread,
+                                    bins_used=used.size, segments=segments))
+    return stats
 
 
 def noise_density(signal: SampledSignal, band_center: float, band_width: float,

@@ -113,16 +113,16 @@ def record_grids(monkeypatch):
     """Route every mixer run through a recorder; return the sizes it ran on.
 
     One entry per run of a mixer kernel, each one pass over a grid of
-    N-sample arrays: ``engine._respond`` per ``simulate`` call, per piece
-    of ``engine._segments`` and per ``engine._drive_record``, and
-    ``engine._cubic_terms`` per ``engine._drive_cubic``, which serves every
-    drive of a measurement.
+    N-sample arrays: ``engine._respond`` per ``engine._record`` (so per
+    ``simulate`` call, per ``engine._drive_record`` and per noise-figure
+    reference record), and ``engine._cubic_terms`` per
+    ``engine._drive_cubic``, which serves every drive of a measurement.
     """
     grids = []
 
-    def recording_respond(mixer, sw, start, nodes):
+    def recording_respond(mixer, sw, nodes):
         grids.append(nodes[0].size)
-        return _respond(mixer, sw, start, nodes)
+        return _respond(mixer, sw, nodes)
 
     def recording_cubic_terms(mixer, sw, b, e):
         grids.append(sw.size)
@@ -137,9 +137,9 @@ def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
     One entry per ``devices._switch`` call, all of which ``engine`` makes,
-    on one common period of the RF tones and LO: per ``engine._segments``
-    call (so per ``simulate`` and per ``engine._drive_record``, and once
-    for all the pieces of the NF record) and per ``engine._drive_cubic``.
+    on one common period of the RF tones and LO: per ``engine._record``
+    (so per ``simulate``, per ``engine._drive_record`` and per noise-figure
+    reference record) and per ``engine._drive_cubic``.
     """
     sizes = []
 

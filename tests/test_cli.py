@@ -7,6 +7,8 @@ import math
 import os
 import re
 import runpy
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG, record_grids, record_switches
 
-from mixbench import cli, memo, metrics
+from mixbench import cli, engine, memo, metrics
 from mixbench.cli import (
     REGISTRY,
     _write_table,
@@ -526,7 +528,6 @@ class TestCliRun:
         summary = json.loads((out / "summary.json").read_text())
         assert "value_db" in summary["measurements"]["cg"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_shared_simulation_failure_fails_its_measurements(self, tmp_path):
         # 3000 dBm has a finite peak voltage, but its cube overflows.
         path = write_config(tmp_path, (
@@ -538,6 +539,23 @@ class TestCliRun:
         assert "non-finite" in measured["harmonics"]["error"]
         assert "non-finite" in measured["transient"]["error"]
         assert "value_w" in measured["power"]
+
+    def test_overflowing_records_fail_without_warnings(self, tmp_path, capfd):
+        # Every record and drive of this mixer overflows.  The failures are
+        # named in the summary; numpy prints no warning on the way.
+        path = write_config(tmp_path, (
+            "measurements: [cg, p1db, iip3, isolation, harmonics, transient]\n"
+            "scenario:\n  mixer: {a3: -1.0e+279, rd: 1.0e+40}\n"))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "mixbench", "run", "--config", path, "--out", str(out)]
+        assert subprocess.run(argv, env=env).returncode == 1
+        measured = json.loads((out / "summary.json").read_text())["measurements"]
+        assert measured == {name: {"error": "ValidationError: signal contains non-finite samples"}
+                            for name in ("cg", "p1db", "iip3", "isolation", "harmonics",
+                                         "transient")}
+        assert "RuntimeWarning" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("start, stop, named", [
         (3090, 3100, "sweeps.p1db.start_dbm: 3090.0 dBm"),
@@ -855,8 +873,7 @@ class TestNoiseLevel:
             s, settings = build_nf_setup(from_dict({"sweeps": {"nf": {"grid": {
                 "bins_per_unit": bins_per_unit}}}}))
             bins = metrics.noise_figure_setup(s, settings)[0]
-            stats.append([_band_stats(s.grid, rows)
-                          for rows in metrics._band_rows(s, settings.segments, bins)])
+            stats.append(_band_stats(s.grid, engine._record(s), settings.segments, bins))
         for a, b in zip(*stats):
             assert abs(b.density / a.density - 1.0) <= \
                 1.5 * math.hypot(a.relative_spread, b.relative_spread)
@@ -920,15 +937,20 @@ class TestDefaultRunWork:
                 assert not (a.shape == b.shape and np.array_equal(a, b))
 
     def test_memo_never_exceeds_its_budget(self, tmp_path, monkeypatch):
-        # At a 147,456-sample NF grid one array is 1.18 MB, and a run's
-        # arrays (about 3.1 MB) are twice a 1.5 MB budget.
-        budget = 1_500_000
-        held = []
+        # A default run keeps 13 arrays, 792,576 bytes, the largest 147,456
+        # bytes: about twice a 400 kB budget, so the memo must evict.
+        budget = 400_000
+        held, evicted = [], []
 
         class Watched(OrderedDict):
             def __setitem__(self, key, array):
                 super().__setitem__(key, array)
                 held.append(sum(a.nbytes for a in self.values()))
+
+            def popitem(self, last=True):
+                item = super().popitem(last)
+                evicted.append(item[1].nbytes)
+                return item
 
         # A memo of its own, restored whole afterwards: the arrays and the
         # byte count that other tests leave in the module's memo stay as
@@ -936,7 +958,7 @@ class TestDefaultRunWork:
         monkeypatch.setattr(memo, "BUDGET_BYTES", budget)
         monkeypatch.setattr(memo, "_arrays", Watched())
         monkeypatch.setattr(memo, "_counts", {"misses": 0, "nbytes": 0})
-        config = write_config(tmp_path, "sweeps: {nf: {grid: {bins_per_unit: 256}}}\n")
+        config = write_config(tmp_path, "")
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -945,6 +967,7 @@ class TestDefaultRunWork:
         finally:
             tracemalloc.stop()
         assert len(held) > 10 and max(held) <= budget
+        assert evicted
         assert memo.info().nbytes == held[-1]
         assert kept < budget + 200_000
 

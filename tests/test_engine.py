@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -299,22 +300,12 @@ class TestInPlaceArithmetic:
                 assert np.array_equal(got, samples), node
                 assert got.tobytes() == samples.tobytes(), node
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_segments_concatenate_to_the_record(self, case):
-        s = self.CASES[case]()
-        result = simulate(s)
-        for n in (1, 4, 64):
-            pieces = list(engine._segments(s, n))
-            assert len(pieces) == n
-            for node, parts in zip(("v_rf_port", "v_out"), zip(*pieces)):
-                assert {part.size for part in parts} == {s.grid.num_samples // n}
-                assert (np.concatenate(parts).tobytes()
-                        == getattr(result, node).samples.tobytes()), (n, node)
-
     def test_nonfinite_intermediate_rejected(self):
-        # The cubic term overflows to -inf at a 1e200 V drive.
+        # The cubic term overflows to -inf at a 1e200 V drive, without a
+        # numpy warning.
         s = make_scenario(mixer=make_mixer(a3=-0.696), rf_amplitude=1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="non-finite"):
                 simulate(s)
 
@@ -345,26 +336,28 @@ class TestInPlaceArithmetic:
 
 
 class TestPeriodic:
-    """``engine._periodic`` applies a period repeated from any sample."""
+    """``engine._periodic`` applies a period repeated over a record."""
 
-    @pytest.mark.parametrize("start, size", [(0, 7), (0, 21), (3, 2), (3, 4),
-                                             (5, 30), (13, 1), (6, 15)])
+    @pytest.mark.parametrize("periods", [1, 3])
     @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
-    def test_equals_the_tiled_period(self, op, start, size):
+    def test_equals_the_tiled_period(self, op, periods):
         period = np.linspace(-1.5, 2.0, 7)
-        a = np.linspace(0.25, 9.0, size)
-        laid = np.resize(period, start + size)[start:]
-        expected = op(a, laid)
-        into = np.empty(size)
-        assert engine._periodic(op, a.copy(), period, start, out=into) is into
+        a = np.linspace(0.25, 9.0, 7 * periods)
+        expected = op(a, np.tile(period, periods))
+        into = np.empty(a.size)
+        assert engine._periodic(op, a.copy(), period, out=into) is into
         assert into.tobytes() == expected.tobytes()
         got = a.copy()
-        assert engine._periodic(op, got, period, start) is got
+        assert engine._periodic(op, got, period) is got
         assert got.tobytes() == expected.tobytes()
 
+    def test_period_must_divide_the_record(self):
+        with pytest.raises(ValueError):
+            engine._periodic(np.add, np.zeros(15), np.ones(7))
+
     def test_pump_is_built_once_on_the_period(self, monkeypatch):
-        # The tones, LO leak and switch are built once, one 2,304-sample
-        # period of the 9,216-sample grid, for all eight 1,152-sample pieces.
+        # The tones, LO leak and switch are built once, on one 2,304-sample
+        # period of the 9,216-sample record.
         s = make_scenario(mixer=make_mixer(a3=-0.696, kappa=0.01303), noise_density=1e-9)
         pumps, pump = [], engine._pump
 
@@ -374,7 +367,7 @@ class TestPeriodic:
             return pumped
 
         monkeypatch.setattr(engine, "_pump", recording_pump)
-        assert [piece.shape for piece in engine._segments(s, 8)] == [(2, 1152)] * 8
+        assert engine._record(s).shape == (2, 9216)
         assert pumps == [[2304] * 3]
 
 

@@ -173,8 +173,6 @@ class TestGainRoutineBits:
         ({"a3": CAL_A3}, (3000.0, 3100.0), 50.0, ValidationError,
          "signal contains non-finite samples"),
     ], ids=["finite_peak_voltage", "silent", "overflow", "overflow_first"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_failures_match_per_point_simulation(self, mixer, power_range, step,
                                                  error, message):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, kappa=0.01303, **mixer))
@@ -184,8 +182,6 @@ class TestGainRoutineBits:
             measure_p1db(s, power_range, step)
         assert str(got.value) == str(ref.value) == message
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_conversion_gain_overflow(self):
         s = at_power(calibrated_scenario(), 2500.0)
         with pytest.raises(ValidationError, match="signal contains non-finite samples"):
@@ -450,8 +446,6 @@ class TestIIP3RoutineBits:
         (0.0, -40.0, ImmeasurableIM3Error, "IM3 ray below", 1),
         (CAL_A3, 0.0, StimulusTooHotError, r"gain moves \+", 2),
     ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
                                            message, drives):
         two = two_tone_variant(calibrated_scenario(a3=a3))
@@ -645,7 +639,7 @@ class TestPeriodicNoiseFigure:
         ratios, spreads = [], []
         for seed in range(1, 11):
             s, settings = nf_config_case(case, seed)
-            n_in, n_out = streamed_band_stats(s, settings)
+            n_in, n_out = record_band_stats(s, settings)
             ratios.append(10.0 ** ((measure_noise_figure(s, settings).nf_db - expected) / 10.0))
             spreads.append(math.hypot(n_in.relative_spread, n_out.relative_spread))
         error = math.sqrt(sum(r * r for r in spreads)) / len(spreads)
@@ -669,26 +663,10 @@ class TestPeriodicNoiseFigure:
                 periodic_noise_figure(s, settings)
 
 
-def whole_record_noise_figure(s, settings):
-    """Band statistics, gain and figure of ``s`` with its noise record
-    simulated whole, at the bins the setup returns: ``simulate``, one rFFT
-    of every segment and ``_band_stats``, and the probe's ``simulate`` and
-    ``bin_amplitude``; the reference the streamed record must reproduce."""
-    bins, probe, f_out = noise_figure_setup(s, settings)
-    result = simulate(s)
-    stats = [signals._band_stats(s.grid, np.fft.rfft(
-                 signal.samples.reshape(settings.segments, -1), axis=1)[:, used])
-             for signal, used in zip((result.v_rf_port, result.v_out), bins)]
-    gain_db = 20.0 * math.log10(bin_amplitude(simulate(probe).v_out, f_out).amplitude
-                                / probe.rf_tones[0].peak_amplitude())
-    nf_db = noise_figure_from_densities(stats[1].density, stats[0].density, gain_db)
-    return stats, gain_db, nf_db
-
-
-def streamed_band_stats(s, settings):
+def record_band_stats(s, settings):
+    """Input and output band statistics of the reference's noisy record of ``s``."""
     bins, _, _ = noise_figure_setup(s, settings)
-    return [signals._band_stats(s.grid, rows)
-            for rows in metrics._band_rows(s, settings.segments, bins)]
+    return signals._band_stats(s.grid, engine._record(s), settings.segments, bins)
 
 
 def nf_case(case):
@@ -705,74 +683,60 @@ def nf_case(case):
     return build_nf_setup(from_dict(overrides))
 
 
-class TestStreamedNoiseRecord:
-    """The NF record run one periodogram segment at a time, against the
-    whole record, bit for bit."""
+class TestNoiseFigureReference:
+    """The Monte-Carlo :func:`measure_noise_figure`, pinned to its bits."""
 
-    @pytest.mark.parametrize("case", ["default", "band_limited", "smooth_a2",
-                                      "kappa_0", "segments_4", "segments_64"])
-    def test_equals_whole_record(self, case):
-        s, settings = nf_case(case)
-        stats, gain_db, nf_db = whole_record_noise_figure(s, settings)
-        assert streamed_band_stats(s, settings) == stats
-        assert stats[0].segments == settings.segments
-        res = measure_noise_figure(s, settings)
-        assert (res.input_density, res.output_density) == (stats[0].density,
-                                                            stats[1].density)
-        # The probe gain is a drive of the cubic; the figure follows from it
-        # and the densities to the bit.
-        assert res.gain_db == pytest.approx(gain_db, rel=0, abs=ORACLE_DB)
-        assert res.nf_db == noise_figure_from_densities(stats[1].density,
-                                                        stats[0].density, res.gain_db)
-        assert res.nf_db == pytest.approx(nf_db, rel=0, abs=ORACLE_DB)
+    # (input_density, output_density, gain_db, nf_db) of each case, as the
+    # reference read them when it streamed its record a periodogram segment
+    # at a time.
+    PINNED = {
+        "default": (3.777482313283636e-10, 2.8059103099692394e-09,
+                    13.507760709609993, 3.9096661952440694),
+        "band_limited": (1.0054393863899708e-09, 7.289684159340396e-09,
+                         13.507760709609993, 3.699295651185599),
+        "smooth_a2": (3.777482313283636e-10, 2.7922554446853106e-09,
+                      13.50121489303737, 3.8738392442738885),
+        "kappa_0": (3.777482313283447e-10, 2.8214340823020517e-09,
+                    13.568258107671202, 3.897091265009063),
+        "segments_4": (3.7793823882590807e-10, 2.8066668408105867e-09,
+                       13.507760709609993, 3.907639865984098),
+        "segments_64": (3.7781554213922077e-10, 2.8046014880473904e-09,
+                        13.507760709609993, 3.904066103718058),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_values(self, case):
+        res = measure_noise_figure(*nf_case(case))
+        assert (res.input_density, res.output_density, res.gain_db,
+                res.nf_db) == self.PINNED[case]
+        assert res.warning is None
 
     @pytest.mark.parametrize("noise_density, rf_power_dbm, message", [
         (1.0e200, None, "signal contains non-finite samples"),
         (None, 2500.0, "signal contains non-finite samples"),
         (None, 3100.0, "3100.0 dBm has no finite peak voltage"),
     ], ids=["noise_overflow", "tone_overflow", "no_finite_peak_voltage"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_failures_match_whole_record(self, noise_density, rf_power_dbm, message):
+    def test_record_failures(self, noise_density, rf_power_dbm, message):
         s, settings = build_nf_setup(from_dict({}))
         if noise_density is not None:
             s = replace(s, input_noise_density=noise_density)
         if rf_power_dbm is not None:
             s = at_power(s, rf_power_dbm)
-        with pytest.raises(ValidationError) as ref:
-            whole_record_noise_figure(s, settings)
-        with pytest.raises(ValidationError) as got:
-            measure_noise_figure(s, settings)
-        assert str(got.value) == str(ref.value) == message
-
-    def test_memory_is_bounded(self):
-        # A few 36,864-sample segments at a time: about 1.7 MB of peak, where
-        # simulating the 1,179,648-sample record whole takes about 48 MB.
-        s, settings = build_nf_setup(from_dict({}))
-        measure_noise_figure(s, settings)  # fill the memos first
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            measure_noise_figure(s, settings)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 1024 * 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as got:
+                measure_noise_figure(s, settings)
+        assert str(got.value) == message
 
     def test_cold_run_keeps_no_record_length_array(self):
         # With the memo empty, the tones, LO and switch are built on the
-        # 576-sample common period, not on the 1,179,648-sample record
-        # (9.4 MB an array); the peak is a few segments (about 2.4 MB).
+        # 576-sample common period, so the memo keeps no array of the
+        # 1,179,648-sample record.
         s, settings = build_nf_setup(from_dict({}))
         memo.clear()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            measure_noise_figure(s, settings)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        measure_noise_figure(s, settings)
+        arrays = list(memo._arrays.values())
+        assert arrays and all(a.size < s.grid.num_samples for a in arrays)
 
 
 def full_record_probe_gain_db(s, settings, f_out):
@@ -797,10 +761,9 @@ class TestNoiseFigureProbe:
         s, settings = build_nf_setup(from_dict({}))
         grids = record_grids(monkeypatch)
         res = measure_noise_figure(s, settings)
-        # The noisy record on the NF grid, one 36,864-sample periodogram
-        # segment at a time, then one simulation on the 576-sample common
-        # period of RF, LO and IF (the probe).
-        assert grids == [36864] * 32 + [576]
+        # The noisy record on the 1,179,648-sample NF grid, whole, then the
+        # probe's drive cubic on the 576-sample common period of RF, LO and IF.
+        assert grids == [1179648, 576]
         monkeypatch.undo()
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, s.f_if), abs=1e-9)
@@ -837,6 +800,18 @@ class TestNoiseFigureProbe:
         s, settings = nf_setup_from_config()
         with pytest.raises(WrongStimulusError, match="non-silent RF tone"):
             measure_noise_figure(s, replace(settings, probe_power_dbm=-1.0e6))
+
+    def test_non_finite_probe_gain_rejected(self):
+        # The probe's cubic overflows its gain, while the noise is too weak
+        # for the record to overflow; periodic_noise_figure's own test has
+        # this probe too.
+        s, settings = nf_setup_from_config(
+            rf_power_dbm=-3000.0, noise={"input_density": 1.0e-90},
+            mixer={"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteReadingError, match="probe gain inf dB"):
+                measure_noise_figure(s, replace(settings, probe_power_dbm=-90.0))
 
 
 def quiet_readings(s, two_tone, per_tone_dbm):
@@ -977,7 +952,6 @@ class TestDriveCubicGuard:
         # and failures.
         assert outcomes == {"cubic", "record", "non-finite", "raises"}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_covered_drives_have_finite_records(self):
         # Where the guard vouches for a drive, its own record is finite and
         # so is its projection, for one tone and for two.
