@@ -300,6 +300,18 @@ class TestInPlaceArithmetic:
                 assert np.array_equal(got, samples), node
                 assert got.tobytes() == samples.tobytes(), node
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_drive_record_is_the_driven_output(self, case):
+        # Every RF tone at one 0.05 V peak: the output node of the reference
+        # run of that drive, to the bit, as a fresh writeable array.
+        s = self.CASES[case]()
+        driven = replace(s, rf_tones=tuple(replace(t, amplitude=0.05, power_dbm=None)
+                                           for t in s.rf_tones))
+        expected = reference_simulate(driven)["v_out"]
+        got = engine._drive_record(s, 0.05)
+        assert got.flags.writeable
+        assert got.tobytes() == expected.tobytes()
+
     def test_nonfinite_intermediate_rejected(self):
         # The cubic term overflows to -inf at a 1e200 V drive, without a
         # numpy warning.
@@ -338,11 +350,12 @@ class TestInPlaceArithmetic:
 class TestPeriodic:
     """``engine._periodic`` applies a period repeated over a record."""
 
-    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("size, periods", [(7, 1), (7, 3), (1, 1), (1, 13),
+                                               (2, 4), (5, 6), (30, 2)])
     @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
-    def test_equals_the_tiled_period(self, op, periods):
-        period = np.linspace(-1.5, 2.0, 7)
-        a = np.linspace(0.25, 9.0, 7 * periods)
+    def test_equals_the_tiled_period(self, op, size, periods):
+        period = np.linspace(-1.5, 2.0, size)
+        a = np.linspace(0.25, 9.0, size * periods)
         expected = op(a, np.tile(period, periods))
         into = np.empty(a.size)
         assert engine._periodic(op, a.copy(), period, out=into) is into
@@ -351,9 +364,12 @@ class TestPeriodic:
         assert engine._periodic(op, got, period) is got
         assert got.tobytes() == expected.tobytes()
 
-    def test_period_must_divide_the_record(self):
+    @pytest.mark.parametrize("size, period", [(15, 7), (6, 7), (8, 3)])
+    def test_period_must_divide_the_record(self, size, period):
+        a = np.zeros(size)
         with pytest.raises(ValueError):
-            engine._periodic(np.add, np.zeros(15), np.ones(7))
+            engine._periodic(np.add, a, np.ones(period))
+        assert not a.any()
 
     def test_pump_is_built_once_on_the_period(self, monkeypatch):
         # The tones, LO leak and switch are built once, on one 2,304-sample

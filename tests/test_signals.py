@@ -461,6 +461,22 @@ class TestWhiteNoise:
         both = np.stack((sig.samples, other.samples))
         assert signals._band_stats(grid, both, 16, (used, used))[0] == stats
 
+    @pytest.mark.parametrize("density, band", [
+        (1e-3, None), (1e-3, (10.0, 40.0)), (0.0, None)],
+        ids=["white", "band_limited", "silent"])
+    def test_noise_is_a_fresh_whole_record(self, density, band):
+        # Records add their tones into the draw in place, so each call
+        # returns a new writeable array holding the white_noise record.
+        grid = make_grid(1024.0, 4096)
+        record = white_noise(grid, density, seed=7, band=band).samples
+        first, second = (signals._noise(grid, density, 7, band) for _ in range(2))
+        for draw in (first, second):
+            assert draw.shape == (4096,)
+            assert draw.flags.writeable and draw.flags.c_contiguous
+            assert draw.tobytes() == record.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, record)
+
     def test_segment_divisibility_required(self):
         grid = make_grid(1000.0, 1000)
         sig = SampledSignal(grid=grid, samples=np.zeros(1000))
