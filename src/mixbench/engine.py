@@ -23,22 +23,27 @@ Two grid choices keep the switching spectrum exact:
 Every mixer record is built here, whole, by one function
 (:func:`_record`), on one kernel (:func:`_respond`), with its RF port
 summed in one order (tones, LO leak, noise).  :func:`simulate` keeps both
-ports for isolation and the transient output, and the Monte-Carlo
+ports for the harmonic and transient outputs, and the Monte-Carlo
 noise-figure reference reads the periodograms of both.  A record's
 deterministic part, its tones, LO leak and switch, repeats with the common
 period of its RF tones and LO, so it is built once on that period
 (:func:`_pump`) and laid over the record in place (:func:`_periodic`).
-The noise figure itself runs no record: it reads the mixer's small-signal
-gain on that one period (:func:`metrics.periodic_noise_figure`).
+The LO voltage is the LO's peak amplitude times its memoised unit basis.
+Two measurements read that one period and run no record: isolation reads
+the LO ray of its noise-free RF port (:func:`_port_ray`), and the noise
+figure the mixer's small-signal gain (:func:`metrics.periodic_noise_figure`).
 
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
 the two drives of IIP3) need no record per drive.  The port is ``A*b + e``
 and the transconductor a cubic, so every ray read from the output is a
-cubic in ``A``: :func:`_drive_cubic` projects its four coefficient terms
-(:func:`_cubic_terms`) once (the power-series view of a weakly nonlinear
-circuit; Wambacq & Sansen, 1998).  A drive whose own record it cannot
-prove finite is run whole by :func:`_drive_record` instead.
+cubic in ``A``: :func:`_drive_cubic` moves a noise-free scenario onto the
+common period of its tones, LO and rays, picks each ray's readout, and
+projects its four coefficient terms (:func:`_cubic_terms`) once (the
+power-series view of a weakly nonlinear circuit; Wambacq & Sansen, 1998).
+Its :meth:`DriveCubic.rays` reads every ray at a drive; a drive whose own
+record it cannot prove finite is run whole by :func:`_drive_record` and
+read from that record instead.
 """
 
 from __future__ import annotations
@@ -48,11 +53,10 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import memo
 from .devices import (
     BiasParams,
     LeakageParams,
@@ -69,9 +73,9 @@ from .signals import (
     SimGrid,
     ToneSpec,
     _check_finite,
-    _cos_basis,
     _noise,
     _project,
+    _readout,
     _tone_basis,
     check_noise_band,
 )
@@ -246,36 +250,21 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
     return SampledSignal._adopt(v.grid, out, v.unit)
 
 
-@memo.memoised
-def _lo_drive(grid: SimGrid, lo_tone: ToneSpec) -> np.ndarray:
-    """The read-only LO voltage on ``grid``, checked for non-finite samples.
-
-    It depends only on the key, so every record whose common period is
-    ``grid`` (:func:`_pump`) shares it.  Its cosine basis is built outside
-    the memo: the memo keeps ``v_lo`` alone, not also the basis it equals
-    at a 1 V LO.
-    """
-    k = grid.ray_bin(lo_tone.frequency, "tone")
-    v_lo = lo_tone.peak_amplitude() * _cos_basis.__wrapped__(grid.num_samples, k, lo_tone.phase)
-    _check_finite(v_lo)
-    v_lo.setflags(write=False)
-    return v_lo
-
-
 def _pump(s: Scenario, amplitudes: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(tones, leak, sw)`` of ``s`` over one common period of its RF tones and LO.
 
     ``tones`` is ``0 + a_1*b_1 + a_2*b_2``, each RF tone's memoised unit
     basis ``b_i`` on the period at its amplitude in ``amplitudes``, summed
-    in place in that order; ``leak`` is ``0 +`` the LO leak of the
-    memoised LO voltage (all zeros when ``kappa`` is 0); ``sw`` is the
-    switch.  Each is a fresh array one period long, made once per record:
-    the pump of a periodically switched circuit repeats with the period
-    (Strom & Signell, 1977), so a record applies it to its own samples
-    through :func:`_periodic` and never holds it at the record's length.
+    in place in that order; ``leak`` is ``0 +`` the LO leak of the LO
+    voltage, the LO's peak amplitude times its memoised unit basis (all
+    zeros when ``kappa`` is 0); ``sw`` is the switch.  Each is a fresh
+    array one period long, made once per record: the pump of a
+    periodically switched circuit repeats with the period (Strom &
+    Signell, 1977), so a record applies it to its own samples through
+    :func:`_periodic` and never holds it at the record's length.
     """
     grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo))
-    v_lo = _lo_drive(grid, s.lo_tone)
+    v_lo = s.lo_tone.peak_amplitude() * _tone_basis(grid, s.lo_tone)
     tones, leak = np.zeros(grid.num_samples), np.zeros(grid.num_samples)
     for amp, tone in zip(amplitudes, s.rf_tones):
         tones += amp * _tone_basis(grid, tone)
@@ -380,26 +369,29 @@ def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
 _CUBIC_LIMIT = sys.float_info.max / 2.0 ** 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveCubic:
-    """The rays of ``s`` with every RF tone at one peak amplitude ``A``, as cubics in ``A``.
+    """The rays of ``scenario`` with every RF tone at one peak amplitude ``A``, as cubics in ``A``.
 
-    ``projections[i]`` is ``(P_0, P_1, P_2, P_3)`` of ray ``i``: the
-    projections of ``rd * sw * c_j`` (:func:`_cubic_terms`), so its reading
-    at drive ``A`` is ``P_0 + A*P_1 + A^2*P_2 + A^3*P_3``.
+    ``readouts`` holds the ``(bin, basis)`` pair of each ray on the grid
+    of ``scenario``, and ``projections[i]`` is ``(P_0, P_1, P_2, P_3)`` of
+    ray ``i``: the projections of ``rd * sw * c_j`` (:func:`_cubic_terms`),
+    so its reading at drive ``A`` is ``P_0 + A*P_1 + A^2*P_2 + A^3*P_3``.
 
     The other fields bound the drive's own record.  Every tone basis lies
     in [-1, 1], so each partial sum of the RF port is at most
-    ``w = max(1, A*tones + extra_peak)``, ``extra_peak`` summing the LO
-    leak's and the noise's largest samples.  Each transconductor term, the
-    current, ``v_out`` and the projection's running sum over the record are
-    then at most ``bound[0] + bound[1]*w + bound[2]*w^2 + bound[3]*w^3``:
+    ``w = max(1, A*tones + extra_peak)``, ``tones`` counting the RF tones
+    and ``extra_peak`` summing the LO leak's and the noise's largest
+    samples.  Each transconductor term, the current, ``v_out`` and the
+    projection's running sum over the record are then at most
+    ``bound[0] + bound[1]*w + bound[2]*w^2 + bound[3]*w^3``:
     ``N * max(1, rd)`` times ``|gm*v_gs1|``, ``gm``, ``|a2|`` and ``|a3|``.
     ``bound`` is inf when a projection is not finite.
     """
 
+    scenario: Scenario
+    readouts: Tuple[Tuple[int, np.ndarray], ...]
     projections: Tuple[Tuple[complex, ...], ...]
-    tones: int
     extra_peak: float
     bound: Tuple[float, float, float, float]
 
@@ -410,18 +402,38 @@ class DriveCubic:
         record reads finite and so does the cubic; elsewhere only the
         record says how the drive fails.
         """
-        w = max(1.0, amplitude * self.tones + self.extra_peak)
+        w = max(1.0, amplitude * len(self.scenario.rf_tones) + self.extra_peak)
         b0, b1, b2, b3 = self.bound
         return b0 + w * (b1 + w * (b2 + w * b3)) <= _CUBIC_LIMIT
 
-    def reading(self, ray: int, amplitude: float) -> complex:
-        """Bin value of ray ``ray`` at drive ``amplitude``, by Horner's rule."""
-        p0, p1, p2, p3 = self.projections[ray]
-        return ((p3 * amplitude + p2) * amplitude + p1) * amplitude + p0
+    def rays(self, amplitude: float) -> List[float]:
+        """Amplitude of every ray at drive ``amplitude``, in order.
+
+        Read from the cubic by Horner's rule where it :meth:`covers` the
+        drive.  Any other drive runs its own record (:func:`_drive_record`)
+        and projects it, so it fails, or reads inf or NaN, exactly as that
+        record does: the record is scanned for non-finite samples only when
+        a reading is not finite, since a non-finite sample makes every
+        projection non-finite and a finite record whose sum overflows reads
+        inf.
+        """
+        if self.covers(amplitude):
+            return [abs(((p3 * amplitude + p2) * amplitude + p1) * amplitude + p0)
+                    for p0, p1, p2, p3 in self.projections]
+        v_out = _drive_record(self.scenario, amplitude)
+        with np.errstate(all="ignore"):  # a non-finite reading is checked below
+            amps = [abs(_project(v_out, *readout)) for readout in self.readouts]
+        if not all(map(math.isfinite, amps)):
+            _check_finite(v_out)
+        return amps
 
 
-def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> DriveCubic:
-    """The rays ``readouts`` (``(bin, basis)`` pairs) of ``s`` as cubics in the drive amplitude.
+def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
+    """The rays at frequencies ``rays`` of ``s`` as cubics in the drive amplitude.
+
+    A noise-free ``s`` is first moved onto the common period of its tones,
+    LO and ``rays``: the model is memoryless, so its bin readings there
+    equal those on the full record.  A noisy one keeps its grid.
 
     The mixer is memoryless and its transconductor a cubic, so with every
     RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of the unit
@@ -434,6 +446,11 @@ def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> Dri
     period's leak.  A term or projection that overflows makes inf or NaN
     without a warning, and sets ``bound`` to inf.
     """
+    if not s.input_noise_density > 0:
+        grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
+        if grid != s.grid:
+            s = replace(s, grid=grid)
+    readouts = tuple(_readout(s.grid, f) for f in rays)
     n = s.grid.num_samples
     with np.errstate(all="ignore"):
         tones, leak, sw = _pump(s, (1.0,) * len(s.rf_tones))
@@ -448,8 +465,24 @@ def _drive_cubic(s: Scenario, readouts: Sequence[Tuple[int, np.ndarray]]) -> Dri
     bound = tuple(scale * abs(a) for a in (t.gm * t.v_gs1, t.gm, t.a2, t.a3))
     if not np.isfinite(terms).all():
         bound = (math.inf,) * 4
-    return DriveCubic(projections=tuple(zip(*terms)), tones=len(s.rf_tones),
+    return DriveCubic(scenario=s, readouts=readouts, projections=tuple(zip(*terms)),
                       extra_peak=extra_peak, bound=bound)
+
+
+def _port_ray(s: Scenario, frequency: float) -> float:
+    """Amplitude of the ``frequency`` ray of the noise-free RF port of ``s``, unchecked.
+
+    The port is the tones plus the LO leak of :func:`_pump`, the port of
+    :func:`simulate` without its noise, read on the pump's period, so no
+    mixer record is built.  A port or a projection that overflows reads
+    inf or NaN without a warning.
+    """
+    with np.errstate(all="ignore"):
+        port, leak, _ = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+        port += leak
+        # The pump's period keeps the sample rate of s.
+        return abs(_project(port, *_readout(replace(s.grid, num_samples=port.size),
+                                            frequency)))
 
 
 def simulate(s: Scenario) -> TransientResult:
@@ -458,7 +491,8 @@ def simulate(s: Scenario) -> TransientResult:
     Pure function of the scenario (the noise generator is seeded from it),
     so identical scenarios produce identical results.  The record is
     :func:`_record`'s; each port is adopted as a signal, and so checked for
-    non-finite samples, the RF port first.
+    non-finite samples, the RF port first.  Only the harmonic and transient
+    outputs run it; every measurement reads a ray or the pump instead.
     """
     port, v_out = _record(s)
     return TransientResult(scenario=s, v_rf_port=SampledSignal._adopt(s.grid, port, "volt"),

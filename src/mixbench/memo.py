@@ -1,17 +1,18 @@
 """One memo for read-only grid arrays, bounded in bytes.
 
-The tone and bin bases of :mod:`signals` and the LO voltage of
-:mod:`engine` are pure functions of small hashable keys, and each is an
-array as long as its grid.  They share this one memo.  It keeps at most
-``BUDGET_BYTES`` of arrays, drops the least recently used array to make
-room for a new one, and never keeps an array larger than the budget: that
-one is built on every call and returned, not kept.
+The tone and bin bases of :mod:`signals` are pure functions of small
+hashable keys, and each is an array as long as its grid.  They share this
+one memo.  It keeps at most ``BUDGET_BYTES`` of arrays, drops the least
+recently used array to make room for a new one, and never keeps an array
+larger than the budget: that one is built on every call and returned, not
+kept.
 
-Records ask for their LO voltage and tone bases on the common period of
-their RF tones and LO, not on their own grid, so a default run keeps 13
-arrays, 792,576 bytes, and none on the 1,179,648-sample noise-figure grid:
-LO voltages and tone bases of 576, 2,304 and 9,216 samples, and the bin
-bases of the rays it reads.
+Records ask for their tone bases, the LO's among them, on the common
+period of their RF tones and LO, not on their own grid, and scale the
+LO's by its amplitude outside the memo.  So a default run keeps 13
+arrays, 792,576 bytes, and none on the 1,179,648-sample noise-figure
+grid: unit LO and tone bases of 576, 2,304 and 9,216 samples, and the
+bin bases of the rays it reads.
 
 Threads may share the memo.  One lock guards its lookups, evictions and
 insertions; arrays are built outside it.  When two threads build the same
@@ -49,8 +50,7 @@ def memoised(build: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     """``build``, its arrays kept in the memo under its positional arguments.
 
     ``build`` must return a fresh read-only array that depends on its
-    arguments alone.  The wrapper's ``__wrapped__`` is ``build`` itself,
-    for an array that is read once and should not enter the memo.
+    arguments alone.  The wrapper's ``__wrapped__`` is ``build`` itself.
     """
     @functools.wraps(build)
     def lookup(*args) -> np.ndarray:

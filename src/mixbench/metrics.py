@@ -15,41 +15,27 @@ spectrum analyzer:
   tests' reference, estimated from a noisy record
   (:func:`measure_noise_figure`).
 
-The model is memoryless, so every noise-free simulation here runs on the
-common period of its tones, its LO and the rays it reads; its bin readings
-equal those on the full record to the last bits.  The noisy record of the
-reference keeps its full grid, whose tones, LO leak and switch
-:mod:`engine` builds on the period and lays over the record.
-
-Every record comes from :mod:`engine`; this module only reads its bins.
+Every ray comes from :mod:`engine`, which picks its grid, its readout and
+how it is read; this module only turns ray amplitudes into figures.
 Conversion gain, every compression-sweep point, the noise-figure gain
-probe and the two drives of IIP3 are read by :func:`_drive_rays` from one
-:func:`engine._drive_cubic` per measurement: the mixer is memoryless with
-a cubic transconductor, so each ray is a cubic in the drive amplitude, and
-a drive the cubic cannot vouch for runs its own record, read by
-:func:`_ray`.  The noise figure reads the period of :func:`engine._pump`
-and runs no record; the reference reads the periodograms of its whole
-noisy record (:func:`engine._record`), and isolation the RF port of
-:func:`engine.simulate`.
+probe and the two drives of IIP3 are read from one
+:func:`engine._drive_cubic` per measurement (:meth:`engine.DriveCubic.rays`),
+isolation from the noise-free RF port of :func:`engine._port_ray`, and
+the noise figure from the period of :func:`engine._pump`.  None builds a
+mixer record but a drive its cubic cannot vouch for and the Monte-Carlo
+reference, which reads the periodograms of a whole noisy record
+(:func:`engine._record`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .engine import (
-    DriveCubic,
-    Scenario,
-    _drive_cubic,
-    _drive_record,
-    _pump,
-    _record,
-    simulate,
-)
+from .engine import Scenario, _drive_cubic, _port_ray, _pump, _record
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -64,11 +50,8 @@ from .signals import (
     ToneSpec,
     _band_stats,
     _check_finite,
-    _project,
-    _readout,
     amplitude_to_dbm,
     band_edges,
-    bin_amplitude,
     dbm_to_amplitude,
     noise_band_bins,
 )
@@ -144,14 +127,6 @@ class NoiseFigureResult:
     warning: Optional[str] = None
 
 
-def _on_common_period(s: Scenario, *rays: float) -> Scenario:
-    """``s``, if noise-free, on the common period of its tones, LO and ``rays``."""
-    if s.input_noise_density > 0:
-        return s
-    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
-    return s if grid == s.grid else replace(s, grid=grid)
-
-
 def check_drive(amplitude: float):
     """Raise WrongStimulusError unless a gain can be read at RF peak ``amplitude``: it is > 0."""
     if not amplitude > 0:
@@ -164,74 +139,33 @@ def check_lo_drive(amplitude: float):
         raise WrongStimulusError("isolation needs an active LO tone")
 
 
-def _ray(v_out: np.ndarray, k: int, basis: np.ndarray) -> float:
-    """Amplitude of the bin-``k`` ray of a plain ``v_out``, as :func:`signals.bin_value` reads it.
-
-    ``v_out`` is scanned for non-finite samples only when the reading is not
-    finite: a non-finite sample always makes the projection non-finite, and
-    a finite record whose sum overflows reads inf.
-    """
-    with np.errstate(all="ignore"):  # a non-finite reading is checked below
-        amp = abs(_project(v_out, k, basis))
-    if not math.isfinite(amp):
-        _check_finite(v_out)
-    return amp
-
-
-def _drive_rays(s: Scenario, cubic: DriveCubic, readouts: Sequence[Tuple[int, np.ndarray]],
-                amplitude: float) -> List[float]:
-    """Amplitudes of the first ``len(readouts)`` rays of ``cubic`` at drive ``amplitude``.
-
-    Read from the cubic where it covers the drive (:meth:`DriveCubic.covers`);
-    any other drive runs its own record (:func:`engine._drive_record`) and
-    reads it by :func:`_ray`, so it fails, or reads inf or NaN, exactly as
-    that record does.
-    """
-    if cubic.covers(amplitude):
-        return [abs(cubic.reading(i, amplitude)) for i in range(len(readouts))]
-    v_out = _drive_record(s, amplitude)
-    return [_ray(v_out, *readout) for readout in readouts]
-
-
 def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
     """Gain in dB of single-tone ``s`` read at ``ray`` as a function of the RF peak amplitude.
 
-    One :func:`engine._drive_cubic` on the common period of ``s`` and
-    ``ray`` serves every amplitude it is called with, through
-    :func:`_drive_rays`.  A silent drive raises before it is read.
+    One :func:`engine._drive_cubic` serves every amplitude it is called
+    with.  A silent drive raises before it is read.
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
-    s = _on_common_period(s, ray)
-    readouts = (_readout(s.grid, ray),)
-    cubic = _drive_cubic(s, readouts)
+    cubic = _drive_cubic(s, (ray,))
 
     def gain(amp_in: float) -> float:
         check_drive(amp_in)
-        amp_out, = _drive_rays(s, cubic, readouts, amp_in)
+        amp_out, = cubic.rays(amp_in)
         return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
 
     return gain
 
 
-def _conversion_gains(s: Scenario, ray: float, amplitudes: Iterable[float]) -> List[float]:
-    """Gain in dB of single-tone ``s`` read at ``ray``, at each RF peak amplitude, in order.
-
-    ``amplitudes`` is consumed one point at a time, so a point that fails
-    raises after every point before it has been read.
-    """
-    gain = _gain_reader(s, ray)
-    return [gain(amp) for amp in amplitudes]
-
-
 def measure_conversion_gain(s: Scenario) -> float:
-    """Conversion gain in dB of a single-tone scenario, read at the IF bin of its period.
+    """Conversion gain in dB of a single-tone scenario at its tone's amplitude, read at the IF.
 
-    The one-amplitude case of :func:`_conversion_gains`: a noise-free
-    scenario runs on its common period, a noisy one on its full grid.
+    A noise-free scenario is read on its common period, a noisy one on
+    its full grid (:func:`engine._drive_cubic`).
     """
-    return _conversion_gains(s, s.f_if, (s.rf_tones[0].peak_amplitude(),))[0]
+    amplitude = s.rf_tones[0].peak_amplitude()
+    return _gain_reader(s, s.f_if)(amplitude)
 
 
 def sweep_size(power_range: Tuple[float, float], step: float) -> int:
@@ -348,19 +282,16 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     outside the weak-signal range: the gain may move by at most 0.5 dB
     either way, down in compression or up where the cubic overdrives.  Two
     equal tones keep every ray a cubic in their amplitude, so both drives
-    are read from one :func:`engine._drive_cubic` by :func:`_drive_rays`.
-    At a tone spacing whose bin is coprime to the grid, the common period
-    is the full grid.
+    are read from one :func:`engine._drive_cubic`.  At a tone spacing whose
+    bin is coprime to the grid, the common period is the full grid.
     """
     rays = two_tone_rays(s)
-    s = _on_common_period(s, *rays)
-    readouts = [_readout(s.grid, f) for f in rays]
     cold_dbm = per_tone_power_dbm - 20.0
     hot = dbm_to_amplitude(per_tone_power_dbm)
-    cubic = _drive_cubic(s, readouts)
+    cubic = _drive_cubic(s, rays)
 
     p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, amp).power_dbm
-                               for f, amp in zip(rays, _drive_rays(s, cubic, readouts, hot)))
+                               for f, amp in zip(rays, cubic.rays(hot)))
     p_im3_used = max(p_im3, p_mirror)
     if p_im3_used < MEASUREMENT_FLOOR_DBM:
         raise ImmeasurableIM3Error(
@@ -368,7 +299,7 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
             f"cubic nonlinearity")
 
     # The cold drive is read only after the hot one passes its IM3 check.
-    cold, = _drive_rays(s, cubic, readouts[:1], dbm_to_amplitude(cold_dbm))
+    cold = cubic.rays(dbm_to_amplitude(cold_dbm))[0]
     gain_hot = p_fund - per_tone_power_dbm
     gain_cold = amplitude_to_dbm(cold) - cold_dbm
     if abs(gain_cold - gain_hot) > 0.5:
@@ -385,11 +316,17 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
 
 
 def measure_isolation(s: Scenario) -> float:
-    """LO-to-RF isolation in dB: LO ray at the RF port over injected LO, on the period."""
+    """LO-to-RF isolation in dB: LO ray at the RF port over injected LO.
+
+    The ray is read from the noise-free port of the pump's period
+    (:func:`engine._port_ray`), so the input noise of ``s`` does not move
+    it.  Raises NonFiniteReadingError if the reading is not finite.
+    """
     a_lo = s.lo_tone.peak_amplitude()
     check_lo_drive(a_lo)
-    result = simulate(_on_common_period(s, s.f_lo))
-    a_leak = bin_amplitude(result.v_rf_port, s.f_lo).amplitude
+    a_leak = _port_ray(s, s.f_lo)
+    if not math.isfinite(a_leak):
+        raise NonFiniteReadingError(f"LO ray at the RF port {a_leak!r} V")
     ratio = a_leak / a_lo
     if 20.0 * math.log10(max(ratio, 1e-300)) <= ISOLATION_FLOOR_DB:
         return ISOLATION_FLOOR_DB
@@ -417,9 +354,8 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     periodogram bins (:func:`signals.noise_band_bins`) of the input and the
     output band; the input band masks the stimulus, the output band also
     every mixing product and odd LO harmonic up to its top edge.  ``probe``
-    is a noise-free clone carrying a single probe tone at the RF
-    frequency, on the common period of RF, LO and the read-out ray
-    ``f_signal_out``.
+    is a noise-free clone on the same grid carrying a single probe tone at
+    the RF frequency, read at ``f_signal_out``.
 
     Everything here is decided before any simulation, so it raises for
     settings the measurement would fail on without running it, and for a
@@ -459,7 +395,7 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
                           phase=s.rf_tones[0].phase)
     quiet = replace(s, rf_tones=(probe_tone,), input_noise_density=0.0,
                     input_noise_band=None)
-    return bins, _on_common_period(quiet, f_signal_out), f_signal_out
+    return bins, quiet, f_signal_out
 
 
 def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
@@ -468,7 +404,8 @@ def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
     Raises WrongStimulusError if no ray is read there, and
     NonFiniteReadingError if the gain is otherwise not finite.
     """
-    gain_db = _conversion_gains(probe, f_signal_out, (probe.rf_tones[0].peak_amplitude(),))[0]
+    amplitude = probe.rf_tones[0].peak_amplitude()
+    gain_db = _gain_reader(probe, f_signal_out)(amplitude)
     if gain_db == -math.inf:
         raise WrongStimulusError(
             f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")

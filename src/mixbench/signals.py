@@ -470,9 +470,10 @@ def _band_stats(grid: SimGrid, records: np.ndarray, segments: int,
         band_psd = (np.abs(np.fft.rfft(record, axis=1)[:, used]) ** 2) \
             * (2.0 / (grid.sample_rate * seg_len))
         mean_power = float(band_psd.mean())
-        per_segment = band_psd.mean(axis=1)
-        spread = float(per_segment.std(ddof=1) / math.sqrt(segments) / mean_power) \
-            if mean_power > 0 else 0.0
+        # Relative to the mean before the std squares them, so a finite
+        # periodogram cannot overflow.
+        spread = float((band_psd.mean(axis=1) / mean_power).std(ddof=1)
+                       / math.sqrt(segments)) if mean_power > 0 else 0.0
         stats.append(BandNoiseStats(density=math.sqrt(mean_power), relative_spread=spread,
                                     bins_used=used.size, segments=segments))
     return stats

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from mixbench import engine, metrics
+from mixbench import engine
 from mixbench.devices import (
     BiasParams,
     LeakageParams,
@@ -117,6 +117,8 @@ def record_grids(monkeypatch):
     ``simulate`` call, per ``engine._drive_record`` and per noise-figure
     reference record), and ``engine._cubic_terms`` per
     ``engine._drive_cubic``, which serves every drive of a measurement.
+    Reads of the pump's period alone (isolation, the noise figure) run no
+    kernel.
     """
     grids = []
 
@@ -136,10 +138,11 @@ def record_grids(monkeypatch):
 def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
-    One entry per ``devices._switch`` call, all of which ``engine`` makes,
-    on one common period of the RF tones and LO: per ``engine._record``
-    (so per ``simulate``, per ``engine._drive_record`` and per noise-figure
-    reference record) and per ``engine._drive_cubic``.
+    One entry per ``devices._switch`` call, all of which ``engine._pump``
+    makes, on one common period of the RF tones and LO: per
+    ``engine._record`` (so per ``simulate``, per ``engine._drive_record``
+    and per noise-figure reference record), per ``engine._drive_cubic``,
+    per ``engine._port_ray`` and per ``metrics.periodic_noise_figure``.
     """
     sizes = []
 
@@ -154,8 +157,9 @@ def record_switches(monkeypatch):
 def record_projections(monkeypatch):
     """Count the bin projections of N-sample arrays; return their lengths.
 
-    One entry per ``signals._project`` call that ``engine`` (the terms of a
-    drive cubic) or ``metrics`` (a record read by ``metrics._ray``) makes.
+    One entry per ``signals._project`` call that ``engine`` makes: the
+    terms of a drive cubic, a drive record read by
+    ``engine.DriveCubic.rays`` and the port read by ``engine._port_ray``.
     """
     sizes = []
 
@@ -164,5 +168,4 @@ def record_projections(monkeypatch):
         return _project(samples, k, basis)
 
     monkeypatch.setattr(engine, "_project", recording_project)
-    monkeypatch.setattr(metrics, "_project", recording_project)
     return sizes

@@ -543,6 +543,7 @@ class TestCliRun:
     def test_overflowing_records_fail_without_warnings(self, tmp_path, capfd):
         # Every record and drive of this mixer overflows.  The failures are
         # named in the summary; numpy prints no warning on the way.
+        # Isolation reads the RF port alone, which stays finite: 20*log10(kappa).
         path = write_config(tmp_path, (
             "measurements: [cg, p1db, iip3, isolation, harmonics, transient]\n"
             "scenario:\n  mixer: {a3: -1.0e+279, rd: 1.0e+40}\n"))
@@ -552,9 +553,11 @@ class TestCliRun:
         argv = [sys.executable, "-m", "mixbench", "run", "--config", path, "--out", str(out)]
         assert subprocess.run(argv, env=env).returncode == 1
         measured = json.loads((out / "summary.json").read_text())["measurements"]
+        isolation = measured.pop("isolation")
+        assert isolation == {"value_db": pytest.approx(20.0 * math.log10(0.01303), abs=1e-9)}
+        assert round(isolation["value_db"], 2) == -37.70
         assert measured == {name: {"error": "ValidationError: signal contains non-finite samples"}
-                            for name in ("cg", "p1db", "iip3", "isolation", "harmonics",
-                                         "transient")}
+                            for name in ("cg", "p1db", "iip3", "harmonics", "transient")}
         assert "RuntimeWarning" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("start, stop, named", [
@@ -886,14 +889,14 @@ class TestDefaultRunWork:
                      "--out", str(tmp_path / "out")]) == 0
         # One drive cubic each for cg and the 81 p1db points on the
         # 2,304-sample period, and for iip3's hot and cold drives on the
-        # full grid (a 1-unit tone spacing has no shorter period);
-        # isolation; the NF's 576-sample probe cubic (the NF itself runs no
-        # record); the transient, which the harmonics share.
-        assert grids == [2304] * 2 + [9216] + [2304] + [576] + [9216]
+        # full grid (a 1-unit tone spacing has no shorter period); the NF's
+        # 576-sample probe cubic (isolation and the NF itself read the pump
+        # and run no record); the transient, which the harmonics share.
+        assert grids == [2304] * 2 + [9216] + [576] + [9216]
 
     @pytest.mark.parametrize("text, sizes", [
-        # One switch per record or drive cubic, on the common period of its
-        # RF tones and LO: cg, p1db and isolation on 2,304 samples, iip3's
+        # One switch per pump, on the common period of its RF tones and LO:
+        # cg, p1db and isolation on 2,304 samples, iip3's
         # two drives on the full grid (a 1-unit tone spacing has no shorter
         # period); the NF's small-signal gain and its probe on 576; the
         # transient on 2,304.  7 switches over 19,584 samples by default,
@@ -930,8 +933,8 @@ class TestDefaultRunWork:
         arrays = list(memo._arrays.values())
         assert arrays and all(a.size < scenario.grid.num_samples for a in arrays)
         assert memo.info().nbytes == sum(a.nbytes for a in arrays) < 1_000_000
-        # No kept array holds the values of another: the LO basis is not
-        # kept beside the 1 V LO voltage it equals.
+        # No kept array holds the values of another: the memo keeps the LO's
+        # unit basis and no LO voltage beside it.
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not (a.shape == b.shape and np.array_equal(a, b))

@@ -4,7 +4,6 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,8 +80,10 @@ def reference_simulate(s):
 
 
 def nf_probe_scenario():
+    """The NF gain probe on the common period its drive cubic reads it on."""
     scenario, settings = build_nf_setup(from_dict({}))
-    return noise_figure_setup(scenario, settings)[1]
+    _, probe, f_out = noise_figure_setup(scenario, settings)
+    return engine._drive_cubic(probe, (f_out,)).scenario
 
 
 class TestAnalyticGain:
@@ -294,7 +295,7 @@ class TestInPlaceArithmetic:
         s = self.CASES[case]()
         expected = reference_simulate(s)
         memo.clear()
-        for result in (simulate(s), simulate(s)):  # LO drive built, then reused
+        for result in (simulate(s), simulate(s)):  # bases built, then reused
             for node, samples in expected.items():
                 got = getattr(result, node).samples
                 assert np.array_equal(got, samples), node
@@ -426,7 +427,7 @@ class TestCheckOnce:
         s = make_scenario(mixer=make_mixer(a2=0.02, a3=-0.696, kappa=0.01303),
                           noise_density=1e-9, rf_power_dbm=-10.0)
         expected = reference_simulate(s)
-        simulate(s)  # fills the LO drive memo
+        simulate(s)  # fills the memo
         calls = self.count_adoptions(monkeypatch)
         result = simulate(s)
         nodes = (("v_rf_port", "volt"), ("v_out", "volt"))
@@ -491,37 +492,42 @@ class TestNoiseBand:
         assert simulate(s).v_rf_port.unit == "volt"
 
 
-class TestLoDriveMemo:
+class TestLoBasisMemo:
+    """The pump takes its LO voltage as the LO's amplitude times its memoised unit basis."""
+
     def test_equal_key_returns_the_same_read_only_array(self):
         memo.clear()
         s = make_scenario()
-        v_lo = engine._lo_drive(s.grid, s.lo_tone)
-        again = engine._lo_drive(
+        basis = signals._tone_basis(s.grid, s.lo_tone)
+        again = signals._tone_basis(
             SimGrid(sample_rate=s.grid.sample_rate, num_samples=s.grid.num_samples),
             replace(s.lo_tone))
-        assert again is v_lo
-        assert not v_lo.flags.writeable
-        assert v_lo.tobytes() == synthesize_tone(s.grid, s.lo_tone).samples.tobytes()
+        assert again is basis
+        assert not basis.flags.writeable
+        assert basis.tobytes() == synthesize_tone(s.grid, s.lo_tone).samples.tobytes()
 
     def test_lo_built_once_per_grid_switch_once_per_call(self, monkeypatch):
         lo_builds, switches = [], []
+        build = signals._cos_basis.__wrapped__
+        short = make_scenario(samples_per_lo_period=64)
+        lo_phases = {make_scenario().lo_tone.phase, short.lo_tone.phase}
 
         def counting_cos(num_samples, k, phase):
-            lo_builds.append(num_samples)
-            return signals._cos_basis.__wrapped__(num_samples, k, phase)
+            if phase in lo_phases:  # the RF tones have phase 0
+                lo_builds.append(num_samples)
+            return build(num_samples, k, phase)
 
         def counting_switch(p, v_lo):
             switches.append(v_lo.size)
             return devices._switch(p, v_lo)
 
-        memo.clear()
-        monkeypatch.setattr(engine, "_cos_basis", SimpleNamespace(__wrapped__=counting_cos))
+        monkeypatch.setattr(signals, "_cos_basis", memo.memoised(counting_cos))
         monkeypatch.setattr(engine, "_switch", counting_switch)
         s = make_scenario()
         for power in (-40.0, -30.0, -20.0):
             simulate(at_power(s, power))
         simulate(two_tone_variant(s, 1.0))
-        simulate(make_scenario(samples_per_lo_period=64))
+        simulate(short)
         # One LO and one switch per call, on the common period of the RF
         # tones and LO: 2,304 samples of the 9,216-sample grid, the whole
         # grid for tones 1 unit apart, 1,152 of the 4,608-sample grid.
@@ -529,15 +535,26 @@ class TestLoDriveMemo:
         assert switches == [2304] * 3 + [9216] + [1152]
         memo.clear()
 
-    def test_lo_basis_stays_out_of_the_memo(self):
+    def test_lo_voltage_stays_out_of_the_memo(self, monkeypatch):
         memo.clear()
-        s = make_scenario()
-        engine._lo_drive(s.grid, s.lo_tone)
-        assert memo.info().arrays == 1
+        s = make_scenario(lo_amplitude=0.5)
+        v_lo = []
+
+        def recording_switch(p, lo):
+            v_lo.append(lo)
+            return devices._switch(p, lo)
+
+        monkeypatch.setattr(engine, "_switch", recording_switch)
+        engine._pump(s, [0.0])
+        # The RF tone's basis and the LO's, not the LO voltage.
+        assert memo.info().arrays == 2
+        period = s.grid.common_period((s.f_rf, s.f_lo))
+        expected = synthesize_tone(period, s.lo_tone).samples
+        assert v_lo[0].tobytes() == expected.tobytes()
+        assert not any(a.tobytes() == expected.tobytes() for a in memo._arrays.values())
         before = memo.info().misses
-        k = s.grid.bin_index(s.f_lo)
-        signals._cos_basis(s.grid.num_samples, k, s.lo_tone.phase)
-        assert memo.info().misses == before + 1
+        signals._tone_basis(period, s.lo_tone)
+        assert memo.info().misses == before
         memo.clear()
 
     def test_bounded_in_bytes(self, monkeypatch):
@@ -546,17 +563,17 @@ class TestLoDriveMemo:
         monkeypatch.setattr(memo, "BUDGET_BYTES", 3 * one)
         memo.clear()
         start = memo.info()
-        drives = [engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
-                                                  phase=0.1 * i))
-                  for i in range(6)]
+        bases = [signals._tone_basis(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                                    phase=0.1 * i))
+                 for i in range(6)]
         info = memo.info()
         assert (info.arrays, info.nbytes) == (3, 3 * one)
         assert info.misses == start.misses + 6
         # The three most recent are kept; the oldest three were dropped.
-        assert engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
-                                               phase=0.5)) is drives[5]
-        assert engine._lo_drive(grid, ToneSpec(frequency=4.0, amplitude=1.0,
-                                               phase=0.0)) is not drives[0]
+        assert signals._tone_basis(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                                  phase=0.5)) is bases[5]
+        assert signals._tone_basis(grid, ToneSpec(frequency=4.0, amplitude=1.0,
+                                                  phase=0.0)) is not bases[0]
         assert memo.info().misses == start.misses + 7
         memo.clear()
 
@@ -566,8 +583,8 @@ class TestLoDriveMemo:
         monkeypatch.setattr(memo, "BUDGET_BYTES", 8 * 64 - 1)
         memo.clear()
         misses = memo.info().misses
-        first = engine._lo_drive(grid, tone)
-        again = engine._lo_drive(grid, tone)
+        first = signals._tone_basis(grid, tone)
+        again = signals._tone_basis(grid, tone)
         assert again is not first and again.tobytes() == first.tobytes()
         assert memo.info().misses == misses + 2
         assert (memo.info().arrays, memo.info().nbytes) == (0, 0)

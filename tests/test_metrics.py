@@ -21,7 +21,7 @@ from helpers import (
     record_switches,
 )
 
-from mixbench import engine, memo, metrics, signals
+from mixbench import devices, engine, memo, metrics, signals
 from mixbench.cli import prepare
 from mixbench.config import build_nf_setup, from_dict
 from mixbench.devices import (
@@ -97,10 +97,16 @@ class TestConversionGain:
             measure_conversion_gain(s)
 
 
+def period_of(s, *rays):
+    """The scenario ``engine._drive_cubic`` reads ``rays`` of ``s`` on: its common
+    period when noise-free, its own grid when noisy."""
+    return engine._drive_cubic(s, rays).scenario
+
+
 def reference_gain_db(s, power_dbm):
     """Gain of ``s`` at ``power_dbm`` the per-point way: one ``simulate`` and
     one ``bin_amplitude``, on the scenario's common period when noise-free."""
-    s = at_power(metrics._on_common_period(s, s.f_if), power_dbm)
+    s = at_power(period_of(s, s.f_if), power_dbm)
     amp_in = s.rf_tones[0].peak_amplitude()
     if amp_in <= 0:
         raise WrongStimulusError("conversion gain needs a non-silent RF tone")
@@ -144,7 +150,7 @@ class TestGainRoutineBits:
         if noisy:
             # Noise on the full 9,216-sample grid, added after the LO leak.
             assert s.input_noise_density > 0 and s.mixer.leakage.kappa > 0
-            assert metrics._on_common_period(s, s.f_if) is s
+            assert period_of(s, s.f_if) is s
             assert s.grid.num_samples == 9216
         res = measure_p1db(s, *inputs["p1db"])
         reference = reference_sweep(s, sweep_powers(*inputs["p1db"]))
@@ -195,7 +201,7 @@ class TestGainRoutineBits:
         # inf, or to NaN where partial sums of both signs overflow.  No
         # error is raised and the reading is that of one simulation.
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=0.0), rf_amplitude=amplitude)
-        v_out = simulate(metrics._on_common_period(s, s.f_if)).v_out
+        v_out = simulate(period_of(s, s.f_if)).v_out
         reference = 20.0 * math.log10(abs(bin_value(v_out, s.f_if)) / amplitude)
         got = measure_conversion_gain(s)
         assert np.array_equal([got, reference], [expected, expected], equal_nan=True)
@@ -389,16 +395,17 @@ class TestIIP3:
 def assert_iip3_agrees(monkeypatch, two, per_tone_dbm):
     """Both drives of ``measure_iip3`` against ``reference_iip3``, within ``ORACLE_DB``."""
     p_fund, p_im3, p_mirror, amp_cold = reference_iip3(two, per_tone_dbm)
-    readings, drive_rays = [], metrics._drive_rays
+    readings, rays = [], engine.DriveCubic.rays
 
-    def recording_drive_rays(*args):
-        readings.append(drive_rays(*args))
+    def recording_rays(cubic, amplitude):
+        readings.append(rays(cubic, amplitude))
         return readings[-1]
 
-    monkeypatch.setattr(metrics, "_drive_rays", recording_drive_rays)
+    monkeypatch.setattr(engine.DriveCubic, "rays", recording_rays)
     res = measure_iip3(two, per_tone_dbm)
     monkeypatch.undo()
-    assert [len(r) for r in readings] == [3, 1]
+    # The cold drive uses its fundamental, element 0.
+    assert [len(r) for r in readings] == [3, 3]
     assert amplitude_to_dbm(readings[1][0]) == pytest.approx(
         amplitude_to_dbm(amp_cold), rel=0, abs=ORACLE_DB)
     got = (res.p_fund_dbm, res.p_im3_dbm, res.p_im3_mirror_dbm)
@@ -415,7 +422,7 @@ def reference_iip3(two, per_tone_dbm):
     scenario ``replace``d to that power on the common period of its rays.
     """
     rays = metrics.two_tone_rays(two)
-    s = metrics._on_common_period(two, *rays)
+    s = period_of(two, *rays)
     hot = simulate(at_power(s, per_tone_dbm)).v_out
     p_fund, p_im3, p_mirror = (bin_amplitude(hot, f).power_dbm for f in rays)
     cold = simulate(at_power(s, per_tone_dbm - 20.0)).v_out
@@ -436,7 +443,7 @@ class TestIIP3RoutineBits:
         run, inputs = prepare(from_dict({"measurements": ["iip3"], **cfg}))
         two, per_tone = inputs["iip3"]
         rays = metrics.two_tone_rays(two)
-        assert metrics._on_common_period(two, *rays).grid.num_samples == period
+        assert period_of(two, *rays).grid.num_samples == period
         assert_iip3_agrees(monkeypatch, two, per_tone)
 
     @pytest.mark.parametrize("a3, per_tone_dbm, error, message, drives", [
@@ -450,13 +457,13 @@ class TestIIP3RoutineBits:
                                            message, drives):
         two = two_tone_variant(calibrated_scenario(a3=a3))
         read = []
-        drive_rays = metrics._drive_rays
+        rays = engine.DriveCubic.rays
 
-        def counting_drive_rays(*args):
-            read.append(args[-1])
-            return drive_rays(*args)
+        def counting_rays(cubic, amplitude):
+            read.append(amplitude)
+            return rays(cubic, amplitude)
 
-        monkeypatch.setattr(metrics, "_drive_rays", counting_drive_rays)
+        monkeypatch.setattr(engine.DriveCubic, "rays", counting_rays)
         with pytest.raises(error, match=message):
             measure_iip3(two, per_tone_dbm)
         assert len(read) == drives
@@ -483,6 +490,40 @@ class TestIsolation:
             measure_isolation(s)
         with pytest.raises(WrongStimulusError):
             metrics.check_lo_drive(s.lo_tone.peak_amplitude())
+
+    def test_reads_the_pump_and_builds_no_record(self, monkeypatch):
+        grids = record_grids(monkeypatch)
+        switches = record_switches(monkeypatch)
+        measure_isolation(calibrated_scenario(kappa=0.01303))
+        assert grids == []
+        assert switches == [2304]
+
+    def test_noisy_scenario_reads_its_quiet_copy(self):
+        run, _ = prepare(from_dict({"measurements": ["isolation"]}))
+        assert run.scenario.input_noise_density > 0
+        assert measure_isolation(run.scenario) == measure_isolation(run.quiet)
+
+    def test_lo_at_the_float_limit_fails_by_name(self, monkeypatch):
+        # A 1e308 V LO passes validation.  Its voltage and leak on the pump
+        # are finite, but the LO ray's projection sum overflows: isolation
+        # fails by name instead of reading inf.
+        run, _ = prepare(from_dict({"scenario": {"lo_amplitude_v": 1.0e308},
+                                    "measurements": ["isolation"]}))
+        s = run.quiet
+        v_lo = []
+
+        def recording_switch(p, lo):
+            v_lo.append(lo)
+            return devices._switch(p, lo)
+
+        monkeypatch.setattr(engine, "_switch", recording_switch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, leak, _ = engine._pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+            assert np.isfinite(v_lo[0]).all() and np.abs(v_lo[0]).max() > 1e307
+            assert np.isfinite(leak).all()
+            with pytest.raises(NonFiniteReadingError, match="LO ray at the RF port inf V"):
+                measure_isolation(s)
 
 
 class TestNoiseFigure:
@@ -728,6 +769,34 @@ class TestNoiseFigureReference:
                 measure_noise_figure(s, settings)
         assert str(got.value) == message
 
+    def test_spread_of_a_large_finite_record(self):
+        # A 1e150 ohm load leaves the record finite and its periodogram
+        # too; the spread is taken relative to the mean before the std
+        # squares it, so it stays finite and reads the default load's.
+        s, settings = nf_setup_from_config()
+        default = [b.relative_spread for b in record_band_stats(s, settings)]
+        # Normalising first moves the input spread in its last digit only.
+        assert default[0] == pytest.approx(0.06271052485348214, rel=1e-14, abs=0)
+        s, settings = nf_setup_from_config(mixer={"rd": 1.0e150})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = measure_noise_figure(s, settings)
+            spreads = [b.relative_spread for b in record_band_stats(s, settings)]
+        assert res.warning is None and math.isfinite(res.nf_db)
+        assert spreads == pytest.approx(default, rel=1e-9, abs=0)
+
+    def test_unstable_estimate_warns(self):
+        # 4 segments over 24-unit bands leave 4 unmasked periodogram bins
+        # in each band: the input band's spread is about 14%.
+        s, settings = nf_setup_from_config()
+        settings = replace(settings, segments=4, band_width=24.0)
+        spread = max(b.relative_spread for b in record_band_stats(s, settings))
+        assert f"{spread:.1%}" == "14.5%"
+        res = measure_noise_figure(s, settings)
+        assert res.warning == ("unstable estimate: periodogram spread 14.5% exceeds 10%; "
+                               "increase segments or bandwidth")
+        assert math.isfinite(res.nf_db)
+
     def test_cold_run_keeps_no_record_length_array(self):
         # With the memo empty, the tones, LO and switch are built on the
         # 576-sample common period, so the memo keeps no array of the
@@ -788,8 +857,10 @@ class TestNoiseFigureProbe:
                               samples_per_lo_period=8, noise_density=1e-9)
             settings = NoiseFigureSettings(band_width=32.0, segments=4)
         _, probe, f_out = noise_figure_setup(s, settings)
-        assert probe.grid.num_samples < s.grid.num_samples
-        assert probe.grid.sample_rate == s.grid.sample_rate
+        assert probe.grid == s.grid
+        period = period_of(probe, f_out)
+        assert period.grid.num_samples < s.grid.num_samples
+        assert period.grid.sample_rate == s.grid.sample_rate
         res = measure_noise_figure(s, settings)
         assert res.gain_db == pytest.approx(
             full_record_probe_gain_db(s, settings, f_out), abs=1e-9)
@@ -838,11 +909,11 @@ class TestCommonPeriod:
         grids = record_grids(monkeypatch)
         period = quiet_readings(run.quiet, *inputs["iip3"])
         assert len(period["p1db"]) == 82
-        # One drive cubic each for cg, the sweep and iip3's two drives, and
-        # isolation's record.
-        assert grids == [2304, 2304, 4608, 2304]
+        # One drive cubic each for cg, the sweep and iip3's two drives;
+        # isolation reads the pump and runs no kernel.
+        assert grids == [2304, 2304, 4608]
         grids.clear()
-        monkeypatch.setattr(metrics, "_on_common_period", lambda s, *rays: s)
+        monkeypatch.setattr(SimGrid, "common_period", lambda grid, frequencies: grid)
         full = quiet_readings(run.quiet, *inputs["iip3"])
         assert set(grids) == {9216}
         for name, values in full.items():
@@ -857,9 +928,9 @@ class TestCommonPeriod:
 
     def test_noise_free_period_scenario_is_kept(self):
         run, _ = prepare(from_dict({"measurements": ["cg"]}))
-        period = metrics._on_common_period(run.quiet, run.quiet.f_if)
+        period = period_of(run.quiet, run.quiet.f_if)
         assert period.grid.num_samples == 2304
-        assert metrics._on_common_period(period, period.f_if) is period
+        assert period_of(period, period.f_if) is period
 
 
 def load_bench_workloads():
@@ -910,6 +981,22 @@ class TestDriveCubicOracle:
         assert measure_conversion_gain(s) == pytest.approx(reference, rel=0, abs=ORACLE_DB)
 
 
+class TestIsolationPort:
+    """Isolation reads the pump's noise-free RF port with the bits of the
+    RF port that ``simulate`` builds on the same period: the default design
+    and the benchmark's sweep design points of seeds 1 and 2."""
+
+    @pytest.mark.parametrize("cfg", [{}] + SWEEP_DESIGNS, ids=["default"] + [
+        f"sweep_seed{seed}_{i}" for seed in (1, 2) for i in range(8)])
+    def test_equals_the_simulated_port(self, cfg):
+        run, _ = prepare(from_dict({**cfg, "measurements": ["isolation"]}))
+        s = run.quiet
+        period = replace(s, grid=s.grid.common_period((s.f_rf, s.f_lo)))
+        ray = bin_amplitude(simulate(period).v_rf_port, s.f_lo).amplitude
+        assert engine._port_ray(s, s.f_lo) == ray
+        assert measure_isolation(s) == 20.0 * math.log10(ray / s.lo_tone.peak_amplitude())
+
+
 class TestDriveCubicGuard:
     """A drive is read from the cubic only where its own record is provably
     finite; every other drive fails, or reads inf or NaN, as that record does."""
@@ -925,8 +1012,8 @@ class TestDriveCubicGuard:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_drives_across_the_overflow_onset(self):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303))
-        period = metrics._on_common_period(s, s.f_if)
-        cubic = engine._drive_cubic(period, (signals._readout(period.grid, s.f_if),))
+        cubic = engine._drive_cubic(s, (s.f_if,))
+        gain = metrics._gain_reader(s, s.f_if)
         outcomes = set()
         for p in self.DRIVES_DBM:
             amp = signals.dbm_to_amplitude(p)
@@ -934,12 +1021,12 @@ class TestDriveCubicGuard:
                 reference = reference_gain_db(s, p)
             except ValidationError as ref:
                 with pytest.raises(ValidationError) as got:
-                    metrics._conversion_gains(s, s.f_if, [amp])
+                    gain(amp)
                 assert (type(got.value), str(got.value)) == (type(ref), str(ref))
                 assert not cubic.covers(amp)
                 outcomes.add("raises")
                 continue
-            got, = metrics._conversion_gains(s, s.f_if, [amp])
+            got = gain(amp)
             if math.isfinite(reference):
                 assert got == pytest.approx(reference, rel=0, abs=ORACLE_DB)
                 outcomes.add("cubic" if cubic.covers(amp) else "record")
@@ -957,14 +1044,14 @@ class TestDriveCubicGuard:
         # so is its projection, for one tone and for two.
         for s in (calibrated_scenario(kappa=0.01303),
                   two_tone_variant(calibrated_scenario(kappa=0.01303))):
-            readouts = [signals._readout(s.grid, s.f_if)]
-            cubic = engine._drive_cubic(s, readouts)
+            cubic = engine._drive_cubic(s, (s.f_if,))
             covered = [p for p in self.DRIVES_DBM
                        if cubic.covers(signals.dbm_to_amplitude(p))]
             assert 0 < len(covered) < len(self.DRIVES_DBM)
-            v_out = engine._drive_record(s, signals.dbm_to_amplitude(covered[-1]))
+            v_out = engine._drive_record(cubic.scenario,
+                                         signals.dbm_to_amplitude(covered[-1]))
             assert np.isfinite(v_out).all()
-            assert math.isfinite(abs(signals._project(v_out, *readouts[0])))
+            assert math.isfinite(abs(signals._project(v_out, *cubic.readouts[0])))
 
 
 class TestSweepWork:

@@ -455,7 +455,7 @@ class TestWhiteNoise:
         stats = signals._band_noise_stats(sig, 200.0, 100.0, 16, (180.0,))
         assert stats.density == math.sqrt(mean_power)
         assert stats.relative_spread == float(
-            psd[:, used].mean(axis=1).std(ddof=1) / math.sqrt(16) / mean_power)
+            (psd[:, used].mean(axis=1) / mean_power).std(ddof=1) / math.sqrt(16))
         # Read in one rFFT with a second record, its statistics keep their bits.
         other = white_noise(grid, 2e-3, seed=12)
         both = np.stack((sig.samples, other.samples))
