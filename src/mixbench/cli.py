@@ -22,9 +22,10 @@ needs without simulating, and ``measure`` simulates, reads and writes.
 that depends on simulated values fails only its own measurement.
 
 Outputs contain no timestamps, so identical configs produce byte-identical
-files.  Gain, compression, intercept and isolation run on a noise-free copy
-of the scenario; the configured noise is drawn only for the harmonic and
-transient outputs.  The noise figure draws none: it reads the configured
+files.  Gain, compression, intercept and isolation read the noise-free
+mixer: the engine reads their rays on the deterministic pump, whatever noise
+the scenario carries.  The configured noise is drawn only for the harmonic
+and transient outputs.  The noise figure draws none: it reads the configured
 density through the mixer's periodic small-signal gain, so the seed does
 not move it.
 """
@@ -36,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -159,19 +160,14 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
 class RunContext:
     """What every registry step reads: config, main scenario and output target.
 
-    ``quiet`` is ``scenario`` without input noise; ray measurements run on
-    it.  ``transient`` simulates ``scenario`` on first read, so harmonics
-    and transient share one simulation.  ``out_dir`` is None when the run
+    ``transient`` simulates ``scenario`` on first read, so harmonics and
+    transient share one simulation.  ``out_dir`` is None when the run
     is only validated.
     """
 
     cfg: RunConfig
     scenario: Scenario
     out_dir: Optional[str] = None
-
-    @cached_property
-    def quiet(self) -> Scenario:
-        return replace(self.scenario, input_noise_density=0.0, input_noise_band=None)
 
     @cached_property
     def transient(self) -> TransientResult:
@@ -193,7 +189,7 @@ def _cg_inputs(run: RunContext) -> None:
 
 
 def _cg(run: RunContext, _inputs: None) -> Dict:
-    gain = measure_conversion_gain(run.quiet)
+    gain = measure_conversion_gain(run.scenario)
     analytic = analytic_conversion_gain(run.scenario.mixer)
     ref = REFERENCE_65NM.conversion_gain_db
     run.write_table("cg", ("measured_gain_db", "analytic_gain_db", "reference_gain_db"),
@@ -211,7 +207,7 @@ def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
 
 
 def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
-    res = measure_p1db(run.quiet, *inputs)
+    res = measure_p1db(run.scenario, *inputs)
     run.write_table("p1db_sweep", ("input_power_dbm", "output_power_dbm", "gain_db"),
                     [(pt.input_power_dbm, pt.output_power_dbm, pt.gain_db)
                      for pt in res.sweep])
@@ -227,7 +223,7 @@ def _iip3_inputs(run: RunContext) -> Tuple[Scenario, float]:
     spacing = run.cfg.plan.to_internal(run.cfg.field(field), field)
     per_tone = run.cfg.field("sweeps.iip3.per_tone_dbm")
     with naming(field):
-        two = two_tone_variant(run.quiet, spacing)
+        two = two_tone_variant(run.scenario, spacing)
         two_tone_rays(two)
     return two, per_tone
 
@@ -249,7 +245,7 @@ def _isolation_inputs(run: RunContext) -> None:
 
 
 def _isolation(run: RunContext, _inputs: None) -> Dict:
-    iso = measure_isolation(run.quiet)
+    iso = measure_isolation(run.scenario)
     run.write_table("isolation", ("isolation_db",), [(iso,)])
     return {"value_db": iso}
 

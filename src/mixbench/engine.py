@@ -37,10 +37,13 @@ Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
 the two drives of IIP3) need no record per drive.  The port is ``A*b + e``
 and the transconductor a cubic, so every ray read from the output is a
-cubic in ``A``: :func:`_drive_cubic` moves a noise-free scenario onto the
+cubic in ``A``: :func:`_drive_cubic` moves a scenario onto the noise-free
 common period of its tones, LO and rays, picks each ray's readout, and
 projects its four coefficient terms (:func:`_cubic_terms`) once (the
 power-series view of a weakly nonlinear circuit; Wambacq & Sansen, 1998).
+So no measurement reads the input noise but the noise figure, through its
+configured density: only :func:`_record` draws noise, for :func:`simulate`
+and the Monte-Carlo noise-figure reference.
 Its :meth:`DriveCubic.rays` reads every ray at a drive; a drive whose own
 record it cannot prove finite is run whole by :func:`_drive_record` and
 read from that record instead.
@@ -381,9 +384,9 @@ class DriveCubic:
     The other fields bound the drive's own record.  Every tone basis lies
     in [-1, 1], so each partial sum of the RF port is at most
     ``w = max(1, A*tones + extra_peak)``, ``tones`` counting the RF tones
-    and ``extra_peak`` summing the LO leak's and the noise's largest
-    samples.  Each transconductor term, the current, ``v_out`` and the
-    projection's running sum over the record are then at most
+    and ``extra_peak`` the LO leak's largest sample.  Each transconductor
+    term, the current, ``v_out`` and the projection's running sum over the
+    record are then at most
     ``bound[0] + bound[1]*w + bound[2]*w^2 + bound[3]*w^3``:
     ``N * max(1, rd)`` times ``|gm*v_gs1|``, ``gm``, ``|a2|`` and ``|a3|``.
     ``bound`` is inf when a projection is not finite.
@@ -431,33 +434,29 @@ class DriveCubic:
 def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     """The rays at frequencies ``rays`` of ``s`` as cubics in the drive amplitude.
 
-    A noise-free ``s`` is first moved onto the common period of its tones,
-    LO and ``rays``: the model is memoryless, so its bin readings there
-    equal those on the full record.  A noisy one keeps its grid.
+    ``s`` is first moved onto the noise-free common period of its tones,
+    LO and ``rays``: every drive reading is of the deterministic mixer,
+    whatever input noise ``s`` carries, and the model is memoryless, so its
+    bin readings there equal those on the full record.
 
     The mixer is memoryless and its transconductor a cubic, so with every
     RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of the unit
-    tone bases and ``e`` the LO leak plus the noise, and every ray is
-    ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the four terms are
-    made once, for any number of drives; each term is projected on every
-    ray and dropped.  The tones, the leak and the switch come from one
-    common period (:func:`_pump`), as in :func:`_record`, repeated over
-    the record: ``b`` is the period's tones, ``e`` the noise plus the
-    period's leak.  A term or projection that overflows makes inf or NaN
-    without a warning, and sets ``bound`` to inf.
+    tone bases and ``e`` the LO leak, and every ray is ``sum_j A^j * P_j``.
+    The switch, ``b``, ``e`` and the four terms are made once, for any
+    number of drives; each term is projected on every ray and dropped.
+    The tones, the leak and the switch come from one common period
+    (:func:`_pump`), as in :func:`_record`, repeated over the period of the
+    rays.  A term or projection that overflows makes inf or NaN without a
+    warning, and sets ``bound`` to inf.
     """
-    if not s.input_noise_density > 0:
-        grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
-        if grid != s.grid:
-            s = replace(s, grid=grid)
+    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
+    if grid != s.grid or s.input_noise_density != 0.0 or s.input_noise_band is not None:
+        s = replace(s, grid=grid, input_noise_density=0.0, input_noise_band=None)
     readouts = tuple(_readout(s.grid, f) for f in rays)
     n = s.grid.num_samples
     with np.errstate(all="ignore"):
-        tones, leak, sw = _pump(s, (1.0,) * len(s.rf_tones))
-        e = _noise(s.grid, s.input_noise_density, s.noise_seed, s.input_noise_band)
-        extra_peak = sum(float(max(part.max(), -part.min())) for part in (leak, e))
-        e = _periodic(np.add, e, leak)
-        b, sw = np.resize(tones, n), np.resize(sw, n)
+        b, e, sw = (np.resize(part, n) for part in _pump(s, (1.0,) * len(s.rf_tones)))
+        extra_peak = float(max(e.max(), -e.min()))
         terms = [[_project(term, k, basis) for k, basis in readouts]
                  for term in _cubic_terms(s.mixer, sw, b, e)]
     t = s.mixer.transconductor

@@ -21,10 +21,12 @@ Conversion gain, every compression-sweep point, the noise-figure gain
 probe and the two drives of IIP3 are read from one
 :func:`engine._drive_cubic` per measurement (:meth:`engine.DriveCubic.rays`),
 isolation from the noise-free RF port of :func:`engine._port_ray`, and
-the noise figure from the period of :func:`engine._pump`.  None builds a
-mixer record but a drive its cubic cannot vouch for and the Monte-Carlo
-reference, which reads the periodograms of a whole noisy record
-(:func:`engine._record`).
+the noise figure from the period of :func:`engine._pump`.  All of them read
+the noise-free mixer, whatever noise the scenario carries: the input noise
+enters the noise figure only through its configured density.  None builds a
+mixer record but a drive its cubic cannot vouch for, which is noise-free
+too, and the Monte-Carlo reference, which reads the periodograms of a whole
+noisy record (:func:`engine._record`).
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
 def measure_conversion_gain(s: Scenario) -> float:
     """Conversion gain in dB of a single-tone scenario at its tone's amplitude, read at the IF.
 
-    A noise-free scenario is read on its common period, a noisy one on
-    its full grid (:func:`engine._drive_cubic`).
+    It is read on the noise-free common period of ``s``
+    (:func:`engine._drive_cubic`), so the input noise of ``s`` does not
+    move it.
     """
     amplitude = s.rf_tones[0].peak_amplitude()
     return _gain_reader(s, s.f_if)(amplitude)
@@ -284,14 +287,20 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     equal tones keep every ray a cubic in their amplitude, so both drives
     are read from one :func:`engine._drive_cubic`.  At a tone spacing whose
     bin is coprime to the grid, the common period is the full grid.
+    Raises NonFiniteReadingError if a ray of the hot drive or the cold
+    fundamental is not finite, as where a finite record's projection
+    overflows (:meth:`engine.DriveCubic.rays`).
     """
     rays = two_tone_rays(s)
     cold_dbm = per_tone_power_dbm - 20.0
     hot = dbm_to_amplitude(per_tone_power_dbm)
     cubic = _drive_cubic(s, rays)
 
+    amps = cubic.rays(hot)
+    if not all(map(math.isfinite, amps)):
+        raise NonFiniteReadingError(f"hot rays {amps!r} V at {per_tone_power_dbm} dBm per tone")
     p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, amp).power_dbm
-                               for f, amp in zip(rays, cubic.rays(hot)))
+                               for f, amp in zip(rays, amps))
     p_im3_used = max(p_im3, p_mirror)
     if p_im3_used < MEASUREMENT_FLOOR_DBM:
         raise ImmeasurableIM3Error(
@@ -300,6 +309,8 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
 
     # The cold drive is read only after the hot one passes its IM3 check.
     cold = cubic.rays(dbm_to_amplitude(cold_dbm))[0]
+    if not math.isfinite(cold):
+        raise NonFiniteReadingError(f"fundamental ray {cold!r} V at {cold_dbm} dBm per tone")
     gain_hot = p_fund - per_tone_power_dbm
     gain_cold = amplitude_to_dbm(cold) - cold_dbm
     if abs(gain_cold - gain_hot) > 0.5:
@@ -354,8 +365,9 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
     periodogram bins (:func:`signals.noise_band_bins`) of the input and the
     output band; the input band masks the stimulus, the output band also
     every mixing product and odd LO harmonic up to its top edge.  ``probe``
-    is a noise-free clone on the same grid carrying a single probe tone at
-    the RF frequency, read at ``f_signal_out``.
+    is a clone of ``s`` carrying a single probe tone at the RF frequency,
+    read at ``f_signal_out``; like every drive reading, its gain ignores
+    the input noise (:func:`engine._drive_cubic`).
 
     Everything here is decided before any simulation, so it raises for
     settings the measurement would fail on without running it, and for a
@@ -393,9 +405,7 @@ def noise_figure_setup(s: Scenario, settings: NoiseFigureSettings
 
     probe_tone = ToneSpec(frequency=s.f_rf, power_dbm=settings.probe_power_dbm,
                           phase=s.rf_tones[0].phase)
-    quiet = replace(s, rf_tones=(probe_tone,), input_noise_density=0.0,
-                    input_noise_band=None)
-    return bins, quiet, f_signal_out
+    return bins, replace(s, rf_tones=(probe_tone,)), f_signal_out
 
 
 def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
@@ -423,8 +433,8 @@ def measure_noise_figure(s: Scenario, settings: NoiseFigureSettings) -> NoiseFig
     rays masked out of the averaging, on the scenario's full record: both
     ports of :func:`engine._record`, checked for non-finite samples, read
     by one :func:`signals._band_stats`.  The conversion gain is read by
-    :func:`_probe_gain_db` on a noise-free clone carrying a small probe
-    tone, so the same procedure covers any device configuration.
+    :func:`_probe_gain_db` on a clone carrying a small probe tone, read
+    without its noise, so the same procedure covers any device configuration.
     """
     bins, probe, f_signal_out = noise_figure_setup(s, settings)
     record = _record(s)

@@ -218,11 +218,18 @@ class SpectrumLine:
 
 
 def amplitude_to_dbm(amplitude: float) -> float:
-    """Peak voltage into the 50 ohm reference -> power in dBm."""
+    """Peak voltage into the 50 ohm reference -> power in dBm.
+
+    Finite for every finite amplitude > 0: where the power in W is not a
+    normal float (under ``2**-1022``) or the power in mW overflows, the log
+    is taken of the amplitude instead, as the square would lose its bits.
+    """
     if not amplitude > 0:
         raise ValueError(f"amplitude must be > 0, got {amplitude!r}")
     power_w = (amplitude * amplitude / 2.0) / REFERENCE_IMPEDANCE_OHMS
-    return 10.0 * math.log10(power_w / 1e-3)
+    if 2.0 ** -1022 <= power_w and power_w / 1e-3 < math.inf:
+        return 10.0 * math.log10(power_w / 1e-3)
+    return 20.0 * math.log10(amplitude) - 10.0 * math.log10(2e-3 * REFERENCE_IMPEDANCE_OHMS)
 
 
 def dbm_to_amplitude(power_dbm: float) -> float:

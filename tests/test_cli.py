@@ -560,6 +560,27 @@ class TestCliRun:
                             for name in ("cg", "p1db", "iip3", "harmonics", "transient")}
         assert "RuntimeWarning" not in capfd.readouterr().err
 
+    @pytest.mark.parametrize("mixer, iip3_error, fundamental_dbm", [
+        # Rays of about 1e296 V, whose squares overflow.
+        ("a3: -1.0e+300", "StimulusTooHotError: gain moves +0.55 dB", 5945.27799978),
+        # Rays of about 1e-304 V, whose squares underflow.
+        ("rd: 1.0e-300", "ImmeasurableIM3Error: IM3 ray below", -6063.36596619),
+    ], ids=["overflowing_square", "underflowing_square"])
+    def test_extreme_rays_read_finite_powers(self, tmp_path, mixer, iip3_error,
+                                             fundamental_dbm):
+        # Once read as an IIP3 of null, or failed with a bare math domain error.
+        path = write_config(tmp_path, ("measurements: [iip3, harmonics]\n"
+                                       f"scenario:\n  mixer: {{{mixer}}}\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
+        measured = json.loads((out / "summary.json").read_text())["measurements"]
+        assert measured["iip3"]["error"].startswith(iip3_error)
+        for name in ("harmonics_rf", "harmonics_out"):
+            rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(row.split(",")[-1])) for row in rows)
+        fundamental = (out / "harmonics_out.csv").read_text().splitlines()[1]
+        assert float(fundamental.split(",")[-1]) == fundamental_dbm
+
     @pytest.mark.parametrize("start, stop, named", [
         (3090, 3100, "sweeps.p1db.start_dbm: 3090.0 dBm"),
         (-40, 3100, "sweeps.p1db.stop_dbm: 3100.0 dBm"),

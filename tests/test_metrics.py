@@ -34,6 +34,7 @@ from mixbench.errors import (
     AliasingError,
     CompressionNotFoundError,
     ImmeasurableIM3Error,
+    MixbenchError,
     NoCompressionError,
     NonFiniteReadingError,
     StimulusTooHotError,
@@ -98,14 +99,19 @@ class TestConversionGain:
 
 
 def period_of(s, *rays):
-    """The scenario ``engine._drive_cubic`` reads ``rays`` of ``s`` on: its common
-    period when noise-free, its own grid when noisy."""
+    """The scenario ``engine._drive_cubic`` reads ``rays`` of ``s`` on: ``s``
+    without its input noise on the common period of its tones, LO and rays."""
     return engine._drive_cubic(s, rays).scenario
+
+
+def quiet(s):
+    """``s`` without its input noise."""
+    return replace(s, input_noise_density=0.0, input_noise_band=None)
 
 
 def reference_gain_db(s, power_dbm):
     """Gain of ``s`` at ``power_dbm`` the per-point way: one ``simulate`` and
-    one ``bin_amplitude``, on the scenario's common period when noise-free."""
+    one ``bin_amplitude``, on the scenario's noise-free common period."""
     s = at_power(period_of(s, s.f_if), power_dbm)
     amp_in = s.rf_tones[0].peak_amplitude()
     if amp_in <= 0:
@@ -137,21 +143,15 @@ class TestGainRoutineBits:
     """The sweep's gain routine against one simulation per point: every
     reading within ``ORACLE_DB``, every failure to the bit."""
 
-    @pytest.mark.parametrize("scenario, noisy", [
-        ({}, False),
-        ({"mixer": {"switch_mode": "smooth"}}, False),
-        ({"mixer": {"a2": 0.01}}, False),
-        ({"mixer": {"kappa": 0}}, False),
-        ({}, True),
-    ], ids=["default", "smooth_switch", "a2", "kappa_0", "noisy"])
-    def test_equals_per_point_simulation(self, scenario, noisy):
+    @pytest.mark.parametrize("scenario", [
+        {},
+        {"mixer": {"switch_mode": "smooth"}},
+        {"mixer": {"a2": 0.01}},
+        {"mixer": {"kappa": 0}},
+    ], ids=["default", "smooth_switch", "a2", "kappa_0"])
+    def test_equals_per_point_simulation(self, scenario):
         run, inputs = prepare(from_dict({"scenario": scenario}))
-        s = run.scenario if noisy else run.quiet
-        if noisy:
-            # Noise on the full 9,216-sample grid, added after the LO leak.
-            assert s.input_noise_density > 0 and s.mixer.leakage.kappa > 0
-            assert period_of(s, s.f_if) is s
-            assert s.grid.num_samples == 9216
+        s = run.scenario
         res = measure_p1db(s, *inputs["p1db"])
         reference = reference_sweep(s, sweep_powers(*inputs["p1db"]))
         assert len(res.sweep) == len(reference) == 81
@@ -210,10 +210,10 @@ class TestGainRoutineBits:
         # A few 2,304-sample arrays for the one drive cubic: about 180 KB of
         # peak for 401 points.
         run, _ = prepare(from_dict({}))
-        measure_p1db(run.quiet, (-40.0, 0.0), 0.1)  # fill the memos first
+        measure_p1db(run.scenario, (-40.0, 0.0), 0.1)  # fill the memos first
         tracemalloc.start()
         try:
-            res = measure_p1db(run.quiet, (-40.0, 0.0), 0.1)
+            res = measure_p1db(run.scenario, (-40.0, 0.0), 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -452,7 +452,11 @@ class TestIIP3RoutineBits:
         # The IM3 rays are read, and fail, before the cold drive runs.
         (0.0, -40.0, ImmeasurableIM3Error, "IM3 ray below", 1),
         (CAL_A3, 0.0, StimulusTooHotError, r"gain moves \+", 2),
-    ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot"])
+        # A finite record whose projection overflows reads inf, then NaN.
+        (CAL_A3, 2030.0, NonFiniteReadingError, r"hot rays \[inf, 7\.3", 1),
+        (CAL_A3, 2040.0, NonFiniteReadingError, r"hot rays \[nan, nan, nan\] V", 1),
+    ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot", "inf_reading",
+            "nan_reading"])
     def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
                                            message, drives):
         two = two_tone_variant(calibrated_scenario(a3=a3))
@@ -467,6 +471,37 @@ class TestIIP3RoutineBits:
         with pytest.raises(error, match=message):
             measure_iip3(two, per_tone_dbm)
         assert len(read) == drives
+
+    def test_non_finite_cold_fundamental_raises(self, monkeypatch):
+        two = two_tone_variant(calibrated_scenario())
+        rays = engine.DriveCubic.rays
+
+        def cold_overflowing_rays(cubic, amplitude):
+            readings = rays(cubic, amplitude)
+            return readings if amplitude > 1e-3 else [math.inf] + readings[1:]
+
+        monkeypatch.setattr(engine.DriveCubic, "rays", cold_overflowing_rays)
+        with pytest.raises(NonFiniteReadingError,
+                           match=r"fundamental ray inf V at -60\.0 dBm per tone"):
+            measure_iip3(two, -40.0)
+
+    # Per-tone powers across the overflow onsets of the calibrated mixer.
+    # The hot rays' squares overflow from 1,039 dBm, the rays themselves
+    # (a finite record's projection) from 2,027.5 dBm, and the records
+    # from 2,044.5 dBm on.
+    PER_TONE_DBM = [1000.0 + 0.5 * i for i in range(2121)]
+
+    def test_overflowing_drives_fail_by_name(self):
+        two = two_tone_variant(calibrated_scenario(kappa=0.01303))
+        outcomes = set()
+        for p in self.PER_TONE_DBM:
+            try:
+                res = measure_iip3(two, p)
+            except MixbenchError as exc:
+                outcomes.add(type(exc))
+                continue
+            assert all(map(math.isfinite, vars(res).values())), p
+        assert outcomes == {StimulusTooHotError, NonFiniteReadingError, ValidationError}
 
 
 class TestIsolation:
@@ -501,7 +536,7 @@ class TestIsolation:
     def test_noisy_scenario_reads_its_quiet_copy(self):
         run, _ = prepare(from_dict({"measurements": ["isolation"]}))
         assert run.scenario.input_noise_density > 0
-        assert measure_isolation(run.scenario) == measure_isolation(run.quiet)
+        assert measure_isolation(run.scenario) == measure_isolation(quiet(run.scenario))
 
     def test_lo_at_the_float_limit_fails_by_name(self, monkeypatch):
         # A 1e308 V LO passes validation.  Its voltage and leak on the pump
@@ -509,7 +544,7 @@ class TestIsolation:
         # fails by name instead of reading inf.
         run, _ = prepare(from_dict({"scenario": {"lo_amplitude_v": 1.0e308},
                                     "measurements": ["isolation"]}))
-        s = run.quiet
+        s = run.scenario
         v_lo = []
 
         def recording_switch(p, lo):
@@ -907,29 +942,40 @@ class TestCommonPeriod:
             "scenario": {"mixer": mixer},
             "sweeps": {"iip3": {"tone_spacing_hz": 5.0e7}}}))
         grids = record_grids(monkeypatch)
-        period = quiet_readings(run.quiet, *inputs["iip3"])
+        period = quiet_readings(run.scenario, *inputs["iip3"])
         assert len(period["p1db"]) == 82
         # One drive cubic each for cg, the sweep and iip3's two drives;
         # isolation reads the pump and runs no kernel.
         assert grids == [2304, 2304, 4608]
         grids.clear()
         monkeypatch.setattr(SimGrid, "common_period", lambda grid, frequencies: grid)
-        full = quiet_readings(run.quiet, *inputs["iip3"])
+        full = quiet_readings(run.scenario, *inputs["iip3"])
         assert set(grids) == {9216}
         for name, values in full.items():
             assert period[name] == pytest.approx(values, rel=0, abs=1e-9), name
 
-    def test_noisy_scenario_keeps_its_full_grid(self, monkeypatch):
+    def test_noisy_scenario_reads_its_quiet_period(self, monkeypatch):
+        # The 9,216-sample scenario's noise is neither drawn nor read: the
+        # gain is read on the noise-free 2,304-sample period alone.
         run, _ = prepare(from_dict({"measurements": ["cg"]}))
         assert run.scenario.input_noise_density > 0
         grids = record_grids(monkeypatch)
+        draws = []
+
+        def counting_noise(*args):
+            draws.append(args)
+            return signals._noise(*args)
+
+        monkeypatch.setattr(engine, "_noise", counting_noise)
         measure_conversion_gain(run.scenario)
-        assert grids == [9216]
+        assert grids == [2304]
+        assert draws == []
 
     def test_noise_free_period_scenario_is_kept(self):
         run, _ = prepare(from_dict({"measurements": ["cg"]}))
-        period = period_of(run.quiet, run.quiet.f_if)
+        period = period_of(run.scenario, run.scenario.f_if)
         assert period.grid.num_samples == 2304
+        assert period.input_noise_density == 0.0 and period.input_noise_band is None
         assert period_of(period, period.f_if) is period
 
 
@@ -962,7 +1008,7 @@ class TestDriveCubicOracle:
         + ["a2", "smooth_switch", "kappa_0.05", "smooth_a2_kappa_0.05"])
     def test_every_drive_reading(self, monkeypatch, cfg):
         run, inputs = prepare(from_dict({**cfg, "measurements": ["cg", "p1db", "iip3"]}))
-        s = run.quiet
+        s = run.scenario
         assert measure_conversion_gain(s) == pytest.approx(
             reference_gain_db(s, s.rf_tones[0].power_dbm), rel=0, abs=ORACLE_DB)
         power_range, step = inputs["p1db"]
@@ -970,15 +1016,37 @@ class TestDriveCubicOracle:
         assert_sweeps_agree(res.sweep, reference_sweep(s, sweep_powers(power_range, step)))
         assert_iip3_agrees(monkeypatch, *inputs["iip3"])
 
-    @pytest.mark.parametrize("mixer", [{}, {"kappa": 0.05, "a2": 0.01}],
-                             ids=["default", "kappa_0.05_a2"])
-    def test_noisy_conversion_gain(self, mixer):
-        run, _ = prepare(from_dict({"scenario": {"mixer": mixer}, "measurements": ["cg"]}))
+
+
+class TestNoisyReadsItsQuietCopy:
+    """A noisy scenario's gain, compression sweep, two-tone readings and
+    noise-figure probe gain equal those of its noise-free copy to the bit:
+    every drive reading is of the deterministic mixer."""
+
+    @pytest.mark.parametrize("scenario", [
+        {},
+        {"mixer": {"kappa": 0.05, "a2": 0.01}},
+        {"noise": {"bandwidth_hz": 5.0e9}},
+    ], ids=["default", "kappa_0.05_a2", "band_limited"])
+    def test_readings_equal_the_quiet_copy(self, scenario):
+        cfg = from_dict({"scenario": scenario})
+        run, inputs = prepare(cfg)
         s = run.scenario
         assert s.input_noise_density > 0
-        amp_out = bin_amplitude(simulate(s).v_out, s.f_if).amplitude
-        reference = 20.0 * math.log10(amp_out / s.rf_tones[0].peak_amplitude())
-        assert measure_conversion_gain(s) == pytest.approx(reference, rel=0, abs=ORACLE_DB)
+        assert (s.input_noise_band is not None) == ("noise" in scenario)
+        assert measure_conversion_gain(s) == measure_conversion_gain(quiet(s))
+        noisy_p1db = measure_p1db(s, *inputs["p1db"])
+        quiet_p1db = measure_p1db(quiet(s), *inputs["p1db"])
+        assert len(noisy_p1db.sweep) == 81
+        assert noisy_p1db == quiet_p1db  # every sweep point and exact_dbm
+        two, per_tone = inputs["iip3"]
+        assert two.input_noise_density > 0
+        assert measure_iip3(two, per_tone) == measure_iip3(quiet(two), per_tone)
+        nf_scenario, settings = build_nf_setup(cfg)
+        _, probe, f_out = noise_figure_setup(nf_scenario, settings)
+        assert probe.input_noise_density > 0
+        assert metrics._probe_gain_db(probe, f_out) == metrics._probe_gain_db(quiet(probe),
+                                                                               f_out)
 
 
 class TestIsolationPort:
@@ -990,8 +1058,8 @@ class TestIsolationPort:
         f"sweep_seed{seed}_{i}" for seed in (1, 2) for i in range(8)])
     def test_equals_the_simulated_port(self, cfg):
         run, _ = prepare(from_dict({**cfg, "measurements": ["isolation"]}))
-        s = run.quiet
-        period = replace(s, grid=s.grid.common_period((s.f_rf, s.f_lo)))
+        s = run.scenario
+        period = replace(quiet(s), grid=s.grid.common_period((s.f_rf, s.f_lo)))
         ray = bin_amplitude(simulate(period).v_rf_port, s.f_lo).amplitude
         assert engine._port_ray(s, s.f_lo) == ray
         assert measure_isolation(s) == 20.0 * math.log10(ray / s.lo_tone.peak_amplitude())

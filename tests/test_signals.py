@@ -1,6 +1,7 @@
 """Tests for the sampled-signal substrate: grids, tones, bin readout, noise."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,19 @@ class TestDbmConversions:
             amplitude_to_dbm(0.0)
         with pytest.raises(ValueError):
             amplitude_to_dbm(-1.0)
+
+    @pytest.mark.parametrize("amplitude", [
+        5e-324, 1e-300, 1e-160, 1e-155, 1e154, 1.4e154, 1e300, sys.float_info.max])
+    def test_finite_for_every_finite_amplitude(self, amplitude):
+        # Squares that underflow, lose their bits or overflow (once 0, -3190.05
+        # or inf dBm at 1e-160 V and inf from 1e154 V on).
+        assert amplitude_to_dbm(amplitude) == pytest.approx(
+            20.0 * math.log10(amplitude) + 10.0, rel=1e-15, abs=1e-12)
+
+    @given(st.floats(min_value=1e-150, max_value=1e150))
+    @settings(max_examples=50, deadline=None)
+    def test_normal_powers_keep_their_bits(self, x):
+        assert amplitude_to_dbm(x) == 10.0 * math.log10((x * x / 2.0) / 50.0 / 1e-3)
 
     @pytest.mark.parametrize("x", [1e-6, 1.0, 10.0])
     def test_round_trip(self, x):
