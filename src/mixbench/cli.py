@@ -107,18 +107,23 @@ def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence],
                                       for row in rows]))
     else:
         path = path + ".csv"
-        _write_text(path, ",".join(header) + "\n" + _csv_body(len(header), rows))
+        _write_text(path, _csv_text(header, tuple(chain.from_iterable(rows)), len(rows)))
     return path
 
 
-def _csv_body(width: int, rows: Sequence[Sequence]) -> str:
-    """CSV lines of ``rows``: floats as ``%.12g``, every other cell as ``str``.
+def _csv_text(header: Sequence[str], cells: tuple, rows: int, open_float: bool = False) -> str:
+    """CSV text of ``header`` and ``rows`` rows of row-major ``cells``.
 
-    The whole table is one ``%`` over a repeated line template, so each
-    column must hold only floats or only non-floats.
+    Floats are written as ``%.12g`` and every other cell as ``str``.  The
+    whole text is one ``%`` over a header and a repeated line template, so
+    each column must hold only floats or only non-floats.  With
+    ``open_float`` every line ends in one more float column, left open as
+    ``%.12g``: the text is then a template, and ``text % values`` fills that
+    column with a tuple of ``rows`` floats.  Its bound columns must then be
+    floats, as ``%.12g`` text never holds a ``%``.
     """
-    cells = tuple(chain.from_iterable(rows))
-    if len(cells) != width * len(rows):
+    width = len(header) - open_float
+    if len(cells) != width * rows:
         raise ValueError(f"every row of the table must have {width} cells")
     formats = []
     for column in (cells[i::width] for i in range(width)):
@@ -126,7 +131,10 @@ def _csv_body(width: int, rows: Sequence[Sequence]) -> str:
         if len(kinds) > 1:
             raise ValueError("a table column mixes float and non-float cells")
         formats.append("%.12g" if kinds == {True} else "%s")
-    return (",".join(formats) + "\n") * len(rows) % cells
+    # A header '%' stays literal through each '%' the text goes through.
+    head = ",".join(header).replace("%", "%%" * (1 + open_float))
+    line = ",".join(formats + ["%%.12g"] * open_float) + "\n"
+    return (head + "\n" + line * rows) % cells
 
 
 def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
@@ -134,25 +142,32 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
     """Write (time, value) tables for the output voltage waveforms.
 
     Times are in seconds of the physical frequency plan.  ``decimation``
-    keeps every d-th sample.  In CSV the tables share one time column,
-    formatted once as ``%.12g`` strings, which the tables write as they are.
+    keeps every d-th sample.  In CSV the tables share one line template
+    from :func:`_csv_text`, which holds each row's time text, formatted
+    once per run, and leaves the voltage column open: each table is one
+    ``%`` of that template over its samples.
     """
     if decimation < 1:
         raise ValidationError(f"decimation must be >= 1, got {decimation}")
     scale = result.scenario.frequency_scale
     grid = result.scenario.grid
-    times = (np.arange(0, grid.num_samples, decimation)
-             / grid.sample_rate / scale).tolist()
+    times = tuple((np.arange(0, grid.num_samples, decimation)
+                   / grid.sample_rate / scale).tolist())
+    header = ("time_s", "voltage_v")
     if fmt == "csv":
-        times = ("%.12g\n" * len(times) % tuple(times)).split("\n")[:-1]
+        template = _csv_text(header, times, len(times), open_float=True)
     written = []
     targets = [("transient_vout", result.v_out)]
     if result.v_out_filtered is not None:
         targets.append(("transient_vout_filtered", result.v_out_filtered))
     for name, signal in targets:
-        rows = list(zip(times, signal.samples[::decimation].tolist()))
-        written.append(_write_table(os.path.join(out_dir, name),
-                                    ("time_s", "voltage_v"), rows, fmt))
+        path = os.path.join(out_dir, name)
+        values = signal.samples[::decimation].tolist()
+        if fmt == "csv":
+            written.append(path + ".csv")
+            _write_text(written[-1], template % tuple(values))
+        else:
+            written.append(_write_table(path, header, list(zip(times, values)), fmt))
     return written
 
 
@@ -429,7 +444,8 @@ def render_summary_text(summary: Dict) -> str:
     return "\n".join(lines)
 
 
-def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str):
+def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str) -> str:
+    """Write the run's summaries, metadata and config; return the summary.txt text."""
     plan = cfg.plan
     metadata = {
         "tool": "mixbench",
@@ -444,11 +460,13 @@ def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str):
             "hz_per_unit": plan.hz_per_unit,
         },
     }
+    summary_text = render_summary_text(summary)
     for name, text in (("summary.json", _json_text(_json_safe(summary))),
-                       ("summary.txt", render_summary_text(summary)),
+                       ("summary.txt", summary_text),
                        ("metadata.json", _json_text(metadata)),
                        ("effective_config.yaml", cfg.effective_yaml())):
         _write_text(os.path.join(out_dir, name), text)
+    return summary_text
 
 
 def cmd_run(args) -> int:
@@ -465,12 +483,12 @@ def cmd_run(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         summary = _measure(run, inputs)
-        _write_outputs(cfg, summary, args.out)
+        summary_text = _write_outputs(cfg, summary, args.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     failed = sorted(k for k, v in summary["measurements"].items() if "error" in v)
-    print(render_summary_text(summary))
+    print(summary_text)
     if failed:
         print(f"{len(failed)} measurement(s) failed: {', '.join(failed)}",
               file=sys.stderr)

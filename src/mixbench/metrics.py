@@ -165,10 +165,17 @@ def measure_conversion_gain(s: Scenario) -> float:
 
     It is read on the noise-free common period of ``s``
     (:func:`engine._drive_cubic`), so the input noise of ``s`` does not
-    move it.
+    move it.  Raises NonFiniteReadingError if the gain is not finite.
     """
     amplitude = s.rf_tones[0].peak_amplitude()
-    return _gain_reader(s, s.f_if)(amplitude)
+    return _finite_gain(_gain_reader(s, s.f_if)(amplitude), amplitude, "V")
+
+
+def _finite_gain(gain_db: float, drive: float, unit: str) -> float:
+    """``gain_db`` read at ``drive``; NonFiniteReadingError if it is not finite."""
+    if not math.isfinite(gain_db):
+        raise NonFiniteReadingError(f"conversion gain {gain_db!r} dB at {drive!r} {unit}")
+    return gain_db
 
 
 def sweep_size(power_range: Tuple[float, float], step: float) -> int:
@@ -200,7 +207,8 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     interpolated linearly in (input dBm, gain dB) between bracketing points.
     Every point's gain equals :func:`measure_conversion_gain` of ``s`` at
     that power; all points come from one :func:`_gain_reader`, read in
-    order, so the first point that fails raises.  ``exact_dbm`` is the
+    order, so the first point that fails, or reads a gain that is not
+    finite (NonFiniteReadingError), raises.  ``exact_dbm`` is the
     drive where the gain itself crosses 1 dB below the reference, found by
     bisection on the same reader between the bracketing points.
     """
@@ -210,7 +218,8 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     lo_dbm, hi_dbm = power_range
     powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
     gain = _gain_reader(s, s.f_if)
-    sweep = [_sweep_point(p_in, p_in + gain(dbm_to_amplitude(p_in))) for p_in in powers]
+    sweep = [_sweep_point(p_in, p_in + _finite_gain(gain(dbm_to_amplitude(p_in)), p_in, "dBm"))
+             for p_in in powers]
 
     ref_gain = sweep[0].gain_db
     threshold = ref_gain - 1.0

@@ -28,6 +28,7 @@ from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG, record_grids, record
 from mixbench import cli, engine, memo, metrics
 from mixbench.cli import (
     REGISTRY,
+    _csv_text,
     _write_table,
     emit_transient,
     main,
@@ -697,12 +698,19 @@ class TestCliRun:
             tables.add((out / "nf.csv").read_bytes())
         assert len(tables) == 1
 
-    @pytest.mark.parametrize("text, entry, error", [
+    @pytest.mark.parametrize("text, entry, table, error", [
         # The cubic overflows the mixer's slope at its operating point.
-        ("measurements: [nf]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "nf",
+        ("measurements: [nf]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "nf", "nf",
          "NonFiniteReadingError: the mixer's periodic small-signal gain has mean square inf"),
-    ], ids=["nf_a3"])
-    def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, error):
+        # A finite record whose IF projection overflows reads an inf gain.
+        ("measurements: [cg]\nscenario:\n  rf_power_dbm: 2035.0\n", "cg", "cg",
+         "NonFiniteReadingError: conversion gain inf dB at 1.778279410038923e+101 V"),
+        # The sweep stops at its first such point, 2035 dBm.
+        ("measurements: [p1db]\nsweeps:\n  p1db: {start_dbm: 2025.0, stop_dbm: 2045.0, "
+         "step_db: 5.0}\n", "p1db", "p1db_sweep",
+         "NonFiniteReadingError: conversion gain inf dB at 2035.0 dBm"),
+    ], ids=["nf_a3", "cg_overflow", "p1db_overflow"])
+    def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, table, error):
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -711,6 +719,7 @@ class TestCliRun:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         summary = json.loads((out / "summary.json").read_text())
         assert summary["measurements"][entry] == {"error": error}
+        assert not (out / f"{table}.csv").exists()
 
     def test_json_format_output(self, tmp_path):
         path = write_config(tmp_path,
@@ -1074,7 +1083,7 @@ def per_cell_csv(header, rows):
 
 
 class TestCsvTables:
-    HEADER = ("index", "value", "label", "flag")
+    HEADER = ("index", "value", "label %s", "flag")
     VALUES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-5, 1e21, 1e16,
               0.1 + 0.2, -123.456789012345, 5e-324, 1.7976931348623157e308)
 
@@ -1099,7 +1108,33 @@ class TestCsvTables:
         with pytest.raises(ValueError):
             _write_table(str(tmp_path / "t"), ("a", "b"), rows, "csv")
 
-    @pytest.mark.parametrize("decimation", [1, 8])
+    # Open-column cells: the values a float column writes least plainly,
+    # as floats and as numpy.float64.
+    OPEN_CELLS = st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e21]) | st.floats()
+    OPEN_CELLS = OPEN_CELLS | OPEN_CELLS.map(np.float64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(OPEN_CELLS, OPEN_CELLS), max_size=30))
+    def test_open_column_matches_per_cell_rule(self, rows):
+        header = ("time %s", "voltage %%")
+        template = _csv_text(header, tuple(t for t, _ in rows), len(rows), open_float=True)
+        assert template % tuple(v for _, v in rows) == per_cell_csv(header, rows)
+
+    def test_transient_csv_memory_is_bounded(self, tmp_path):
+        # The one template, a table's samples and its text: about 1.4 MB of
+        # peak for the two 9,216-row tables of the default run.
+        result = simulate(build_scenario(from_dict({})))
+        emit_transient(result, str(tmp_path))
+        tracemalloc.start()
+        try:
+            emit_transient(result, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_600_000
+
+    @pytest.mark.parametrize("decimation", [1, 3, 7, 8])
     def test_transient_tables_match_per_sample_rule(self, tmp_path, decimation):
         scenario = build_scenario(from_dict({}))
         result = simulate(scenario)

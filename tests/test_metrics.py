@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -198,13 +199,28 @@ class TestGainRoutineBits:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_finite_record_with_overflowing_readout(self, amplitude, expected):
         # Every v_out sample is finite, but the IF projection overflows: to
-        # inf, or to NaN where partial sums of both signs overflow.  No
-        # error is raised and the reading is that of one simulation.
+        # inf, or to NaN where partial sums of both signs overflow.  One
+        # simulation reads that gain; the measurement refuses it by name.
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=0.0), rf_amplitude=amplitude)
         v_out = simulate(period_of(s, s.f_if)).v_out
         reference = 20.0 * math.log10(abs(bin_value(v_out, s.f_if)) / amplitude)
-        got = measure_conversion_gain(s)
-        assert np.array_equal([got, reference], [expected, expected], equal_nan=True)
+        assert np.array_equal([reference], [expected], equal_nan=True)
+        with pytest.raises(NonFiniteReadingError,
+                           match=re.escape(f"conversion gain {expected!r} dB at {amplitude!r} V")):
+            measure_conversion_gain(s)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_sweep_stops_at_first_non_finite_point(self):
+        # 2025 and 2030 dBm read finite gains; 2035 dBm reads inf, so the
+        # sweep fails there instead of searching for compression below a
+        # reference gain of thousands of dB.
+        s = calibrated_scenario(kappa=0.01303)
+        reference = [reference_gain_db(s, p) for p in (2025.0, 2030.0, 2035.0)]
+        assert [math.isfinite(g) for g in reference] == [True, True, False]
+        with pytest.raises(NonFiniteReadingError,
+                           match=r"conversion gain inf dB at 2035\.0 dBm"):
+            measure_p1db(s, (2025.0, 2045.0), 5.0)
 
     def test_sweep_memory_is_bounded(self):
         # A few 2,304-sample arrays for the one drive cubic: about 180 KB of
