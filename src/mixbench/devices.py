@@ -1,9 +1,11 @@
 """Behavioral models for the three elements of a single-balanced mixer.
 
-The RF transconductor is a memoryless polynomial ``i = gm*v_gs1 + gm*v +
-a2*v^2 + a3*v^3``: the linear term is the classic voltage-to-current
-conversion, and the cubic term is the minimal extension that produces both
-gain compression and third-order intermodulation.  The LO pair is an ideal
+The RF transconductor is a memoryless polynomial ``i = sum_n a_n * v^n``
+of :attr:`TransconductorParams.coefficients` ``(gm*v_gs1, gm, a2, a3)``:
+the linear term is the classic voltage-to-current conversion, and the cubic
+term is the minimal extension that produces both gain compression and
+third-order intermodulation.  Every other module reads the polynomial by
+degree through that tuple and :func:`_taylor`.  The LO pair is an ideal
 (or tanh-softened) commutating switch, and the loads are plain resistors.
 LO-to-RF leakage is a single linear voltage-coupling coefficient.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +47,11 @@ class TransconductorParams:
         for name in ("v_gs1", "a2", "a3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+
+    @property
+    def coefficients(self) -> Tuple[float, ...]:
+        """``(a_0, a_1, a_2, a_3) = (gm*v_gs1, gm, a2, a3)``; the current is ``sum_n a_n*v^n``."""
+        return (self.gm * self.v_gs1, self.gm, self.a2, self.a3)
 
 
 @dataclass(frozen=True)
@@ -111,9 +118,9 @@ class LeakageParams:
 def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> SampledSignal:
     """Drain current of the RF device for a voltage waveform at its gate.
 
-    i[n] = gm*v_gs1 + gm*v[n] + a2*v[n]^2 + a3*v[n]^3, in amperes.  The
-    terms are accumulated in place, in that order, each power term as
-    ``((a * v) * v) * v``.
+    i[n] = sum_k a_k * v[n]^k over :attr:`TransconductorParams.coefficients`,
+    in amperes.  The terms are accumulated in place: ``a_1 * v``, then
+    ``a_0``, then each nonzero power term by degree as ``((a_k * v) * v) * v``.
     """
     if v_rf.unit != "volt":
         raise ValidationError(f"transconductor input must be volts, got {v_rf.unit!r}")
@@ -123,19 +130,40 @@ def transconductor_current(p: TransconductorParams, v_rf: SampledSignal) -> Samp
 def _transconductor(p: TransconductorParams, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """The drain current for gate voltages ``v``, unchecked, in ``out`` or a fresh array."""
-    i = np.multiply(p.gm, v, out=out)
-    i += p.gm * p.v_gs1
+    a = p.coefficients
+    i = np.multiply(a[1], v, out=out)
+    i += a[0]
     term = None
-    if p.a2 != 0.0:
-        term = np.multiply(v, p.a2)
-        term *= v
-        i += term
-    if p.a3 != 0.0:
-        term = np.multiply(v, p.a3, out=term)
-        term *= v
-        term *= v
-        i += term
+    for n in range(2, len(a)):
+        if a[n] != 0.0:
+            term = np.multiply(v, a[n], out=term)
+            for _ in range(n - 1):
+                term *= v
+            i += term
     return i
+
+
+def _taylor(p: TransconductorParams, e: np.ndarray, j: int) -> np.ndarray:
+    """``sum_{n >= j} C(n, j) * a_n * e^(n - j)`` of ``p.coefficients``, a fresh array.
+
+    The sum runs by Horner's rule in ``e``, from the top degree down.  It is
+    the ``j``-th Taylor coefficient of the current ``i(v) = sum_n a_n * v^n``
+    about ``e``, so at the gate voltage ``A*b + e`` the current is
+    ``sum_j A^j * b^j * _taylor(p, e, j)``; ``j = 1`` is the small-signal
+    slope ``di/dv`` at ``e``.  For the cubic that is
+
+    * ``j = 3``: ``a3``,
+    * ``j = 2``: ``a2 + 3*a3*e``,
+    * ``j = 1``: ``gm + 2*a2*e + 3*a3*e^2``,
+    * ``j = 0``: ``gm*v_gs1 + gm*e + a2*e^2 + a3*e^3``, the current at ``e``.
+    """
+    a = p.coefficients
+    top = len(a) - 1
+    c = np.full(e.shape, math.comb(top, j) * a[top], dtype=float)
+    for n in range(top - 1, j - 1, -1):
+        c *= e
+        c += math.comb(n, j) * a[n]
+    return c
 
 
 def switch_waveform(p: SwitchParams, v_lo: SampledSignal) -> SampledSignal:
@@ -167,15 +195,20 @@ def _lo_leak(l: LeakageParams, v_lo: np.ndarray) -> np.ndarray:
     return l.kappa * v_lo
 
 
+def _check_compression(p: TransconductorParams) -> None:
+    """Raise NoCompressionError unless the cubic compresses the gain (``a3 < 0``)."""
+    if not p.a3 < 0:
+        raise NoCompressionError(
+            f"a3 must be < 0 for compression, got {p.a3!r}")
+
+
 def a1db_closed_form(p: TransconductorParams) -> float:
     """Input peak amplitude (volts) where the cubic compresses the gain 1 dB.
 
     For a drive A*cos the fundamental current is gm*A*(1 + (3/4)(a3/gm)A^2),
     so the 1 dB point solves 1 + (3/4)(a3/gm)A^2 = 10**(-1/20).
     """
-    if not p.a3 < 0:
-        raise NoCompressionError(
-            f"a3 must be < 0 for compression, got {p.a3!r}")
+    _check_compression(p)
     return math.sqrt((4.0 / 3.0) * (1.0 - _ONE_DB_FACTOR) * p.gm / abs(p.a3))
 
 

@@ -36,11 +36,12 @@ figure the mixer's small-signal gain (:func:`metrics.periodic_noise_figure`).
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
 the two drives of IIP3) need no record per drive.  The port is ``A*b + e``
-and the transconductor a cubic, so every ray read from the output is a
-cubic in ``A``: :func:`_drive_cubic` moves a scenario onto the noise-free
-common period of its tones, LO and rays, picks each ray's readout, and
-projects its four coefficient terms (:func:`_cubic_terms`) once (the
-power-series view of a weakly nonlinear circuit; Wambacq & Sansen, 1998).
+and the transconductor a polynomial, so every ray read from the output is
+a polynomial in ``A`` of the same degree: :func:`_drive_cubic` moves a
+scenario onto the noise-free common period of its tones, LO and rays,
+picks each ray's readout, and projects one term per degree
+(:func:`_cubic_terms`) once (the power-series view of a weakly nonlinear
+circuit; Wambacq & Sansen, 1998).
 So no measurement reads the input noise but the noise figure, through its
 configured density: only :func:`_record` draws noise, for :func:`simulate`
 and the Monte-Carlo noise-figure reference.
@@ -68,6 +69,7 @@ from .devices import (
     TransconductorParams,
     _lo_leak,
     _switch,
+    _taylor,
     _transconductor,
 )
 from .errors import AliasingError, ValidationError
@@ -335,30 +337,17 @@ def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
 
 def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
                  e: np.ndarray) -> Iterator[np.ndarray]:
-    """``rd * sw * c_j`` for j = 0, 1, 2, 3 in turn, each a fresh array made when asked for.
+    """``rd * sw * c_j`` for each degree j in turn, each a fresh array made when asked for.
 
-    ``sw``, the switch samples, is scaled by ``rd`` in place.
-
-    At the RF port ``A*b + e`` the transconductor current
-    ``i(v) = gm*v_gs1 + gm*v + a2*v^2 + a3*v^3`` is ``sum_j A^j * c_j``, with
-
-    * ``c_3 = a3*b^3``,
-    * ``c_2 = a2*b^2 + 3*a3*b^2*e``,
-    * ``c_1 = gm*b + 2*a2*b*e + 3*a3*b*e^2``,
-    * ``c_0 = gm*v_gs1 + gm*e + a2*e^2 + a3*e^3``,
-
-    that is ``c_j = b^j * sum_{n >= j} C(n, j) * a_n * e^(n - j)``, each
-    sum by Horner's rule in ``e``.
+    ``sw``, the switch samples, is scaled by ``rd`` in place.  At the RF
+    port ``A*b + e`` the transconductor current is ``sum_j A^j * c_j``, with
+    ``c_j = b^j * _taylor(t, e, j)`` (:func:`devices._taylor`).
     """
     t = m.transconductor
-    a = (t.gm * t.v_gs1, t.gm, t.a2, t.a3)
     load = np.multiply(sw, m.load.rd, out=sw)
     b_power = None
-    for j in range(4):
-        c = np.full(b.size, math.comb(3, j) * a[3])
-        for n in range(2, j - 1, -1):
-            c *= e
-            c += math.comb(n, j) * a[n]
+    for j in range(len(t.coefficients)):
+        c = _taylor(t, e, j)
         if j:
             b_power = b.copy() if b_power is None else np.multiply(b_power, b, out=b_power)
             c *= b_power
@@ -374,29 +363,29 @@ _CUBIC_LIMIT = sys.float_info.max / 2.0 ** 16
 
 @dataclass(frozen=True, eq=False)
 class DriveCubic:
-    """The rays of ``scenario`` with every RF tone at one peak amplitude ``A``, as cubics in ``A``.
+    """The rays of ``scenario`` with every RF tone at one peak ``A``, as polynomials in ``A``.
 
     ``readouts`` holds the ``(bin, basis)`` pair of each ray on the grid
-    of ``scenario``, and ``projections[i]`` is ``(P_0, P_1, P_2, P_3)`` of
-    ray ``i``: the projections of ``rd * sw * c_j`` (:func:`_cubic_terms`),
-    so its reading at drive ``A`` is ``P_0 + A*P_1 + A^2*P_2 + A^3*P_3``.
+    of ``scenario``, and ``projections[i]`` holds, top degree first, the
+    projection ``P_j`` of each term ``rd * sw * c_j`` (:func:`_cubic_terms`)
+    on ray ``i``, so its reading at drive ``A`` is ``sum_j A^j * P_j``.
 
     The other fields bound the drive's own record.  Every tone basis lies
     in [-1, 1], so each partial sum of the RF port is at most
     ``w = max(1, A*tones + extra_peak)``, ``tones`` counting the RF tones
     and ``extra_peak`` the LO leak's largest sample.  Each transconductor
     term, the current, ``v_out`` and the projection's running sum over the
-    record are then at most
-    ``bound[0] + bound[1]*w + bound[2]*w^2 + bound[3]*w^3``:
-    ``N * max(1, rd)`` times ``|gm*v_gs1|``, ``gm``, ``|a2|`` and ``|a3|``.
-    ``bound`` is inf when a projection is not finite.
+    record are then at most ``bound`` read as a polynomial in ``w``, top
+    degree first: ``N * max(1, rd)`` times ``|a_j|`` of the
+    transconductor's ``coefficients``.  ``bound`` is inf when a projection
+    is not finite.
     """
 
     scenario: Scenario
     readouts: Tuple[Tuple[int, np.ndarray], ...]
     projections: Tuple[Tuple[complex, ...], ...]
     extra_peak: float
-    bound: Tuple[float, float, float, float]
+    bound: Tuple[float, ...]
 
     def covers(self, amplitude: float) -> bool:
         """Whether the drive's own record and readout are provably finite.
@@ -406,14 +395,16 @@ class DriveCubic:
         record says how the drive fails.
         """
         w = max(1.0, amplitude * len(self.scenario.rf_tones) + self.extra_peak)
-        b0, b1, b2, b3 = self.bound
-        return b0 + w * (b1 + w * (b2 + w * b3)) <= _CUBIC_LIMIT
+        total = 0.0
+        for b in self.bound:
+            total = total * w + b
+        return total <= _CUBIC_LIMIT
 
     def rays(self, amplitude: float) -> List[float]:
         """Amplitude of every ray at drive ``amplitude``, in order.
 
-        Read from the cubic by Horner's rule where it :meth:`covers` the
-        drive.  Any other drive runs its own record (:func:`_drive_record`)
+        Read from the polynomial by Horner's rule where it :meth:`covers`
+        the drive.  Any other drive runs its own record (:func:`_drive_record`)
         and projects it, so it fails, or reads inf or NaN, exactly as that
         record does: the record is scanned for non-finite samples only when
         a reading is not finite, since a non-finite sample makes every
@@ -421,8 +412,13 @@ class DriveCubic:
         inf.
         """
         if self.covers(amplitude):
-            return [abs(((p3 * amplitude + p2) * amplitude + p1) * amplitude + p0)
-                    for p0, p1, p2, p3 in self.projections]
+            amps = []
+            for coeffs in self.projections:
+                reading = 0j
+                for p in coeffs:
+                    reading = reading * amplitude + p
+                amps.append(abs(reading))
+            return amps
         v_out = _drive_record(self.scenario, amplitude)
         with np.errstate(all="ignore"):  # a non-finite reading is checked below
             amps = [abs(_project(v_out, *readout)) for readout in self.readouts]
@@ -432,18 +428,19 @@ class DriveCubic:
 
 
 def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
-    """The rays at frequencies ``rays`` of ``s`` as cubics in the drive amplitude.
+    """The rays at frequencies ``rays`` of ``s`` as polynomials in the drive amplitude.
 
     ``s`` is first moved onto the noise-free common period of its tones,
     LO and ``rays``: every drive reading is of the deterministic mixer,
     whatever input noise ``s`` carries, and the model is memoryless, so its
     bin readings there equal those on the full record.
 
-    The mixer is memoryless and its transconductor a cubic, so with every
-    RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of the unit
-    tone bases and ``e`` the LO leak, and every ray is ``sum_j A^j * P_j``.
-    The switch, ``b``, ``e`` and the four terms are made once, for any
-    number of drives; each term is projected on every ray and dropped.
+    The mixer is memoryless and its transconductor a polynomial, so with
+    every RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of
+    the unit tone bases and ``e`` the LO leak, and every ray is
+    ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the term of each
+    degree are made once, for any number of drives; each term is projected
+    on every ray and dropped.
     The tones, the leak and the switch come from one common period
     (:func:`_pump`), as in :func:`_record`, repeated over the period of the
     rays.  A term or projection that overflows makes inf or NaN without a
@@ -459,12 +456,11 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
         extra_peak = float(max(e.max(), -e.min()))
         terms = [[_project(term, k, basis) for k, basis in readouts]
                  for term in _cubic_terms(s.mixer, sw, b, e)]
-    t = s.mixer.transconductor
     scale = n * max(1.0, s.mixer.load.rd)
-    bound = tuple(scale * abs(a) for a in (t.gm * t.v_gs1, t.gm, t.a2, t.a3))
+    bound = tuple(scale * abs(a) for a in reversed(s.mixer.transconductor.coefficients))
     if not np.isfinite(terms).all():
-        bound = (math.inf,) * 4
-    return DriveCubic(scenario=s, readouts=readouts, projections=tuple(zip(*terms)),
+        bound = (math.inf,) * len(bound)
+    return DriveCubic(scenario=s, readouts=readouts, projections=tuple(zip(*reversed(terms))),
                       extra_peak=extra_peak, bound=bound)
 
 

@@ -37,11 +37,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .devices import _check_compression, _taylor
 from .engine import Scenario, _drive_cubic, _port_ray, _pump, _record
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
-    NoCompressionError,
     NonFiniteReadingError,
     StimulusTooHotError,
     ValidationError,
@@ -212,9 +212,7 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
     drive where the gain itself crosses 1 dB below the reference, found by
     bisection on the same reader between the bracketing points.
     """
-    if not s.mixer.transconductor.a3 < 0:
-        raise NoCompressionError(
-            f"a3 must be < 0 for compression, got {s.mixer.transconductor.a3!r}")
+    _check_compression(s.mixer.transconductor)
     lo_dbm, hi_dbm = power_range
     powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
     gain = _gain_reader(s, s.f_if)
@@ -469,11 +467,12 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     """Noise figure of ``s`` from the mixer's periodic small-signal gain; no noise is drawn.
 
     For input noise small enough not to compress the mixer, the output
-    noise is the input noise times ``g = rd * sw * (gm + 2*a2*v + 3*a3*v^2)``,
-    the slope of the memoryless mixer at its noise-free RF port ``v``
-    (tones and LO leak).  ``g`` repeats with the pump, so one common period
-    of :func:`engine._pump` holds it, and the output density at an output
-    bin ``f`` is ``sum_m |G_m|^2 * S_in(f - m*f_0)``, ``G_m`` the Fourier
+    noise is the input noise times ``g = rd * sw * _taylor(transconductor,
+    v, 1)``, the slope of the memoryless mixer (:func:`devices._taylor`) at
+    its noise-free RF port ``v`` (tones and LO leak).  ``g`` repeats with
+    the pump, so one common period of :func:`engine._pump` holds it, and the
+    output density at an output bin ``f`` is
+    ``sum_m |G_m|^2 * S_in(f - m*f_0)``, ``G_m`` the Fourier
     coefficients of ``g`` on its period ``1/f_0`` (Strom & Signell, 1977;
     Terrovitis & Meyer, 1999).  White noise over the grid gives
     ``density * sqrt(mean(g^2))`` at every bin; band-limited noise has the
@@ -490,11 +489,11 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     the figure non-finite.
     """
     bins, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
-    tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
-    v = tones + leak
-    t, density = s.mixer.transconductor, s.input_noise_density
+    density = s.input_noise_density
     with np.errstate(all="ignore"):  # every reading is checked by name below
-        g = s.mixer.load.rd * sw * (t.gm + v * (2.0 * t.a2 + 3.0 * t.a3 * v))
+        v, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+        v += leak
+        g = s.mixer.load.rd * sw * _taylor(s.mixer.transconductor, v, 1)
         if s.input_noise_band is None:
             folded = float(np.mean(g * g))
         else:

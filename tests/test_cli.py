@@ -561,6 +561,19 @@ class TestCliRun:
                             for name in ("cg", "p1db", "iip3", "harmonics", "transient")}
         assert "RuntimeWarning" not in capfd.readouterr().err
 
+    def test_nf_of_an_overflowing_smooth_switch_runs(self, tmp_path):
+        # The LO over v_sw overflows to inf in the switch, where tanh gives
+        # the hard switch's +/-1: the figure is finite, and no RuntimeWarning
+        # (an error under pytest) escapes the noise figure.
+        path = write_config(tmp_path, (
+            "measurements: [nf]\n"
+            "scenario:\n  lo_amplitude_v: 1.0e+10\n"
+            "  mixer: {switch_mode: smooth, switch_v_sw: 1.0e-300}\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 0
+        nf = json.loads((out / "summary.json").read_text())["measurements"]["nf"]
+        assert math.isfinite(nf["value_db"])
+
     @pytest.mark.parametrize("mixer, iip3_error, fundamental_dbm", [
         # Rays of about 1e296 V, whose squares overflow.
         ("a3: -1.0e+300", "StimulusTooHotError: gain moves +0.55 dB", 5945.27799978),
@@ -1082,6 +1095,21 @@ def per_cell_csv(header, rows):
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
+def assert_same_text(actual, expected):
+    """Fail unless the texts are equal, naming the first line that differs.
+
+    A plain ``==`` on two long tables makes pytest diff them whole, which
+    takes minutes for a 370 KB transient table.
+    """
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    index = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+    pytest.fail(f"line {index} differs: {got[index:index + 1]!r} != "
+                f"{want[index:index + 1]!r} ({len(got)} lines, {len(want)} expected)")
+
+
 class TestCsvTables:
     HEADER = ("index", "value", "label %s", "flag")
     VALUES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-5, 1e21, 1e16,
@@ -1119,7 +1147,7 @@ class TestCsvTables:
     def test_open_column_matches_per_cell_rule(self, rows):
         header = ("time %s", "voltage %%")
         template = _csv_text(header, tuple(t for t, _ in rows), len(rows), open_float=True)
-        assert template % tuple(v for _, v in rows) == per_cell_csv(header, rows)
+        assert_same_text(template % tuple(v for _, v in rows), per_cell_csv(header, rows))
 
     def test_transient_csv_memory_is_bounded(self, tmp_path):
         # The one template, a table's samples and its text: about 1.4 MB of
@@ -1146,7 +1174,7 @@ class TestCsvTables:
                      float(signal.samples[n]))
                     for n in range(0, grid.num_samples, decimation)]
             with open(path, encoding="utf-8", newline="") as fh:
-                assert fh.read() == per_cell_csv(("time_s", "voltage_v"), rows)
+                assert_same_text(fh.read(), per_cell_csv(("time_s", "voltage_v"), rows))
 
 
     @pytest.mark.parametrize("decimation", [1, 8])
@@ -1160,7 +1188,7 @@ class TestCsvTables:
                      "voltage_v": float(signal.samples[n])}
                     for n in range(0, grid.num_samples, decimation)]
             with open(path, encoding="utf-8", newline="") as fh:
-                assert fh.read() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+                assert_same_text(fh.read(), json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
 
 class TestSummaryRendering:
