@@ -53,12 +53,13 @@ from .config import (
     load_config,
     naming,
 )
-from .devices import dc_power
-from .engine import Scenario, TransientResult, analytic_conversion_gain, simulate
+from .devices import _check_compression, dc_power
+from .engine import DriveCubic, Scenario, TransientResult, analytic_conversion_gain, simulate
 from .errors import MixbenchError, ValidationError
 from .metrics import (
     REFERENCE_65NM,
     NoiseFigureSettings,
+    _gain_cubic,
     check_drive,
     check_lo_drive,
     measure_conversion_gain,
@@ -176,8 +177,9 @@ class RunContext:
     """What every registry step reads: config, main scenario and output target.
 
     ``transient`` simulates ``scenario`` on first read, so harmonics and
-    transient share one simulation.  ``out_dir`` is None when the run
-    is only validated.
+    transient share one simulation; ``if_cubic``, the drive cubic of its
+    IF ray, is built on first read, so cg and p1db share one.  ``out_dir``
+    is None when the run is only validated.
     """
 
     cfg: RunConfig
@@ -187,6 +189,10 @@ class RunContext:
     @cached_property
     def transient(self) -> TransientResult:
         return simulate(self.scenario)
+
+    @cached_property
+    def if_cubic(self) -> DriveCubic:
+        return _gain_cubic(self.scenario, self.scenario.f_if)
 
     def write_table(self, name: str, header: Sequence[str], rows: Sequence[Sequence]):
         _write_table(os.path.join(self.out_dir, name), header, rows, self.cfg.output_format)
@@ -204,7 +210,7 @@ def _cg_inputs(run: RunContext) -> None:
 
 
 def _cg(run: RunContext, _inputs: None) -> Dict:
-    gain = measure_conversion_gain(run.scenario)
+    gain = measure_conversion_gain(run.scenario, _cubic=run.if_cubic)
     analytic = analytic_conversion_gain(run.scenario.mixer)
     ref = REFERENCE_65NM.conversion_gain_db
     run.write_table("cg", ("measured_gain_db", "analytic_gain_db", "reference_gain_db"),
@@ -218,14 +224,15 @@ def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
     with naming("sweeps.p1db.start_dbm, sweeps.p1db.stop_dbm and sweeps.p1db.step_db"):
         sweep_size((start, stop), step)
     _check_gain_drive("sweeps.p1db.start_dbm", start)  # the sweep's quietest point
+    with naming("scenario.mixer.a3"):
+        _check_compression(run.scenario.mixer.transconductor)
     return (start, stop), step
 
 
 def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
-    res = measure_p1db(run.scenario, *inputs)
+    res = measure_p1db(run.scenario, *inputs, _cubic=run.if_cubic)
     run.write_table("p1db_sweep", ("input_power_dbm", "output_power_dbm", "gain_db"),
-                    [(pt.input_power_dbm, pt.output_power_dbm, pt.gain_db)
-                     for pt in res.sweep])
+                    tuple(zip(*res.columns)))
     return {"value_dbm": res.p1db_dbm,
             "small_signal_gain_db": res.small_signal_gain_db,
             "reference_dbm": REFERENCE_65NM.p1db_dbm,

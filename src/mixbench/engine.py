@@ -45,9 +45,10 @@ circuit; Wambacq & Sansen, 1998).
 So no measurement reads the input noise but the noise figure, through its
 configured density: only :func:`_record` draws noise, for :func:`simulate`
 and the Monte-Carlo noise-figure reference.
-Its :meth:`DriveCubic.rays` reads every ray at a drive; a drive whose own
-record it cannot prove finite is run whole by :func:`_drive_record` and
-read from that record instead.
+Its :meth:`DriveCubic.rays` reads every ray at a drive, and
+:meth:`DriveCubic.sweep` at an array of drives; a drive whose own record it
+cannot prove finite is run whole by :func:`_drive_record` and read from
+that record instead.
 """
 
 from __future__ import annotations
@@ -425,6 +426,32 @@ class DriveCubic:
         if not all(map(math.isfinite, amps)):
             _check_finite(v_out)
         return amps
+
+    def sweep(self, amplitudes: np.ndarray) -> Optional[np.ndarray]:
+        """Amplitude of every ray at each drive of ``amplitudes``, one row per ray.
+
+        None unless the cubic :meth:`covers` every drive of the float64
+        array ``amplitudes``, which it does where it covers the largest:
+        the bound grows with the drive.  Each row then holds :meth:`rays`
+        at each drive, to the bit.  There every value is finite, so
+        CPython's ``complex * float``, the complex product with a zero
+        imaginary part, is the real Horner on the real and on the
+        imaginary parts apart, and ``abs`` of a complex is libm's
+        ``hypot``, as ``np.hypot`` is.
+        """
+        if not self.covers(float(amplitudes.max())):
+            return None
+        out = np.empty((len(self.projections), amplitudes.size))
+        for row, coeffs in zip(out, self.projections):
+            re, im = (np.full(amplitudes.size, getattr(coeffs[0], part))
+                      for part in ("real", "imag"))
+            for p in coeffs[1:]:
+                re *= amplitudes
+                re += p.real
+                im *= amplitudes
+                im += p.imag
+            np.hypot(re, im, out=row)
+        return out
 
 
 def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:

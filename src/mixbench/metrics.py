@@ -19,7 +19,9 @@ Every ray comes from :mod:`engine`, which picks its grid, its readout and
 how it is read; this module only turns ray amplitudes into figures.
 Conversion gain, every compression-sweep point, the noise-figure gain
 probe and the two drives of IIP3 are read from one
-:func:`engine._drive_cubic` per measurement (:meth:`engine.DriveCubic.rays`),
+:func:`engine._drive_cubic` per measurement (:meth:`engine.DriveCubic.rays`;
+a run's conversion gain and compression sweep share one, and the sweep
+reads all its points at once through :meth:`engine.DriveCubic.sweep`),
 isolation from the noise-free RF port of :func:`engine._port_ray`, and
 the noise figure from the period of :func:`engine._pump`.  All of them read
 the noise-free mixer, whatever noise the scenario carries: the input noise
@@ -33,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .devices import _check_compression, _taylor
-from .engine import Scenario, _drive_cubic, _port_ray, _pump, _record
+from .engine import DriveCubic, Scenario, _drive_cubic, _port_ray, _pump, _record
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -75,19 +78,27 @@ class GainSweepPoint:
     gain_db: float
 
 
-def _sweep_point(input_dbm: float, output_dbm: float) -> GainSweepPoint:
-    return GainSweepPoint(input_power_dbm=input_dbm, output_power_dbm=output_dbm,
-                          gain_db=output_dbm - input_dbm)
+# A compression sweep as columns, in sweep order: input power in dBm,
+# output power in dBm and gain in dB.
+SweepColumns = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
 class P1dBResult:
-    """The interpolated 1 dB point, and ``exact_dbm``, where the gain itself crosses."""
+    """The interpolated 1 dB point, and ``exact_dbm``, where the gain itself crosses.
+
+    ``columns`` holds the sweep (:data:`SweepColumns`); :attr:`sweep` is
+    the same sweep as points, built when read.
+    """
 
     p1db_dbm: float
     small_signal_gain_db: float
-    sweep: Tuple[GainSweepPoint, ...]
+    columns: SweepColumns
     exact_dbm: float
+
+    @property
+    def sweep(self) -> Tuple[GainSweepPoint, ...]:
+        return tuple(map(GainSweepPoint, *self.columns))
 
 
 @dataclass(frozen=True)
@@ -141,34 +152,40 @@ def check_lo_drive(amplitude: float):
         raise WrongStimulusError("isolation needs an active LO tone")
 
 
-def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
-    """Gain in dB of single-tone ``s`` read at ``ray`` as a function of the RF peak amplitude.
-
-    One :func:`engine._drive_cubic` serves every amplitude it is called
-    with.  A silent drive raises before it is read.
-    """
+def _gain_cubic(s: Scenario, ray: float) -> DriveCubic:
+    """The drive cubic of single-tone ``s`` read at ``ray``, which serves every gain reading."""
     if len(s.rf_tones) != 1:
         raise WrongStimulusError(
             f"conversion gain needs a single RF tone, got {len(s.rf_tones)}")
-    cubic = _drive_cubic(s, (ray,))
-
-    def gain(amp_in: float) -> float:
-        check_drive(amp_in)
-        amp_out, = cubic.rays(amp_in)
-        return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
-
-    return gain
+    return _drive_cubic(s, (ray,))
 
 
-def measure_conversion_gain(s: Scenario) -> float:
+def _gain_at(cubic: DriveCubic, amp_in: float) -> float:
+    """Gain in dB on the one ray of ``cubic`` at RF peak ``amp_in``; a silent drive raises first."""
+    check_drive(amp_in)
+    amp_out, = cubic.rays(amp_in)
+    return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
+
+
+def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
+    """Gain in dB of single-tone ``s`` read at ``ray`` as a function of the RF peak amplitude.
+
+    One :func:`_gain_cubic` serves every amplitude it is called with.
+    """
+    return partial(_gain_at, _gain_cubic(s, ray))
+
+
+def measure_conversion_gain(s: Scenario, *, _cubic: Optional[DriveCubic] = None) -> float:
     """Conversion gain in dB of a single-tone scenario at its tone's amplitude, read at the IF.
 
     It is read on the noise-free common period of ``s``
     (:func:`engine._drive_cubic`), so the input noise of ``s`` does not
     move it.  Raises NonFiniteReadingError if the gain is not finite.
+    ``_cubic`` is ``_gain_cubic(s, s.f_if)`` when the caller has built it.
     """
+    cubic = _cubic if _cubic is not None else _gain_cubic(s, s.f_if)
     amplitude = s.rf_tones[0].peak_amplitude()
-    return _finite_gain(_gain_reader(s, s.f_if)(amplitude), amplitude, "V")
+    return _finite_gain(_gain_at(cubic, amplitude), amplitude, "V")
 
 
 def _finite_gain(gain_db: float, drive: float, unit: str) -> float:
@@ -199,40 +216,77 @@ def sweep_size(power_range: Tuple[float, float], step: float) -> int:
 
 
 def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
-                 step: float = 0.5) -> P1dBResult:
+                 step: float = 0.5, *, _cubic: Optional[DriveCubic] = None) -> P1dBResult:
     """Sweep the RF power and locate the 1 dB gain-compression point.
 
     The small-signal reference is the gain measured at the lowest sweep
     power, so the procedure works for any device model, and the crossing is
     interpolated linearly in (input dBm, gain dB) between bracketing points.
     Every point's gain equals :func:`measure_conversion_gain` of ``s`` at
-    that power; all points come from one :func:`_gain_reader`, read in
-    order, so the first point that fails, or reads a gain that is not
-    finite (NonFiniteReadingError), raises.  ``exact_dbm`` is the
-    drive where the gain itself crosses 1 dB below the reference, found by
-    bisection on the same reader between the bracketing points.
+    that power; all points come from one :func:`_gain_cubic`, read in
+    order (:func:`_sweep_gains`), so the first point that fails, or reads
+    a gain that is not finite (NonFiniteReadingError), raises.
+    ``exact_dbm`` is the drive where the gain itself crosses 1 dB below
+    the reference, found by bisection on the same cubic between the
+    bracketing points.  ``_cubic`` is ``_gain_cubic(s, s.f_if)`` when the
+    caller has built it.
     """
     _check_compression(s.mixer.transconductor)
     lo_dbm, hi_dbm = power_range
     powers = [lo_dbm + i * step for i in range(sweep_size(power_range, step))]
-    gain = _gain_reader(s, s.f_if)
-    sweep = [_sweep_point(p_in, p_in + _finite_gain(gain(dbm_to_amplitude(p_in)), p_in, "dBm"))
-             for p_in in powers]
+    cubic = _cubic if _cubic is not None else _gain_cubic(s, s.f_if)
+    columns = _sweep_columns(cubic, powers)
+    gains = columns[2]
 
-    ref_gain = sweep[0].gain_db
+    ref_gain = gains[0]
     threshold = ref_gain - 1.0
-    for prev, cur in zip(sweep, sweep[1:]):
-        if prev.gain_db >= threshold and cur.gain_db < threshold:
-            frac = (threshold - prev.gain_db) / (cur.gain_db - prev.gain_db)
-            p1db = prev.input_power_dbm + frac * (cur.input_power_dbm
-                                                  - prev.input_power_dbm)
-            exact = _crossing(gain, threshold, dbm_to_amplitude(prev.input_power_dbm),
-                              dbm_to_amplitude(cur.input_power_dbm))
+    for i in range(1, len(gains)):
+        if gains[i - 1] >= threshold and gains[i] < threshold:
+            frac = (threshold - gains[i - 1]) / (gains[i] - gains[i - 1])
+            p1db = powers[i - 1] + frac * (powers[i] - powers[i - 1])
+            exact = _crossing(partial(_gain_at, cubic), threshold,
+                              dbm_to_amplitude(powers[i - 1]), dbm_to_amplitude(powers[i]))
             return P1dBResult(p1db_dbm=p1db, small_signal_gain_db=ref_gain,
-                              sweep=tuple(sweep), exact_dbm=amplitude_to_dbm(exact))
+                              columns=columns, exact_dbm=amplitude_to_dbm(exact))
     raise CompressionNotFoundError(
         f"gain never dropped 1 dB below {ref_gain:.3f} dB within "
-        f"[{lo_dbm}, {hi_dbm}] dBm", sweep=sweep)
+        f"[{lo_dbm}, {hi_dbm}] dBm", sweep=map(GainSweepPoint, *columns))
+
+
+def _sweep_columns(cubic: DriveCubic, powers: List[float]) -> SweepColumns:
+    """The compression sweep at the rising ``powers``, in dBm, on the one ray of ``cubic``.
+
+    Each point's output power is ``p_in + gain`` and its gain
+    ``output - p_in``, ``gain`` read by :func:`_sweep_gains`.
+    """
+    outputs = [p_in + g for p_in, g in zip(powers, _sweep_gains(cubic, powers))]
+    return tuple(powers), tuple(outputs), tuple(out - p_in for p_in, out in zip(powers, outputs))
+
+
+def _sweep_gains(cubic: DriveCubic, powers: List[float]) -> List[float]:
+    """Gain in dB on the one ray of ``cubic`` at each of the rising ``powers``, in dBm.
+
+    Each point reads as :func:`_gain_at` at its drive, to the bit, and the
+    sweep fails as reading its points one by one in order does.  Where the
+    cubic covers the hottest drive, every point is read at once
+    (:meth:`engine.DriveCubic.sweep`); the ratio of each ray to its drive
+    is then ``amp_out / amp_in`` of :func:`_gain_at`, and where every
+    ratio is finite and above 0, no point can fail and each gain is the
+    ``log10`` of its ratio.  Any other sweep is read point by point, so it
+    fails as its drives' own records do.
+    """
+    try:
+        amplitudes = np.array([dbm_to_amplitude(p_in) for p_in in powers])
+    except ValidationError:  # a hot point has no finite peak voltage
+        amplitudes = None
+    rays = None if amplitudes is None else cubic.sweep(amplitudes)
+    if rays is not None:
+        with np.errstate(all="ignore"):  # a silent drive's ratio fails the check below
+            ratios = rays[0] / amplitudes
+        if (np.isfinite(ratios) & (ratios > 0)).all():
+            return [20.0 * math.log10(ratio) for ratio in ratios.tolist()]
+    return [_finite_gain(_gain_at(cubic, dbm_to_amplitude(p_in)), p_in, "dBm")
+            for p_in in powers]
 
 
 def _crossing(gain: Callable[[float], float], threshold: float, lo: float,
@@ -422,7 +476,7 @@ def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
     NonFiniteReadingError if the gain is otherwise not finite.
     """
     amplitude = probe.rf_tones[0].peak_amplitude()
-    gain_db = _gain_reader(probe, f_signal_out)(amplitude)
+    gain_db = _gain_at(_gain_cubic(probe, f_signal_out), amplitude)
     if gain_db == -math.inf:
         raise WrongStimulusError(
             f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")

@@ -508,12 +508,11 @@ class TestCliRun:
 
     def test_partial_failure_exit_code(self, tmp_path):
         path = write_config(tmp_path, (
-            "measurements: [cg, p1db, iip3, isolation, power]\n"
+            "measurements: [cg, iip3, isolation, power]\n"
             "scenario:\n  mixer:\n    a3: 0.0\n"))
         out = tmp_path / "out"
         assert self.run_cli("run", "--config", path, "--out", str(out)) == 1
         measured = json.loads((out / "summary.json").read_text())["measurements"]
-        assert "NoCompression" in measured["p1db"]["error"]
         assert "ImmeasurableIM3" in measured["iip3"]["error"]
         assert "value_db" in measured["cg"]
         assert "value_db" in measured["isolation"]
@@ -608,6 +607,21 @@ class TestCliRun:
         assert self.run_cli("validate", "--config", path) == 2
         assert self.run_cli("run", "--config", path, "--out", str(tmp_path / "out")) == 2
         assert f"{named} has no finite peak voltage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a3", ["0.0", "0.5"])
+    def test_p1db_without_compression_rejected(self, tmp_path, capsys, a3):
+        # a3 >= 0 is decided from the config alone, so validate and run
+        # reject it alike, before any output is written.
+        path = write_config(tmp_path, (
+            "measurements: [cg, p1db, power]\n"
+            f"scenario:\n  mixer:\n    a3: {a3}\n"))
+        out = tmp_path / "out"
+        assert self.run_cli("validate", "--config", path) == 2
+        assert self.run_cli("run", "--config", path, "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count(f"error: scenario.mixer.a3: a3 must be < 0 for compression, "
+                         f"got {a3}\n") == 2
 
     def test_transient_row_count_matches_the_table(self, tmp_path):
         # A decimation past the float range still keeps sample 0.
@@ -930,22 +944,22 @@ class TestDefaultRunWork:
         grids = record_grids(monkeypatch)
         assert main(["run", "--config", write_config(tmp_path, ""),
                      "--out", str(tmp_path / "out")]) == 0
-        # One drive cubic each for cg and the 81 p1db points on the
-        # 2,304-sample period, and for iip3's hot and cold drives on the
+        # One drive cubic shared by cg and the 81 p1db points on the
+        # 2,304-sample period, and one for iip3's hot and cold drives on the
         # full grid (a 1-unit tone spacing has no shorter period); the NF's
         # 576-sample probe cubic (isolation and the NF itself read the pump
         # and run no record); the transient, which the harmonics share.
-        assert grids == [2304] * 2 + [9216] + [576] + [9216]
+        assert grids == [2304] + [9216] + [576] + [9216]
 
     @pytest.mark.parametrize("text, sizes", [
         # One switch per pump, on the common period of its RF tones and LO:
-        # cg, p1db and isolation on 2,304 samples, iip3's
-        # two drives on the full grid (a 1-unit tone spacing has no shorter
-        # period); the NF's small-signal gain and its probe on 576; the
-        # transient on 2,304.  7 switches over 19,584 samples by default,
-        # 4 over 16,128 per sweep point.
-        ("", [2304] * 2 + [9216] + [2304] + [576] + [576] + [2304]),
-        (SWEEP_POINT_CONFIG, [2304] * 2 + [9216] + [2304]),
+        # the drive cubic cg and p1db share and isolation on 2,304 samples,
+        # iip3's two drives on the full grid (a 1-unit tone spacing has no
+        # shorter period); the NF's small-signal gain and its probe on 576;
+        # the transient on 2,304.  6 switches over 17,280 samples by
+        # default, 3 over 13,824 per sweep point.
+        ("", [2304] + [9216] + [2304] + [576] + [576] + [2304]),
+        (SWEEP_POINT_CONFIG, [2304] + [9216] + [2304]),
         (BUNDLE_JSON_CONFIG, [2304, 2304]),
     ], ids=["default", "sweep point", "json bundle"])
     def test_switch_evaluated_once_per_mixer_run(self, tmp_path, monkeypatch, text, sizes):

@@ -9,8 +9,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     at_power,
@@ -123,7 +127,11 @@ def reference_gain_db(s, power_dbm):
 
 def reference_sweep(s, powers):
     """Compression-sweep points of ``s`` at ``powers``, each from its own simulation."""
-    return [metrics._sweep_point(p, p + reference_gain_db(s, p)) for p in powers]
+    points = []
+    for p in powers:
+        out = p + reference_gain_db(s, p)
+        points.append(metrics.GainSweepPoint(p, out, out - p))
+    return points
 
 
 def assert_sweeps_agree(sweep, reference):
@@ -1154,6 +1162,65 @@ class TestSweepWork:
             assert len(res.sweep) == points
             work.append((grids, switches, projections))
         assert work[0] == work[1] == ([2304], [2304], [2304] * 4)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A compressive mixer, its scenario's phases and a sweep within -60 .. +10 dBm."""
+    mixer = make_mixer(
+        gm=draw(st.floats(0.005, 0.1)), v_gs1=draw(st.floats(0.0, 1.0)),
+        a2=draw(st.floats(-0.5, 0.5).filter(bool)), a3=draw(st.floats(-5.0, -0.01)),
+        rd=draw(st.floats(50.0, 400.0)), kappa=draw(st.floats(0.0, 0.3)),
+        switch_mode=draw(st.sampled_from(devices.SWITCH_MODES)))
+    phases = st.floats(-math.pi, math.pi)
+    try:
+        s = make_scenario(mixer=mixer, rf_phase=draw(phases), lo_phase=draw(phases))
+    except ValidationError:  # an LO phase that samples the ideal switch's instants
+        assume(False)
+    lo = draw(st.floats(-60.0, 9.0))
+    hi = draw(st.floats(lo + 0.5, 10.0))
+    return s, sweep_powers((lo, hi), draw(st.floats(0.05, hi - lo)))
+
+
+def scalar_gain_at(*_args):
+    raise AssertionError("the sweep was read point by point")
+
+
+class TestArraySweep:
+    """The sweep read at once from its cubic against the gain reader, point
+    by point, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_cases())
+    def test_equals_the_point_by_point_reading(self, case):
+        s, powers = case
+        cubic = metrics._gain_cubic(s, s.f_if)
+        with mock.patch.object(metrics, "_gain_at", scalar_gain_at):
+            inputs, outputs, gains = metrics._sweep_columns(cubic, powers)
+        gain = metrics._gain_reader(s, s.f_if)
+        assert inputs == tuple(powers)
+        for p_in, output, gain_db in zip(powers, outputs, gains, strict=True):
+            expected = p_in + gain(signals.dbm_to_amplitude(p_in))
+            assert (output.hex(), gain_db.hex()) == (expected.hex(), (expected - p_in).hex())
+
+    def test_uncovered_hot_end_is_read_point_by_point(self):
+        # The guard hands the calibrated mixer's drives to their own records
+        # from 1,996 dBm on (TestDriveCubicGuard); they read finite there.
+        s = calibrated_scenario(kappa=0.01303)
+        cubic = metrics._gain_cubic(s, s.f_if)
+        powers = sweep_powers((1990.0, 2000.0), 1.0)
+        assert cubic.sweep(np.array([signals.dbm_to_amplitude(p) for p in powers])) is None
+        reads, gain_at = [], metrics._gain_at
+
+        def counted_gain_at(cubic, amp_in):
+            reads.append(amp_in)
+            return gain_at(cubic, amp_in)
+
+        with mock.patch.object(metrics, "_gain_at", counted_gain_at):
+            inputs, outputs, gains = metrics._sweep_columns(cubic, powers)
+        assert reads == [signals.dbm_to_amplitude(p) for p in powers]
+        gain = metrics._gain_reader(s, s.f_if)
+        assert gains == tuple((p + gain(a)) - p for p, a in zip(powers, reads))
 
 
 class TestExactCrossing:
