@@ -20,18 +20,21 @@ Two grid choices keep the switching spectrum exact:
   on a switching instant and the commutation duty is exactly 50%; with the
   ideal switch, :func:`check_lo_phase` rejects a phase that puts one there.
 
-Every mixer record is built here, whole, by one function
-(:func:`_record`), on one kernel (:func:`_respond`), with its RF port
-summed in one order (tones, LO leak, noise).  :func:`simulate` keeps both
-ports for the harmonic and transient outputs, and the Monte-Carlo
-noise-figure reference reads the periodograms of both.  A record's
-deterministic part, its tones, LO leak and switch, repeats with the common
-period of its RF tones and LO, so it is built once on that period
-(:func:`_pump`) and laid over the record in place (:func:`_periodic`).
-The LO voltage is the LO's peak amplitude times its memoised unit basis.
-Two measurements read that one period and run no record: isolation reads
-the LO ray of its noise-free RF port (:func:`_port_ray`), and the noise
-figure the mixer's small-signal gain (:func:`metrics.periodic_noise_figure`).
+Every mixer waveform is built here.  Every mixer record is built whole by
+one function (:func:`_record`), on one kernel (:func:`_respond`), with its
+RF port summed in one order (tones, LO leak, noise).  :func:`simulate`
+keeps both ports for the harmonic and transient outputs, and the
+Monte-Carlo noise-figure reference reads the periodograms of both.  A
+record's deterministic part, its tones, LO leak and switch, repeats with
+the common period of its RF tones and LO, so it is built once on that
+period (:func:`_pump`) and laid over the record in place
+(:func:`_periodic`).  The LO voltage is the LO's peak amplitude times its
+memoised unit basis, and each reader that needs the switch builds it from
+that voltage.  The noise-free RF port, the tones plus the LO leak, is
+summed in one place (:func:`_port`).  Two measurements read that one
+period and run no record: isolation reads the LO ray of the port
+(:func:`_port_ray`) and evaluates no switch, and the noise figure the
+mixer's small-signal gain (:func:`_small_signal_gain`).
 
 Measurements that drive every RF tone at one swept amplitude ``A`` (the
 conversion gain, the compression sweep, the noise-figure gain probe and
@@ -46,9 +49,10 @@ So no measurement reads the input noise but the noise figure, through its
 configured density: only :func:`_record` draws noise, for :func:`simulate`
 and the Monte-Carlo noise-figure reference.
 Its :meth:`DriveCubic.rays` reads every ray at a drive, and
-:meth:`DriveCubic.sweep` at an array of drives; a drive whose own record it
-cannot prove finite is run whole by :func:`_drive_record` and read from
-that record instead.
+:meth:`DriveCubic.sweep` at an array of drives, both by one Horner loop
+(:func:`_horner`), which also sums the bound of :meth:`DriveCubic.covers`;
+a drive whose own record it cannot prove finite is run whole by
+:func:`_drive_record` and read from that record instead.
 """
 
 from __future__ import annotations
@@ -257,17 +261,18 @@ def apply_if_filter(f: FilterSpec, v: SampledSignal) -> SampledSignal:
 
 
 def _pump(s: Scenario, amplitudes: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(tones, leak, sw)`` of ``s`` over one common period of its RF tones and LO.
+    """``(tones, leak, v_lo)`` of ``s`` over one common period of its RF tones and LO.
 
     ``tones`` is ``0 + a_1*b_1 + a_2*b_2``, each RF tone's memoised unit
     basis ``b_i`` on the period at its amplitude in ``amplitudes``, summed
-    in place in that order; ``leak`` is ``0 +`` the LO leak of the LO
-    voltage, the LO's peak amplitude times its memoised unit basis (all
-    zeros when ``kappa`` is 0); ``sw`` is the switch.  Each is a fresh
-    array one period long, made once per record: the pump of a
-    periodically switched circuit repeats with the period (Strom &
-    Signell, 1977), so a record applies it to its own samples through
-    :func:`_periodic` and never holds it at the record's length.
+    in place in that order; ``v_lo`` is the LO voltage, the LO's peak
+    amplitude times its memoised unit basis, and ``leak`` is ``0 +`` its
+    LO leak (all zeros when ``kappa`` is 0).  Each is a fresh array one
+    period long, made once per record: the pump of a periodically switched
+    circuit repeats with the period (Strom & Signell, 1977), so a record
+    applies it to its own samples through :func:`_periodic` and never holds
+    it at the record's length.  A reader that needs the switch builds it
+    from ``v_lo`` (:func:`devices._switch`).
     """
     grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo))
     v_lo = s.lo_tone.peak_amplitude() * _tone_basis(grid, s.lo_tone)
@@ -276,7 +281,32 @@ def _pump(s: Scenario, amplitudes: Sequence[float]) -> Tuple[np.ndarray, np.ndar
         tones += amp * _tone_basis(grid, tone)
     if s.mixer.leakage.kappa != 0.0:
         leak += _lo_leak(s.mixer.leakage, v_lo)
-    return tones, leak, _switch(s.mixer.switch, v_lo)
+    return tones, leak, v_lo
+
+
+def _port(s: Scenario) -> Tuple[np.ndarray, np.ndarray]:
+    """``(port, v_lo)``: the noise-free RF port of ``s`` and its LO voltage, on the pump's period.
+
+    The port is the tones at their own amplitudes plus the LO leak of
+    :func:`_pump`, summed in that order.  Overflow makes inf or NaN, with
+    the warning the caller's ``np.errstate`` allows.
+    """
+    port, leak, v_lo = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
+    port += leak
+    return port, v_lo
+
+
+def _small_signal_gain(s: Scenario) -> np.ndarray:
+    """``g = rd * sw * _taylor(transconductor, port, 1)`` of ``s`` over the pump's period.
+
+    The slope of the memoryless mixer (:func:`devices._taylor`) at its
+    noise-free RF port (:func:`_port`) times ``rd * sw``, which is formed
+    first: the gain a small input noise sees.  Unchecked, like
+    :func:`_port`.
+    """
+    port, v_lo = _port(s)
+    m = s.mixer
+    return m.load.rd * _switch(m.switch, v_lo) * _taylor(m.transconductor, port, 1)
 
 
 def _periodic(op: np.ufunc, a: np.ndarray, period: np.ndarray,
@@ -310,7 +340,7 @@ def _record(s: Scenario) -> np.ndarray:
     """``s``'s record as one fresh ``(2, N)`` array of rows ``(port, v_out)``, unchecked.
 
     The RF port sums the tones, the LO leak and the noise.  The tones and
-    the leak are summed once, on the common period (:func:`_pump`), whose
+    the leak are summed once, on the common period (:func:`_port`), whose
     switch is evaluated once too, and added to the noise
     (:func:`signals._noise`; zeros without noise), which IEEE addition does
     with the bits of adding the noise to them.  Both nodes are one
@@ -318,12 +348,11 @@ def _record(s: Scenario) -> np.ndarray:
     checks the values it reads.
     """
     with np.errstate(all="ignore"):
-        tones, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
-        tones += leak
+        port, v_lo = _port(s)
         nodes = np.empty((2, s.grid.num_samples))
         _periodic(np.add, _noise(s.grid, s.input_noise_density, s.noise_seed,
-                                 s.input_noise_band), tones, out=nodes[0])
-        return _respond(s.mixer, sw, nodes)
+                                 s.input_noise_band), port, out=nodes[0])
+        return _respond(s.mixer, _switch(s.mixer.switch, v_lo), nodes)
 
 
 def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
@@ -354,6 +383,17 @@ def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
             c *= b_power
         c *= load
         yield c
+
+
+def _horner(coeffs: Sequence, x):
+    """The polynomial of ``coeffs``, top degree first, at ``x`` (a float or a float64 array).
+
+    Horner's rule from 0: ``total = total * x + c`` for each ``c`` in turn.
+    """
+    total = 0
+    for c in coeffs:
+        total = total * x + c
+    return total
 
 
 # A drive is read from its cubic only while every value its own record and
@@ -396,16 +436,13 @@ class DriveCubic:
         record says how the drive fails.
         """
         w = max(1.0, amplitude * len(self.scenario.rf_tones) + self.extra_peak)
-        total = 0.0
-        for b in self.bound:
-            total = total * w + b
-        return total <= _CUBIC_LIMIT
+        return _horner(self.bound, w) <= _CUBIC_LIMIT
 
     def rays(self, amplitude: float) -> List[float]:
         """Amplitude of every ray at drive ``amplitude``, in order.
 
-        Read from the polynomial by Horner's rule where it :meth:`covers`
-        the drive.  Any other drive runs its own record (:func:`_drive_record`)
+        Read from the polynomial by Horner's rule (:func:`_horner`) where
+        it :meth:`covers` the drive.  Any other drive runs its own record (:func:`_drive_record`)
         and projects it, so it fails, or reads inf or NaN, exactly as that
         record does: the record is scanned for non-finite samples only when
         a reading is not finite, since a non-finite sample makes every
@@ -413,13 +450,7 @@ class DriveCubic:
         inf.
         """
         if self.covers(amplitude):
-            amps = []
-            for coeffs in self.projections:
-                reading = 0j
-                for p in coeffs:
-                    reading = reading * amplitude + p
-                amps.append(abs(reading))
-            return amps
+            return [abs(_horner(coeffs, amplitude)) for coeffs in self.projections]
         v_out = _drive_record(self.scenario, amplitude)
         with np.errstate(all="ignore"):  # a non-finite reading is checked below
             amps = [abs(_project(v_out, *readout)) for readout in self.readouts]
@@ -433,24 +464,18 @@ class DriveCubic:
         None unless the cubic :meth:`covers` every drive of the float64
         array ``amplitudes``, which it does where it covers the largest:
         the bound grows with the drive.  Each row then holds :meth:`rays`
-        at each drive, to the bit.  There every value is finite, so
-        CPython's ``complex * float``, the complex product with a zero
-        imaginary part, is the real Horner on the real and on the
-        imaginary parts apart, and ``abs`` of a complex is libm's
-        ``hypot``, as ``np.hypot`` is.
+        at each drive, to the bit: both run :func:`_horner`, on an array
+        of drives here.  There every value is finite, so numpy's
+        complex-by-float product, like CPython's ``complex * float``, is
+        the complex product with a zero imaginary part, and ``abs`` of a
+        complex is libm's ``hypot``, as ``np.hypot`` is.
         """
         if not self.covers(float(amplitudes.max())):
             return None
         out = np.empty((len(self.projections), amplitudes.size))
         for row, coeffs in zip(out, self.projections):
-            re, im = (np.full(amplitudes.size, getattr(coeffs[0], part))
-                      for part in ("real", "imag"))
-            for p in coeffs[1:]:
-                re *= amplitudes
-                re += p.real
-                im *= amplitudes
-                im += p.imag
-            np.hypot(re, im, out=row)
+            reading = _horner(coeffs, amplitudes)
+            np.hypot(reading.real, reading.imag, out=row)
         return out
 
 
@@ -468,10 +493,11 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     ``sum_j A^j * P_j``.  The switch, ``b``, ``e`` and the term of each
     degree are made once, for any number of drives; each term is projected
     on every ray and dropped.
-    The tones, the leak and the switch come from one common period
-    (:func:`_pump`), as in :func:`_record`, repeated over the period of the
-    rays.  A term or projection that overflows makes inf or NaN without a
-    warning, and sets ``bound`` to inf.
+    The tones and the leak come from one common period (:func:`_pump`), as
+    in :func:`_record`, and the switch from its LO voltage; each is used as
+    it is where the rays keep that period, and repeated over their period
+    where they do not.  A term or projection that overflows makes inf or
+    NaN without a warning, and sets ``bound`` to inf.
     """
     grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
     if grid != s.grid or s.input_noise_density != 0.0 or s.input_noise_band is not None:
@@ -479,7 +505,9 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     readouts = tuple(_readout(s.grid, f) for f in rays)
     n = s.grid.num_samples
     with np.errstate(all="ignore"):
-        b, e, sw = (np.resize(part, n) for part in _pump(s, (1.0,) * len(s.rf_tones)))
+        tones, leak, v_lo = _pump(s, (1.0,) * len(s.rf_tones))
+        b, e, sw = (part if part.size == n else np.resize(part, n)
+                    for part in (tones, leak, _switch(s.mixer.switch, v_lo)))
         extra_peak = float(max(e.max(), -e.min()))
         terms = [[_project(term, k, basis) for k, basis in readouts]
                  for term in _cubic_terms(s.mixer, sw, b, e)]
@@ -494,14 +522,13 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
 def _port_ray(s: Scenario, frequency: float) -> float:
     """Amplitude of the ``frequency`` ray of the noise-free RF port of ``s``, unchecked.
 
-    The port is the tones plus the LO leak of :func:`_pump`, the port of
-    :func:`simulate` without its noise, read on the pump's period, so no
-    mixer record is built.  A port or a projection that overflows reads
-    inf or NaN without a warning.
+    The port is :func:`_port`'s, the port of :func:`simulate` without its
+    noise, read on the pump's period, so no mixer record is built and no
+    switch evaluated.  A port or a projection that overflows reads inf or
+    NaN without a warning.
     """
     with np.errstate(all="ignore"):
-        port, leak, _ = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
-        port += leak
+        port, _ = _port(s)
         # The pump's period keeps the sample rate of s.
         return abs(_project(port, *_readout(replace(s.grid, num_samples=port.size),
                                             frequency)))

@@ -23,12 +23,13 @@ probe and the two drives of IIP3 are read from one
 a run's conversion gain and compression sweep share one, and the sweep
 reads all its points at once through :meth:`engine.DriveCubic.sweep`),
 isolation from the noise-free RF port of :func:`engine._port_ray`, and
-the noise figure from the period of :func:`engine._pump`.  All of them read
-the noise-free mixer, whatever noise the scenario carries: the input noise
-enters the noise figure only through its configured density.  None builds a
-mixer record but a drive its cubic cannot vouch for, which is noise-free
-too, and the Monte-Carlo reference, which reads the periodograms of a whole
-noisy record (:func:`engine._record`).
+the noise figure from the mixer's small-signal gain on the pump's period
+(:func:`engine._small_signal_gain`); this module builds no mixer waveform
+of its own.  All of them read the noise-free mixer, whatever noise the
+scenario carries: the input noise enters the noise figure only through its
+configured density.  None builds a mixer record but a drive its cubic
+cannot vouch for, which is noise-free too, and the Monte-Carlo reference,
+which reads the periodograms of a whole noisy record (:func:`engine._record`).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .devices import _check_compression, _taylor
-from .engine import DriveCubic, Scenario, _drive_cubic, _port_ray, _pump, _record
+from .devices import _check_compression
+from .engine import DriveCubic, Scenario, _drive_cubic, _port_ray, _record, _small_signal_gain
 from .errors import (
     CompressionNotFoundError,
     ImmeasurableIM3Error,
@@ -308,8 +309,13 @@ def two_tone_variant(s: Scenario, tone_spacing: Optional[float] = None) -> Scena
     """Derive a two-tone scenario from a single-tone one.
 
     The second tone sits ``tone_spacing`` above the first (default: half the
-    IF), which keeps the down-converted third-order products on-grid and
-    clear of the fundamentals.
+    IF), which keeps the down-converted third-order products on-grid.  The
+    default does not keep them clear of other products: at a spacing ``d``
+    of IF/2 the lower IM3 ray, ``IF - d``, is the ray at ``d``, where the
+    cubic's ``3*a3*b^2*e`` term lands the tones' difference mixed with the
+    LO leak ``e``.  With the default design's leak, IIP3 at -40 dBm per tone
+    reads -14.32 dBm there, against -1.894 dBm at IF/4.  The CLI passes
+    IF/4 (``sweeps.iip3.tone_spacing_hz``, 25 MHz of the 100 MHz IF).
     """
     if len(s.rf_tones) != 1:
         raise WrongStimulusError("two_tone_variant expects a single-tone scenario")
@@ -524,8 +530,9 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     noise is the input noise times ``g = rd * sw * _taylor(transconductor,
     v, 1)``, the slope of the memoryless mixer (:func:`devices._taylor`) at
     its noise-free RF port ``v`` (tones and LO leak).  ``g`` repeats with
-    the pump, so one common period of :func:`engine._pump` holds it, and the
-    output density at an output bin ``f`` is
+    the pump, so one common period holds it
+    (:func:`engine._small_signal_gain`), and the output density at an
+    output bin ``f`` is
     ``sum_m |G_m|^2 * S_in(f - m*f_0)``, ``G_m`` the Fourier
     coefficients of ``g`` on its period ``1/f_0`` (Strom & Signell, 1977;
     Terrovitis & Meyer, 1999).  White noise over the grid gives
@@ -545,9 +552,7 @@ def periodic_noise_figure(s: Scenario, settings: NoiseFigureSettings, *,
     bins, probe, f_signal_out = _setup or noise_figure_setup(s, settings)
     density = s.input_noise_density
     with np.errstate(all="ignore"):  # every reading is checked by name below
-        v, leak, sw = _pump(s, [tone.peak_amplitude() for tone in s.rf_tones])
-        v += leak
-        g = s.mixer.load.rd * sw * _taylor(s.mixer.transconductor, v, 1)
+        g = _small_signal_gain(s)
         if s.input_noise_band is None:
             folded = float(np.mean(g * g))
         else:

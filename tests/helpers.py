@@ -138,11 +138,13 @@ def record_grids(monkeypatch):
 def record_switches(monkeypatch):
     """Count the switch waveforms the mixer runs evaluate; return their sizes.
 
-    One entry per ``devices._switch`` call, all of which ``engine._pump``
-    makes, on one common period of the RF tones and LO: per
-    ``engine._record`` (so per ``simulate``, per ``engine._drive_record``
-    and per noise-figure reference record), per ``engine._drive_cubic``,
-    per ``engine._port_ray`` and per ``metrics.periodic_noise_figure``.
+    One entry per ``devices._switch`` call, each made by ``engine`` from
+    the LO voltage of ``engine._pump``, on one common period of the RF
+    tones and LO: per ``engine._record`` (so per ``simulate``, per
+    ``engine._drive_record`` and per noise-figure reference record), per
+    ``engine._drive_cubic`` and per ``engine._small_signal_gain`` (so per
+    ``metrics.periodic_noise_figure``).  ``engine._port_ray`` reads the
+    RF port alone and makes none.
     """
     sizes = []
 
@@ -159,7 +161,8 @@ def record_projections(monkeypatch):
 
     One entry per ``signals._project`` call that ``engine`` makes: the
     terms of a drive cubic, a drive record read by
-    ``engine.DriveCubic.rays`` and the port read by ``engine._port_ray``.
+    ``engine.DriveCubic.rays`` and the port of ``engine._port`` read by
+    ``engine._port_ray``.
     """
     sizes = []
 

@@ -952,14 +952,15 @@ class TestDefaultRunWork:
         assert grids == [2304] + [9216] + [576] + [9216]
 
     @pytest.mark.parametrize("text, sizes", [
-        # One switch per pump, on the common period of its RF tones and LO:
-        # the drive cubic cg and p1db share and isolation on 2,304 samples,
-        # iip3's two drives on the full grid (a 1-unit tone spacing has no
-        # shorter period); the NF's small-signal gain and its probe on 576;
-        # the transient on 2,304.  6 switches over 17,280 samples by
-        # default, 3 over 13,824 per sweep point.
-        ("", [2304] + [9216] + [2304] + [576] + [576] + [2304]),
-        (SWEEP_POINT_CONFIG, [2304] + [9216] + [2304]),
+        # One switch per mixer run, on the common period of its RF tones and
+        # LO: the drive cubic cg and p1db share on 2,304 samples, iip3's two
+        # drives on the full grid (a 1-unit tone spacing has no shorter
+        # period); the NF's small-signal gain and its probe on 576; the
+        # transient on 2,304.  Isolation reads the RF port alone and
+        # evaluates no switch.  5 switches over 14,976 samples by default,
+        # 2 over 11,520 per sweep point.
+        ("", [2304] + [9216] + [576] + [576] + [2304]),
+        (SWEEP_POINT_CONFIG, [2304] + [9216]),
         (BUNDLE_JSON_CONFIG, [2304, 2304]),
     ], ids=["default", "sweep point", "json bundle"])
     def test_switch_evaluated_once_per_mixer_run(self, tmp_path, monkeypatch, text, sizes):
@@ -1219,3 +1220,20 @@ class TestSummaryRendering:
         assert "failed measurements:" in text
         assert "NoCompressionError" in text
         assert "conversion gain" in text
+
+
+class TestReadmeLibraryUse:
+    def test_python_example_prints_its_commented_figures(self, tmp_path):
+        # The README's ```python block, run as its own program, prints the
+        # conversion gain and P1dB within 0.05 dB of the values its comments
+        # give.
+        block, = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"),
+                            re.S)
+        commented = [float(x) for x in re.findall(r"# ~(-?[\d.]+) dBm?$", block, re.M)]
+        assert len(commented) == 2
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        printed = subprocess.run([sys.executable, "-c", block], env=env, cwd=tmp_path,
+                                 capture_output=True, text=True, check=True).stdout
+        assert [float(x) for x in printed.split()] == [
+            pytest.approx(x, rel=0, abs=0.05) for x in commented]

@@ -535,22 +535,15 @@ class TestLoBasisMemo:
         assert switches == [2304] * 3 + [9216] + [1152]
         memo.clear()
 
-    def test_lo_voltage_stays_out_of_the_memo(self, monkeypatch):
+    def test_lo_voltage_stays_out_of_the_memo(self):
         memo.clear()
         s = make_scenario(lo_amplitude=0.5)
-        v_lo = []
-
-        def recording_switch(p, lo):
-            v_lo.append(lo)
-            return devices._switch(p, lo)
-
-        monkeypatch.setattr(engine, "_switch", recording_switch)
-        engine._pump(s, [0.0])
+        _, _, v_lo = engine._pump(s, [0.0])
         # The RF tone's basis and the LO's, not the LO voltage.
         assert memo.info().arrays == 2
         period = s.grid.common_period((s.f_rf, s.f_lo))
         expected = synthesize_tone(period, s.lo_tone).samples
-        assert v_lo[0].tobytes() == expected.tobytes()
+        assert v_lo.tobytes() == expected.tobytes()
         assert not any(a.tobytes() == expected.tobytes() for a in memo._arrays.values())
         before = memo.info().misses
         signals._tone_basis(period, s.lo_tone)

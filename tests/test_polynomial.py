@@ -6,18 +6,24 @@ the Taylor terms about a port voltage (``_taylor``), and the drive
 polynomial's bound and readings (``DriveCubic``).  Each is compared here,
 to the bit, with the cubic written out by hand, over coefficients that
 include zeros of either sign, subnormals and magnitudes that overflow.
+The drive polynomial's readers share one Horner kernel, so its array
+reading (``DriveCubic.sweep``) is compared, to the bit, with its scalar one
+(``DriveCubic.rays``) over the cubics of drawn mixers.
 """
 
 import math
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_scenario
-from mixbench.devices import TransconductorParams, _taylor, _transconductor
-from mixbench.engine import _CUBIC_LIMIT, DriveCubic
+from helpers import make_mixer, make_scenario
+from mixbench.devices import SWITCH_MODES, TransconductorParams, _taylor, _transconductor
+from mixbench.engine import _CUBIC_LIMIT, DriveCubic, _drive_cubic
+from mixbench.errors import ValidationError
+from mixbench.metrics import two_tone_rays, two_tone_variant
+from mixbench.signals import dbm_to_amplitude
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
          1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308]
@@ -124,3 +130,33 @@ def test_integer_coefficients_read_as_their_floats():
     real = TransconductorParams(gm=1.0, v_gs1=2.0, a2=3.0, a3=-1.0)
     for j in range(len(real.coefficients)):
         assert bits(_taylor(whole, e, j)) == bits(_taylor(real, e, j))
+
+
+@st.composite
+def mixer_cubics(draw):
+    """The drive cubic of a drawn mixer: single-tone at the IF, or two-tone at its IIP3 rays."""
+    mixer = make_mixer(
+        gm=draw(st.floats(0.005, 0.1)), v_gs1=draw(st.floats(0.0, 1.0)),
+        a2=draw(st.floats(-0.5, 0.5).filter(bool)), a3=draw(st.floats(-5.0, -0.01)),
+        rd=draw(st.floats(50.0, 400.0)), kappa=draw(st.floats(0.0, 0.3)),
+        switch_mode=draw(st.sampled_from(SWITCH_MODES)))
+    phases = st.floats(-math.pi, math.pi)
+    try:
+        s = make_scenario(mixer=mixer, rf_phase=draw(phases), lo_phase=draw(phases))
+    except ValidationError:  # an LO phase that samples the ideal switch's instants
+        assume(False)
+    if draw(st.booleans()):
+        return _drive_cubic(s, (s.f_if,))
+    s = two_tone_variant(s, s.f_if / draw(st.sampled_from([2.0, 4.0])))
+    return _drive_cubic(s, two_tone_rays(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixer_cubics(), st.lists(st.floats(-60.0, 2000.0), min_size=1, max_size=12))
+def test_sweep_rows_equal_the_scalar_rays(cubic, powers):
+    drives = [a for a in map(dbm_to_amplitude, powers) if cubic.covers(a)]
+    assume(drives)
+    rows = cubic.sweep(np.array(drives))
+    assert rows.shape == (len(cubic.projections), len(drives))
+    for i, row in enumerate(rows):
+        assert [x.hex() for x in row.tolist()] == [cubic.rays(a)[i].hex() for a in drives], i
