@@ -38,7 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -538,7 +538,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="mixbench",
         description="Behavioral single-balanced mixer simulator and "

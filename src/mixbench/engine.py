@@ -51,8 +51,8 @@ and the Monte-Carlo noise-figure reference.
 Its :meth:`DriveCubic.rays` reads every ray at a drive, and
 :meth:`DriveCubic.sweep` at an array of drives, both by one Horner loop
 (:func:`_horner`), which also sums the bound of :meth:`DriveCubic.covers`;
-a drive whose own record it cannot prove finite is run whole by
-:func:`_drive_record` and read from that record instead.
+a drive whose own record that bound cannot prove finite is not read at
+all but fails by name.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ from .devices import (
     _taylor,
     _transconductor,
 )
-from .errors import AliasingError, ValidationError
+from .errors import AliasingError, NonFiniteReadingError, ValidationError
 from .signals import (
     SampledSignal,
     SimGrid,
     ToneSpec,
-    _check_finite,
     _noise,
     _project,
     _readout,
@@ -355,16 +354,6 @@ def _record(s: Scenario) -> np.ndarray:
         return _respond(s.mixer, _switch(s.mixer.switch, v_lo), nodes)
 
 
-def _drive_record(s: Scenario, amplitude: float) -> np.ndarray:
-    """``v_out`` of ``s`` with every RF tone at peak ``amplitude``, unchecked.
-
-    Row 1 of :func:`_record`, so it has the bits of :func:`simulate`'s
-    ``v_out``: the record a drive of :func:`_drive_cubic` stands for.
-    """
-    tones = tuple(replace(t, amplitude=amplitude, power_dbm=None) for t in s.rf_tones)
-    return _record(replace(s, rf_tones=tones))[1]
-
-
 def _cubic_terms(m: MixerParams, sw: np.ndarray, b: np.ndarray,
                  e: np.ndarray) -> Iterator[np.ndarray]:
     """``rd * sw * c_j`` for each degree j in turn, each a fresh array made when asked for.
@@ -404,12 +393,11 @@ _CUBIC_LIMIT = sys.float_info.max / 2.0 ** 16
 
 @dataclass(frozen=True, eq=False)
 class DriveCubic:
-    """The rays of ``scenario`` with every RF tone at one peak ``A``, as polynomials in ``A``.
+    """The rays of a scenario with every RF tone at one peak ``A``, as polynomials in ``A``.
 
-    ``readouts`` holds the ``(bin, basis)`` pair of each ray on the grid
-    of ``scenario``, and ``projections[i]`` holds, top degree first, the
-    projection ``P_j`` of each term ``rd * sw * c_j`` (:func:`_cubic_terms`)
-    on ray ``i``, so its reading at drive ``A`` is ``sum_j A^j * P_j``.
+    ``projections[i]`` holds, top degree first, the projection ``P_j`` of
+    each term ``rd * sw * c_j`` (:func:`_cubic_terms`) on ray ``i``, so its
+    reading at drive ``A`` is ``sum_j A^j * P_j``.
 
     The other fields bound the drive's own record.  Every tone basis lies
     in [-1, 1], so each partial sum of the RF port is at most
@@ -422,8 +410,7 @@ class DriveCubic:
     is not finite.
     """
 
-    scenario: Scenario
-    readouts: Tuple[Tuple[int, np.ndarray], ...]
+    tones: int
     projections: Tuple[Tuple[complex, ...], ...]
     extra_peak: float
     bound: Tuple[float, ...]
@@ -432,31 +419,22 @@ class DriveCubic:
         """Whether the drive's own record and readout are provably finite.
 
         Their bound must stay under ``_CUBIC_LIMIT``.  Where it does, the
-        record reads finite and so does the cubic; elsewhere only the
-        record says how the drive fails.
+        record reads finite and so does the cubic.
         """
-        w = max(1.0, amplitude * len(self.scenario.rf_tones) + self.extra_peak)
+        w = max(1.0, amplitude * self.tones + self.extra_peak)
         return _horner(self.bound, w) <= _CUBIC_LIMIT
 
     def rays(self, amplitude: float) -> List[float]:
         """Amplitude of every ray at drive ``amplitude``, in order.
 
-        Read from the polynomial by Horner's rule (:func:`_horner`) where
-        it :meth:`covers` the drive.  Any other drive runs its own record (:func:`_drive_record`)
-        and projects it, so it fails, or reads inf or NaN, exactly as that
-        record does: the record is scanned for non-finite samples only when
-        a reading is not finite, since a non-finite sample makes every
-        projection non-finite and a finite record whose sum overflows reads
-        inf.
+        Read from the polynomial by Horner's rule (:func:`_horner`).
+        Raises NonFiniteReadingError for a drive the cubic does not
+        :meth:`cover <covers>`, whose reading it cannot vouch for.
         """
-        if self.covers(amplitude):
-            return [abs(_horner(coeffs, amplitude)) for coeffs in self.projections]
-        v_out = _drive_record(self.scenario, amplitude)
-        with np.errstate(all="ignore"):  # a non-finite reading is checked below
-            amps = [abs(_project(v_out, *readout)) for readout in self.readouts]
-        if not all(map(math.isfinite, amps)):
-            _check_finite(v_out)
-        return amps
+        if not self.covers(amplitude):
+            raise NonFiniteReadingError(
+                f"drive {amplitude!r} V: the drive polynomial cannot bound its record")
+        return [abs(_horner(coeffs, amplitude)) for coeffs in self.projections]
 
     def sweep(self, amplitudes: np.ndarray) -> Optional[np.ndarray]:
         """Amplitude of every ray at each drive of ``amplitudes``, one row per ray.
@@ -479,13 +457,24 @@ class DriveCubic:
         return out
 
 
+def _drive_period(s: Scenario, rays: Sequence[float]) -> Scenario:
+    """``s`` without its input noise on the common period of its tones, LO and ``rays``.
+
+    ``s`` itself where it already is so.
+    """
+    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
+    if grid != s.grid or s.input_noise_density != 0.0 or s.input_noise_band is not None:
+        s = replace(s, grid=grid, input_noise_density=0.0, input_noise_band=None)
+    return s
+
+
 def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     """The rays at frequencies ``rays`` of ``s`` as polynomials in the drive amplitude.
 
     ``s`` is first moved onto the noise-free common period of its tones,
-    LO and ``rays``: every drive reading is of the deterministic mixer,
-    whatever input noise ``s`` carries, and the model is memoryless, so its
-    bin readings there equal those on the full record.
+    LO and ``rays`` (:func:`_drive_period`): every drive reading is of the
+    deterministic mixer, whatever input noise ``s`` carries, and the model
+    is memoryless, so its bin readings there equal those on the full record.
 
     The mixer is memoryless and its transconductor a polynomial, so with
     every RF tone at peak ``A`` the port is ``A*b + e``, ``b`` the sum of
@@ -499,9 +488,7 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     where they do not.  A term or projection that overflows makes inf or
     NaN without a warning, and sets ``bound`` to inf.
     """
-    grid = s.grid.common_period((*(t.frequency for t in s.rf_tones), s.f_lo, *rays))
-    if grid != s.grid or s.input_noise_density != 0.0 or s.input_noise_band is not None:
-        s = replace(s, grid=grid, input_noise_density=0.0, input_noise_band=None)
+    s = _drive_period(s, rays)
     readouts = tuple(_readout(s.grid, f) for f in rays)
     n = s.grid.num_samples
     with np.errstate(all="ignore"):
@@ -515,7 +502,7 @@ def _drive_cubic(s: Scenario, rays: Sequence[float]) -> DriveCubic:
     bound = tuple(scale * abs(a) for a in reversed(s.mixer.transconductor.coefficients))
     if not np.isfinite(terms).all():
         bound = (math.inf,) * len(bound)
-    return DriveCubic(scenario=s, readouts=readouts, projections=tuple(zip(*reversed(terms))),
+    return DriveCubic(tones=len(s.rf_tones), projections=tuple(zip(*reversed(terms))),
                       extra_peak=extra_peak, bound=bound)
 
 

@@ -66,7 +66,10 @@ class ImmeasurableIM3Error(MixbenchError):
 
 
 class NonFiniteReadingError(MixbenchError):
-    """A measurement's reading, or a quantity it is read from, is not a finite number."""
+    """A measurement's reading, or a quantity it is read from, is not a finite number.
+
+    A drive its drive polynomial cannot bound is refused with it too.
+    """
 
 
 class StimulusTooHotError(MixbenchError):

@@ -27,9 +27,9 @@ the noise figure from the mixer's small-signal gain on the pump's period
 (:func:`engine._small_signal_gain`); this module builds no mixer waveform
 of its own.  All of them read the noise-free mixer, whatever noise the
 scenario carries: the input noise enters the noise figure only through its
-configured density.  None builds a mixer record but a drive its cubic
-cannot vouch for, which is noise-free too, and the Monte-Carlo reference,
-which reads the periodograms of a whole noisy record (:func:`engine._record`).
+configured density.  None builds a mixer record but the Monte-Carlo
+reference, which reads the periodograms of a whole noisy record
+(:func:`engine._record`); a drive its cubic cannot vouch for fails by name.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ from .signals import (
 MEASUREMENT_FLOOR_DBM = -200.0
 ISOLATION_FLOOR_DB = -200.0
 
-# Most points a compression sweep may take.  A point is read from the
-# sweep's one cubic, or runs its own record where the cubic cannot vouch
-# for it, so the bound keeps the work of the worst case in hand.
+# Most points a compression sweep may take.  A sweep the cubic cannot read
+# at once is read point by point, so the bound keeps that work in hand.
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -274,7 +273,8 @@ def _sweep_gains(cubic: DriveCubic, powers: List[float]) -> List[float]:
     is then ``amp_out / amp_in`` of :func:`_gain_at`, and where every
     ratio is finite and above 0, no point can fail and each gain is the
     ``log10`` of its ratio.  Any other sweep is read point by point, so it
-    fails as its drives' own records do.
+    fails at its first failing point: a drive with no finite peak voltage,
+    a silent drive, a zero ray or a drive the cubic does not cover.
     """
     try:
         amplitudes = np.array([dbm_to_amplitude(p_in) for p_in in powers])
@@ -354,9 +354,9 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     equal tones keep every ray a cubic in their amplitude, so both drives
     are read from one :func:`engine._drive_cubic`.  At a tone spacing whose
     bin is coprime to the grid, the common period is the full grid.
-    Raises NonFiniteReadingError if a ray of the hot drive or the cold
-    fundamental is not finite, as where a finite record's projection
-    overflows (:meth:`engine.DriveCubic.rays`).
+    Raises NonFiniteReadingError for a drive the cubic does not cover
+    (:meth:`engine.DriveCubic.rays`), or if a ray of the hot drive or the
+    cold fundamental is not finite.
     """
     rays = two_tone_rays(s)
     cold_dbm = per_tone_power_dbm - 20.0

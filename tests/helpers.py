@@ -85,6 +85,12 @@ def at_power(s, power_dbm):
                                      for t in s.rf_tones))
 
 
+def period_of(s, *rays):
+    """The scenario ``engine._drive_cubic`` reads ``rays`` of ``s`` on: ``s``
+    without its input noise on the common period of its tones, LO and rays."""
+    return engine._drive_period(s, rays)
+
+
 def noise_figure_grid_scenario(mixer, noise_density, noise_band_lo_harmonics=None,
                                seed=4242, bins_per_unit=2048,
                                samples_per_lo_period=32, lo_amplitude=1.0):
@@ -114,9 +120,9 @@ def record_grids(monkeypatch):
 
     One entry per run of a mixer kernel, each one pass over a grid of
     N-sample arrays: ``engine._respond`` per ``engine._record`` (so per
-    ``simulate`` call, per ``engine._drive_record`` and per noise-figure
-    reference record), and ``engine._cubic_terms`` per
-    ``engine._drive_cubic``, which serves every drive of a measurement.
+    ``simulate`` call and per noise-figure reference record), and
+    ``engine._cubic_terms`` per ``engine._drive_cubic``, which serves
+    every drive of a measurement.
     Reads of the pump's period alone (isolation, the noise figure) run no
     kernel.
     """
@@ -140,10 +146,9 @@ def record_switches(monkeypatch):
 
     One entry per ``devices._switch`` call, each made by ``engine`` from
     the LO voltage of ``engine._pump``, on one common period of the RF
-    tones and LO: per ``engine._record`` (so per ``simulate``, per
-    ``engine._drive_record`` and per noise-figure reference record), per
-    ``engine._drive_cubic`` and per ``engine._small_signal_gain`` (so per
-    ``metrics.periodic_noise_figure``).  ``engine._port_ray`` reads the
+    tones and LO: per ``engine._record`` (so per ``simulate`` and per
+    noise-figure reference record), per ``engine._drive_cubic`` and per
+    ``engine._small_signal_gain`` (so per ``metrics.periodic_noise_figure``).  ``engine._port_ray`` reads the
     RF port alone and makes none.
     """
     sizes = []
@@ -160,8 +165,7 @@ def record_projections(monkeypatch):
     """Count the bin projections of N-sample arrays; return their lengths.
 
     One entry per ``signals._project`` call that ``engine`` makes: the
-    terms of a drive cubic, a drive record read by
-    ``engine.DriveCubic.rays`` and the port of ``engine._port`` read by
+    terms of a drive cubic and the port of ``engine._port`` read by
     ``engine._port_ray``.
     """
     sizes = []

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG, record_grids, record_switches
 
+import mixbench
 from mixbench import cli, engine, memo, metrics
 from mixbench.cli import (
     REGISTRY,
@@ -444,6 +445,46 @@ JSON_VALUES = st.recursive(
     max_leaves=16)
 
 
+# Command lines whose usage, help, version or parse the CLI's parser gives.
+PARSER_ARGVS = [
+    ["--help"], ["--version"], [], ["nothing"], ["run", "--help"], ["report", "--help"],
+    ["validate", "--help"], ["run"], ["run", "--config", "c.yaml"], ["validate", "--bogus"],
+    ["run", "--config", "c.yaml", "--out", "o", "--format", "xml"],
+    ["run", "--config", "c.yaml", "--out", "o", "--seed", "x"],
+    ["run", "--config", "c.yaml", "--out", "o", "--format", "json", "--seed", "7"],
+    ["report", "--out", "o"], ["validate", "--config", "c.yaml"],
+]
+
+
+def parse_texts(parser, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, and what it parsed."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_texts_equal_a_fresh_parsers(self, monkeypatch):
+        # Every text of the one parser, read after every other, has the
+        # bytes a parser built for that call alone gives.
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in PARSER_ARGVS + PARSER_ARGVS[::-1]:
+            assert parse_texts(cli.build_parser(), argv) == \
+                parse_texts(cli.build_parser.__wrapped__(), argv), argv
+
+    def test_version_text(self):
+        version = f"mixbench {mixbench.__version__}\n"
+        assert parse_texts(cli.build_parser(), ["--version"])[:3] == (0, version, "")
+
+
 class TestCliRun:
     def run_cli(self, *argv):
         return main(list(argv))
@@ -541,9 +582,10 @@ class TestCliRun:
         assert "value_w" in measured["power"]
 
     def test_overflowing_records_fail_without_warnings(self, tmp_path, capfd):
-        # Every record and drive of this mixer overflows.  The failures are
-        # named in the summary; numpy prints no warning on the way.
-        # Isolation reads the RF port alone, which stays finite: 20*log10(kappa).
+        # Every record of this mixer overflows, and every drive is past its
+        # cubic's bound.  The failures are named in the summary; numpy
+        # prints no warning on the way.  Isolation reads the RF port alone,
+        # which stays finite: 20*log10(kappa).
         path = write_config(tmp_path, (
             "measurements: [cg, p1db, iip3, isolation, harmonics, transient]\n"
             "scenario:\n  mixer: {a3: -1.0e+279, rd: 1.0e+40}\n"))
@@ -556,8 +598,17 @@ class TestCliRun:
         isolation = measured.pop("isolation")
         assert isolation == {"value_db": pytest.approx(20.0 * math.log10(0.01303), abs=1e-9)}
         assert round(isolation["value_db"], 2) == -37.70
-        assert measured == {name: {"error": "ValidationError: signal contains non-finite samples"}
-                            for name in ("cg", "p1db", "iip3", "harmonics", "transient")}
+        uncovered = ("NonFiniteReadingError: drive {!r} V: the drive polynomial cannot "
+                     "bound its record")
+        assert measured == {
+            "cg": {"error": uncovered.format(0.01)},
+            "p1db": {"error": uncovered.format(0.0031622776601683794)},
+            "iip3": {"error": uncovered.format(0.0031622776601683794)},
+            **{name: {"error": "ValidationError: signal contains non-finite samples"}
+               for name in ("harmonics", "transient")}}
+        assert sorted(path.name for path in out.iterdir()) == [
+            "effective_config.yaml", "isolation.csv", "metadata.json", "summary.json",
+            "summary.txt"]
         assert "RuntimeWarning" not in capfd.readouterr().err
 
     def test_nf_of_an_overflowing_smooth_switch_runs(self, tmp_path):
@@ -574,8 +625,10 @@ class TestCliRun:
         assert math.isfinite(nf["value_db"])
 
     @pytest.mark.parametrize("mixer, iip3_error, fundamental_dbm", [
-        # Rays of about 1e296 V, whose squares overflow.
-        ("a3: -1.0e+300", "StimulusTooHotError: gain moves +0.55 dB", 5945.27799978),
+        # Rays of about 1e296 V, whose squares overflow; the drive cubic's
+        # bound refuses every drive of the two tones.
+        ("a3: -1.0e+300", "NonFiniteReadingError: drive 0.0031622776601683794 V: the drive "
+         "polynomial cannot bound its record", 5945.27799978),
         # Rays of about 1e-304 V, whose squares underflow.
         ("rd: 1.0e-300", "ImmeasurableIM3Error: IM3 ray below", -6063.36596619),
     ], ids=["overflowing_square", "underflowing_square"])
@@ -729,14 +782,20 @@ class TestCliRun:
         # The cubic overflows the mixer's slope at its operating point.
         ("measurements: [nf]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "nf", "nf",
          "NonFiniteReadingError: the mixer's periodic small-signal gain has mean square inf"),
-        # A finite record whose IF projection overflows reads an inf gain.
+        # A finite record whose IF projection overflows, past the drive
+        # cubic's bound.
         ("measurements: [cg]\nscenario:\n  rf_power_dbm: 2035.0\n", "cg", "cg",
-         "NonFiniteReadingError: conversion gain inf dB at 1.778279410038923e+101 V"),
-        # The sweep stops at its first such point, 2035 dBm.
+         "NonFiniteReadingError: drive 1.778279410038923e+101 V: the drive polynomial "
+         "cannot bound its record"),
+        # The sweep stops at its first such point, 2025 dBm.
         ("measurements: [p1db]\nsweeps:\n  p1db: {start_dbm: 2025.0, stop_dbm: 2045.0, "
          "step_db: 5.0}\n", "p1db", "p1db_sweep",
-         "NonFiniteReadingError: conversion gain inf dB at 2035.0 dBm"),
-    ], ids=["nf_a3", "cg_overflow", "p1db_overflow"])
+         "NonFiniteReadingError: drive 5.623413251903491e+100 V: the drive polynomial "
+         "cannot bound its record"),
+        # A finite record whose gain once read as 5975.28 dB.
+        ("measurements: [cg]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "cg", "cg",
+         "NonFiniteReadingError: drive 0.01 V: the drive polynomial cannot bound its record"),
+    ], ids=["nf_a3", "cg_overflow", "p1db_overflow", "cg_a3"])
     def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, table, error):
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import at_power, make_mixer, make_scenario
+from helpers import at_power, make_mixer, make_scenario, period_of
 
 from mixbench import devices, engine, memo, signals
 from mixbench.config import build_nf_setup, from_dict
@@ -83,7 +83,7 @@ def nf_probe_scenario():
     """The NF gain probe on the common period its drive cubic reads it on."""
     scenario, settings = build_nf_setup(from_dict({}))
     _, probe, f_out = noise_figure_setup(scenario, settings)
-    return engine._drive_cubic(probe, (f_out,)).scenario
+    return period_of(probe, f_out)
 
 
 class TestAnalyticGain:
@@ -302,16 +302,18 @@ class TestInPlaceArithmetic:
                 assert got.tobytes() == samples.tobytes(), node
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_drive_record_is_the_driven_output(self, case):
-        # Every RF tone at one 0.05 V peak: the output node of the reference
-        # run of that drive, to the bit, as a fresh writeable array.
+    def test_drive_cubic_reads_the_driven_output(self, case):
+        # Every RF tone at one 0.05 V peak: the cubic's IF ray is that of
+        # the reference run of that drive on the cubic's own period, within
+        # 1e-9 dB (the sum runs in another order, so not to the bit).
         s = self.CASES[case]()
-        driven = replace(s, rf_tones=tuple(replace(t, amplitude=0.05, power_dbm=None)
-                                           for t in s.rf_tones))
-        expected = reference_simulate(driven)["v_out"]
-        got = engine._drive_record(s, 0.05)
-        assert got.flags.writeable
-        assert got.tobytes() == expected.tobytes()
+        period = period_of(s, s.f_if)
+        driven = replace(period, rf_tones=tuple(replace(t, amplitude=0.05, power_dbm=None)
+                                                for t in period.rf_tones))
+        v_out = reference_simulate(driven)["v_out"]
+        expected = abs(signals._project(v_out, *signals._readout(driven.grid, s.f_if)))
+        got, = engine._drive_cubic(s, (s.f_if,)).rays(0.05)
+        assert 20.0 * math.log10(got / expected) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonfinite_intermediate_rejected(self):
         # The cubic term overflows to -inf at a 1e200 V drive, without a

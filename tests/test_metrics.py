@@ -21,6 +21,7 @@ from helpers import (
     make_mixer,
     make_scenario,
     noise_figure_grid_scenario,
+    period_of,
     record_grids,
     record_projections,
     record_switches,
@@ -103,10 +104,14 @@ class TestConversionGain:
             measure_conversion_gain(s)
 
 
-def period_of(s, *rays):
-    """The scenario ``engine._drive_cubic`` reads ``rays`` of ``s`` on: ``s``
-    without its input noise on the common period of its tones, LO and rays."""
-    return engine._drive_cubic(s, rays).scenario
+def uncovered(amplitude):
+    """The error of a drive at ``amplitude`` V that its cubic does not cover."""
+    return f"drive {amplitude!r} V: the drive polynomial cannot bound its record"
+
+
+def uncovered_pattern(power_dbm):
+    """:func:`uncovered` at ``power_dbm`` as a pattern for ``pytest.raises``."""
+    return re.escape(uncovered(signals.dbm_to_amplitude(power_dbm)))
 
 
 def quiet(s):
@@ -150,7 +155,8 @@ def sweep_powers(power_range, step):
 
 class TestGainRoutineBits:
     """The sweep's gain routine against one simulation per point: every
-    reading within ``ORACLE_DB``, every failure to the bit."""
+    reading within ``ORACLE_DB``, every failure to the bit, but a drive
+    past the cubic's bound, which fails by name."""
 
     @pytest.mark.parametrize("scenario", [
         {},
@@ -181,13 +187,7 @@ class TestGainRoutineBits:
         # -4000 dBm is an amplitude of 0.0.
         ({"a3": CAL_A3}, (-4000.0, -3990.0), 5.0, WrongStimulusError,
          "conversion gain needs a non-silent RF tone"),
-        # The cube of a 2500 dBm drive overflows.
-        ({"a3": CAL_A3}, (2500.0, 2600.0), 50.0, ValidationError,
-         "signal contains non-finite samples"),
-        # Points fail in order: 3000 dBm overflows before 3100 dBm is reached.
-        ({"a3": CAL_A3}, (3000.0, 3100.0), 50.0, ValidationError,
-         "signal contains non-finite samples"),
-    ], ids=["finite_peak_voltage", "silent", "overflow", "overflow_first"])
+    ], ids=["finite_peak_voltage", "silent"])
     def test_failures_match_per_point_simulation(self, mixer, power_range, step,
                                                  error, message):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, kappa=0.01303, **mixer))
@@ -197,10 +197,27 @@ class TestGainRoutineBits:
             measure_p1db(s, power_range, step)
         assert str(got.value) == str(ref.value) == message
 
+    @pytest.mark.parametrize("power_range, step, drive", [
+        # The cube of a 2500 dBm drive overflows its record.
+        ((2500.0, 2600.0), 50.0, 3.1622776601683794e+124),
+        # Points fail in order: 3000 dBm is refused before 3100 dBm, which
+        # has no finite peak voltage, is reached.
+        ((3000.0, 3100.0), 50.0, 3.1622776601683796e+149),
+    ], ids=["overflow", "overflow_first"])
+    def test_uncovered_drive_fails_by_name(self, power_range, step, drive):
+        s = calibrated_scenario(kappa=0.01303)
+        with pytest.raises(NonFiniteReadingError) as got:
+            measure_p1db(s, power_range, step)
+        assert str(got.value) == uncovered(drive)
+
     def test_conversion_gain_overflow(self):
+        # The record of a 2500 dBm drive overflows; the cubic refuses it.
         s = at_power(calibrated_scenario(), 2500.0)
         with pytest.raises(ValidationError, match="signal contains non-finite samples"):
+            simulate(period_of(s, s.f_if))
+        with pytest.raises(NonFiniteReadingError) as got:
             measure_conversion_gain(s)
+        assert str(got.value) == uncovered(s.rf_tones[0].peak_amplitude())
 
     @pytest.mark.parametrize("amplitude, expected", [(1e305, math.inf), (1e306, math.nan)])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -208,27 +225,30 @@ class TestGainRoutineBits:
     def test_finite_record_with_overflowing_readout(self, amplitude, expected):
         # Every v_out sample is finite, but the IF projection overflows: to
         # inf, or to NaN where partial sums of both signs overflow.  One
-        # simulation reads that gain; the measurement refuses it by name.
+        # simulation reads that gain; the cubic refuses the drive by name.
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=0.0), rf_amplitude=amplitude)
         v_out = simulate(period_of(s, s.f_if)).v_out
         reference = 20.0 * math.log10(abs(bin_value(v_out, s.f_if)) / amplitude)
         assert np.array_equal([reference], [expected], equal_nan=True)
-        with pytest.raises(NonFiniteReadingError,
-                           match=re.escape(f"conversion gain {expected!r} dB at {amplitude!r} V")):
-            measure_conversion_gain(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteReadingError) as got:
+                measure_conversion_gain(s)
+        assert str(got.value) == uncovered(amplitude)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_sweep_stops_at_first_non_finite_point(self):
-        # 2025 and 2030 dBm read finite gains; 2035 dBm reads inf, so the
-        # sweep fails there instead of searching for compression below a
-        # reference gain of thousands of dB.
+    def test_sweep_stops_at_first_uncovered_point(self):
+        # 1990 and 1995 dBm are read from the cubic; 2000 dBm is past its
+        # bound, so the sweep fails there instead of reading on.
         s = calibrated_scenario(kappa=0.01303)
-        reference = [reference_gain_db(s, p) for p in (2025.0, 2030.0, 2035.0)]
-        assert [math.isfinite(g) for g in reference] == [True, True, False]
-        with pytest.raises(NonFiniteReadingError,
-                           match=r"conversion gain inf dB at 2035\.0 dBm"):
-            measure_p1db(s, (2025.0, 2045.0), 5.0)
+        reference = [reference_gain_db(s, p) for p in (1990.0, 1995.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteReadingError) as got:
+                measure_p1db(s, (1990.0, 2010.0), 5.0)
+        assert str(got.value) == uncovered(signals.dbm_to_amplitude(2000.0))
+        gain = metrics._gain_reader(s, s.f_if)
+        assert [gain(signals.dbm_to_amplitude(p)) for p in (1990.0, 1995.0)] == \
+            pytest.approx(reference, rel=0, abs=ORACLE_DB)
 
     def test_sweep_memory_is_bounded(self):
         # A few 2,304-sample arrays for the one drive cubic: about 180 KB of
@@ -472,13 +492,15 @@ class TestIIP3RoutineBits:
 
     @pytest.mark.parametrize("a3, per_tone_dbm, error, message, drives", [
         (CAL_A3, 3100.0, ValidationError, "3100.0 dBm has no finite peak voltage", 0),
-        (CAL_A3, 2500.0, ValidationError, "signal contains non-finite samples", 1),
+        # The hot drive is past the cubic's bound: its record overflows, and
+        # at 2030 and 2040 dBm it is finite but its projection reads inf,
+        # then NaN.  Each is refused before the cold drive is read.
+        (CAL_A3, 2500.0, NonFiniteReadingError, uncovered_pattern(2500.0), 1),
         # The IM3 rays are read, and fail, before the cold drive runs.
         (0.0, -40.0, ImmeasurableIM3Error, "IM3 ray below", 1),
         (CAL_A3, 0.0, StimulusTooHotError, r"gain moves \+", 2),
-        # A finite record whose projection overflows reads inf, then NaN.
-        (CAL_A3, 2030.0, NonFiniteReadingError, r"hot rays \[inf, 7\.3", 1),
-        (CAL_A3, 2040.0, NonFiniteReadingError, r"hot rays \[nan, nan, nan\] V", 1),
+        (CAL_A3, 2030.0, NonFiniteReadingError, uncovered_pattern(2030.0), 1),
+        (CAL_A3, 2040.0, NonFiniteReadingError, uncovered_pattern(2040.0), 1),
     ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot", "inf_reading",
             "nan_reading"])
     def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
@@ -510,22 +532,30 @@ class TestIIP3RoutineBits:
             measure_iip3(two, -40.0)
 
     # Per-tone powers across the overflow onsets of the calibrated mixer.
-    # The hot rays' squares overflow from 1,039 dBm, the rays themselves
-    # (a finite record's projection) from 2,027.5 dBm, and the records
-    # from 2,044.5 dBm on.
+    # The hot rays' squares overflow from 1,039 dBm, and the cubic's bound
+    # refuses hot drives from 1,988 dBm on, below the drives whose own
+    # projection (2,027.5 dBm) or record (2,044.5 dBm) overflows.
     PER_TONE_DBM = [1000.0 + 0.5 * i for i in range(2121)]
 
     def test_overflowing_drives_fail_by_name(self):
         two = two_tone_variant(calibrated_scenario(kappa=0.01303))
-        outcomes = set()
+        outcomes = []
         for p in self.PER_TONE_DBM:
             try:
                 res = measure_iip3(two, p)
+            except NonFiniteReadingError as exc:
+                assert str(exc) == uncovered(signals.dbm_to_amplitude(p)), p
+                outcomes.append(NonFiniteReadingError)
+                continue
             except MixbenchError as exc:
-                outcomes.add(type(exc))
+                outcomes.append(type(exc))
                 continue
             assert all(map(math.isfinite, vars(res).values())), p
-        assert outcomes == {StimulusTooHotError, NonFiniteReadingError, ValidationError}
+        # Every drive from the onset of the refusal on is refused.
+        onset = outcomes.index(NonFiniteReadingError)
+        assert self.PER_TONE_DBM[onset] == 1988.0
+        assert set(outcomes[:onset]) == {StimulusTooHotError}
+        assert set(outcomes[onset:]) == {NonFiniteReadingError}
 
 
 class TestIsolation:
@@ -742,10 +772,10 @@ class TestPeriodicNoiseFigure:
         ({"mixer": {"a3": -1.0e300}}, -40.0, "gain has mean square inf"),
         ({"mixer": {"gm": 1.0e-300, "rd": 1.0e-300}}, -40.0, "gain has mean square 0.0"),
         ({"noise": {"input_density": 1.0e308}}, -40.0, "output noise density inf"),
-        # The probe's cubic overflows its gain, while the quiet tone keeps g finite.
+        # The probe is past its cubic's bound, while the quiet tone keeps g finite.
         ({"rf_power_dbm": -3000.0,
           "mixer": {"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40}},
-         -90.0, "probe gain inf dB"),
+         -90.0, uncovered_pattern(-90.0)),
     ], ids=["gain_overflows", "gain_underflows", "density_overflows", "probe_overflows"])
     def test_non_finite_reading_raises_without_a_warning(self, overrides, probe_dbm, message):
         s, settings = nf_setup_from_config(**overrides)
@@ -925,7 +955,7 @@ class TestNoiseFigureProbe:
             measure_noise_figure(s, replace(settings, probe_power_dbm=-1.0e6))
 
     def test_non_finite_probe_gain_rejected(self):
-        # The probe's cubic overflows its gain, while the noise is too weak
+        # The probe is past its cubic's bound, while the noise is too weak
         # for the record to overflow; periodic_noise_figure's own test has
         # this probe too.
         s, settings = nf_setup_from_config(
@@ -933,7 +963,7 @@ class TestNoiseFigureProbe:
             mixer={"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteReadingError, match="probe gain inf dB"):
+            with pytest.raises(NonFiniteReadingError, match=uncovered_pattern(-90.0)):
                 measure_noise_figure(s, replace(settings, probe_power_dbm=-90.0))
 
 
@@ -1084,45 +1114,34 @@ class TestIsolationPort:
 
 class TestDriveCubicGuard:
     """A drive is read from the cubic only where its own record is provably
-    finite; every other drive fails, or reads inf or NaN, as that record does."""
+    finite; every other drive fails by name."""
 
     # A fine grid across the onset of overflow of the calibrated mixer.  Its
-    # records read finite up to 2,032.1 dBm, then inf (the projection's sum
-    # overflows), then NaN from 2,041.4 dBm, and fail from 2,050.5 dBm on.
-    # The guard, which bounds every sample by the largest and the sum by N
-    # of them, hands drives to their own records from 1,996 dBm on.
+    # own records read finite up to 2,032.1 dBm, then inf (the projection's
+    # sum overflows), then NaN from 2,041.4 dBm, and fail from 2,050.5 dBm
+    # on.  The guard, which bounds every sample by the largest and the sum
+    # by N of them, refuses drives from 1,996 dBm on.
     DRIVES_DBM = [1900.0 + 0.1 * i for i in range(1601)]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_drives_across_the_overflow_onset(self):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303))
         cubic = engine._drive_cubic(s, (s.f_if,))
         gain = metrics._gain_reader(s, s.f_if)
-        outcomes = set()
+        covered = []
         for p in self.DRIVES_DBM:
             amp = signals.dbm_to_amplitude(p)
-            try:
-                reference = reference_gain_db(s, p)
-            except ValidationError as ref:
-                with pytest.raises(ValidationError) as got:
-                    gain(amp)
-                assert (type(got.value), str(got.value)) == (type(ref), str(ref))
-                assert not cubic.covers(amp)
-                outcomes.add("raises")
-                continue
-            got = gain(amp)
-            if math.isfinite(reference):
-                assert got == pytest.approx(reference, rel=0, abs=ORACLE_DB)
-                outcomes.add("cubic" if cubic.covers(amp) else "record")
+            covered.append(cubic.covers(amp))
+            if covered[-1]:
+                assert gain(amp) == pytest.approx(reference_gain_db(s, p), rel=0,
+                                                  abs=ORACLE_DB), p
             else:
-                assert np.array_equal([got], [reference], equal_nan=True)
-                assert not cubic.covers(amp)
-                outcomes.add("non-finite")
-        # The grid reaches every side of the guard: drives read from the
-        # cubic, finite and non-finite drives it leaves to their own record,
-        # and failures.
-        assert outcomes == {"cubic", "record", "non-finite", "raises"}
+                with pytest.raises(NonFiniteReadingError) as got:
+                    gain(amp)
+                assert str(got.value) == uncovered(amp)
+        # The grid reaches both sides of the guard, which it crosses once.
+        onset = covered.index(False)
+        assert self.DRIVES_DBM[onset] == pytest.approx(1996.0, rel=0, abs=1e-9)
+        assert all(covered[:onset]) and not any(covered[onset:])
 
     def test_covered_drives_have_finite_records(self):
         # Where the guard vouches for a drive, its own record is finite and
@@ -1133,10 +1152,9 @@ class TestDriveCubicGuard:
             covered = [p for p in self.DRIVES_DBM
                        if cubic.covers(signals.dbm_to_amplitude(p))]
             assert 0 < len(covered) < len(self.DRIVES_DBM)
-            v_out = engine._drive_record(cubic.scenario,
-                                         signals.dbm_to_amplitude(covered[-1]))
-            assert np.isfinite(v_out).all()
-            assert math.isfinite(abs(signals._project(v_out, *cubic.readouts[0])))
+            # simulate refuses a record with a non-finite sample.
+            v_out = simulate(at_power(period_of(s, s.f_if), covered[-1])).v_out
+            assert math.isfinite(abs(bin_value(v_out, s.f_if)))
 
 
 class TestSweepWork:
@@ -1197,8 +1215,9 @@ class TestArraySweep:
             assert (output.hex(), gain_db.hex()) == (expected.hex(), (expected - p_in).hex())
 
     def test_uncovered_hot_end_is_read_point_by_point(self):
-        # The guard hands the calibrated mixer's drives to their own records
-        # from 1,996 dBm on (TestDriveCubicGuard); they read finite there.
+        # The guard refuses the calibrated mixer's drives from 1,996 dBm on
+        # (TestDriveCubicGuard): the sweep is read point by point, and fails
+        # at the first of them.
         s = calibrated_scenario(kappa=0.01303)
         cubic = metrics._gain_cubic(s, s.f_if)
         powers = sweep_powers((1990.0, 2000.0), 1.0)
@@ -1210,10 +1229,10 @@ class TestArraySweep:
             return gain_at(cubic, amp_in)
 
         with mock.patch.object(metrics, "_gain_at", counted_gain_at):
-            inputs, outputs, gains = metrics._sweep_columns(cubic, powers)
-        assert reads == [signals.dbm_to_amplitude(p) for p in powers]
-        gain = metrics._gain_reader(s, s.f_if)
-        assert gains == tuple((p + gain(a)) - p for p, a in zip(powers, reads))
+            with pytest.raises(NonFiniteReadingError) as got:
+                metrics._sweep_columns(cubic, powers)
+        assert reads == [signals.dbm_to_amplitude(p) for p in powers[:7]]
+        assert str(got.value) == uncovered(reads[-1])
 
 
 class TestExactCrossing:

@@ -75,12 +75,9 @@ def test_current_matches_the_unrolled_cubic(t, v):
         assert bits(_transconductor(t, v)) == bits(expected)
 
 
-SCENARIO = make_scenario()
-
-
 def drive(bound=(0.0,) * 4, projections=(), extra_peak=0.0):
-    return DriveCubic(scenario=SCENARIO, readouts=(), projections=projections,
-                      extra_peak=extra_peak, bound=bound)
+    return DriveCubic(tones=1, projections=projections, extra_peak=extra_peak,
+                      bound=bound)
 
 
 NON_NEGATIVE = st.sampled_from([0.0, 5e-324, 1.0, 1e100, 1e300, math.inf]) | st.floats(
@@ -93,7 +90,7 @@ NON_NEGATIVE = st.sampled_from([0.0, 5e-324, 1.0, 1e100, 1e300, math.inf]) | st.
 def test_covers_matches_the_unrolled_bound(bound, amplitude, extra_peak):
     b0, b1, b2, b3 = bound
     cubic = drive(bound=tuple(reversed(bound)), extra_peak=extra_peak)
-    w = max(1.0, amplitude * len(cubic.scenario.rf_tones) + extra_peak)
+    w = max(1.0, amplitude * cubic.tones + extra_peak)
     assert cubic.covers(amplitude) == (b0 + w * (b1 + w * (b2 + w * b3)) <= _CUBIC_LIMIT)
 
 
