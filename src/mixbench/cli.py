@@ -21,10 +21,15 @@ needs without simulating, and ``measure`` simulates, reads and writes.
 :func:`prepare`, so they reject the same configs with exit 2; a failure
 that depends on simulated values fails only its own measurement.
 
-Outputs contain no timestamps, so identical configs produce byte-identical
-files.  Gain, compression, intercept and isolation read the noise-free
-mixer: the engine reads their rays on the deterministic pump, whatever noise
-the scenario carries.  The configured noise is drawn only for the harmonic
+CSV tables write floats as ``%.12g`` and any other cell as ``str``: a
+small table is one ``%`` over a line template (:func:`_csv_text`), and the
+two transient tables, thousands of rows each, are laid out with the same
+bytes by numpy (:func:`emit_transient`).  Outputs contain no timestamps,
+so identical configs produce byte-identical files.
+
+Gain, compression, intercept and isolation read the noise-free mixer: the
+engine reads their rays on the deterministic pump, whatever noise the
+scenario carries.  The configured noise is drawn only for the harmonic
 and transient outputs.  The noise figure draws none: it reads the configured
 density through the mixer's periodic small-signal gain, so the seed does
 not move it.
@@ -37,14 +42,16 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
+from ._float_text import FIELD_BYTES, float_fields
 from .config import (
     OUTPUT_FORMATS,
     RunConfig,
@@ -55,7 +62,7 @@ from .config import (
 )
 from .devices import _check_compression, dc_power
 from .engine import DriveCubic, Scenario, TransientResult, analytic_conversion_gain, simulate
-from .errors import MixbenchError, ValidationError
+from .errors import MixbenchError, NonFiniteReadingError, ValidationError
 from .metrics import (
     REFERENCE_65NM,
     NoiseFigureSettings,
@@ -79,6 +86,8 @@ EXIT_OK = 0
 EXIT_MEASUREMENT_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+
+_BLOCK_ROWS = 4096  # rows of a transient CSV table laid out at once
 
 
 def _json_safe(value):
@@ -112,18 +121,14 @@ def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence],
     return path
 
 
-def _csv_text(header: Sequence[str], cells: tuple, rows: int, open_float: bool = False) -> str:
+def _csv_text(header: Sequence[str], cells: tuple, rows: int) -> str:
     """CSV text of ``header`` and ``rows`` rows of row-major ``cells``.
 
     Floats are written as ``%.12g`` and every other cell as ``str``.  The
     whole text is one ``%`` over a header and a repeated line template, so
-    each column must hold only floats or only non-floats.  With
-    ``open_float`` every line ends in one more float column, left open as
-    ``%.12g``: the text is then a template, and ``text % values`` fills that
-    column with a tuple of ``rows`` floats.  Its bound columns must then be
-    floats, as ``%.12g`` text never holds a ``%``.
+    each column must hold only floats or only non-floats.
     """
-    width = len(header) - open_float
+    width = len(header)
     if len(cells) != width * rows:
         raise ValueError(f"every row of the table must have {width} cells")
     formats = []
@@ -132,10 +137,21 @@ def _csv_text(header: Sequence[str], cells: tuple, rows: int, open_float: bool =
         if len(kinds) > 1:
             raise ValueError("a table column mixes float and non-float cells")
         formats.append("%.12g" if kinds == {True} else "%s")
-    # A header '%' stays literal through each '%' the text goes through.
-    head = ",".join(header).replace("%", "%%" * (1 + open_float))
-    line = ",".join(formats + ["%%.12g"] * open_float) + "\n"
+    # A header '%' stays literal through the '%'.
+    head = ",".join(header).replace("%", "%%")
+    line = ",".join(formats) + "\n"
     return (head + "\n" + line * rows) % cells
+
+
+def _csv_lines(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The bytes of the CSV lines ``left,right`` of two columns of :func:`float_fields`."""
+    rows = np.empty((len(left), 2 * FIELD_BYTES + 2), dtype=np.uint8)
+    rows[:, :FIELD_BYTES] = left
+    rows[:, FIELD_BYTES] = ord(",")
+    rows[:, FIELD_BYTES + 1:-1] = right
+    rows[:, -1] = ord("\n")
+    flat = rows.ravel()
+    return flat[flat != 0]
 
 
 def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
@@ -143,32 +159,40 @@ def emit_transient(result: TransientResult, out_dir: str, decimation: int = 1,
     """Write (time, value) tables for the output voltage waveforms.
 
     Times are in seconds of the physical frequency plan.  ``decimation``
-    keeps every d-th sample.  In CSV the tables share one line template
-    from :func:`_csv_text`, which holds each row's time text, formatted
-    once per run, and leaves the voltage column open: each table is one
-    ``%`` of that template over its samples.
+    keeps every d-th sample.  A CSV table holds the bytes :func:`_csv_text`
+    would write, ``%.12g`` of every cell, without a ``%`` per cell:
+    :func:`float_fields` lays each cell out in a NUL-padded field, and the
+    table is written ``_BLOCK_ROWS`` rows at a time, each block's NULs
+    dropped at once.  The time column's fields are laid out once, for both
+    tables.  A JSON table is written by :func:`_write_table`.
     """
     if decimation < 1:
         raise ValidationError(f"decimation must be >= 1, got {decimation}")
     scale = result.scenario.frequency_scale
     grid = result.scenario.grid
-    times = tuple((np.arange(0, grid.num_samples, decimation)
-                   / grid.sample_rate / scale).tolist())
-    header = ("time_s", "voltage_v")
+    times = np.arange(0, grid.num_samples, decimation) / grid.sample_rate / scale
     if fmt == "csv":
-        template = _csv_text(header, times, len(times), open_float=True)
+        blocks = [slice(start, start + _BLOCK_ROWS)
+                  for start in range(0, times.size, _BLOCK_ROWS)]
+        time_fields = [float_fields(times[block]) for block in blocks]
+    else:
+        time_cells = times.tolist()
     written = []
     targets = [("transient_vout", result.v_out)]
     if result.v_out_filtered is not None:
         targets.append(("transient_vout_filtered", result.v_out_filtered))
     for name, signal in targets:
         path = os.path.join(out_dir, name)
-        values = signal.samples[::decimation].tolist()
+        values = signal.samples[::decimation]
         if fmt == "csv":
             written.append(path + ".csv")
-            _write_text(written[-1], template % tuple(values))
+            with open(written[-1], "wb") as fh:
+                fh.write(b"time_s,voltage_v\n")
+                for block, fields in zip(blocks, time_fields):
+                    fh.write(_csv_lines(fields, float_fields(values[block])))
         else:
-            written.append(_write_table(path, header, list(zip(times, values)), fmt))
+            written.append(_write_table(path, ("time_s", "voltage_v"),
+                                        list(zip(time_cells, values.tolist())), fmt))
     return written
 
 
@@ -205,6 +229,17 @@ def _check_gain_drive(path: str, power_dbm: float):
             check_drive(dbm_to_amplitude(power_dbm))
 
 
+@contextmanager
+def _naming_refused(field: Callable[[float], str]):
+    """Name ``field(power_dbm)``, the config field of a refused drive's power, in its error."""
+    try:
+        yield
+    except NonFiniteReadingError as exc:
+        if exc.power_dbm is None:
+            raise
+        raise NonFiniteReadingError(f"{exc} ({field(exc.power_dbm)})", exc.power_dbm) from exc
+
+
 def _cg_inputs(run: RunContext) -> None:
     _check_gain_drive("scenario.rf_power_dbm", run.cfg.field("scenario.rf_power_dbm"))
 
@@ -230,7 +265,10 @@ def _p1db_inputs(run: RunContext) -> Tuple[Tuple[float, float], float]:
 
 
 def _p1db(run: RunContext, inputs: Tuple[Tuple[float, float], float]) -> Dict:
-    res = measure_p1db(run.scenario, *inputs, _cubic=run.if_cubic)
+    start = inputs[0][0]  # any later point is on the way to the stop
+    with _naming_refused(lambda p: "sweeps.p1db.start_dbm" if p == start
+                         else "sweeps.p1db.stop_dbm"):
+        res = measure_p1db(run.scenario, *inputs, _cubic=run.if_cubic)
     run.write_table("p1db_sweep", ("input_power_dbm", "output_power_dbm", "gain_db"),
                     tuple(zip(*res.columns)))
     return {"value_dbm": res.p1db_dbm,
@@ -282,7 +320,8 @@ def _nf_inputs(run: RunContext) -> Tuple[Scenario, NoiseFigureSettings, Tuple]:
 
 def _nf(run: RunContext, inputs: Tuple[Scenario, NoiseFigureSettings, Tuple]) -> Dict:
     scenario, settings, setup = inputs
-    res = periodic_noise_figure(scenario, settings, _setup=setup)
+    with _naming_refused(lambda _p: "sweeps.nf.probe_power_dbm"):
+        res = periodic_noise_figure(scenario, settings, _setup=setup)
     formula = reference_formula_noise_figure()
     ref = REFERENCE_65NM.noise_figure_db
     run.write_table("nf", ("nf_db", "input_density_v_rthz", "output_density_v_rthz",

@@ -424,16 +424,19 @@ class DriveCubic:
         w = max(1.0, amplitude * self.tones + self.extra_peak)
         return _horner(self.bound, w) <= _CUBIC_LIMIT
 
-    def rays(self, amplitude: float) -> List[float]:
+    def rays(self, amplitude: float, power_dbm: Optional[float] = None) -> List[float]:
         """Amplitude of every ray at drive ``amplitude``, in order.
 
         Read from the polynomial by Horner's rule (:func:`_horner`).
         Raises NonFiniteReadingError for a drive the cubic does not
-        :meth:`cover <covers>`, whose reading it cannot vouch for.
+        :meth:`cover <covers>`, whose reading it cannot vouch for, naming
+        the drive's ``power_dbm`` where the caller gives it.
         """
         if not self.covers(amplitude):
+            at = "" if power_dbm is None else f" at {power_dbm!r} dBm"
             raise NonFiniteReadingError(
-                f"drive {amplitude!r} V: the drive polynomial cannot bound its record")
+                f"drive {amplitude!r} V{at}: the drive polynomial cannot bound its record",
+                power_dbm)
         return [abs(_horner(coeffs, amplitude)) for coeffs in self.projections]
 
     def sweep(self, amplitudes: np.ndarray) -> Optional[np.ndarray]:

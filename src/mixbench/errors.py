@@ -68,8 +68,13 @@ class ImmeasurableIM3Error(MixbenchError):
 class NonFiniteReadingError(MixbenchError):
     """A measurement's reading, or a quantity it is read from, is not a finite number.
 
-    A drive its drive polynomial cannot bound is refused with it too.
+    A drive its drive polynomial cannot bound is refused with it too;
+    ``power_dbm`` is then the drive's power where its reader gave one.
     """
+
+    def __init__(self, message, power_dbm=None):
+        super().__init__(message)
+        self.power_dbm = power_dbm
 
 
 class StimulusTooHotError(MixbenchError):

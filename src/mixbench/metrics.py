@@ -160,10 +160,13 @@ def _gain_cubic(s: Scenario, ray: float) -> DriveCubic:
     return _drive_cubic(s, (ray,))
 
 
-def _gain_at(cubic: DriveCubic, amp_in: float) -> float:
-    """Gain in dB on the one ray of ``cubic`` at RF peak ``amp_in``; a silent drive raises first."""
+def _gain_at(cubic: DriveCubic, amp_in: float, power_dbm: Optional[float] = None) -> float:
+    """Gain in dB on the one ray of ``cubic`` at RF peak ``amp_in``; a silent drive raises first.
+
+    A refused drive is named by ``power_dbm`` too, where the caller gives it.
+    """
     check_drive(amp_in)
-    amp_out, = cubic.rays(amp_in)
+    amp_out, = cubic.rays(amp_in, power_dbm)
     return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
 
 
@@ -286,7 +289,7 @@ def _sweep_gains(cubic: DriveCubic, powers: List[float]) -> List[float]:
             ratios = rays[0] / amplitudes
         if (np.isfinite(ratios) & (ratios > 0)).all():
             return [20.0 * math.log10(ratio) for ratio in ratios.tolist()]
-    return [_finite_gain(_gain_at(cubic, dbm_to_amplitude(p_in)), p_in, "dBm")
+    return [_finite_gain(_gain_at(cubic, dbm_to_amplitude(p_in), p_in), p_in, "dBm")
             for p_in in powers]
 
 
@@ -481,8 +484,8 @@ def _probe_gain_db(probe: Scenario, f_signal_out: float) -> float:
     Raises WrongStimulusError if no ray is read there, and
     NonFiniteReadingError if the gain is otherwise not finite.
     """
-    amplitude = probe.rf_tones[0].peak_amplitude()
-    gain_db = _gain_at(_gain_cubic(probe, f_signal_out), amplitude)
+    tone = probe.rf_tones[0]
+    gain_db = _gain_at(_gain_cubic(probe, f_signal_out), tone.peak_amplitude(), tone.power_dbm)
     if gain_db == -math.inf:
         raise WrongStimulusError(
             f"no conversion ray at {f_signal_out!r}; check signal_out_frequency")

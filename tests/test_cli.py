@@ -7,6 +7,7 @@ import math
 import os
 import re
 import runpy
+import struct
 import subprocess
 import sys
 import tempfile
@@ -27,9 +28,10 @@ from helpers import BUNDLE_JSON_CONFIG, SWEEP_POINT_CONFIG, record_grids, record
 
 import mixbench
 from mixbench import cli, engine, memo, metrics
+from mixbench._float_text import float_fields
 from mixbench.cli import (
     REGISTRY,
-    _csv_text,
+    _csv_lines,
     _write_table,
     emit_transient,
     main,
@@ -598,12 +600,13 @@ class TestCliRun:
         isolation = measured.pop("isolation")
         assert isolation == {"value_db": pytest.approx(20.0 * math.log10(0.01303), abs=1e-9)}
         assert round(isolation["value_db"], 2) == -37.70
-        uncovered = ("NonFiniteReadingError: drive {!r} V: the drive polynomial cannot "
-                     "bound its record")
+        uncovered = ("NonFiniteReadingError: drive {!r} V{}: the drive polynomial cannot "
+                     "bound its record{}")
         assert measured == {
-            "cg": {"error": uncovered.format(0.01)},
-            "p1db": {"error": uncovered.format(0.0031622776601683794)},
-            "iip3": {"error": uncovered.format(0.0031622776601683794)},
+            "cg": {"error": uncovered.format(0.01, "", "")},
+            "p1db": {"error": uncovered.format(0.0031622776601683794, " at -40.0 dBm",
+                                               " (sweeps.p1db.start_dbm)")},
+            "iip3": {"error": uncovered.format(0.0031622776601683794, "", "")},
             **{name: {"error": "ValidationError: signal contains non-finite samples"}
                for name in ("harmonics", "transient")}}
         assert sorted(path.name for path in out.iterdir()) == [
@@ -787,15 +790,25 @@ class TestCliRun:
         ("measurements: [cg]\nscenario:\n  rf_power_dbm: 2035.0\n", "cg", "cg",
          "NonFiniteReadingError: drive 1.778279410038923e+101 V: the drive polynomial "
          "cannot bound its record"),
-        # The sweep stops at its first such point, 2025 dBm.
+        # The sweep stops at its first such point, 2025 dBm, and names the
+        # field of its power: the start, or for a later point the stop.
         ("measurements: [p1db]\nsweeps:\n  p1db: {start_dbm: 2025.0, stop_dbm: 2045.0, "
          "step_db: 5.0}\n", "p1db", "p1db_sweep",
-         "NonFiniteReadingError: drive 5.623413251903491e+100 V: the drive polynomial "
-         "cannot bound its record"),
+         "NonFiniteReadingError: drive 5.623413251903491e+100 V at 2025.0 dBm: the drive "
+         "polynomial cannot bound its record (sweeps.p1db.start_dbm)"),
+        ("measurements: [p1db]\nsweeps:\n  p1db: {start_dbm: 1000.0, stop_dbm: 2045.0, "
+         "step_db: 5.0}\n", "p1db", "p1db_sweep",
+         "NonFiniteReadingError: drive 3.162277660168379e+99 V at 2000.0 dBm: the drive "
+         "polynomial cannot bound its record (sweeps.p1db.stop_dbm)"),
+        # The noise figure's probe tone.
+        ("measurements: [nf]\nsweeps:\n  nf: {probe_power_dbm: 2025.0}\n", "nf", "nf",
+         "NonFiniteReadingError: drive 5.623413251903491e+100 V at 2025.0 dBm: the drive "
+         "polynomial cannot bound its record (sweeps.nf.probe_power_dbm)"),
         # A finite record whose gain once read as 5975.28 dB.
         ("measurements: [cg]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "cg", "cg",
          "NonFiniteReadingError: drive 0.01 V: the drive polynomial cannot bound its record"),
-    ], ids=["nf_a3", "cg_overflow", "p1db_overflow", "cg_a3"])
+    ], ids=["nf_a3", "cg_overflow", "p1db_overflow", "p1db_overflow_later_point",
+            "nf_probe_overflow", "cg_a3"])
     def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, table, error):
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -1210,22 +1223,52 @@ class TestCsvTables:
         with pytest.raises(ValueError):
             _write_table(str(tmp_path / "t"), ("a", "b"), rows, "csv")
 
-    # Open-column cells: the values a float column writes least plainly,
-    # as floats and as numpy.float64.
-    OPEN_CELLS = st.sampled_from(
-        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e21]) | st.floats()
-    OPEN_CELLS = OPEN_CELLS | OPEN_CELLS.map(np.float64)
+    # Cells a float column writes least plainly: each power of ten from
+    # 1e-12 to 1e34 and both its neighbours, where a log10 estimate may be
+    # one off; exact 12-digit ties, 13 significant digits ending in 5, at
+    # several scales (3.814697265625 is 5**18 / 1e12, exact from e-6 to
+    # e16; 999999999999.5 rounds up to 13 digits); near ties, whose product
+    # with their scale rounds onto a half although they lie off it; signed
+    # zeros, NaN, the infinities, subnormals and the extremes.
+    POWERS = [v for k in range(-12, 35) for p in [float(f"1e{k}")]
+              for v in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]
+    TIES = ([float(f"3.814697265625e{k}") for k in (-6, -2, 0, 5, 11, 16)]
+            + [d + 0.5 for d in (123456789012.0, 100000000000.0, 999999999999.0)])
+    NEAR_TIES = [0.03818482166455, 0.04940279748095, 0.008593295744555, 0.008161424113055,
+                 0.0006837819406405, 0.0009524033586835, 3.746346259085e-05,
+                 1.586218993495e-05, 2756680300.115, 2756680300.1150002, 508508109.0465,
+                 517670849.9605]
+    SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    EDGE_CELLS = [sign * v for v in POWERS + TIES + NEAR_TIES for sign in (1, -1)] + SPECIAL
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(OPEN_CELLS, OPEN_CELLS), max_size=30))
-    def test_open_column_matches_per_cell_rule(self, rows):
-        header = ("time %s", "voltage %%")
-        template = _csv_text(header, tuple(t for t, _ in rows), len(rows), open_float=True)
-        assert_same_text(template % tuple(v for _, v in rows), per_cell_csv(header, rows))
+    # Any float64 bit pattern or edge cell, as a float and as numpy.float64.
+    FLOAT_CELLS = st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]) | st.sampled_from(EDGE_CELLS)
+    FLOAT_CELLS = FLOAT_CELLS | FLOAT_CELLS.map(np.float64)
+
+    @staticmethod
+    def float_columns_csv(header, rows):
+        """The CSV text of ``rows`` of two float columns through :func:`float_fields`."""
+        columns = [float_fields(np.array([row[i] for row in rows], dtype=np.float64))
+                   for i in range(2)]
+        return ",".join(header) + "\n" + _csv_lines(*columns).tobytes().decode("ascii")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(FLOAT_CELLS, FLOAT_CELLS), max_size=30))
+    def test_float_columns_match_per_cell_rule(self, rows):
+        header = ("time_s", "voltage_v")
+        assert_same_text(self.float_columns_csv(header, rows), per_cell_csv(header, rows))
+
+    @pytest.mark.parametrize("cells", [EDGE_CELLS, []], ids=["edge_cells", "empty"])
+    def test_float_columns_write_edge_cells(self, cells):
+        header = ("time_s", "voltage_v")
+        rows = list(zip(cells, reversed(cells)))
+        assert_same_text(self.float_columns_csv(header, rows), per_cell_csv(header, rows))
 
     def test_transient_csv_memory_is_bounded(self, tmp_path):
-        # The one template, a table's samples and its text: about 1.4 MB of
-        # peak for the two 9,216-row tables of the default run.
+        # The time column's fields and one block of rows at a time: about
+        # 1.3 MB of peak for the two 9,216-row tables of the default run.
         result = simulate(build_scenario(from_dict({})))
         emit_transient(result, str(tmp_path))
         tracemalloc.start()
@@ -1236,9 +1279,17 @@ class TestCsvTables:
             tracemalloc.stop()
         assert peak < 1_600_000
 
-    @pytest.mark.parametrize("decimation", [1, 3, 7, 8])
-    def test_transient_tables_match_per_sample_rule(self, tmp_path, decimation):
-        scenario = build_scenario(from_dict({}))
+    # The default grid (9,216 samples: 2 blocks and a partial one), the
+    # smooth switch, and bundle_json's grid (36,864 samples: 9 whole blocks,
+    # and 2 blocks, the last partial, at decimation 7).
+    @pytest.mark.parametrize("config, decimation", [
+        ({}, 1), ({}, 3), ({}, 7), ({}, 8),
+        ({"scenario": {"mixer": {"switch_mode": "smooth"}}}, 1),
+        ({"scenario": {"grid": {"bins_per_unit": 16}}}, 1),
+        ({"scenario": {"grid": {"bins_per_unit": 16}}}, 7),
+    ], ids=["1", "3", "7", "8", "smooth-1", "bins16-1", "bins16-7"])
+    def test_transient_tables_match_per_sample_rule(self, tmp_path, config, decimation):
+        scenario = build_scenario(from_dict(config))
         result = simulate(scenario)
         paths = emit_transient(result, str(tmp_path), decimation=decimation)
         assert len(paths) == 2

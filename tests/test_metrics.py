@@ -104,14 +104,20 @@ class TestConversionGain:
             measure_conversion_gain(s)
 
 
-def uncovered(amplitude):
-    """The error of a drive at ``amplitude`` V that its cubic does not cover."""
-    return f"drive {amplitude!r} V: the drive polynomial cannot bound its record"
+def uncovered(amplitude, power_dbm=None):
+    """The error of a drive at ``amplitude`` V that its cubic does not cover.
+
+    A compression sweep point and the noise figure's probe also name their
+    ``power_dbm``.
+    """
+    at = "" if power_dbm is None else f" at {power_dbm!r} dBm"
+    return f"drive {amplitude!r} V{at}: the drive polynomial cannot bound its record"
 
 
-def uncovered_pattern(power_dbm):
-    """:func:`uncovered` at ``power_dbm`` as a pattern for ``pytest.raises``."""
-    return re.escape(uncovered(signals.dbm_to_amplitude(power_dbm)))
+def uncovered_pattern(power_dbm, named=False):
+    """:func:`uncovered` at ``power_dbm``, named by it if ``named``, for ``pytest.raises``."""
+    return re.escape(uncovered(signals.dbm_to_amplitude(power_dbm),
+                               power_dbm if named else None))
 
 
 def quiet(s):
@@ -208,7 +214,8 @@ class TestGainRoutineBits:
         s = calibrated_scenario(kappa=0.01303)
         with pytest.raises(NonFiniteReadingError) as got:
             measure_p1db(s, power_range, step)
-        assert str(got.value) == uncovered(drive)
+        assert str(got.value) == uncovered(drive, power_range[0])
+        assert got.value.power_dbm == power_range[0]
 
     def test_conversion_gain_overflow(self):
         # The record of a 2500 dBm drive overflows; the cubic refuses it.
@@ -245,7 +252,7 @@ class TestGainRoutineBits:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteReadingError) as got:
                 measure_p1db(s, (1990.0, 2010.0), 5.0)
-        assert str(got.value) == uncovered(signals.dbm_to_amplitude(2000.0))
+        assert str(got.value) == uncovered(signals.dbm_to_amplitude(2000.0), 2000.0)
         gain = metrics._gain_reader(s, s.f_if)
         assert [gain(signals.dbm_to_amplitude(p)) for p in (1990.0, 1995.0)] == \
             pytest.approx(reference, rel=0, abs=ORACLE_DB)
@@ -775,7 +782,7 @@ class TestPeriodicNoiseFigure:
         # The probe is past its cubic's bound, while the quiet tone keeps g finite.
         ({"rf_power_dbm": -3000.0,
           "mixer": {"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40}},
-         -90.0, uncovered_pattern(-90.0)),
+         -90.0, uncovered_pattern(-90.0, named=True)),
     ], ids=["gain_overflows", "gain_underflows", "density_overflows", "probe_overflows"])
     def test_non_finite_reading_raises_without_a_warning(self, overrides, probe_dbm, message):
         s, settings = nf_setup_from_config(**overrides)
@@ -963,7 +970,7 @@ class TestNoiseFigureProbe:
             mixer={"kappa": 0.0, "gm": 1.0e-300, "a3": -1.0e279, "rd": 1.0e40})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteReadingError, match=uncovered_pattern(-90.0)):
+            with pytest.raises(NonFiniteReadingError, match=uncovered_pattern(-90.0, named=True)):
                 measure_noise_figure(s, replace(settings, probe_power_dbm=-90.0))
 
 
@@ -1224,15 +1231,15 @@ class TestArraySweep:
         assert cubic.sweep(np.array([signals.dbm_to_amplitude(p) for p in powers])) is None
         reads, gain_at = [], metrics._gain_at
 
-        def counted_gain_at(cubic, amp_in):
+        def counted_gain_at(cubic, amp_in, power_dbm):
             reads.append(amp_in)
-            return gain_at(cubic, amp_in)
+            return gain_at(cubic, amp_in, power_dbm)
 
         with mock.patch.object(metrics, "_gain_at", counted_gain_at):
             with pytest.raises(NonFiniteReadingError) as got:
                 metrics._sweep_columns(cubic, powers)
         assert reads == [signals.dbm_to_amplitude(p) for p in powers[:7]]
-        assert str(got.value) == uncovered(reads[-1])
+        assert str(got.value) == uncovered(reads[-1], powers[6])
 
 
 class TestExactCrossing:
