@@ -47,7 +47,6 @@ from .errors import (
 )
 from .metrics import (
     REFERENCE_65NM,
-    GainSweepPoint,
     NoiseFigureResult,
     NoiseFigureSettings,
     P1dBResult,

@@ -21,11 +21,11 @@ needs without simulating, and ``measure`` simulates, reads and writes.
 :func:`prepare`, so they reject the same configs with exit 2; a failure
 that depends on simulated values fails only its own measurement.
 
-CSV tables write floats as ``%.12g`` and any other cell as ``str``: a
-small table is one ``%`` over a line template (:func:`_csv_text`), and the
-two transient tables, thousands of rows each, are laid out with the same
-bytes by numpy (:func:`emit_transient`).  Outputs contain no timestamps,
-so identical configs produce byte-identical files.
+CSV tables write every cell ``%.12g``: a small table is one ``%`` over a
+line template (:func:`_csv_text`), and the two transient tables, thousands
+of rows each, are laid out with the same bytes by numpy
+(:func:`emit_transient`).  Outputs contain no timestamps, so identical
+configs produce byte-identical files.
 
 Gain, compression, intercept and isolation read the noise-free mixer: the
 engine reads their rays on the deterministic pump, whatever noise the
@@ -122,24 +122,18 @@ def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence],
 
 
 def _csv_text(header: Sequence[str], cells: tuple, rows: int) -> str:
-    """CSV text of ``header`` and ``rows`` rows of row-major ``cells``.
+    """CSV text of ``header`` and ``rows`` rows of row-major numeric ``cells``.
 
-    Floats are written as ``%.12g`` and every other cell as ``str``.  The
-    whole text is one ``%`` over a header and a repeated line template, so
-    each column must hold only floats or only non-floats.
+    Every cell is written ``%.12g``; for an int below 1e12, such as a
+    harmonic index, that is its ``str``.  The whole text is one ``%`` over
+    a header and a repeated line template.
     """
     width = len(header)
     if len(cells) != width * rows:
         raise ValueError(f"every row of the table must have {width} cells")
-    formats = []
-    for column in (cells[i::width] for i in range(width)):
-        kinds = {issubclass(t, float) for t in set(map(type, column))}
-        if len(kinds) > 1:
-            raise ValueError("a table column mixes float and non-float cells")
-        formats.append("%.12g" if kinds == {True} else "%s")
     # A header '%' stays literal through the '%'.
     head = ",".join(header).replace("%", "%%")
-    line = ",".join(formats) + "\n"
+    line = ",".join(["%.12g"] * width) + "\n"
     return (head + "\n" + line * rows) % cells
 
 
@@ -245,7 +239,8 @@ def _cg_inputs(run: RunContext) -> None:
 
 
 def _cg(run: RunContext, _inputs: None) -> Dict:
-    gain = measure_conversion_gain(run.scenario, _cubic=run.if_cubic)
+    with _naming_refused(lambda _p: "scenario.rf_power_dbm"):
+        gain = measure_conversion_gain(run.scenario, _cubic=run.if_cubic)
     analytic = analytic_conversion_gain(run.scenario.mixer)
     ref = REFERENCE_65NM.conversion_gain_db
     run.write_table("cg", ("measured_gain_db", "analytic_gain_db", "reference_gain_db"),
@@ -289,7 +284,8 @@ def _iip3_inputs(run: RunContext) -> Tuple[Scenario, float]:
 
 
 def _iip3(run: RunContext, inputs: Tuple[Scenario, float]) -> Dict:
-    res = measure_iip3(*inputs)
+    with _naming_refused(lambda _p: "sweeps.iip3.per_tone_dbm"):  # hot and cold drive
+        res = measure_iip3(*inputs)
     run.write_table("iip3", ("per_tone_dbm", "p_fund_dbm", "p_im3_dbm", "delta_db",
                              "iip3_dbm"),
                     [(res.per_tone_dbm, res.p_fund_dbm, res.p_im3_dbm, res.delta_db,
@@ -365,8 +361,15 @@ def _transient(run: RunContext, decimation: int) -> Dict:
             "rows": len(range(0, run.scenario.grid.num_samples, decimation))}
 
 
-def _power(run: RunContext, _inputs: None) -> Dict:
+def _power_inputs(run: RunContext) -> float:
     p = dc_power(run.scenario.mixer.bias)
+    if not math.isfinite(p):
+        raise ValidationError(f"scenario.mixer.vdd and scenario.mixer.i_bias: "
+                              f"DC power {p!r} W is past the float range")
+    return p
+
+
+def _power(run: RunContext, p: float) -> Dict:
     run.write_table("power", ("power_w", "reference_power_w"),
                     [(p, REFERENCE_65NM.power_w)])
     return {"value_w": p, "reference_w": REFERENCE_65NM.power_w}
@@ -374,7 +377,7 @@ def _power(run: RunContext, _inputs: None) -> Dict:
 
 # Every measurement in config.ALL_MEASUREMENTS order: its name; its prepare
 # step, which checks the config and returns the measure step's inputs
-# without simulating (None: no inputs); its measure step, which simulates,
+# without simulating; its measure step, which simulates,
 # writes tables and returns the summary.json entry; and its summary.txt row
 # (label, value key, unit, reference key), or None for no row.  Steps call
 # the library through this module's globals, which the benchmark's layer
@@ -388,7 +391,7 @@ REGISTRY = (
     ("nf", _nf_inputs, _nf, ("noise figure", "value_db", "dB", "reference_db")),
     ("harmonics", _harmonics_inputs, _harmonics, None),
     ("transient", _transient_inputs, _transient, None),
-    ("power", None, _power, ("DC power", "value_w", "W", "reference_w")),
+    ("power", _power_inputs, _power, ("DC power", "value_w", "W", "reference_w")),
 )
 
 
@@ -400,8 +403,7 @@ def prepare(cfg: RunConfig, out_dir: Optional[str] = None
     """
     cfg.field("output.format")  # every table is written in it
     run = RunContext(cfg, build_scenario(cfg), out_dir)
-    return run, {name: prepare_entry(run) if prepare_entry else None
-                 for name, prepare_entry, _measure, _row in REGISTRY
+    return run, {name: prepare_entry(run) for name, prepare_entry, _measure, _row in REGISTRY
                  if name in cfg.measurements}
 
 
@@ -518,10 +520,9 @@ def _write_outputs(cfg: RunConfig, summary: Dict, out_dir: str) -> str:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
-        if args.format is not None:
-            cfg = cfg.with_output_format(args.format)
+        for path, value in (("scenario.noise.seed", args.seed), ("output.format", args.format)):
+            if value is not None:
+                cfg = cfg.with_field(path, value)
         run, inputs = prepare(cfg, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

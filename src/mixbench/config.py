@@ -212,14 +212,11 @@ class RunConfig:
     def seed(self) -> int:
         return self.field("scenario.noise.seed")
 
-    def with_seed(self, seed: int) -> "RunConfig":
+    def with_field(self, path: str, value: Any) -> "RunConfig":
+        """A copy with the leaf at the dotted ``path`` set to ``value``, checked when read."""
         raw = copy.deepcopy(self.raw)
-        raw["scenario"]["noise"]["seed"] = seed
-        return RunConfig(raw=raw)
-
-    def with_output_format(self, fmt: str) -> "RunConfig":
-        raw = copy.deepcopy(self.raw)
-        raw["output"]["format"] = fmt
+        *sections, leaf = path.split(".")
+        reduce(operator.getitem, sections, raw)[leaf] = value
         return RunConfig(raw=raw)
 
     def parameter_hash(self) -> str:

@@ -53,12 +53,12 @@ class WrongStimulusError(MixbenchError):
 class CompressionNotFoundError(MixbenchError):
     """The gain sweep never crossed the 1 dB compression threshold.
 
-    Carries the sweep that was taken so the caller can widen the range.
+    Carries the sweep taken, as columns, so the caller can widen the range.
     """
 
-    def __init__(self, message, sweep=()):
+    def __init__(self, message, columns=((), (), ())):
         super().__init__(message)
-        self.sweep = tuple(sweep)
+        self.columns = columns
 
 
 class ImmeasurableIM3Error(MixbenchError):

@@ -71,13 +71,6 @@ ISOLATION_FLOOR_DB = -200.0
 MAX_SWEEP_POINTS = 10_000
 
 
-@dataclass(frozen=True)
-class GainSweepPoint:
-    input_power_dbm: float
-    output_power_dbm: float
-    gain_db: float
-
-
 # A compression sweep as columns, in sweep order: input power in dBm,
 # output power in dBm and gain in dB.
 SweepColumns = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
@@ -87,18 +80,13 @@ SweepColumns = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
 class P1dBResult:
     """The interpolated 1 dB point, and ``exact_dbm``, where the gain itself crosses.
 
-    ``columns`` holds the sweep (:data:`SweepColumns`); :attr:`sweep` is
-    the same sweep as points, built when read.
+    ``columns`` holds the sweep (:data:`SweepColumns`).
     """
 
     p1db_dbm: float
     small_signal_gain_db: float
     columns: SweepColumns
     exact_dbm: float
-
-    @property
-    def sweep(self) -> Tuple[GainSweepPoint, ...]:
-        return tuple(map(GainSweepPoint, *self.columns))
 
 
 @dataclass(frozen=True)
@@ -170,25 +158,19 @@ def _gain_at(cubic: DriveCubic, amp_in: float, power_dbm: Optional[float] = None
     return -math.inf if amp_out <= 0 else 20.0 * math.log10(amp_out / amp_in)
 
 
-def _gain_reader(s: Scenario, ray: float) -> Callable[[float], float]:
-    """Gain in dB of single-tone ``s`` read at ``ray`` as a function of the RF peak amplitude.
-
-    One :func:`_gain_cubic` serves every amplitude it is called with.
-    """
-    return partial(_gain_at, _gain_cubic(s, ray))
-
-
 def measure_conversion_gain(s: Scenario, *, _cubic: Optional[DriveCubic] = None) -> float:
     """Conversion gain in dB of a single-tone scenario at its tone's amplitude, read at the IF.
 
     It is read on the noise-free common period of ``s``
     (:func:`engine._drive_cubic`), so the input noise of ``s`` does not
-    move it.  Raises NonFiniteReadingError if the gain is not finite.
+    move it.  Raises NonFiniteReadingError if the gain is not finite, or
+    for a drive the cubic does not cover, naming the tone's power.
     ``_cubic`` is ``_gain_cubic(s, s.f_if)`` when the caller has built it.
     """
     cubic = _cubic if _cubic is not None else _gain_cubic(s, s.f_if)
-    amplitude = s.rf_tones[0].peak_amplitude()
-    return _finite_gain(_gain_at(cubic, amplitude), amplitude, "V")
+    tone = s.rf_tones[0]
+    amplitude = tone.peak_amplitude()
+    return _finite_gain(_gain_at(cubic, amplitude, tone.power_dbm), amplitude, "V")
 
 
 def _finite_gain(gain_db: float, drive: float, unit: str) -> float:
@@ -253,7 +235,7 @@ def measure_p1db(s: Scenario, power_range: Tuple[float, float] = (-40.0, 0.0),
                               columns=columns, exact_dbm=amplitude_to_dbm(exact))
     raise CompressionNotFoundError(
         f"gain never dropped 1 dB below {ref_gain:.3f} dB within "
-        f"[{lo_dbm}, {hi_dbm}] dBm", sweep=map(GainSweepPoint, *columns))
+        f"[{lo_dbm}, {hi_dbm}] dBm", columns)
 
 
 def _sweep_columns(cubic: DriveCubic, powers: List[float]) -> SweepColumns:
@@ -358,15 +340,15 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
     are read from one :func:`engine._drive_cubic`.  At a tone spacing whose
     bin is coprime to the grid, the common period is the full grid.
     Raises NonFiniteReadingError for a drive the cubic does not cover
-    (:meth:`engine.DriveCubic.rays`), or if a ray of the hot drive or the
-    cold fundamental is not finite.
+    (:meth:`engine.DriveCubic.rays`), naming its per-tone power, or if a
+    ray of the hot drive or the cold fundamental is not finite.
     """
     rays = two_tone_rays(s)
     cold_dbm = per_tone_power_dbm - 20.0
     hot = dbm_to_amplitude(per_tone_power_dbm)
     cubic = _drive_cubic(s, rays)
 
-    amps = cubic.rays(hot)
+    amps = cubic.rays(hot, per_tone_power_dbm)
     if not all(map(math.isfinite, amps)):
         raise NonFiniteReadingError(f"hot rays {amps!r} V at {per_tone_power_dbm} dBm per tone")
     p_fund, p_im3, p_mirror = (SpectrumLine.from_amplitude(f, amp).power_dbm
@@ -378,7 +360,7 @@ def measure_iip3(s: Scenario, per_tone_power_dbm: float) -> TwoToneResult:
             f"cubic nonlinearity")
 
     # The cold drive is read only after the hot one passes its IM3 check.
-    cold = cubic.rays(dbm_to_amplitude(cold_dbm))[0]
+    cold = cubic.rays(dbm_to_amplitude(cold_dbm), cold_dbm)[0]
     if not math.isfinite(cold):
         raise NonFiniteReadingError(f"fundamental ray {cold!r} V at {cold_dbm} dBm per tone")
     gain_hot = p_fund - per_tone_power_dbm

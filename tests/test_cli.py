@@ -269,6 +269,9 @@ class TestConfigLoading:
         # Isolation is read over the LO.
         ("measurements: [isolation]\nscenario:\n  lo_amplitude_v: 0.0\n",
          ("scenario.lo_amplitude_v", "active LO")),
+        # A DC power past the float range, of a finite supply and current.
+        ("measurements: [power]\nscenario:\n  mixer: {vdd: 1.0e+300, i_bias: 1.0e+300}\n",
+         "scenario.mixer.vdd and scenario.mixer.i_bias: DC power inf W"),
     ])
     def test_setting_run_fails_on_is_rejected(self, tmp_path, capsys, text, named):
         named = (named,) if isinstance(named, str) else named
@@ -411,12 +414,24 @@ class TestConfigLoading:
         for text in texts:
             assert repr(yaml.load(text, Loader=_LOADER)) == repr(yaml.safe_load(text)), text
 
-    def test_seed_override(self):
+    def test_field_override(self, tmp_path):
         cfg = from_dict({})
-        assert cfg.with_seed(9).seed == 9
-        assert cfg.seed == 1729  # original untouched
+        seeded = cfg.with_field("scenario.noise.seed", 9)
+        assert seeded.seed == 9
+        assert cfg.with_field("output.format", "json").output_format == "json"
+        assert (cfg.seed, cfg.output_format) == (1729, "csv")  # original untouched
+        seeded.raw["scenario"]["noise"]["seed"] = 1729  # no other leaf moved
+        assert seeded.raw == cfg.raw
+        # A negative --seed is checked where it is read (the CLI's exit 2:
+        # test_run_seed_override_must_be_non_negative).
         with pytest.raises(ValidationError, match=r"scenario\.noise\.seed"):
-            prepare(cfg.with_seed(-1))
+            prepare(cfg.with_field("scenario.noise.seed", -1))
+        # --seed and --format reach the run through it.
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, "measurements: [power]\n"),
+                     "--out", str(out), "--seed", "9", "--format", "json"]) == 0
+        assert json.loads((out / "metadata.json").read_text())["seed"] == 9
+        assert sorted(p.name for p in out.glob("power.*")) == ["power.json"]
 
     def test_nf_setup_uses_long_grid(self):
         cfg = from_dict({})
@@ -507,6 +522,7 @@ class TestCliRun:
         "measurements: [cg]\nscenario:\n  rf_phase_rad: 1.0e+308\n",
         "measurements: [nf]\nscenario:\n  noise:\n    bandwidth_hz: 1.975e+9\n",
         "measurements: [isolation]\nscenario:\n  lo_amplitude_v: 0.0\n",
+        "measurements: [power]\nscenario:\n  mixer: {vdd: 1.0e+300, i_bias: 1.0e+300}\n",
     ])
     def test_run_bad_config_exits_2(self, tmp_path, text):
         path = write_config(tmp_path, text)
@@ -603,10 +619,12 @@ class TestCliRun:
         uncovered = ("NonFiniteReadingError: drive {!r} V{}: the drive polynomial cannot "
                      "bound its record{}")
         assert measured == {
-            "cg": {"error": uncovered.format(0.01, "", "")},
+            "cg": {"error": uncovered.format(0.01, " at -30.0 dBm",
+                                             " (scenario.rf_power_dbm)")},
             "p1db": {"error": uncovered.format(0.0031622776601683794, " at -40.0 dBm",
                                                " (sweeps.p1db.start_dbm)")},
-            "iip3": {"error": uncovered.format(0.0031622776601683794, "", "")},
+            "iip3": {"error": uncovered.format(0.0031622776601683794, " at -40.0 dBm",
+                                               " (sweeps.iip3.per_tone_dbm)")},
             **{name: {"error": "ValidationError: signal contains non-finite samples"}
                for name in ("harmonics", "transient")}}
         assert sorted(path.name for path in out.iterdir()) == [
@@ -630,8 +648,9 @@ class TestCliRun:
     @pytest.mark.parametrize("mixer, iip3_error, fundamental_dbm", [
         # Rays of about 1e296 V, whose squares overflow; the drive cubic's
         # bound refuses every drive of the two tones.
-        ("a3: -1.0e+300", "NonFiniteReadingError: drive 0.0031622776601683794 V: the drive "
-         "polynomial cannot bound its record", 5945.27799978),
+        ("a3: -1.0e+300", "NonFiniteReadingError: drive 0.0031622776601683794 V at -40.0 "
+         "dBm: the drive polynomial cannot bound its record (sweeps.iip3.per_tone_dbm)",
+         5945.27799978),
         # Rays of about 1e-304 V, whose squares underflow.
         ("rd: 1.0e-300", "ImmeasurableIM3Error: IM3 ray below", -6063.36596619),
     ], ids=["overflowing_square", "underflowing_square"])
@@ -788,8 +807,8 @@ class TestCliRun:
         # A finite record whose IF projection overflows, past the drive
         # cubic's bound.
         ("measurements: [cg]\nscenario:\n  rf_power_dbm: 2035.0\n", "cg", "cg",
-         "NonFiniteReadingError: drive 1.778279410038923e+101 V: the drive polynomial "
-         "cannot bound its record"),
+         "NonFiniteReadingError: drive 1.778279410038923e+101 V at 2035.0 dBm: the drive "
+         "polynomial cannot bound its record (scenario.rf_power_dbm)"),
         # The sweep stops at its first such point, 2025 dBm, and names the
         # field of its power: the start, or for a later point the stop.
         ("measurements: [p1db]\nsweeps:\n  p1db: {start_dbm: 2025.0, stop_dbm: 2045.0, "
@@ -806,7 +825,8 @@ class TestCliRun:
          "polynomial cannot bound its record (sweeps.nf.probe_power_dbm)"),
         # A finite record whose gain once read as 5975.28 dB.
         ("measurements: [cg]\nscenario:\n  mixer:\n    a3: -1.0e+300\n", "cg", "cg",
-         "NonFiniteReadingError: drive 0.01 V: the drive polynomial cannot bound its record"),
+         "NonFiniteReadingError: drive 0.01 V at -30.0 dBm: the drive polynomial cannot "
+         "bound its record (scenario.rf_power_dbm)"),
     ], ids=["nf_a3", "cg_overflow", "p1db_overflow", "p1db_overflow_later_point",
             "nf_probe_overflow", "cg_a3"])
     def test_non_finite_reading_fails_by_name(self, tmp_path, text, entry, table, error):
@@ -1170,15 +1190,13 @@ class TestTransientOutput:
 
 
 def per_cell_csv(header, rows):
-    """The per-cell CSV rule the table writer must reproduce byte for byte."""
+    """The per-cell CSV rule the table writer must reproduce byte for byte.
+
+    A float cell is ``%.12g``, an int (a harmonic index) its ``str``: the
+    writer's one ``%.12g`` must give both.
+    """
     def cell(v):
-        if not isinstance(v, float):
-            return str(v)
-        if v == -math.inf:
-            return "-inf"
-        if v == math.inf:
-            return "inf"
-        return f"{v:.12g}"
+        return str(v) if isinstance(v, (int, str)) else f"{v:.12g}"
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
@@ -1198,13 +1216,16 @@ def assert_same_text(actual, expected):
 
 
 class TestCsvTables:
-    HEADER = ("index", "value", "label %s", "flag")
+    HEADER = ("index", "value", "negated %s", "numpy")
     VALUES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-5, 1e21, 1e16,
-              0.1 + 0.2, -123.456789012345, 5e-324, 1.7976931348623157e308)
+              0.1 + 0.2, -123.456789012345, 5e-324, 2.225073858507201e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308)
+    INTS = (0, 1, 9, 10, 99, 12345, 10 ** 6, 2 ** 31, 123456789012 // 10, 99999999999,
+            10 ** 11, 7, 3, 5)
 
     def test_matches_per_cell_rule(self, tmp_path):
-        rows = [(i * 10 ** i, v, f"ray {i}%s,x", i % 2 == 0)
-                for i, v in enumerate(self.VALUES)]
+        # Ints up to 1e11 beside float cells, as float and as numpy.float64.
+        rows = [(k, v, -v, np.float64(v)) for k, v in zip(self.INTS, self.VALUES, strict=True)]
         path = _write_table(str(tmp_path / "t"), self.HEADER, rows, "csv")
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == per_cell_csv(self.HEADER, rows)
@@ -1214,14 +1235,9 @@ class TestCsvTables:
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == "a,b\n"
 
-    @pytest.mark.parametrize("rows", [
-        [(1.0, 2.0), (3, 4.0)],        # int among floats
-        [(1.0, "x"), (2.0, 3.5)],      # float among strings
-        [(1.0, 2.0), (3.0,)],          # ragged
-    ])
-    def test_rejects_tables_one_template_cannot_write(self, tmp_path, rows):
-        with pytest.raises(ValueError):
-            _write_table(str(tmp_path / "t"), ("a", "b"), rows, "csv")
+    def test_rejects_tables_one_template_cannot_write(self, tmp_path):
+        with pytest.raises(ValueError):  # ragged
+            _write_table(str(tmp_path / "t"), ("a", "b"), [(1.0, 2.0), (3.0,)], "csv")
 
     # Cells a float column writes least plainly: each power of ten from
     # 1e-12 to 1e34 and both its neighbours, where a log10 estimate may be

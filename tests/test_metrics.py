@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from unittest import mock
@@ -107,8 +108,7 @@ class TestConversionGain:
 def uncovered(amplitude, power_dbm=None):
     """The error of a drive at ``amplitude`` V that its cubic does not cover.
 
-    A compression sweep point and the noise figure's probe also name their
-    ``power_dbm``.
+    A drive given as a power, in dBm, also names its ``power_dbm``.
     """
     at = "" if power_dbm is None else f" at {power_dbm!r} dBm"
     return f"drive {amplitude!r} V{at}: the drive polynomial cannot bound its record"
@@ -137,21 +137,16 @@ def reference_gain_db(s, power_dbm):
 
 
 def reference_sweep(s, powers):
-    """Compression-sweep points of ``s`` at ``powers``, each from its own simulation."""
-    points = []
-    for p in powers:
-        out = p + reference_gain_db(s, p)
-        points.append(metrics.GainSweepPoint(p, out, out - p))
-    return points
+    """Compression-sweep columns of ``s`` at ``powers``, each point from its own simulation."""
+    outputs = [p + reference_gain_db(s, p) for p in powers]
+    return tuple(powers), tuple(outputs), tuple(out - p for p, out in zip(powers, outputs))
 
 
-def assert_sweeps_agree(sweep, reference):
+def assert_sweeps_agree(columns, reference):
     """Same input powers to the bit; output power and gain within ``ORACLE_DB``."""
-    assert [p.input_power_dbm for p in sweep] == [p.input_power_dbm for p in reference]
-    for point, ref in zip(sweep, reference, strict=True):
-        assert point.output_power_dbm == pytest.approx(ref.output_power_dbm, rel=0,
-                                                       abs=ORACLE_DB)
-        assert point.gain_db == pytest.approx(ref.gain_db, rel=0, abs=ORACLE_DB)
+    assert columns[0] == reference[0]
+    for got, want in zip(columns[1:], reference[1:], strict=True):
+        assert got == pytest.approx(want, rel=0, abs=ORACLE_DB)
 
 
 def sweep_powers(power_range, step):
@@ -175,15 +170,15 @@ class TestGainRoutineBits:
         s = run.scenario
         res = measure_p1db(s, *inputs["p1db"])
         reference = reference_sweep(s, sweep_powers(*inputs["p1db"]))
-        assert len(res.sweep) == len(reference) == 81
-        assert_sweeps_agree(res.sweep, reference)
+        assert len(res.columns[0]) == len(reference[0]) == 81
+        assert_sweeps_agree(res.columns, reference)
         assert measure_conversion_gain(s) == pytest.approx(
             reference_gain_db(s, s.rf_tones[0].power_dbm), rel=0, abs=ORACLE_DB)
 
     def test_two_point_sweep(self):
         s = calibrated_scenario()
         res = measure_p1db(s, (-40.0, 0.0), 40.0)
-        assert_sweeps_agree(res.sweep, reference_sweep(s, [-40.0, 0.0]))
+        assert_sweeps_agree(res.columns, reference_sweep(s, [-40.0, 0.0]))
 
     @pytest.mark.parametrize("mixer, power_range, step, error, message", [
         # The tiny cubic keeps 3000 and 3050 dBm finite; 3100 dBm has no
@@ -224,7 +219,8 @@ class TestGainRoutineBits:
             simulate(period_of(s, s.f_if))
         with pytest.raises(NonFiniteReadingError) as got:
             measure_conversion_gain(s)
-        assert str(got.value) == uncovered(s.rf_tones[0].peak_amplitude())
+        assert str(got.value) == uncovered(s.rf_tones[0].peak_amplitude(), 2500.0)
+        assert got.value.power_dbm == 2500.0
 
     @pytest.mark.parametrize("amplitude, expected", [(1e305, math.inf), (1e306, math.nan)])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -253,7 +249,7 @@ class TestGainRoutineBits:
             with pytest.raises(NonFiniteReadingError) as got:
                 measure_p1db(s, (1990.0, 2010.0), 5.0)
         assert str(got.value) == uncovered(signals.dbm_to_amplitude(2000.0), 2000.0)
-        gain = metrics._gain_reader(s, s.f_if)
+        gain = partial(metrics._gain_at, metrics._gain_cubic(s, s.f_if))
         assert [gain(signals.dbm_to_amplitude(p)) for p in (1990.0, 1995.0)] == \
             pytest.approx(reference, rel=0, abs=ORACLE_DB)
 
@@ -268,7 +264,7 @@ class TestGainRoutineBits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(res.sweep) == 401
+        assert len(res.columns[0]) == 401
         assert peak < 512 * 1024
 
 
@@ -286,12 +282,11 @@ class TestP1dB:
 
     def test_sweep_is_complete_and_sorted(self):
         res = measure_p1db(calibrated_scenario(), (-30.0, -5.0), 1.0)
-        assert len(res.sweep) == 26
-        powers = [pt.input_power_dbm for pt in res.sweep]
-        assert powers == sorted(powers)
-        for pt in res.sweep:
-            assert pt.gain_db == pytest.approx(
-                pt.output_power_dbm - pt.input_power_dbm, abs=1e-12)
+        powers, outputs, gains = res.columns
+        assert len(powers) == len(outputs) == len(gains) == 26
+        assert list(powers) == sorted(powers)
+        for p_in, output, gain_db in zip(powers, outputs, gains):
+            assert gain_db == pytest.approx(output - p_in, abs=1e-12)
 
     def test_linear_device_rejected(self):
         with pytest.raises(NoCompressionError,
@@ -303,8 +298,8 @@ class TestP1dB:
         message = r"gain never dropped 1 dB below .* within \[-40\.0, -30\.0\] dBm"
         with pytest.raises(CompressionNotFoundError, match=message) as err:
             measure_p1db(s, (-40.0, -30.0), 1.0)
-        assert len(err.value.sweep) == 11
-        assert_sweeps_agree(err.value.sweep, reference_sweep(
+        assert len(err.value.columns[0]) == 11
+        assert_sweeps_agree(err.value.columns, reference_sweep(
             s, sweep_powers((-40.0, -30.0), 1.0)))
 
     @pytest.mark.parametrize("power_range, step", [
@@ -446,17 +441,19 @@ class TestIIP3:
 def assert_iip3_agrees(monkeypatch, two, per_tone_dbm):
     """Both drives of ``measure_iip3`` against ``reference_iip3``, within ``ORACLE_DB``."""
     p_fund, p_im3, p_mirror, amp_cold = reference_iip3(two, per_tone_dbm)
-    readings, rays = [], engine.DriveCubic.rays
+    readings, powers, rays = [], [], engine.DriveCubic.rays
 
-    def recording_rays(cubic, amplitude):
-        readings.append(rays(cubic, amplitude))
+    def recording_rays(cubic, amplitude, power_dbm):
+        readings.append(rays(cubic, amplitude, power_dbm))
+        powers.append(power_dbm)
         return readings[-1]
 
     monkeypatch.setattr(engine.DriveCubic, "rays", recording_rays)
     res = measure_iip3(two, per_tone_dbm)
     monkeypatch.undo()
-    # The cold drive uses its fundamental, element 0.
+    # The cold drive uses its fundamental, element 0; each drive names its power.
     assert [len(r) for r in readings] == [3, 3]
+    assert powers == [per_tone_dbm, per_tone_dbm - 20.0]
     assert amplitude_to_dbm(readings[1][0]) == pytest.approx(
         amplitude_to_dbm(amp_cold), rel=0, abs=ORACLE_DB)
     got = (res.p_fund_dbm, res.p_im3_dbm, res.p_im3_mirror_dbm)
@@ -502,12 +499,12 @@ class TestIIP3RoutineBits:
         # The hot drive is past the cubic's bound: its record overflows, and
         # at 2030 and 2040 dBm it is finite but its projection reads inf,
         # then NaN.  Each is refused before the cold drive is read.
-        (CAL_A3, 2500.0, NonFiniteReadingError, uncovered_pattern(2500.0), 1),
+        (CAL_A3, 2500.0, NonFiniteReadingError, uncovered_pattern(2500.0, named=True), 1),
         # The IM3 rays are read, and fail, before the cold drive runs.
         (0.0, -40.0, ImmeasurableIM3Error, "IM3 ray below", 1),
         (CAL_A3, 0.0, StimulusTooHotError, r"gain moves \+", 2),
-        (CAL_A3, 2030.0, NonFiniteReadingError, uncovered_pattern(2030.0), 1),
-        (CAL_A3, 2040.0, NonFiniteReadingError, uncovered_pattern(2040.0), 1),
+        (CAL_A3, 2030.0, NonFiniteReadingError, uncovered_pattern(2030.0, named=True), 1),
+        (CAL_A3, 2040.0, NonFiniteReadingError, uncovered_pattern(2040.0, named=True), 1),
     ], ids=["no_finite_peak_voltage", "overflow", "no_im3", "too_hot", "inf_reading",
             "nan_reading"])
     def test_failures_raise_in_drive_order(self, monkeypatch, a3, per_tone_dbm, error,
@@ -516,9 +513,9 @@ class TestIIP3RoutineBits:
         read = []
         rays = engine.DriveCubic.rays
 
-        def counting_rays(cubic, amplitude):
+        def counting_rays(cubic, amplitude, power_dbm):
             read.append(amplitude)
-            return rays(cubic, amplitude)
+            return rays(cubic, amplitude, power_dbm)
 
         monkeypatch.setattr(engine.DriveCubic, "rays", counting_rays)
         with pytest.raises(error, match=message):
@@ -529,8 +526,8 @@ class TestIIP3RoutineBits:
         two = two_tone_variant(calibrated_scenario())
         rays = engine.DriveCubic.rays
 
-        def cold_overflowing_rays(cubic, amplitude):
-            readings = rays(cubic, amplitude)
+        def cold_overflowing_rays(cubic, amplitude, power_dbm):
+            readings = rays(cubic, amplitude, power_dbm)
             return readings if amplitude > 1e-3 else [math.inf] + readings[1:]
 
         monkeypatch.setattr(engine.DriveCubic, "rays", cold_overflowing_rays)
@@ -551,7 +548,7 @@ class TestIIP3RoutineBits:
             try:
                 res = measure_iip3(two, p)
             except NonFiniteReadingError as exc:
-                assert str(exc) == uncovered(signals.dbm_to_amplitude(p)), p
+                assert str(exc) == uncovered(signals.dbm_to_amplitude(p), p), p
                 outcomes.append(NonFiniteReadingError)
                 continue
             except MixbenchError as exc:
@@ -978,7 +975,7 @@ def quiet_readings(s, two_tone, per_tone_dbm):
     """Every noise-free reading of the CLI's measurements, run in its order."""
     readings = {"cg": [measure_conversion_gain(s)]}
     p1db = measure_p1db(s)
-    readings["p1db"] = [pt.gain_db for pt in p1db.sweep] + [p1db.p1db_dbm]
+    readings["p1db"] = [*p1db.columns[2], p1db.p1db_dbm]
     iip3 = measure_iip3(two_tone, per_tone_dbm)
     readings["iip3"] = [iip3.p_fund_dbm, iip3.p_im3_dbm, iip3.p_im3_mirror_dbm,
                         iip3.iip3_dbm]
@@ -1067,7 +1064,7 @@ class TestDriveCubicOracle:
             reference_gain_db(s, s.rf_tones[0].power_dbm), rel=0, abs=ORACLE_DB)
         power_range, step = inputs["p1db"]
         res = measure_p1db(s, power_range, step)
-        assert_sweeps_agree(res.sweep, reference_sweep(s, sweep_powers(power_range, step)))
+        assert_sweeps_agree(res.columns, reference_sweep(s, sweep_powers(power_range, step)))
         assert_iip3_agrees(monkeypatch, *inputs["iip3"])
 
 
@@ -1091,7 +1088,7 @@ class TestNoisyReadsItsQuietCopy:
         assert measure_conversion_gain(s) == measure_conversion_gain(quiet(s))
         noisy_p1db = measure_p1db(s, *inputs["p1db"])
         quiet_p1db = measure_p1db(quiet(s), *inputs["p1db"])
-        assert len(noisy_p1db.sweep) == 81
+        assert len(noisy_p1db.columns[0]) == 81
         assert noisy_p1db == quiet_p1db  # every sweep point and exact_dbm
         two, per_tone = inputs["iip3"]
         assert two.input_noise_density > 0
@@ -1133,7 +1130,7 @@ class TestDriveCubicGuard:
     def test_drives_across_the_overflow_onset(self):
         s = make_scenario(mixer=make_mixer(gm=CAL_GM, a3=CAL_A3, kappa=0.01303))
         cubic = engine._drive_cubic(s, (s.f_if,))
-        gain = metrics._gain_reader(s, s.f_if)
+        gain = partial(metrics._gain_at, metrics._gain_cubic(s, s.f_if))
         covered = []
         for p in self.DRIVES_DBM:
             amp = signals.dbm_to_amplitude(p)
@@ -1177,7 +1174,7 @@ class TestSweepWork:
             projections = record_projections(monkeypatch)
             res = measure_p1db(s, (-40.0, 0.0), step)
             monkeypatch.undo()
-            assert len(res.sweep) == points
+            assert len(res.columns[0]) == points
             work.append((grids, switches, projections))
         assert work[0] == work[1] == ([2304], [2304], [2304] * 4)
 
@@ -1215,7 +1212,7 @@ class TestArraySweep:
         cubic = metrics._gain_cubic(s, s.f_if)
         with mock.patch.object(metrics, "_gain_at", scalar_gain_at):
             inputs, outputs, gains = metrics._sweep_columns(cubic, powers)
-        gain = metrics._gain_reader(s, s.f_if)
+        gain = partial(metrics._gain_at, cubic)
         assert inputs == tuple(powers)
         for p_in, output, gain_db in zip(powers, outputs, gains, strict=True):
             expected = p_in + gain(signals.dbm_to_amplitude(p_in))
@@ -1248,11 +1245,11 @@ class TestExactCrossing:
         s = calibrated_scenario(kappa=kappa)
         res = measure_p1db(s, (-40.0, 0.0), 0.5)
         threshold = res.small_signal_gain_db - 1.0
-        gain = metrics._gain_reader(s, s.f_if)
+        gain = partial(metrics._gain_at, metrics._gain_cubic(s, s.f_if))
         exact = signals.dbm_to_amplitude(res.exact_dbm)
         assert gain(exact) == pytest.approx(threshold, rel=0, abs=1e-9)
         # It lies between the sweep points that bracket the interpolation.
-        powers = [pt.input_power_dbm for pt in res.sweep]
+        powers = res.columns[0]
         below = max(p for p in powers if p <= res.p1db_dbm)
         assert below <= res.exact_dbm <= below + 0.5
         assert abs(res.exact_dbm - res.p1db_dbm) < 0.01
